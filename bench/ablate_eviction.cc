@@ -10,7 +10,7 @@
 //
 // Point names are "bufmgr/<policy>/h<skew>/<pages>" so --filter=/lru/ (note
 // the trailing slash — "/lru-k/" is a different policy) selects one policy's
-// sub-grid; CI compares the CSV bytes across --jobs and --shards per policy.
+// sub-grid; CI compares the CSV bytes across --jobs per policy.
 // Run with --report-json=BENCH_bufmgr.json for the artifact.
 
 #include "bench/bench_common.h"

@@ -9,10 +9,6 @@
 //   --jobs=N            run N sweep points concurrently (default 1).  The
 //                       table and CSV are bit-identical for every N; jobs
 //                       only changes wall-clock time.
-//   --shards=S          scheduler shards per simulation (default: the
-//                       per-point config, i.e. 1).  Like --jobs, the CSV is
-//                       bit-identical for every S (CI-enforced); see
-//                       SystemConfig::shards for the current semantics.
 //   --csv=PATH          dump the deterministic result columns as CSV
 //   --filter=SUBSTR     keep only points whose name contains SUBSTR
 //                       (names are path-style: figure/series/x)
@@ -22,7 +18,7 @@
 //                       common/config.h ParseFaultSpec, e.g.
 //                       "crash@8000:pe3;recover@12000:pe3" or
 //                       "rate=0.5;mttr=3000;retries=3").  The CSV stays
-//                       bit-identical across --jobs/--shards with faults on
+//                       bit-identical across --jobs with faults on
 //   --query-timeout-ms=T  give every query a T-ms deadline (0 disables);
 //                       overrides the per-point and --faults timeout
 //   --migration-bw=MB   cap elastic fragment migration at MB MB/s per
@@ -88,7 +84,6 @@ inline void ApplyHorizon(SystemConfig& cfg) {
 /// Parsed command line of a figure binary.
 struct BenchOptions {
   int jobs = 1;
-  int shards = 0;  // 0: keep each point's configured value
   uint64_t seed = 42;
   std::string csv_path;     // empty: no CSV
   std::string fault_spec;   // empty: no fault override (--faults=SPEC)
@@ -149,14 +144,6 @@ inline int ParseBenchArgs(int argc, char** argv, BenchOptions& opts) {
         return 2;
       }
       opts.jobs = static_cast<int>(jobs);
-    } else if (const char* v = value_of(arg, "--shards")) {
-      char* end = nullptr;
-      long shards = std::strtol(v, &end, 10);
-      if (end == v || *end != '\0' || shards < 1 || shards > 4096) {
-        std::fprintf(stderr, "invalid --shards value: %s\n", v);
-        return 2;
-      }
-      opts.shards = static_cast<int>(shards);
     } else if (const char* v = value_of(arg, "--seed")) {
       char* end = nullptr;
       opts.seed = std::strtoull(v, &end, 10);
@@ -217,26 +204,15 @@ inline int ParseBenchArgs(int argc, char** argv, BenchOptions& opts) {
     } else if (std::strcmp(arg, "--help") == 0 ||
                std::strcmp(arg, "-h") == 0) {
       std::fprintf(stderr,
-                   "usage: %s [--jobs=N] [--shards=S] [--csv=PATH] "
+                   "usage: %s [--jobs=N] [--csv=PATH] "
                    "[--faults=SPEC] [--query-timeout-ms=T] "
                    "[--migration-bw=MB] "
                    "[--eviction=lru|lru-k|lfu|clock] "
                    "[--filter=SUBSTR] [--seed=S] [--fast] [--list] [--quiet] "
                    "[--report-json=PATH] [--trace=PATH]\n"
                    "\n"
-                   "  --jobs=N    run sweep points on N processes (real "
-                   "parallelism for every driver)\n"
-                   "  --shards=S  scheduler shards inside one simulation.  "
-                   "Honest scope: the figure\n"
-                   "              drivers are not shard-confined, so S>1 "
-                   "runs them on ONE thread via the\n"
-                   "              windowed path, bit-identical to S=1 (a "
-                   "one-time stderr note says so).\n"
-                   "              Only confinement-disciplined workloads "
-                   "parallelize: the confined\n"
-                   "              engine (bench_simkern ConfinedCluster*) "
-                   "and the Sharded* kernel\n"
-                   "              shapes.  See docs/sharding.md.\n"
+                   "  --jobs=N    run sweep points on N worker threads (each "
+                   "simulation is single-threaded)\n"
                    "\n"
                    "--faults=SPEC clause grammar (clauses joined by ';', "
                    "parse errors quote the\n"
@@ -455,7 +431,6 @@ inline int FigureMain(Figure& fig, const BenchOptions& opts) {
 
   runner::SweepOptions run_opts;
   run_opts.jobs = opts.jobs;
-  run_opts.shards = opts.shards;
   run_opts.root_seed = opts.seed;
   run_opts.fault_spec = opts.fault_spec;
   run_opts.query_timeout_ms = opts.query_timeout_ms;

@@ -11,21 +11,6 @@
 //   ChannelPingPong     two processes bouncing a token over two channels
 //   ChannelStream       producer streaming value bursts to a consumer
 //   WhenAllFanout       repeated fork/join over F child tasks
-//   ShardedClusterLight 80-PE sharded cluster, shard-local messaging
-//   ShardedClusterHeavy 80-PE sharded cluster, every message cross-shard
-//   ConfinedClusterHeavy 80-PE shard-confined *engine* run (engine/confined.h):
-//                       real CPU/disk resources, control-entity round trips
-//
-
-// The Sharded* shapes run one simulation split across Arg(0) shard worker
-// threads (conservative windows, wire-time lookahead — see
-// src/simkern/sharded.h) and report aggregate dispatched events/s; the
-// `windows` / `cross_shard_frac` counters expose the synchronization
-// cadence.  Light vs heavy brackets the mailbox + barrier overhead:
-// identical event volume, zero vs. 100% cross-shard messages.  On a
-// multi-core host S=2/4 measures the parallel speedup; on a single-core
-// host it measures pure synchronization overhead (both trajectories
-// matter — CI emits BENCH_shard.json from these shapes).
 //
 // The pure dispatch shapes (TimerChurn, CallbackChurn, ZeroDelayPingPong)
 // report items/sec where one item is one dispatched scheduler event.  The
@@ -47,17 +32,12 @@
 
 #include <cstdlib>
 #include <memory>
-#include <string>
 #include <vector>
 
-#include "common/config.h"
-#include "engine/confined.h"
-#include "netsim/shard_mailbox.h"
 #include "simkern/channel.h"
 #include "simkern/resource.h"
 #include "simkern/rng.h"
 #include "simkern/scheduler.h"
-#include "simkern/sharded.h"
 #include "simkern/task.h"
 
 namespace pdblb::sim {
@@ -351,195 +331,6 @@ void BM_WhenAllFanout(benchmark::State& state) {
       static_cast<double>(events) / static_cast<double>(ops);
 }
 BENCHMARK(BM_WhenAllFanout)->Arg(32)->Unit(benchmark::kMillisecond);
-
-// --- ShardedCluster -------------------------------------------------------
-// One 80-PE simulation split across Arg(0) shards (worker threads): each PE
-// loops over a private CPU service and ships a 2.5-page message every
-// `msg_every`-th round; deliveries spawn a handler charging the receiver's
-// CPU.  The light variant wires block-local neighbours (co-located for
-// S in {1,2,4}: zero mailbox traffic), the heavy variant the opposite half
-// of the cluster (every message crosses shards for S > 1).  Results are
-// bit-identical for every S (pinned by tests/sharded_test.cc); these
-// shapes measure what that invariance costs and what parallelism buys.
-
-struct ShardedPe {
-  std::unique_ptr<Resource> cpu;
-  uint64_t delivered = 0;
-};
-
-struct ShardedBench {
-  ShardedScheduler* ss;
-  pdblb::ShardWire* wire;
-  std::vector<ShardedPe> pes;
-  int rounds;
-  int msg_every;
-  int stride;  // 0: block-local neighbour; else (pe + stride) % n
-  int64_t bytes;
-};
-
-Task<> ShardedDelivery(ShardedBench& b, int dst) {
-  co_await b.pes[dst].cpu->Use(0.21 + 0.003 * dst);
-  ++b.pes[dst].delivered;
-}
-
-// One multiprogramming slot of one PE: like the cluster's transactions,
-// `kShardedMpl` of these run concurrently per PE, which is what gives a
-// conservative window enough events per shard to amortize the barrier.
-Task<> ShardedPeDriver(ShardedBench& b, int pe, int slot) {
-  const int n = static_cast<int>(b.pes.size());
-  Resource& cpu = *b.pes[pe].cpu;
-  for (int r = 0; r < b.rounds; ++r) {
-    co_await cpu.Use(0.37 + 0.013 * pe + 0.029 * slot);
-    if ((r + slot) % b.msg_every == 0) {
-      int dst = b.stride == 0
-                    ? pe / 20 * 20 + (pe % 20 + 1) % 20
-                    : (pe + b.stride) % n;
-      b.wire->Send(pe, dst, b.bytes, [&b, dst] {
-        b.ss->home(dst).Spawn(ShardedDelivery(b, dst));
-      });
-    }
-  }
-}
-
-constexpr int kShardedMpl = 16;  // concurrent driver slots per PE
-
-void RunShardedCluster(benchmark::State& state, int stride, int msg_every,
-                       SimTime lookahead_ms) {
-  const int shards = static_cast<int>(state.range(0));
-  const int pes = 80;
-  const int rounds =
-      static_cast<int>(EventTarget() / (2 * pes * kShardedMpl) /
-                       (FastMode() ? 1 : 4));
-  uint64_t events = 0;
-  uint64_t windows = 0;
-  uint64_t messages = 0;
-  uint64_t cross = 0;
-  for (auto _ : state) {
-    pdblb::NetworkConfig net;  // 0.1 ms/packet wire (the paper's EDS)
-    ShardedScheduler::Options opts;
-    opts.num_shards = shards;
-    opts.num_entities = pes;
-    opts.lookahead_ms = lookahead_ms;
-    ShardedScheduler ss(opts);
-    pdblb::ShardWire wire(ss, net);
-    ShardedBench b{&ss,       &wire, {}, rounds, msg_every, stride,
-                   /*bytes=*/20000};
-    b.pes.resize(pes);
-    for (int pe = 0; pe < pes; ++pe) {
-      b.pes[pe].cpu = std::make_unique<Resource>(
-          ss.home(pe), 1, "cpu" + std::to_string(pe),
-          TraceTag(TraceSubsystem::kCpu, static_cast<uint16_t>(pe)));
-    }
-    if (stride == 0) {
-      // The light shape's coarse declared lookahead (see below) is only
-      // legal because block-local sends never cross shards; enforce that in
-      // Release too, so drifting the block size or the Arg list cannot
-      // silently violate the conservative-window contract.
-      for (int pe = 0; pe < pes; ++pe) {
-        int peer = pe / 20 * 20 + (pe % 20 + 1) % 20;
-        if (ss.shard_of(pe) != ss.shard_of(peer)) {
-          state.SkipWithError("block-local wiring crosses shards at this S: "
-                              "the declared lookahead would be unsound");
-          return;
-        }
-      }
-    }
-    for (int pe = 0; pe < pes; ++pe) {
-      for (int slot = 0; slot < kShardedMpl; ++slot) {
-        ss.home(pe).Spawn(ShardedPeDriver(b, pe, slot));
-      }
-    }
-    ss.Run();
-    events += ss.events_processed();
-    windows += ss.windows();
-    messages += ss.messages_posted();
-    cross += ss.cross_shard_messages();
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(events));
-  state.counters["windows"] =
-      benchmark::Counter(static_cast<double>(windows), benchmark::Counter::kAvgIterations);
-  state.counters["events_per_window"] =
-      windows > 0 ? static_cast<double>(events) / static_cast<double>(windows)
-                  : 0.0;
-  state.counters["cross_shard_frac"] =
-      messages > 0 ? static_cast<double>(cross) / static_cast<double>(messages)
-                   : 0.0;
-}
-
-void BM_ShardedClusterLight(benchmark::State& state) {
-  // Block-local traffic never crosses shards for S in {1,2,4}, so the
-  // workload may declare a coarse 5 ms lookahead (the Post contract): the
-  // windows carry ~50x more events than the wire-bounded heavy shape —
-  // this is the favorable case sharding exists for.
-  RunShardedCluster(state, /*stride=*/0, /*msg_every=*/16,
-                    /*lookahead_ms=*/5.0);
-}
-BENCHMARK(BM_ShardedClusterLight)
-    ->Arg(1)->Arg(2)->Arg(4)
-    ->Unit(benchmark::kMillisecond)
-    ->MeasureProcessCPUTime()
-    ->UseRealTime();
-
-void BM_ShardedClusterHeavy(benchmark::State& state) {
-  // Every message crosses to the opposite half of the cluster, so the
-  // lookahead is pinned to the paper's 0.1 ms wire time: maximal mailbox
-  // traffic on minimal windows — the adversarial synchronization-overhead
-  // case.
-  RunShardedCluster(state, /*stride=*/40, /*msg_every=*/2,
-                    /*lookahead_ms=*/0.1);
-}
-BENCHMARK(BM_ShardedClusterHeavy)
-    ->Arg(1)->Arg(2)->Arg(4)
-    ->Unit(benchmark::kMillisecond)
-    ->MeasureProcessCPUTime()
-    ->UseRealTime();
-
-void BM_ConfinedClusterHeavy(benchmark::State& state) {
-  // The shard-confined *engine* at the paper's figure scale: 80 PEs plus
-  // the control entity, full per-PE CPU/disk resource models, placement
-  // round trips to the control node, scan fan-out with shipped results,
-  // and the wire-pinned 0.1 ms lookahead.  Unlike the synthetic Sharded*
-  // shapes this exercises engine/confined.cc — the executor protocol the
-  // --shards fix introduces — so its S=1/2/4 trajectory is the honest
-  // answer to "does --shards parallelize a cluster run now?".  Per-entity
-  // results stay bit-identical across S (tests/sharded_test.cc pins it);
-  // only the wall clock may move.
-  const int shards = static_cast<int>(state.range(0));
-  pdblb::ConfinedClusterOptions opt;
-  opt.num_pes = 80;
-  opt.shards = shards;
-  opt.mpl = 4;
-  opt.queries_per_slot = FastMode() ? 2 : 8;
-  opt.report_rounds = FastMode() ? 4 : 8;
-  uint64_t events = 0;
-  uint64_t windows = 0;
-  uint64_t cross = 0;
-  int64_t queries = 0;
-  for (auto _ : state) {
-    pdblb::ConfinedClusterReport report = pdblb::RunConfinedCluster(opt);
-    events += report.events;
-    windows += report.windows;
-    cross += report.cross_shard_messages;
-    for (const pdblb::ConfinedPeResult& pe : report.per_pe) {
-      queries += pe.queries;
-    }
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(events));
-  state.counters["windows"] = benchmark::Counter(
-      static_cast<double>(windows), benchmark::Counter::kAvgIterations);
-  state.counters["events_per_window"] =
-      windows > 0 ? static_cast<double>(events) / static_cast<double>(windows)
-                  : 0.0;
-  state.counters["queries"] = benchmark::Counter(
-      static_cast<double>(queries), benchmark::Counter::kAvgIterations);
-  state.counters["cross_shard_msgs"] = benchmark::Counter(
-      static_cast<double>(cross), benchmark::Counter::kAvgIterations);
-}
-BENCHMARK(BM_ConfinedClusterHeavy)
-    ->Arg(1)->Arg(2)->Arg(4)
-    ->Unit(benchmark::kMillisecond)
-    ->MeasureProcessCPUTime()
-    ->UseRealTime();
 
 }  // namespace
 }  // namespace pdblb::sim

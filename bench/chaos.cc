@@ -26,8 +26,8 @@
 // admission for bounded response times — and io_errors/io_retries scale
 // linearly with iorate while the retry chains keep every query's result
 // exact (errors are latency, not data loss).  The whole sweep is a pure
-// function of --seed: the CSV is bit-identical across --jobs/--shards and
-// reruns (CI-enforced), which is what makes the chaos results debuggable.
+// function of --seed: the CSV is bit-identical across --jobs and reruns
+// (CI-enforced), which is what makes the chaos results debuggable.
 //
 // Run with --report-json=BENCH_chaos.json for the CI artifact (the
 // robustness block maps completed/shed/degraded to each intensity).

@@ -31,7 +31,7 @@
 // (the same fragments move, just slower), pes_added/pes_drained match the
 // scenario, and join RT degrades only transiently around the resize.  The
 // sweep is a pure function of --seed: the CSV is bit-identical across
-// --jobs/--shards and reruns (CI-enforced), like the chaos harness.
+// --jobs and reruns (CI-enforced), like the chaos harness.
 //
 // Run with --report-json=BENCH_elastic.json for the CI artifact.
 

@@ -17,8 +17,8 @@
 // backlogs.  The queries_* CSV columns quantify all of this.
 //
 // Everything is deterministic per seed: fault timing comes from a
-// dedicated RNG stream, so the CSV is bit-identical across --jobs and
-// --shards (CI-enforced with faults enabled).
+// dedicated RNG stream, so the CSV is bit-identical across --jobs
+// (CI-enforced with faults enabled).
 
 #include "bench/bench_common.h"
 

@@ -25,7 +25,7 @@
 // Ties are impossible for LRU/CLOCK (structural order) and broken by the
 // lowest slot index for the scan-based policies — slot assignment itself is
 // deterministic (LIFO free list), so every policy yields reproducible victim
-// sequences across reruns, --jobs and --shards.
+// sequences across reruns and --jobs.
 
 #include "bufmgr/eviction_policy.h"
 

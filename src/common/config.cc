@@ -112,13 +112,6 @@ Status SystemConfig::Validate() const {
   if (disk.prefetch_pages < 1) {
     return Status::InvalidArgument("prefetch_pages must be >= 1");
   }
-  if (shards < 1 || shards > num_pes) {
-    return Status::InvalidArgument("shards must be in [1, num_pes]");
-  }
-  if (shards > 1 && network.wire_time_per_packet_ms <= 0.0) {
-    return Status::InvalidArgument(
-        "sharded execution needs a positive wire time (the lookahead)");
-  }
   if (a_node_fraction <= 0.0 || a_node_fraction >= 1.0) {
     return Status::InvalidArgument("a_node_fraction must be in (0,1)");
   }
@@ -186,7 +179,8 @@ Status SystemConfig::Validate() const {
     }
     if ((ev.kind == FaultKind::kSlowDisk || ev.kind == FaultKind::kSlowLink) &&
         ev.factor < 1.0) {
-      // >= 1 keeps slowed wire delays above the sharded-window lookahead.
+      // These clauses model slow-downs only; a factor below 1 would be a
+      // speed-up.
       return Status::InvalidArgument("faults.events: factor must be >= 1");
     }
   }

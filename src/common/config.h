@@ -301,7 +301,7 @@ struct FaultEvent {
   int pe = 0;
   int pe2 = -1;         ///< Second endpoint (partition/heal/slowlink only).
   double factor = 1.0;  ///< Service/delay multiplier (slowdisk/slowlink);
-                        ///< >= 1 so sharded-window lookaheads stay valid.
+                        ///< >= 1: these clauses model slow-downs only.
                         ///< 1.0 restores normal speed.
 };
 
@@ -326,8 +326,8 @@ struct FaultConfig {
   std::vector<FaultEvent> events;
   /// Random crash model: each PE crashes as a Poisson process with this
   /// rate and recovers mttr_ms later.  The schedule is pre-generated from
-  /// a dedicated fork of the root seed, so it is identical across
-  /// --jobs/--shards and reruns.
+  /// a dedicated fork of the root seed, so it is identical across --jobs
+  /// and reruns.
   double crash_rate_per_pe_per_min = 0.0;
   double mttr_ms = 3000.0;
   /// Per-query deadline; 0 disables timeouts.  `timeout_fraction` of
@@ -488,21 +488,6 @@ struct SystemConfig {
 
   // --- simulation --------------------------------------------------------
   uint64_t seed = 42;
-  /// Scheduler shards for intra-simulation execution (simkern/sharded.h).
-  /// 1 = the single-queue kernel.  >1 drives the run through the
-  /// conservative-window pacing with the netsim wire time as lookahead.
-  /// Honest scope note: the figure-driver executors share cross-PE state
-  /// (workload RNG drawn in global arrival order, synchronous control-node
-  /// reads, global metrics folds), so a Cluster cannot be partitioned
-  /// without changing results — with >1 it runs as ONE logical shard group
-  /// on one thread, prints a one-time stderr note saying so, and stays
-  /// bit-identical to shards=1 (CI compares --shards=3 and --shards=4
-  /// CSVs against --shards=1).  Workloads written to the confinement
-  /// discipline do parallelize: the shard-confined engine
-  /// (engine/confined.h, bench ConfinedClusterHeavy) and the bench_simkern
-  /// Sharded* shapes run S calendars on S threads.  docs/sharding.md has
-  /// the full story.
-  int shards = 1;
   TraceConfig trace;
   /// Fault injection and per-query deadlines (engine/faults.h).  Disabled
   /// by default; see FaultConfig.

@@ -4,8 +4,6 @@
 
 #include <cassert>
 #include <chrono>
-#include <cstdio>
-#include <mutex>
 #include <stdexcept>
 
 #include "common/logging.h"
@@ -15,46 +13,9 @@
 #include "engine/multiway_executor.h"
 #include "engine/oltp_executor.h"
 #include "engine/scan_executor.h"
-#include "netsim/shard_mailbox.h"
-#include "simkern/sharded.h"
 #include "workload/arrivals.h"
 
 namespace pdblb {
-
-namespace {
-
-// Why this Cluster cannot be shard-confined (never null today: the figure
-// drivers' executors all share cross-PE state; listed for the day some of
-// them are confined and the answer starts depending on the config).
-const char* ShardConfinementBlocker(const SystemConfig& config) {
-  (void)config;
-  return "the figure-driver executors share cross-PE state (one workload "
-         "RNG drawn in global arrival order, synchronous control-node "
-         "reads at plan time, global metrics/deadlock accumulators)";
-}
-
-// Satellite of the --shards fix: a multi-shard request that cannot
-// parallelize must say so instead of silently running the one-group
-// windowed path.  Once per process — sweeps construct hundreds of
-// Clusters and the message is about the flag, not the point.  Emitted to
-// stderr directly (not PDBLB_LOG) so the default log level does not
-// swallow it; result tables and CSVs go to stdout, so output stays clean.
-void WarnShardFallbackOnce(const SystemConfig& config) {
-  static std::once_flag flag;
-  std::call_once(flag, [&config] {
-    std::fprintf(
-        stderr,
-        "pdblb: note: --shards=%d runs this driver on one scheduler "
-        "thread: %s.\n"
-        "pdblb: results are bit-identical to --shards=1 (CI-enforced); "
-        "the shard-confined engine (engine/confined.h, bench "
-        "ConfinedClusterHeavy) and the simkern bench shapes are what "
-        "parallelize today.  See docs/sharding.md.\n",
-        config.shards, ShardConfinementBlocker(config));
-  });
-}
-
-}  // namespace
 
 Cluster::Cluster(const SystemConfig& config)
     : config_(config), root_rng_(config.seed),
@@ -421,29 +382,6 @@ MetricsReport Cluster::Run() {
   SimTime measure_start = 0.0;
   SimTime measure_end = 0.0;
 
-  // With config_.shards > 1 the run advances through the sharded kernel's
-  // conservative-window pacing (the wire time is the lookahead), but the
-  // whole cluster still forms ONE logical shard group: the figure drivers'
-  // executors violate the confinement discipline that genuine S-thread
-  // execution requires (docs/sharding.md) — one query coroutine draws from
-  // the shared workload RNG in global arrival order, reads control-node
-  // state synchronously at plan time, and folds into the global metrics
-  // accumulators — so partitioning them would change results, and the CI
-  // contract is that --shards never changes a CSV byte.  The confined
-  // protocol (request/handback messages over the mailbox band, control
-  // node as its own entity: engine/confined.h) is what actually runs S
-  // calendars on S threads; configs that cannot be confined fall back to
-  // this degenerate path and say so once, below.
-  const SimTime lookahead = ShardLookaheadMs(config_.network);
-  if (config_.shards > 1) WarnShardFallbackOnce(config_);
-  auto advance = [&](SimTime until) {
-    if (config_.shards > 1) {
-      sim::RunUntilWindowed(sched_, until, lookahead);
-    } else {
-      sched_.RunUntil(until);
-    }
-  };
-
   if (config_.single_user_mode) {
     metrics_.SetWarmupEnd(0.0);
     bool done = false;
@@ -459,17 +397,17 @@ MetricsReport Cluster::Run() {
         },
         &done));
     while (!done && sched_.pending_events() > 0) {
-      advance(sched_.Now() + 60000.0);
+      sched_.RunUntil(sched_.Now() + 60000.0);
     }
     measure_end = sched_.Now();
   } else {
     SpawnOpenWorkload();
     metrics_.SetWarmupEnd(config_.warmup_ms);
-    advance(config_.warmup_ms);
+    sched_.RunUntil(config_.warmup_ms);
     ResetStatistics();
     measure_start = config_.warmup_ms;
     measure_end = config_.warmup_ms + config_.measurement_ms;
-    advance(measure_end);
+    sched_.RunUntil(measure_end);
   }
 
   MetricsReport report = Collect(measure_start, measure_end);

@@ -21,13 +21,13 @@
 // the cut link and AddParticipant fails fast when a new PE is partitioned
 // from any PE the attempt already uses, both feeding the kUnavailable
 // retry path exactly like a crash.  All of it flows through the same
-// calendar and RNG-fork discipline, so --jobs/--shards stay bit-identical.
+// calendar and RNG-fork discipline, so --jobs stays bit-identical.
 //
 // Determinism: all fault timing draws come from a dedicated RNG stream
 // (root.Fork(3), further forked per PE), deadline assignment and backoff
 // jitter come from the workload stream in arrival order, and crashes /
 // cancellations are ordinary calendar events — so every outcome is a pure
-// function of (seed, config), identical across --jobs/--shards and reruns.
+// function of (seed, config), identical across --jobs and reruns.
 // When SystemConfig::faults is disabled the supervisor is bypassed entirely
 // and the event/RNG streams are byte-identical to a fault-free build.
 

@@ -47,7 +47,7 @@ sim::Resource& DiskArray::DiskFor(PageKey page) {
 
 void DiskArray::ConfigureFaults(double error_rate, int retry_limit,
                                 double retry_penalty_ms, sim::Rng rng) {
-  assert(error_rate >= 0.0 && error_rate < 1.0);
+  assert(error_rate >= 0.0 && error_rate <= 1.0);
   io_error_rate_ = error_rate;
   io_retry_limit_ = retry_limit;
   io_retry_penalty_ms_ = retry_penalty_ms;

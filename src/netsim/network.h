@@ -56,8 +56,8 @@ class Network {
   // --- link faults (engine/faults.h) --------------------------------------
   // Per-link partition flags and wire-delay multipliers.  The state tables
   // are lazily allocated on the first Set* call, so the fault-free path
-  // touches nothing; Transfer itself only consults the multiplier (>= 1,
-  // keeping slowed delays above the sharded-window lookahead).  Partitions
+  // touches nothing; Transfer itself only consults the multiplier (>= 1:
+  // link faults model slow-downs only, never a speed-up).  Partitions
   // are enforced one level up: the FaultInjector fails attempts that would
   // span a cut link (kUnavailable into the Supervise retry path) instead of
   // erroring the byte-stream, which has no failure channel.

@@ -2,7 +2,6 @@
 
 #include "runner/sweep.h"
 
-#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <exception>
@@ -59,12 +58,6 @@ std::vector<SweepResult> Sweep::Run(const SweepOptions& options) const {
         SystemConfig cfg = point.config;
         if (options.derive_point_seeds) {
           cfg.seed = PointSeed(options.root_seed, point.declared_index);
-        }
-        if (options.shards > 0) {
-          // Clamped per point, like jobs is clamped to the point count: a
-          // 10-PE grid point under --shards=16 runs with 10, not with a
-          // config its own Validate() rejects.
-          cfg.shards = std::min(options.shards, cfg.num_pes);
         }
         if (!options.trace_path.empty()) {
           cfg.trace.enabled = true;

@@ -82,19 +82,11 @@ struct SweepOptions {
                      size_t finished, size_t total)>
       on_point_done;
 
-  /// When positive, overrides every point's config.shards: the number of
-  /// scheduler shards for intra-simulation execution (the drivers' --shards
-  /// flag), clamped per point to its num_pes.  Like --jobs, results are
-  /// bit-identical for every value — see SystemConfig::shards for the
-  /// honest scope (the figure drivers run one logical shard group; the
-  /// shard-confined engine lives in engine/confined.h, docs/sharding.md).
-  int shards = 0;
-
   /// When non-empty, parsed as a fault spec (common/config.h
   /// ParseFaultSpec: "crash@8000:pe3;recover@12000:pe3", "rate=0.5;...")
   /// and applied on top of every point's config.faults — the drivers'
   /// --faults flag.  Fault timing draws come from a dedicated RNG stream,
-  /// so the CSV stays bit-identical across --jobs/--shards with faults on.
+  /// so the CSV stays bit-identical across --jobs with faults on.
   std::string fault_spec;
   /// When >= 0, overrides every point's config.faults.query_timeout_ms —
   /// the drivers' --query-timeout-ms flag (0 disables timeouts).

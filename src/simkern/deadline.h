@@ -10,7 +10,7 @@
 // Determinism: the timer is an ordinary calendar event, so whether a given
 // run times out — and the exact event at which the cancellation happens —
 // is a pure function of the seed and configuration, identical across
-// --jobs/--shards and reruns.
+// --jobs and reruns.
 
 #ifndef PDBLB_SIMKERN_DEADLINE_H_
 #define PDBLB_SIMKERN_DEADLINE_H_

@@ -169,22 +169,6 @@ void Scheduler::Reserve(size_t events, size_t callbacks) {
   while (cell_chunks_.size() * kCellsPerChunk < callbacks) GrowCellSlab();
 }
 
-bool Scheduler::PopNextBefore(Event* out, SimTime bound) {
-  // Strict twin of PopNext (at < bound instead of at <= until), used only
-  // by the sharded window loops — the RunUntil hot path stays untouched.
-  if (ring_size_ > 0) {
-    const Event& front = ring_[ring_head_];
-    if (heap_.empty() || !Precedes(heap_[0], front)) {
-      if (!(front.at < bound)) return false;
-      *out = RingPop();
-      return true;
-    }
-  }
-  if (heap_.empty() || !(heap_[0].at < bound)) return false;
-  *out = HeapPop();
-  return true;
-}
-
 bool Scheduler::PopNext(Event* out, SimTime until) {
   // The ring holds events at exactly Now(); heap entries at the same time
   // can only be older (smaller seq) arrivals, so one comparison restores
@@ -274,60 +258,6 @@ void Scheduler::Run() {
     Dispatch(event);
   }
 }
-
-void Scheduler::RunBefore(SimTime bound) {
-#if PDBLB_TRACE
-  if (tracer_ != nullptr) {
-    RunTracedBefore(bound);
-    return;
-  }
-#endif
-  Event event;
-  while (true) {
-    if (!handoffs_.empty()) {
-      ResumeHandOff();
-      continue;
-    }
-    if (!PopNextBefore(&event, bound)) break;
-    Dispatch(event);
-  }
-  // Now() deliberately stays at the last dispatched timestamp: an event (or
-  // injected message) may still arrive anywhere in [Now(), bound).
-}
-
-#if PDBLB_TRACE
-void Scheduler::RunTracedBefore(SimTime bound) {
-  Event event;
-  while (true) {
-    if (!handoffs_.empty()) {
-      std::coroutine_handle<> h = handoffs_.front();
-      handoffs_.pop_front();
-      if (!h) continue;  // cancelled hand-off entry
-      ++inline_resumes_;
-      tracer_->Record(now_, TraceEventKind::kHandOff,
-                      TraceTag(TraceSubsystem::kChannel).bits,
-                      inline_resumes_);
-      h.resume();
-      continue;
-    }
-    if (!PopNextBefore(&event, bound)) break;
-    if (event.h == kCancelledEvent) continue;  // no dispatch, no record
-    now_ = event.at;
-    ++events_processed_;
-    tracer_->Record(event.at,
-                    (event.seq & kTraceRingBit) ? TraceEventKind::kZeroDelay
-                                                : TraceEventKind::kCalendar,
-                    static_cast<uint16_t>(event.seq),
-                    event.seq >> kTraceTagShift);
-    if ((event.h & 1u) == 0) {
-      std::coroutine_handle<>::from_address(reinterpret_cast<void*>(event.h))
-          .resume();
-    } else {
-      RunCallbackCell(static_cast<uint32_t>(event.h >> 1));
-    }
-  }
-}
-#endif
 
 void Scheduler::RunUntil(SimTime until) {
 #if PDBLB_TRACE

@@ -41,7 +41,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
-#include <limits>
 #include <memory>
 #include <new>
 #include <type_traits>
@@ -211,82 +210,12 @@ class Scheduler {
     return Awaiter{this, now_ + delta, tag};
   }
 
-  // --- message-band events (sharded execution) ---------------------------
-  // Cross-entity messages dispatch in a dedicated high band of the sequence
-  // space: at equal timestamps every message-band event runs after all
-  // local-band events (local seq counters never reach bit 63), and
-  // message-band events order among themselves by (origin entity, per-origin
-  // ordinal) — a total key that does not depend on how entities are
-  // partitioned into shards or on which calendar the event sits in, which is
-  // what makes sharded execution shard-count-invariant (see sharded.h).
-
-  static constexpr uint64_t kMessageBand = uint64_t{1} << 63;
-  static constexpr unsigned kMessageOriginBits = 12;  // matches TraceTag
-  static constexpr unsigned kMessageOriginShift = 63 - kMessageOriginBits;
-#if PDBLB_TRACE
-  static constexpr unsigned kMessageOrdinalShift = kTraceTagShift;
-#else
-  static constexpr unsigned kMessageOrdinalShift = 0;
-#endif
-  static constexpr uint64_t kMaxMessageOrdinal =
-      uint64_t{1} << (kMessageOriginShift - kMessageOrdinalShift);
-
-  /// Packs a message-band sequence word.  `origin` is the sending entity id
-  /// (< 2^12), `ordinal` the per-origin message counter; in tracing builds
-  /// `tag` rides in the low bits exactly like local-band events.
-  static constexpr uint64_t MessageSeq(uint16_t origin, uint64_t ordinal,
-                                       TraceTag tag = {}) {
-    uint64_t seq = kMessageBand |
-                   (static_cast<uint64_t>(origin) << kMessageOriginShift) |
-                   (ordinal << kMessageOrdinalShift);
-#if PDBLB_TRACE
-    seq |= tag.bits;
-#else
-    (void)tag;
-#endif
-    return seq;
-  }
-
-  /// Schedules a message arrival: `fn` runs at `at` (> Now() — message
-  /// delivery needs positive lookahead) in the message band under the
-  /// pre-packed `message_seq` ordering key.  Used both for same-shard
-  /// message sends and for cross-shard mailbox injection at window
-  /// barriers; the two paths produce identical dispatch orders because the
-  /// key, not the push moment, decides placement.
-  template <typename F>
-  void ScheduleMessageCallback(SimTime at, uint64_t message_seq, F&& fn) {
-    assert(at > now_ && "message arrivals need positive lookahead");
-    assert((message_seq & kMessageBand) != 0);
-    uint32_t idx = StoreCallback(std::forward<F>(fn));
-    heap_.push_back(
-        Event{at, message_seq, (static_cast<uint64_t>(idx) << 1) | 1u});
-    SiftUp(heap_.size() - 1);
-  }
-
-  /// Earliest pending calendar timestamp, +infinity when the calendar is
-  /// empty.  Only meaningful between Run* calls (the hand-off lane holds
-  /// entries exclusively while a dispatch is running).
-  SimTime NextEventTime() const {
-    assert(handoffs_.empty());
-    SimTime t = std::numeric_limits<SimTime>::infinity();
-    if (ring_size_ > 0) t = ring_[ring_head_].at;
-    if (!heap_.empty() && heap_[0].at < t) t = heap_[0].at;
-    return t;
-  }
-
   /// Runs until the event calendar is empty.
   void Run();
 
   /// Runs all events with timestamp <= `until`, then advances Now() to
   /// `until`.  Later events remain queued.
   void RunUntil(SimTime until);
-
-  /// Runs all events with timestamp strictly less than `bound`; Now() stays
-  /// at the last dispatched timestamp (it does NOT advance to `bound`).
-  /// This is the conservative-window primitive of sharded execution: a
-  /// shard may not consume events at the window horizon, because a message
-  /// arriving exactly there could still be injected at the next barrier.
-  void RunBefore(SimTime bound);
 
   /// Pre-sizes the calendar (and optionally the callback slab) so a run
   /// with at most `events` concurrently pending events allocates nothing.
@@ -335,7 +264,9 @@ class Scheduler {
   // (low bit 0) or (callback cell index << 1) | 1.  In tracing builds the
   // low kTraceTagShift bits of `seq` hold the packed TraceTag; the real
   // sequence number occupies the high bits, so Precedes() needs no mask
-  // (distinct events always differ in the high bits).
+  // (distinct events always differ in the high bits).  Bit 63 of `seq` is
+  // never set and free for another use: sequence numbers occupy bits 17–62
+  // in traced builds (kTraceTagShift = 17) and bits 0–62 in untraced builds.
   struct Event {
     SimTime at;
     uint64_t seq;
@@ -372,8 +303,8 @@ class Scheduler {
   };
 
   // Moves `fn` into a recycled cell (inline when it fits, boxed otherwise)
-  // and returns the cell index.  Shared by ScheduleCallback and
-  // ScheduleMessageCallback.
+  // and returns the cell index, which ScheduleCallback pushes as a tagged
+  // calendar payload.
   template <typename F>
   uint32_t StoreCallback(F&& fn) {
     using Fn = std::decay_t<F>;
@@ -475,8 +406,6 @@ class Scheduler {
 
   // Pops the globally next event if its timestamp is <= `until`.
   bool PopNext(Event* out, SimTime until);
-  // Strict variant for window execution: pops only events with at < bound.
-  bool PopNextBefore(Event* out, SimTime bound);
 
   void Dispatch(const Event& event);
 #if PDBLB_TRACE
@@ -487,8 +416,6 @@ class Scheduler {
   // Run/RunUntil call and must not be called from inside a running
   // simulation process.)
   void RunTraced(SimTime until);
-  // Traced twin of RunBefore (strict bound, Now() not advanced).
-  void RunTracedBefore(SimTime bound);
 #endif
   void RunCallbackCell(uint32_t idx);
   void DestroyPendingCallback(const Event& event);

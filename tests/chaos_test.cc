@@ -5,8 +5,8 @@
 // shedding/degradation) unit-tested in isolation and composed at cluster
 // level.  The composed runs check the conservation invariants — no admission
 // slot, buffer reservation or memory-queue entry survives the run — and the
-// determinism contract (identical reports across reruns and shard counts,
-// identical sweep CSV across worker counts).  The whole binary runs under
+// determinism contract (identical reports across reruns, identical sweep
+// CSV across worker counts).  The whole binary runs under
 // leak detection, so every chaotic run doubles as a no-leaked-frames check.
 
 #include <gtest/gtest.h>
@@ -290,22 +290,6 @@ TEST(ChaosClusterTest, ComposedChaosIsDeterministicAcrossReruns) {
   EXPECT_EQ(r1.link_partitions, r2.link_partitions);
   EXPECT_DOUBLE_EQ(r1.slow_disk_ms, r2.slow_disk_ms);
   EXPECT_EQ(r1.kernel_events, r2.kernel_events);
-}
-
-TEST(ChaosClusterTest, ComposedChaosIsIdenticalAcrossShardCounts) {
-  SystemConfig base = ComposedChaosConfig();
-  MetricsReport r1 = Cluster(base).Run();
-  for (int shards : {2, 4}) {
-    SystemConfig cfg = base;
-    cfg.shards = shards;
-    MetricsReport r = Cluster(cfg).Run();
-    EXPECT_EQ(r.joins_completed, r1.joins_completed) << "shards=" << shards;
-    EXPECT_EQ(r.queries_shed, r1.queries_shed) << "shards=" << shards;
-    EXPECT_EQ(r.queries_degraded, r1.queries_degraded) << "shards=" << shards;
-    EXPECT_EQ(r.io_errors, r1.io_errors) << "shards=" << shards;
-    EXPECT_DOUBLE_EQ(r.slow_disk_ms, r1.slow_disk_ms) << "shards=" << shards;
-    EXPECT_DOUBLE_EQ(r.join_rt_ms, r1.join_rt_ms) << "shards=" << shards;
-  }
 }
 
 TEST(ChaosClusterTest, OverloadShedsAndDegradesUnderSustainedPressure) {

@@ -22,12 +22,10 @@
 
 #include "common/config.h"
 #include "engine/cluster.h"
-#include "netsim/shard_mailbox.h"
 #include "runner/sweep.h"
 #include "simkern/channel.h"
 #include "simkern/resource.h"
 #include "simkern/scheduler.h"
-#include "simkern/sharded.h"
 #include "simkern/task.h"
 #include "simkern/trace_ring.h"
 #include "simkern/tracer.h"
@@ -141,139 +139,6 @@ TEST(TraceGoldenTest, ChannelPingPongMatchesHandCheckedTrace) {
   EXPECT_EQ(b[static_cast<size_t>(TraceSubsystem::kKernel)].events, 4u);
   EXPECT_DOUBLE_EQ(
       b[static_cast<size_t>(TraceSubsystem::kKernel)].sim_time_ms, 2.0);
-}
-
-Task<> HandleExchange(Resource& cpu) { co_await cpu.Use(0.5); }
-
-Task<> ExchangeDriver(ShardedScheduler& ss, ShardWire& wire, Resource& cpu,
-                      int self, int peer, SimTime service,
-                      Resource& peer_cpu) {
-  co_await cpu.Use(service);
-  wire.Send(self, peer, /*bytes=*/100, [&ss, &peer_cpu, peer] {
-    ss.home(peer).Spawn(HandleExchange(peer_cpu));
-  });
-}
-
-TEST(TraceGoldenTest, TwoShardMessageExchangeMatchesHandCheckedTrace) {
-  if (!kTraceCompiledIn) GTEST_SKIP() << "PDBLB_TRACE=OFF build";
-  // Two entities on two shards, one 100-byte message each way (one packet,
-  // 0.1 ms wire = the lookahead).  Serial mode so the golden trace also
-  // documents the window sequencing deterministically.
-  NetworkConfig net;
-  ShardedScheduler::Options opts;
-  opts.num_shards = 2;
-  opts.num_entities = 2;
-  opts.lookahead_ms = ShardLookaheadMs(net);
-  opts.parallel = false;
-  ShardedScheduler ss(opts);
-  ShardWire wire(ss, net);
-  Tracer trace0(64);
-  Tracer trace1(64);
-  ss.shard(0).AttachTracer(&trace0);
-  ss.shard(1).AttachTracer(&trace1);
-  Resource cpu0(ss.home(0), 1, "cpu0", TraceTag(TraceSubsystem::kCpu, 0));
-  Resource cpu1(ss.home(1), 1, "cpu1", TraceTag(TraceSubsystem::kCpu, 1));
-  ss.home(0).Spawn(ExchangeDriver(ss, wire, cpu0, 0, 1, 1.0, cpu1));
-  ss.home(1).Spawn(ExchangeDriver(ss, wire, cpu1, 1, 0, 2.0, cpu0));
-  ss.Run();
-
-  // Hand-checked, shard 0 (entity 0): spawn at t=0 (ring), end-of-service
-  // of the 1.0 ms Use (calendar, cpu/0) — the driver then ships its
-  // message, arriving on shard 1 at 1.1.  Entity 1's message (sent at its
-  // t=2 end-of-service) lands at 2.1 as a message-band calendar event
-  // tagged network/<origin>, whose handler spawns through the same-time
-  // ring and holds cpu0 until 2.6.
-  EXPECT_EQ(Records(trace0),
-            (std::vector<std::string>{
-                "0.000/ring/kernel/0",
-                "1.000/calendar/cpu/0",
-                "2.100/calendar/network/1",
-                "2.100/ring/kernel/0",
-                "2.600/calendar/cpu/0",
-            }));
-  // Shard 1 (entity 1): the 1.1 arrival interleaves *before* entity 1's
-  // own t=2 end-of-service, but its handler blocks behind the busy cpu1
-  // until the driver releases at 2.0 — the frameless Use grants inline and
-  // schedules the handler's end-of-service at 2.5.
-  EXPECT_EQ(Records(trace1),
-            (std::vector<std::string>{
-                "0.000/ring/kernel/0",
-                "1.100/calendar/network/0",
-                "1.100/ring/kernel/0",
-                "2.000/calendar/cpu/1",
-                "2.500/calendar/cpu/1",
-            }));
-
-  EXPECT_EQ(ss.cross_shard_messages(), 2u);
-  EXPECT_EQ(wire.messages_sent(), 2);
-  EXPECT_EQ(wire.packets_sent(), 2);
-}
-
-Task<> ConfinedProtocolDriver(ShardedScheduler& ss, ShardWire& wire,
-                              Resource& remote_cpu, bool* delivered) {
-  // Stage 1: the RemoteUse request/handback pair (the confined executor's
-  // replacement for a direct Use on another entity's resource).
-  co_await RemoteUse(ss, /*from=*/0, /*owner=*/1, remote_cpu,
-                     /*service_ms=*/1.0);
-  // Stage 2: ship a result message whose receiver-side endpoint CPU leg is
-  // charged on the receiving shard (ShardWire::Deliver).
-  wire.Deliver(/*src=*/0, /*dst=*/1, /*bytes=*/100, remote_cpu,
-               /*cpu_ms=*/0.5, [delivered] { *delivered = true; });
-}
-
-TEST(TraceGoldenTest, ConfinedExecutorProtocolMatchesHandCheckedTrace) {
-  if (!kTraceCompiledIn) GTEST_SKIP() << "PDBLB_TRACE=OFF build";
-  // The two message shapes every confined executor interaction reduces to
-  // (engine/confined.cc, docs/sharding.md), pinned at the trace level:
-  // a RemoteUse round trip and a Deliver with a receiver CPU leg.  Two
-  // entities on two shards, serial mode, one-packet messages, 0.1 ms wire
-  // = the lookahead.
-  NetworkConfig net;
-  ShardedScheduler::Options opts;
-  opts.num_shards = 2;
-  opts.num_entities = 2;
-  opts.lookahead_ms = ShardLookaheadMs(net);
-  opts.parallel = false;
-  ShardedScheduler ss(opts);
-  ShardWire wire(ss, net);
-  Tracer trace0(64);
-  Tracer trace1(64);
-  ss.shard(0).AttachTracer(&trace0);
-  ss.shard(1).AttachTracer(&trace1);
-  Resource cpu1(ss.home(1), 1, "cpu1", TraceTag(TraceSubsystem::kCpu, 1));
-  bool delivered = false;
-  ss.home(0).Spawn(ConfinedProtocolDriver(ss, wire, cpu1, &delivered));
-  ss.Run();
-  EXPECT_TRUE(delivered);
-
-  // Hand-checked, shard 0 (entity 0): spawn at t=0 (ring); the caller
-  // suspends immediately — its only further record is the handback landing
-  // at 0.1 (request leg) + 1.0 (service) + 0.1 (handback leg) = 1.2 as a
-  // message-band calendar event tagged network/<owner>.
-  EXPECT_EQ(Records(trace0),
-            (std::vector<std::string>{
-                "0.000/ring/kernel/0",
-                "1.200/calendar/network/1",
-            }));
-  // Shard 1 (entity 1): the request lands at 0.1 (network/0) and its
-  // handler spawns the serve coroutine through the same-time ring; the
-  // idle cpu grants inline and records its end-of-service at 1.1
-  // (calendar, cpu/1).  The Deliver message sent at 1.2 lands at 1.3, its
-  // receive-leg coroutine spawns through the ring and holds the cpu to
-  // 1.8, after which the delivery callback runs.
-  EXPECT_EQ(Records(trace1),
-            (std::vector<std::string>{
-                "0.100/calendar/network/0",
-                "0.100/ring/kernel/0",
-                "1.100/calendar/cpu/1",
-                "1.300/calendar/network/0",
-                "1.300/ring/kernel/0",
-                "1.800/calendar/cpu/1",
-            }));
-
-  // Request, handback, and result delivery all crossed the shard boundary.
-  EXPECT_EQ(ss.cross_shard_messages(), 3u);
-  EXPECT_EQ(wire.messages_sent(), 1);  // RemoteUse legs are raw Posts
 }
 
 TEST(TraceRingTest, WrapAroundKeepsMostRecentRecords) {
