@@ -13,123 +13,31 @@ BufferManager::BufferManager(sim::Scheduler& sched, const BufferConfig& config,
       config_(config),
       disks_(disks),
       name_(std::move(name)),
-      frames_(static_cast<size_t>(std::max(1, config.buffer_pages))),
-      policy_(EvictionPolicy::Create(config.eviction, frames_)) {
-  // Free list: lowest slot first, refilled LIFO on eviction.
-  const int32_t n = static_cast<int32_t>(frames_.size());
-  for (int32_t s = 0; s < n; ++s) frames_[s].next = s + 1 < n ? s + 1 : -1;
-  free_head_ = 0;
-  // Page index at <= 50% load so linear probes stay short.
-  size_t buckets = 16;
-  while (buckets < frames_.size() * 2) buckets <<= 1;
-  index_.assign(buckets, 0);
-  index_mask_ = static_cast<uint32_t>(buckets - 1);
-}
+      table_(config.eviction, std::max(1, config.buffer_pages)) {}
 
 BufferManager::~BufferManager() {
   for (RangeRuns* runs : run_scratch_) delete runs;
 }
 
-int32_t BufferManager::Lookup(PageKey page) const {
-  uint32_t i = static_cast<uint32_t>(PageKeyHash{}(page)) & index_mask_;
-  while (index_[i] != 0) {
-    int32_t slot = index_[i] - 1;
-    if (frames_[slot].page == page) return slot;
-    i = (i + 1) & index_mask_;
-  }
-  return -1;
-}
-
-void BufferManager::IndexInsert(PageKey page, int32_t slot) {
-  uint32_t i = static_cast<uint32_t>(PageKeyHash{}(page)) & index_mask_;
-  while (index_[i] != 0) i = (i + 1) & index_mask_;
-  index_[i] = slot + 1;
-}
-
-void BufferManager::IndexErase(PageKey page) {
-  uint32_t i = static_cast<uint32_t>(PageKeyHash{}(page)) & index_mask_;
-  while (true) {
-    assert(index_[i] != 0 && "erasing a page that is not indexed");
-    if (frames_[index_[i] - 1].page == page) break;
-    i = (i + 1) & index_mask_;
-  }
-  // Backward-shift deletion: pull every displaced entry of the probe chain
-  // forward so lookups never need tombstones.
-  uint32_t j = i;
-  while (true) {
-    j = (j + 1) & index_mask_;
-    if (index_[j] == 0) break;
-    uint32_t home = static_cast<uint32_t>(
-                        PageKeyHash{}(frames_[index_[j] - 1].page)) &
-                    index_mask_;
-    // Move entry j into the hole at i iff probing from its home bucket
-    // would have passed i (cyclic distance test).
-    if (((j - home) & index_mask_) >= ((j - i) & index_mask_)) {
-      index_[i] = index_[j];
-      i = j;
-    }
-  }
-  index_[i] = 0;
-}
-
-void BufferManager::Touch(int32_t slot) {
-  BufferFrame& f = frames_[slot];
-  f.prev_access = f.last_access;
-  f.last_access = sched_.Now();
-  policy_->OnAccess(slot);
-}
-
-void BufferManager::Admit(PageKey page) {
-  assert(Lookup(page) < 0);
-  assert(free_head_ >= 0 && "Admit with no free frame");
-  int32_t slot = free_head_;
-  BufferFrame& f = frames_[slot];
-  free_head_ = f.next;
-  f.page = page;
-  f.last_access = sched_.Now();
-  f.prev_access = BufferFrame::kNever;
-  f.prev = -1;
-  f.next = -1;
-  f.dirty = false;
-  f.resident = true;
-  IndexInsert(page, slot);
-  ++resident_;
-  policy_->OnAdmit(slot);
-}
-
 void BufferManager::EvictOne() {
-  int32_t slot = policy_->PickVictim();
-  assert(slot >= 0 && frames_[slot].resident);
-  BufferFrame& f = frames_[slot];
-  if (f.dirty) {
+  const BufferFrame victim = table_.EvictVictim();
+  if (victim.dirty) {
     ++dirty_writebacks_;
     // No-force policy: dirty pages are written back asynchronously.
-    sched_.Spawn(disks_.WriteRandom(f.page));
+    sched_.Spawn(disks_.WriteRandom(victim.page));
   }
-  policy_->OnEvict(slot);
-  IndexErase(f.page);
   ++evictions_;
-  last_evicted_ = f.page;
-  f.last_access = BufferFrame::kNever;
-  f.prev_access = BufferFrame::kNever;
-  f.freq = 0;
-  f.referenced = false;
-  f.dirty = false;
-  f.resident = false;
-  f.prev = -1;
-  f.next = free_head_;
-  free_head_ = slot;
-  --resident_;
+  last_evicted_ = victim.page;
 }
 
 void BufferManager::ShrinkResidentTo(int limit) {
   if (limit < 0) limit = 0;
-  while (resident_ > limit) EvictOne();
+  while (table_.resident() > limit) EvictOne();
 }
 
 sim::Task<bool> BufferManager::Fetch(PageKey page, AccessPattern pattern,
                                      bool priority_oltp) {
-  int32_t slot = Lookup(page);
+  int32_t slot = table_.Lookup(page);
   if (slot >= 0) {
     ++hits_;
     Touch(slot);
@@ -145,7 +53,7 @@ sim::Task<bool> BufferManager::Fetch(PageKey page, AccessPattern pattern,
   co_await disks_.Read(page, pattern);
 
   // A concurrent fetch may have admitted the page while we were on disk.
-  slot = Lookup(page);
+  slot = table_.Lookup(page);
   if (slot >= 0) {
     Touch(slot);
     co_return false;
@@ -154,7 +62,7 @@ sim::Task<bool> BufferManager::Fetch(PageKey page, AccessPattern pattern,
   if (pool_limit > 0) {
     // Make room for the new page, then admit it.
     ShrinkResidentTo(pool_limit - 1);
-    Admit(page);
+    table_.Admit(page, sched_.Now());
   }
   // else: every frame is reserved by join working spaces and the caller has
   // no steal privilege; the page is passed through without caching.
@@ -209,7 +117,7 @@ sim::Task<int64_t> BufferManager::FetchRange(PageKey first, int64_t count) {
   int64_t run_start = -1;
   for (int64_t i = 0; i < count; ++i) {
     PageKey p{first.relation_id, first.page_no + i};
-    int32_t slot = Lookup(p);
+    int32_t slot = table_.Lookup(p);
     if (slot >= 0) {
       ++hits_;
       ++hits;
@@ -230,7 +138,7 @@ sim::Task<int64_t> BufferManager::FetchRange(PageKey first, int64_t count) {
         PageKey{first.relation_id, first.page_no + offset}, length);
     for (int64_t i = 0; i < length; ++i) {
       PageKey p{first.relation_id, first.page_no + offset + i};
-      int32_t slot = Lookup(p);
+      int32_t slot = table_.Lookup(p);
       if (slot >= 0) {
         Touch(slot);  // admitted by a concurrent fetch meanwhile
         continue;
@@ -238,7 +146,7 @@ sim::Task<int64_t> BufferManager::FetchRange(PageKey first, int64_t count) {
       int pool_limit = UnreservedFrames();
       if (pool_limit > 0) {
         ShrinkResidentTo(pool_limit - 1);
-        Admit(p);
+        table_.Admit(p, sched_.Now());
       }
     }
   }
@@ -246,12 +154,12 @@ sim::Task<int64_t> BufferManager::FetchRange(PageKey first, int64_t count) {
 }
 
 void BufferManager::MarkDirty(PageKey page) {
-  int32_t slot = Lookup(page);
-  if (slot >= 0) frames_[slot].dirty = true;
+  int32_t slot = table_.Lookup(page);
+  if (slot >= 0) table_.frame(slot).dirty = true;
 }
 
 bool BufferManager::IsResident(PageKey page) const {
-  return Lookup(page) >= 0;
+  return table_.Lookup(page) >= 0;
 }
 
 int BufferManager::TryReserve(int want_pages) {
@@ -371,23 +279,7 @@ void BufferManager::OnCrash() {
   // Volatile buffer contents are lost.  No writebacks: dirty pages are
   // recovered from the log in a real system, and the simulated disk image
   // is not page-accurate — restarting cold is the observable effect.
-  const int32_t n = static_cast<int32_t>(frames_.size());
-  for (int32_t s = 0; s < n; ++s) {
-    BufferFrame& f = frames_[s];
-    f.page = PageKey{0, 0};
-    f.last_access = BufferFrame::kNever;
-    f.prev_access = BufferFrame::kNever;
-    f.prev = -1;
-    f.next = s + 1 < n ? s + 1 : -1;
-    f.freq = 0;
-    f.referenced = false;
-    f.dirty = false;
-    f.resident = false;
-  }
-  free_head_ = 0;
-  resident_ = 0;
-  std::fill(index_.begin(), index_.end(), 0);
-  policy_->Reset();
+  table_.Clear();
 }
 
 void BufferManager::RegisterVictim(MemoryVictim* victim) {
@@ -421,7 +313,7 @@ void BufferManager::StealFromVictims(int needed) {
 int BufferManager::TouchedPages() const {
   SimTime cutoff = sched_.Now() - config_.touched_window_ms;
   int count = 0;
-  for (const BufferFrame& f : frames_) {
+  for (const BufferFrame& f : table_.frames()) {
     if (f.resident && f.last_access >= cutoff) ++count;
   }
   return count;
@@ -430,7 +322,7 @@ int BufferManager::TouchedPages() const {
 int BufferManager::HotPages() const {
   SimTime cutoff = sched_.Now() - config_.working_set_window_ms;
   int count = 0;
-  for (const BufferFrame& f : frames_) {
+  for (const BufferFrame& f : table_.frames()) {
     if (f.resident && f.prev_access >= cutoff) ++count;
   }
   return count;

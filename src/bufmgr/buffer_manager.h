@@ -16,14 +16,9 @@
 //    capacity - reservations - OLTP working set, where the working set is a
 //    sliding-window estimate of re-referenced resident pages.
 //
-// Residency lives in a fixed slot-indexed frame table: a flat array of
-// BufferFrame slots allocated once at construction, a LIFO free list
-// threaded through the slots, and an open-addressing page index (linear
-// probing, backward-shift deletion) sized at construction.  Hits, misses,
-// evictions and admissions therefore allocate nothing in steady state; the
-// replacement order is delegated to a pluggable EvictionPolicy
-// (LRU / LRU-K / LFU / CLOCK, selected by BufferConfig::eviction — see
-// docs/bufmgr.md).
+// Residency lives in a FrameTable (bufmgr/frame_table.h); the replacement
+// order is delegated to a pluggable EvictionPolicy (LRU / LRU-K / LFU /
+// CLOCK, selected by BufferConfig::eviction — see docs/bufmgr.md).
 
 #ifndef PDBLB_BUFMGR_BUFFER_MANAGER_H_
 #define PDBLB_BUFMGR_BUFFER_MANAGER_H_
@@ -31,12 +26,12 @@
 #include <coroutine>
 #include <cstdint>
 #include <deque>
-#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "bufmgr/eviction_policy.h"
+#include "bufmgr/frame_table.h"
 #include "catalog/relation.h"
 #include "common/config.h"
 #include "iosim/disk.h"
@@ -174,13 +169,7 @@ class BufferManager {
   // allocate.
   using RangeRuns = std::vector<std::pair<int64_t, int64_t>>;
 
-  /// Slot holding `page`, or -1.
-  int32_t Lookup(PageKey page) const;
-  void IndexInsert(PageKey page, int32_t slot);
-  void IndexErase(PageKey page);
-
-  void Touch(int32_t slot);
-  void Admit(PageKey page);
+  void Touch(int32_t slot) { table_.Touch(slot, sched_.Now()); }
   /// Evicts the policy's victim; dirty pages are written back
   /// asynchronously (no-force).
   void EvictOne();
@@ -200,15 +189,7 @@ class BufferManager {
   DiskArray& disks_;
   std::string name_;
 
-  // Frame table: fixed slots + LIFO free list (threaded through
-  // BufferFrame::next) + open-addressing page index storing slot + 1
-  // (0 = empty).
-  std::vector<BufferFrame> frames_;
-  std::unique_ptr<EvictionPolicy> policy_;
-  std::vector<int32_t> index_;
-  uint32_t index_mask_ = 0;
-  int32_t free_head_ = -1;
-  int resident_ = 0;
+  FrameTable table_;
   int reserved_ = 0;
 
   struct MemWaiter {

@@ -86,7 +86,7 @@ class LruKPolicy final : public EvictionPolicy {
  public:
   using EvictionPolicy::EvictionPolicy;
 
-  // The manager's (prev_access, last_access) stamps carry all the state.
+  // The table's (prev_access, last_access) stamps carry all the state.
   void OnAdmit(int32_t) override {}
   void OnAccess(int32_t) override {}
   void OnEvict(int32_t) override {}

@@ -1,16 +1,15 @@
 // Copyright 2026 the pdblb authors. MIT license.
 //
-// Pluggable page-replacement policies over the buffer manager's fixed frame
-// table.  The table is a flat array of BufferFrame slots sized to the pool
-// capacity at construction; policies keep their per-frame state (intrusive
-// list links, reference counters, second-chance bits) *inside* the slots and
-// never allocate, so every policy preserves the kernel's zero-allocation
+// Pluggable page-replacement policies over a FrameTable (frame_table.h).
+// Policies keep their per-frame state (intrusive list links, reference
+// counters, second-chance bits) *inside* the BufferFrame slots and never
+// allocate, so every policy preserves the kernel's zero-allocation
 // steady-state discipline (pinned by tests/simkern_alloc_test.cc).
 //
-// Division of labour: the BufferManager owns residency (free list, page
-// index, access timestamps) and calls the policy at the four interesting
-// moments — admit, access, victim selection, evict.  A policy only orders
-// resident frames; it never touches the free list or the page index.
+// Division of labour: the FrameTable owns residency (free list, page index,
+// access timestamps) and calls the policy at the four interesting moments —
+// admit, access, victim selection, evict.  A policy only orders resident
+// frames; it never touches the free list or the page index.
 
 #ifndef PDBLB_BUFMGR_EVICTION_POLICY_H_
 #define PDBLB_BUFMGR_EVICTION_POLICY_H_
@@ -25,8 +24,7 @@
 
 namespace pdblb {
 
-/// One slot of the buffer manager's frame table.  Fixed-size POD: the whole
-/// table is a single vector allocated once at pool construction.
+/// One slot of a FrameTable.  Fixed-size POD.
 struct BufferFrame {
   /// "Never" must predate any window cutoff, including at time zero.
   static constexpr SimTime kNever = -1e18;
@@ -37,7 +35,7 @@ struct BufferFrame {
 
   /// Intrusive links, interpreted by the active policy: LRU list neighbours
   /// or CLOCK ring neighbours for resident frames.  For free frames `next`
-  /// threads the manager's free list.
+  /// threads the table's free list.
   int32_t prev = -1;
   int32_t next = -1;
 
@@ -64,13 +62,13 @@ class EvictionPolicy {
   virtual void OnAdmit(int32_t slot) = 0;
   /// `slot` was re-referenced (timestamps already updated).
   virtual void OnAccess(int32_t slot) = 0;
-  /// Picks the resident frame to evict next.  Does not evict: the manager
-  /// writes back / unindexes and then calls OnEvict.  Requires at least one
+  /// Picks the resident frame to evict next.  Does not evict: the table
+  /// unindexes the frame and calls OnEvict.  Requires at least one
   /// resident frame.
   virtual int32_t PickVictim() = 0;
   /// `slot` is leaving the resident set.
   virtual void OnEvict(int32_t slot) = 0;
-  /// Crash wipe: the manager has reset every frame; drop all policy state.
+  /// Crash wipe: the table has reset every frame; drop all policy state.
   virtual void Reset() = 0;
 
   /// Abstract; construction goes through Create().  Public so the derived

@@ -41,13 +41,17 @@ bool QueryAttempt::Touches(PeId pe) const {
 TxnLocksGuard::~TxnLocksGuard() {
   if (!armed_ || txn_ == 0) return;
   if (cluster_->sched().tearing_down()) return;
-  for (PeId pe : pes_) cluster_->pe(pe).locks().ReleaseAll(txn_);
+  for (size_t i = 0; i < pes_.size(); ++i) {
+    cluster_->pe(pes_[i]).locks().ReleaseAll(txn_);
+  }
 }
 
 void TxnLocksGuard::AddPe(PeId pe) {
-  if (std::find(pes_.begin(), pes_.end(), pe) == pes_.end()) {
-    pes_.push_back(pe);
+  if (txn_ == 0) return;
+  for (size_t i = 0; i < pes_.size(); ++i) {
+    if (pes_[i] == pe) return;
   }
+  pes_.push_back(pe);
 }
 
 // ---------------------------------------------------------------- injector

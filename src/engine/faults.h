@@ -43,6 +43,7 @@
 #include "common/units.h"
 #include "simkern/latch.h"
 #include "simkern/resource.h"
+#include "simkern/ring.h"
 #include "simkern/rng.h"
 #include "simkern/scheduler.h"
 #include "simkern/task.h"
@@ -104,7 +105,9 @@ class AdmissionGuard {
 
 /// RAII release of a transaction's locks at a set of PEs.  The normal path
 /// keeps its explicit ReleaseAll loop and then disarms; cancellation mid-
-/// transaction releases from the destructor so no lock entry leaks.
+/// transaction releases from the destructor so no lock entry leaks.  The PE
+/// set lives inline for up to 8 PEs (an OLTP transaction names one), and
+/// nothing is recorded for txn 0, which takes no locks.
 class TxnLocksGuard {
  public:
   TxnLocksGuard(Cluster* cluster, TxnId txn) : cluster_(cluster), txn_(txn) {}
@@ -117,7 +120,7 @@ class TxnLocksGuard {
  private:
   Cluster* cluster_;
   TxnId txn_;
-  std::vector<PeId> pes_;
+  sim::RingBuffer<PeId, 8> pes_;  ///< insertion order = release order
   bool armed_ = true;
 };
 

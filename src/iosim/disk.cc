@@ -80,32 +80,25 @@ sim::Task<> DiskArray::InjectedRetries(sim::Resource& disk) {
   }
 }
 
-bool DiskArray::CacheContains(PageKey page) const {
-  return cache_map_.find(page) != cache_map_.end();
+bool DiskArray::CacheHit(PageKey page) {
+  const int32_t slot = cache_.Lookup(page);
+  if (slot < 0) return false;
+  cache_.Touch(slot, sched_.Now());
+  return true;
 }
 
 void DiskArray::CacheInsert(PageKey page) {
-  if (config_.disk_cache_pages <= 0) return;
-  auto it = cache_map_.find(page);
-  if (it != cache_map_.end()) {
-    cache_lru_.erase(it->second);
-    cache_map_.erase(it);
-  }
-  cache_lru_.push_front(page);
-  cache_map_[page] = cache_lru_.begin();
-  while (static_cast<int>(cache_lru_.size()) > config_.disk_cache_pages) {
-    cache_map_.erase(cache_lru_.back());
-    cache_lru_.pop_back();
-  }
+  if (cache_.capacity() == 0 || CacheHit(page)) return;
+  if (cache_.full()) (void)cache_.EvictVictim();
+  cache_.Admit(page, sched_.Now());
 }
 
 sim::Task<> DiskArray::Read(PageKey page, AccessPattern pattern) {
   ++logical_reads_;
   co_await cpu_.Use(InstructionsToMs(costs_.io_overhead, mips_));
 
-  if (CacheContains(page)) {
+  if (CacheHit(page)) {
     ++cache_hits_;
-    CacheInsert(page);  // refresh LRU position
     co_await controller_->Use(config_.controller_time_per_page_ms);
     co_await sched_.Delay(config_.transmission_time_per_page_ms, tag_);
     co_return;
@@ -132,10 +125,9 @@ sim::Task<> DiskArray::ReadStriped(PageKey first, int64_t count) {
   while (i < count) {
     // Skip cached pages (controller service only).
     PageKey page{first.relation_id, first.page_no + i};
-    if (CacheContains(page)) {
+    if (CacheHit(page)) {
       ++cache_hits_;
       ++logical_reads_;
-      CacheInsert(page);
       batches.Spawn(
           SpawnedUse(*controller_, config_.controller_time_per_page_ms));
       ++i;

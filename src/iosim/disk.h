@@ -13,17 +13,21 @@
 //    references to the prefetched pages cost only controller + transmission.
 // The CPU overhead per I/O operation (3000 instructions) is charged on the
 // owning PE's CPU.
+//
+// The controller cache is a FrameTable (bufmgr/frame_table.h), the page
+// table that also holds the database buffer, with the LRU policy and
+// `disk_cache_pages` slots.
 
 #ifndef PDBLB_IOSIM_DISK_H_
 #define PDBLB_IOSIM_DISK_H_
 
-#include <list>
+#include <algorithm>
 #include <memory>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
+#include "bufmgr/frame_table.h"
 #include "catalog/relation.h"
 #include "common/config.h"
 #include "simkern/resource.h"
@@ -120,7 +124,11 @@ class DiskArray {
 
  private:
   sim::Resource& DiskFor(PageKey page);
-  bool CacheContains(PageKey page) const;
+  /// Controller-cache probe for one page request: on a hit, refreshes the
+  /// page's LRU position and returns true.
+  bool CacheHit(PageKey page);
+  /// Caches a page just read or written: refreshes it if cached, otherwise
+  /// admits it, evicting the least recently used page when full.
   void CacheInsert(PageKey page);
   /// One prefetch batch: disk access plus controller service.
   sim::Task<> ReadBatchFromDisk(PageKey first, int pages);
@@ -143,10 +151,9 @@ class DiskArray {
   std::unique_ptr<sim::Resource> controller_;
   std::unique_ptr<sim::Resource> log_disk_;
 
-  // LRU disk cache: most recent at the front.
-  std::list<PageKey> cache_lru_;
-  std::unordered_map<PageKey, std::list<PageKey>::iterator, PageKeyHash>
-      cache_map_;
+  // LRU controller cache; capacity 0 disables it.
+  FrameTable cache_{EvictionPolicyKind::kLru,
+                    std::max(0, config_.disk_cache_pages)};
 
   int64_t physical_reads_ = 0;
   int64_t physical_writes_ = 0;

@@ -6,6 +6,53 @@
 #include <cassert>
 
 namespace pdblb {
+namespace {
+
+// The entry and transaction tables share one slot discipline: a live slot's
+// `key` is indexed, free slots form a LIFO list through `next_free`, and a
+// full table appends a slot, doubling the index once the slot array
+// outgrows half its buckets.
+
+template <typename Slot, typename Key, typename Hash>
+int32_t FindSlot(const std::vector<Slot>& slots,
+                 const SlotIndex<Key, Hash>& index, const Key& key) {
+  return index.Find(key, [&slots](int32_t s) { return slots[s].key; });
+}
+
+template <typename Slot, typename Key, typename Hash>
+int32_t FindOrAddSlot(std::vector<Slot>& slots, SlotIndex<Key, Hash>& index,
+                      int32_t& free_head, const Key& key) {
+  int32_t s = FindSlot(slots, index, key);
+  if (s >= 0) return s;
+  if (free_head >= 0) {
+    s = free_head;
+    free_head = slots[s].next_free;
+  } else {
+    s = static_cast<int32_t>(slots.size());
+    slots.emplace_back();
+    if (slots.size() * 2 > index.buckets()) {
+      index.Reset(slots.size());
+      for (int32_t i = 0; i < s; ++i) {
+        if (slots[i].live) index.Insert(slots[i].key, i);
+      }
+    }
+  }
+  slots[s].key = key;
+  slots[s].live = true;
+  index.Insert(key, s);
+  return s;
+}
+
+template <typename Slot, typename Key, typename Hash>
+void FreeSlot(std::vector<Slot>& slots, SlotIndex<Key, Hash>& index,
+              int32_t& free_head, int32_t s) {
+  index.Erase(slots[s].key, [&slots](int32_t i) { return slots[i].key; });
+  slots[s].live = false;
+  slots[s].next_free = free_head;
+  free_head = s;
+}
+
+}  // namespace
 
 bool LockManager::CanGrant(const Entry& entry, TxnId txn, LockMode mode) {
   bool already_holds_shared = false;
@@ -25,8 +72,24 @@ bool LockManager::CanGrant(const Entry& entry, TxnId txn, LockMode mode) {
   return true;
 }
 
+int32_t LockManager::FindTxn(TxnId txn) const {
+  return FindSlot(txns_, txn_index_, txn);
+}
+
+void LockManager::AddHolder(int32_t e, TxnId txn, LockMode mode) {
+  for (Holder& h : entries_[e].holders) {
+    if (h.txn == txn) {
+      if (mode == LockMode::kExclusive) h.mode = LockMode::kExclusive;
+      return;
+    }
+  }
+  entries_[e].holders.push_back(Holder{txn, mode});
+  txns_[FindOrAddSlot(txns_, txn_index_, free_txn_, txn)].held.push_back(e);
+}
+
 sim::Task<bool> LockManager::Lock(TxnId txn, LockKey key, LockMode mode) {
-  Entry& entry = table_[key];
+  const int32_t e = FindOrAddSlot(entries_, entry_index_, free_entry_, key);
+  Entry& entry = entries_[e];
 
   // FCFS fairness: a new request must also wait behind queued waiters,
   // unless the transaction already holds the lock (avoid self-deadlock).
@@ -34,41 +97,35 @@ sim::Task<bool> LockManager::Lock(TxnId txn, LockKey key, LockMode mode) {
       entry.holders.begin(), entry.holders.end(),
       [&](const Holder& h) { return h.txn == txn; });
 
-  if ((entry.waiters.empty() || holds_here) && CanGrant(entry, txn, mode)) {
+  if ((entry.head == nullptr || holds_here) && CanGrant(entry, txn, mode)) {
     // Grant immediately (fresh grant or upgrade).
-    bool found = false;
-    for (Holder& h : entry.holders) {
-      if (h.txn == txn) {
-        found = true;
-        if (mode == LockMode::kExclusive) h.mode = LockMode::kExclusive;
-        break;
-      }
-    }
-    if (!found) {
-      entry.holders.push_back(Holder{txn, mode});
-      held_[txn].push_back(key);
-    }
+    AddHolder(e, txn, mode);
     ++locks_granted_;
     co_return true;
   }
 
   // Wait FCFS.
   ++lock_waits_;
-  Waiter waiter{txn, mode, nullptr, false, false};
-  entry.waiters.push_back(&waiter);
+  Waiter waiter{txn, mode, e};
+  waiter.prev = entry.tail;
+  (entry.tail != nullptr ? entry.tail->next : entry.head) = &waiter;
+  entry.tail = &waiter;
+  Waiter** last = &txns_[FindOrAddSlot(txns_, txn_index_, free_txn_, txn)]
+                       .waiting;
+  while (*last != nullptr) last = &(*last)->txn_next;
+  *last = &waiter;
 
-  // `waiter` lives on this coroutine frame; the queue holds a raw pointer
-  // into it.  The awaiter's destructor undoes that registration when the
-  // frame is destroyed mid-suspension (Scheduler::Cancel cascade): either
-  // the waiter is still queued (erase it) or it was already granted/aborted
-  // and a wake event is in flight (scrub it).  A granted lock stays held —
-  // the cancelling supervisor runs ReleaseAll(txn) afterwards.  The
-  // scheduler pointer is stored directly because at full teardown the
-  // manager itself may already be gone.
+  // `waiter` lives on this coroutine frame; the entry's queue and the
+  // transaction's list link through it.  The awaiter's destructor undoes
+  // that registration when the frame is destroyed mid-suspension
+  // (Scheduler::Cancel cascade): either the waiter is still queued (unlink
+  // it) or it was already granted/aborted and a wake event is in flight
+  // (scrub it).  A granted lock stays held — the cancelling supervisor runs
+  // ReleaseAll(txn) afterwards.  The scheduler pointer is stored directly
+  // because at full teardown the manager itself may already be gone.
   struct Awaiter {
     sim::Scheduler* sched;
     LockManager* mgr;
-    LockKey key;
     Waiter* w;
     std::coroutine_handle<> pending = nullptr;
     bool await_ready() const noexcept { return false; }
@@ -79,21 +136,17 @@ sim::Task<bool> LockManager::Lock(TxnId txn, LockKey key, LockMode mode) {
     void await_resume() noexcept { pending = nullptr; }
     ~Awaiter() {
       if (!pending || sched->tearing_down()) return;
-      auto it = mgr->table_.find(key);
-      if (it != mgr->table_.end()) {
-        auto& ws = it->second.waiters;
-        auto pos = std::find(ws.begin(), ws.end(), w);
-        if (pos != ws.end()) {
-          ws.erase(pos);
-          // Removing a blocked waiter may unblock the queue behind it.
-          mgr->GrantWaiters(key, it->second);
-          return;
-        }
+      if (w->queued) {
+        const int32_t t = mgr->Dequeue(w);
+        // Removing a blocked waiter may unblock the queue behind it.
+        mgr->GrantWaiters(w->entry);
+        mgr->MaybeFreeTxn(t);
+        return;
       }
       sched->CancelHandle(pending);
     }
   };
-  co_await Awaiter{&sched_, this, key, &waiter};
+  co_await Awaiter{&sched_, this, &waiter};
 
   if (waiter.aborted) {
     ++deadlock_aborts_;
@@ -103,23 +156,30 @@ sim::Task<bool> LockManager::Lock(TxnId txn, LockKey key, LockMode mode) {
   co_return true;
 }
 
-void LockManager::GrantWaiters(LockKey key, Entry& entry) {
-  while (!entry.waiters.empty()) {
-    Waiter* w = entry.waiters.front();
-    if (!CanGrant(entry, w->txn, w->mode)) break;
-    entry.waiters.pop_front();
-    bool found = false;
-    for (Holder& h : entry.holders) {
-      if (h.txn == w->txn) {
-        found = true;
-        if (w->mode == LockMode::kExclusive) h.mode = LockMode::kExclusive;
-        break;
-      }
-    }
-    if (!found) {
-      entry.holders.push_back(Holder{w->txn, w->mode});
-      held_[w->txn].push_back(key);
-    }
+void LockManager::Unqueue(Waiter* w) {
+  Entry& entry = entries_[w->entry];
+  (w->prev != nullptr ? w->prev->next : entry.head) = w->next;
+  (w->next != nullptr ? w->next->prev : entry.tail) = w->prev;
+  w->prev = nullptr;
+  w->next = nullptr;
+  w->queued = false;
+}
+
+int32_t LockManager::Dequeue(Waiter* w) {
+  Unqueue(w);
+  const int32_t t = FindTxn(w->txn);
+  Waiter** link = &txns_[t].waiting;
+  while (*link != w) link = &(*link)->txn_next;
+  *link = w->txn_next;
+  w->txn_next = nullptr;
+  return t;
+}
+
+void LockManager::GrantWaiters(int32_t e) {
+  while (Waiter* w = entries_[e].head) {
+    if (!CanGrant(entries_[e], w->txn, w->mode)) break;
+    Dequeue(w);
+    AddHolder(e, w->txn, w->mode);
     ++locks_granted_;
     w->granted = true;
     assert(w->handle);
@@ -127,29 +187,38 @@ void LockManager::GrantWaiters(LockKey key, Entry& entry) {
   }
 }
 
-void LockManager::ReleaseAll(TxnId txn) {
-  auto it = held_.find(txn);
-  if (it == held_.end()) return;
-  std::vector<LockKey> keys = std::move(it->second);
-  held_.erase(it);
-  for (const LockKey& key : keys) {
-    auto entry_it = table_.find(key);
-    if (entry_it == table_.end()) continue;
-    Entry& entry = entry_it->second;
-    entry.holders.erase(
-        std::remove_if(entry.holders.begin(), entry.holders.end(),
-                       [&](const Holder& h) { return h.txn == txn; }),
-        entry.holders.end());
-    GrantWaiters(key, entry);
-    if (entry.holders.empty() && entry.waiters.empty()) {
-      table_.erase(entry_it);
-    }
+void LockManager::MaybeFreeTxn(int32_t t) {
+  if (txns_[t].held.empty() && txns_[t].waiting == nullptr) {
+    FreeSlot(txns_, txn_index_, free_txn_, t);
   }
 }
 
+void LockManager::ReleaseAll(TxnId txn) {
+  const int32_t t = FindTxn(txn);
+  if (t < 0) return;
+  // Serving a released entry's queue may grant this very transaction again
+  // (its own upgrade queued there); such a lock is appended to `held` and
+  // stays held — only the first `n` entries are released.
+  const size_t n = txns_[t].held.size();
+  for (size_t i = 0; i < n; ++i) {
+    const int32_t e = txns_[t].held[i];
+    std::vector<Holder>& holders = entries_[e].holders;
+    holders.erase(std::remove_if(holders.begin(), holders.end(),
+                                 [&](const Holder& h) { return h.txn == txn; }),
+                  holders.end());
+    GrantWaiters(e);
+    if (entries_[e].holders.empty() && entries_[e].head == nullptr) {
+      FreeSlot(entries_, entry_index_, free_entry_, e);
+    }
+  }
+  std::vector<int32_t>& held = txns_[t].held;
+  held.erase(held.begin(), held.begin() + static_cast<std::ptrdiff_t>(n));
+  MaybeFreeTxn(t);
+}
+
 void LockManager::CollectWaitForEdges(std::vector<WaitForEdge>* edges) const {
-  for (const auto& [key, entry] : table_) {
-    for (const Waiter* w : entry.waiters) {
+  for (const Entry& entry : entries_) {
+    for (const Waiter* w = entry.head; w != nullptr; w = w->next) {
       for (const Holder& h : entry.holders) {
         if (h.txn != w->txn && !Compatible(h.mode, w->mode)) {
           edges->push_back(WaitForEdge{w->txn, h.txn});
@@ -164,29 +233,32 @@ void LockManager::CollectWaitForEdges(std::vector<WaitForEdge>* edges) const {
 }
 
 bool LockManager::AbortWaiter(TxnId victim) {
-  bool found = false;
-  for (auto& [key, entry] : table_) {
-    for (auto it = entry.waiters.begin(); it != entry.waiters.end();) {
-      if ((*it)->txn == victim) {
-        Waiter* w = *it;
-        it = entry.waiters.erase(it);
+  const int32_t t = FindTxn(victim);
+  if (t < 0 || txns_[t].waiting == nullptr) return false;
+  // Entry by entry, in the order the victim queued there: abort its
+  // requests on the entry, then serve the queue they leave (removing a
+  // blocked waiter may unblock the requests behind it).
+  while (const Waiter* oldest = txns_[t].waiting) {
+    const int32_t e = oldest->entry;
+    for (Waiter* w = entries_[e].head; w != nullptr;) {
+      Waiter* next = w->next;
+      if (w->txn == victim) {
+        Dequeue(w);
         w->aborted = true;
         assert(w->handle);
         sched_.ScheduleHandle(sched_.Now(), w->handle, tag_);
-        found = true;
-      } else {
-        ++it;
       }
+      w = next;
     }
-    // Removing a blocked waiter may unblock the queue behind it.
-    GrantWaiters(key, entry);
+    GrantWaiters(e);
   }
-  return found;
+  MaybeFreeTxn(t);
+  return true;
 }
 
 bool LockManager::HoldsAnyLock(TxnId txn) const {
-  auto it = held_.find(txn);
-  return it != held_.end() && !it->second.empty();
+  const int32_t t = FindTxn(txn);
+  return t >= 0 && !txns_[t].held.empty();
 }
 
 void LockManager::ResetStats() {

@@ -93,11 +93,25 @@ class Scheduler {
   /// so a stale id held after the process finished (or was cancelled) is
   /// harmless: Cancel()/Alive() simply no longer find it.
   uint64_t SpawnWithId(Task<> task) {
-    Task<>::Handle h = task.Detach();
-    const uint64_t id = next_spawn_id_++;
-    detached_.Register(h, &h.promise(), id);
-    ScheduleHandle(now_, h);
-    return id;
+    return SpawnRoot(std::move(task), nullptr);
+  }
+
+  /// Spawn variant for members of a structured group (TaskGroup): `owner`
+  /// tags the process so that CancelOwned(owner) finds it while it is in
+  /// flight.  The group needs no per-member storage of its own.
+  void SpawnOwned(Task<> task, const void* owner) {
+    assert(owner != nullptr);
+    (void)SpawnRoot(std::move(task), owner);
+  }
+
+  /// Cancel() for every in-flight process spawned with `owner`, oldest
+  /// first.  Allocation-free.
+  void CancelOwned(const void* owner) {
+    assert(owner != nullptr);
+    while (std::coroutine_handle<> h = detached_.FindOldestOwnedBy(owner)) {
+      CancelHandle(h);
+      h.destroy();
+    }
   }
 
   /// Cancels a detached process mid-run: scrubs its pending calendar/ring/
@@ -260,6 +274,14 @@ class Scheduler {
   }
 
  private:
+  uint64_t SpawnRoot(Task<> task, const void* owner) {
+    Task<>::Handle h = task.Detach();
+    const uint64_t id = next_spawn_id_++;
+    detached_.Register(h, &h.promise(), id, owner);
+    ScheduleHandle(now_, h);
+    return id;
+  }
+
   // One calendar entry.  `h` is a tagged word: coroutine handle address
   // (low bit 0) or (callback cell index << 1) | 1.  In tracing builds the
   // low kTraceTagShift bits of `seq` hold the packed TraceTag; the real

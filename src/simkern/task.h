@@ -120,8 +120,9 @@ class DetachedRegistry {
  public:
   ~DetachedRegistry() { assert(frames_.empty() && "call DestroyAll() first"); }
 
+  /// `owner` (may be null) tags the frame for FindOldestOwnedBy.
   inline void Register(std::coroutine_handle<> handle, PromiseBase* promise,
-                       uint64_t id);
+                       uint64_t id, const void* owner);
 
   void Unregister(uint32_t index) {
     frames_[index] = frames_.back();
@@ -141,6 +142,18 @@ class DetachedRegistry {
     return nullptr;
   }
 
+  /// The earliest-spawned in-flight frame registered with `owner`, or null
+  /// (Scheduler::CancelOwned).  Linear scan, like FindById.
+  std::coroutine_handle<> FindOldestOwnedBy(const void* owner) const {
+    const Entry* oldest = nullptr;
+    for (const Entry& e : frames_) {
+      if (e.owner == owner && (oldest == nullptr || e.id < oldest->id)) {
+        oldest = &e;
+      }
+    }
+    return oldest != nullptr ? oldest->handle : nullptr;
+  }
+
   /// Destroys every registered frame (most recently spawned first).  Each
   /// destruction runs the frame's local destructors — which may destroy
   /// owned (non-detached) child frames, but never another *registered*
@@ -158,6 +171,7 @@ class DetachedRegistry {
     std::coroutine_handle<> handle;
     PromiseBase* promise;
     uint64_t id;
+    const void* owner;
   };
   inline static void Reindex(const Entry& entry, uint32_t index);
 
@@ -205,11 +219,12 @@ struct PromiseBase {
 };
 
 inline void DetachedRegistry::Register(std::coroutine_handle<> handle,
-                                       PromiseBase* promise, uint64_t id) {
+                                       PromiseBase* promise, uint64_t id,
+                                       const void* owner) {
   assert(promise->detached && "only detached frames register");
   promise->registry = this;
   promise->registry_index = static_cast<uint32_t>(frames_.size());
-  frames_.push_back(Entry{handle, promise, id});
+  frames_.push_back(Entry{handle, promise, id, owner});
 }
 
 inline void DetachedRegistry::Reindex(const Entry& entry, uint32_t index) {

@@ -36,21 +36,20 @@ class TaskGroup {
   ~TaskGroup() {
     if (active_ == 0) return;
     // Cancellation path: the owning frame dies with members in flight.
-    // Cancel every member still alive (finished ids are stale and no-op) so
-    // no member outlives the group — or the state of the owning frame its
-    // work referenced.
-    while (!member_ids_.empty()) {
-      sched_.Cancel(member_ids_.front());
-      member_ids_.pop_front();
-    }
+    // Cancel every member still alive, in spawn order, so no member
+    // outlives the group — or the state of the owning frame its work
+    // referenced.
+    sched_.CancelOwned(this);
     active_ = 0;
   }
 
   /// Starts `task` at the current simulation time as a member of the group.
+  /// Members are found again through the scheduler's registry of in-flight
+  /// processes (tagged with this group), so any fan-out spawns without an
+  /// allocation beyond the recycled frames.
   void Spawn(Task<> task) {
     ++active_;
-    member_ids_.push_back(sched_.SpawnWithId(RunAndFinish(std::move(task),
-                                                          this)));
+    sched_.SpawnOwned(RunAndFinish(std::move(task), this), this);
   }
 
   int active() const { return active_; }
@@ -91,11 +90,6 @@ class TaskGroup {
 
   void Finish() {
     if (--active_ == 0) {
-      // All members done: drop their (now stale) cancellation ids so the
-      // ring stays sized to the concurrent high-water mark, not the total
-      // spawn count — a streaming group that repeatedly drains re-uses the
-      // same slots.
-      member_ids_.clear();
       while (!waiters_.empty()) {
         sched_.ScheduleHandle(sched_.Now(), waiters_.front(), tag_);
         waiters_.pop_front();
@@ -109,9 +103,6 @@ class TaskGroup {
   // Like Latch: groups are constructed per query and typically have one
   // waiter, which the inline capacity absorbs without an allocation.
   RingBuffer<std::coroutine_handle<>, 4> waiters_;
-  // Spawn ids of members, for destructor cancellation.  Cleared whenever
-  // the group drains; inline capacity covers typical fan-out.
-  RingBuffer<uint64_t, 8> member_ids_;
 };
 
 }  // namespace pdblb::sim

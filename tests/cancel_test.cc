@@ -16,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "bufmgr/buffer_manager.h"
 #include "common/config.h"
@@ -185,6 +186,45 @@ TEST(CancelTest, CancelWaiterParkedInTaskGroupWait) {
   EXPECT_FALSE(victim);
   EXPECT_TRUE(other);
   EXPECT_EQ(group.active(), 0);
+}
+
+// Destroying a frame that owns a TaskGroup cancels the members still in
+// flight, in spawn order, however wide the group; finished members and
+// processes outside the group are left alone.
+Task<> LogDestructionAfterDelay(Scheduler& sched, SimTime delay, int index,
+                                std::vector<int>* destroyed) {
+  struct Log {
+    std::vector<int>* out;
+    int index;
+    ~Log() { out->push_back(index); }
+  } log{destroyed, index};
+  co_await sched.Delay(delay);
+}
+
+Task<> OwnWideGroup(Scheduler& sched, std::vector<int>* destroyed) {
+  TaskGroup group(sched);
+  for (int k = 0; k < 20; ++k) {
+    // Even members finish at t = 1; odd ones are still running at t = 5.
+    group.Spawn(LogDestructionAfterDelay(sched, k % 2 == 0 ? 1.0 : 100.0, k,
+                                         destroyed));
+  }
+  co_await group.Wait();
+}
+
+TEST(CancelTest, DestroyingAGroupOwnerCancelsMembersInSpawnOrder) {
+  Scheduler sched;
+  std::vector<int> destroyed;
+  bool bystander = false;
+  uint64_t owner = sched.SpawnWithId(OwnWideGroup(sched, &destroyed));
+  sched.Spawn(FlagAfterDelay(sched, 50.0, &bystander));
+  sched.ScheduleCallback(5.0, [&] { EXPECT_TRUE(sched.Cancel(owner)); });
+  sched.Run();
+  std::vector<int> want;
+  for (int k = 0; k < 20; k += 2) want.push_back(k);
+  for (int k = 1; k < 20; k += 2) want.push_back(k);
+  EXPECT_EQ(destroyed, want);
+  EXPECT_TRUE(bystander);
+  EXPECT_EQ(sched.detached_in_flight(), 0u);
 }
 
 Task<> LockDelayRelease(Scheduler& sched, LockManager& lm, TxnId txn,

@@ -5,8 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <list>
+
 #include "iosim/disk.h"
 #include "simkern/resource.h"
+#include "simkern/rng.h"
 #include "simkern/scheduler.h"
 
 namespace pdblb {
@@ -196,6 +201,124 @@ TEST_P(StripedReadTest, ReadsAllPages) {
 
 INSTANTIATE_TEST_SUITE_P(Counts, StripedReadTest,
                          ::testing::Values(1, 3, 4, 5, 16, 17, 63, 200));
+
+// --- controller cache against a reference model ------------------------------
+// The controller cache is a FrameTable with the LRU policy.  The model is a
+// deliberately naive LRU sharing no code with it — a std::list in recency
+// order (front = most recent), searched linearly — and predicts, for every
+// DiskArray call, how many cache hits and physical reads it adds.
+
+class LruCacheModel {
+ public:
+  explicit LruCacheModel(int capacity) : capacity_(capacity) {}
+
+  /// A page request served by the controller: true on a hit (which
+  /// refreshes the page).
+  bool Hit(PageKey page) {
+    auto it = std::find(lru_.begin(), lru_.end(), page);
+    if (it == lru_.end()) return false;
+    lru_.splice(lru_.begin(), lru_, it);
+    return true;
+  }
+
+  /// A page read or written through the controller enters the cache.
+  void Insert(PageKey page) {
+    if (capacity_ <= 0 || Hit(page)) return;
+    lru_.push_front(page);
+    if (static_cast<int>(lru_.size()) > capacity_) lru_.pop_back();
+  }
+
+ private:
+  int capacity_;
+  std::list<PageKey> lru_;
+};
+
+struct IoDelta {
+  int64_t hits = 0;
+  int64_t physical_reads = 0;
+};
+
+// Drives `ops` seeded calls through one DiskArray, one at a time, checking
+// each call's cache-hit and physical-read deltas against the model.
+sim::Task<> CacheTrace(DiskArray& disks, LruCacheModel& model,
+                       const DiskConfig& config, uint64_t seed, int ops,
+                       int* checked) {
+  sim::Rng rng(seed);
+  for (int op = 0; op < ops; ++op) {
+    // Two relations of 24 pages each: a working set a little larger than
+    // the cache, so the trace mixes hits, prefetch hits and evictions.
+    const PageKey page{static_cast<int32_t>(rng.UniformInt(1, 2)),
+                       rng.UniformInt(0, 23)};
+    const double kind = rng.Uniform();
+    IoDelta want;
+    const int64_t hits0 = disks.cache_hits();
+    const int64_t reads0 = disks.physical_reads();
+    if (kind < 0.55) {
+      const bool sequential = kind >= 0.3;
+      if (model.Hit(page)) {
+        want.hits = 1;
+      } else {
+        want.physical_reads = 1;
+        const int fetch = sequential ? config.prefetch_pages : 1;
+        for (int i = 0; i < fetch; ++i) {
+          model.Insert(PageKey{page.relation_id, page.page_no + i});
+        }
+      }
+      co_await disks.Read(page, sequential ? AccessPattern::kSequential
+                                           : AccessPattern::kRandom);
+    } else if (kind < 0.8) {
+      const int64_t count = rng.UniformInt(1, 12);
+      for (int64_t i = 0; i < count;) {
+        const PageKey p{page.relation_id, page.page_no + i};
+        if (model.Hit(p)) {
+          ++want.hits;
+          ++i;
+          continue;
+        }
+        const int64_t fetch =
+            std::min<int64_t>(config.prefetch_pages, count - i);
+        ++want.physical_reads;
+        for (int64_t k = 0; k < fetch; ++k) {
+          model.Insert(PageKey{p.relation_id, p.page_no + k});
+        }
+        i += fetch;
+      }
+      co_await disks.ReadStriped(page, count);
+    } else {
+      const int count = static_cast<int>(rng.UniformInt(1, 6));
+      for (int i = 0; i < count; ++i) {
+        model.Insert(PageKey{page.relation_id, page.page_no + i});
+      }
+      co_await disks.WriteBatch(page, count);
+    }
+    EXPECT_EQ(disks.cache_hits() - hits0, want.hits) << "op " << op;
+    EXPECT_EQ(disks.physical_reads() - reads0, want.physical_reads)
+        << "op " << op;
+    ++*checked;
+  }
+}
+
+TEST(DiskCacheModelTest, MatchesListLruOnSeededTraces) {
+  for (int capacity : {1, 7, 16, 40}) {
+    for (uint64_t seed : {1u, 2u, 3u}) {
+      SCOPED_TRACE(testing::Message()
+                   << "capacity " << capacity << " seed " << seed);
+      Fixture f;
+      f.config.disk_cache_pages = capacity;
+      auto disks = f.MakeDisks();
+      LruCacheModel model(capacity);
+      int checked = 0;
+      f.sched.Spawn(
+          CacheTrace(*disks, model, f.config, seed, 1500, &checked));
+      f.sched.Run();
+      ASSERT_EQ(checked, 1500);
+      EXPECT_GT(disks->physical_reads(), 100);
+      if (capacity >= 16) {
+        EXPECT_GT(disks->cache_hits(), 100);
+      }
+    }
+  }
+}
 
 }  // namespace
 }  // namespace pdblb

@@ -15,11 +15,13 @@
 #include "bufmgr/buffer_manager.h"
 #include "common/config.h"
 #include "iosim/disk.h"
+#include "lockmgr/lock_manager.h"
 #include "simkern/channel.h"
 #include "simkern/latch.h"
 #include "simkern/resource.h"
 #include "simkern/scheduler.h"
 #include "simkern/task.h"
+#include "simkern/task_group.h"
 #include "simkern/tracer.h"
 
 namespace {
@@ -229,6 +231,54 @@ TEST(SchedulerAllocTest, LatchFanOutAllocatesNothing) {
       << "latch fork/join fan-out must not allocate in steady state";
 }
 
+// The same with a TaskGroup per round, 64 members wide (a 64-page striped
+// read spawns 16 prefetch batches, a join's groups one member per PE), and
+// every other round's group destroyed with its members in flight.  The
+// group keeps no per-member storage: members are tagged in the scheduler's
+// registry of in-flight processes, which recycles its slots.
+Task<> GroupMember(Scheduler& sched, SimTime delay) {
+  co_await sched.Delay(delay);
+}
+
+Task<> GroupRound(Scheduler& sched, int fanout) {
+  TaskGroup group(sched);
+  for (int f = 0; f < fanout; ++f) {
+    group.Spawn(GroupMember(sched, 0.5 + 0.01 * f));
+  }
+  co_await group.Wait();
+}
+
+Task<> GroupFanOutLoop(Scheduler& sched, int fanout, int64_t rounds,
+                       uint64_t* joins, uint64_t* cancelled) {
+  for (int64_t i = 0; i < rounds; ++i) {
+    co_await GroupRound(sched, fanout);
+    ++*joins;
+    const uint64_t victim = sched.SpawnWithId(GroupRound(sched, fanout));
+    co_await sched.Delay(0.25);
+    if (sched.Cancel(victim)) ++*cancelled;
+  }
+}
+
+TEST(SchedulerAllocTest, TaskGroupFanOutAllocatesNothing) {
+  Scheduler sched;
+  sched.Reserve(/*events=*/256);
+  uint64_t joins = 0;
+  uint64_t cancelled = 0;
+  sched.Spawn(GroupFanOutLoop(sched, /*fanout=*/64, /*rounds=*/100000,
+                              &joins, &cancelled));
+  sched.RunUntil(100.0);  // warm-up
+  ASSERT_GT(joins, 10u);
+
+  uint64_t allocations_before = g_allocations;
+  uint64_t joins_before = joins;
+  uint64_t cancelled_before = cancelled;
+  sched.RunUntil(10000.0);
+  EXPECT_GT(joins - joins_before, 3000u);
+  EXPECT_EQ(cancelled - cancelled_before, joins - joins_before);
+  EXPECT_EQ(g_allocations - allocations_before, 0u)
+      << "64-wide task-group fork/join and cancellation allocated";
+}
+
 // Tracing must preserve the zero-allocation guarantee: the record ring is
 // pre-allocated at Tracer construction and the per-dispatch Record() only
 // writes into it (wrapping in place once full — the 4096-record ring here
@@ -327,21 +377,37 @@ TEST(SchedulerAllocTest, CancellationAllocatesNothing) {
 }
 
 // --- buffer pool -----------------------------------------------------------
-// The slot-indexed frame table extends the guarantee to the buffer manager:
+// The slot-indexed frame table extends the guarantee to the buffer manager
+// and the disk controller's cache below it (the same FrameTable class):
 // hits touch only the open-addressing index and the policy's intrusive
 // links; misses, evictions and dirty writebacks recycle frames through the
-// fixed slot array and the coroutine arena; FetchRange leases its run
+// fixed slot arrays and the coroutine arena; FetchRange leases its run
 // scratch from a recycled pool.  After warm-up, steady-state churn under
-// every eviction policy allocates exactly never.  (The old manager paid
-// std::list/unordered_map node churn on every miss, forever.)
+// every eviction policy allocates exactly never.
 //
-// The disk controller cache is disabled: its own LRU cache is a std
-// container and allocates on insert, which would mask the property under
-// test (that cache has its own budget and is not steady-state-critical).
+// Each recycled pool (coroutine frames, the registry of in-flight
+// processes, the resources' waiter rings) grows only at a new high-water
+// mark, so the warm-up has to reach every mark.  It does so by
+// construction, not by waiting for a rare peak: the churn caps its
+// writeback backlog, and a priming pass first drives every pool past what
+// the capped churn can reach.
+
+constexpr int64_t kMaxDirtyPages = 4;
+
+// A 28-page striped read served entirely from the controller cache (one
+// group member per page, the widest fan-out of the churn's scans) while 64
+// writebacks, far more than the churn ever has in flight, queue on the
+// spindles, the controller and the CPU.
+Task<> PrimeDiskPools(Scheduler& sched, DiskArray& disks) {
+  co_await disks.ReadStriped(PageKey{3, 0}, 28);  // 7 prefetch batches
+  for (int k = 0; k < 64; ++k) sched.Spawn(disks.WriteRandom(PageKey{4, k}));
+  co_await disks.ReadStriped(PageKey{3, 0}, 28);  // 28 controller hits
+}
 
 Task<> BufferChurnLoop(Scheduler& sched, BufferManager& buf, int64_t rounds,
                        uint64_t* fetches) {
   uint64_t rng = 0x2545f4914f6cdd1dULL;
+  int64_t marked_dirty = 0;
   for (int64_t i = 0; i < rounds; ++i) {
     // Four hot fetches (32-page working set, half the 64-page pool): hits
     // in steady state.
@@ -359,13 +425,24 @@ Task<> BufferChurnLoop(Scheduler& sched, BufferManager& buf, int64_t rounds,
     rng ^= rng >> 7;
     rng ^= rng << 17;
     PageKey cold{1, 100 + static_cast<int64_t>(rng % 4096)};
-    co_await buf.Fetch(cold, AccessPattern::kRandom);
+    const bool hit = co_await buf.Fetch(cold, AccessPattern::kRandom);
     ++*fetches;
-    // Dirty it so its eviction takes the async writeback path.
-    buf.MarkDirty(cold);
-    // A sequential scan with missing runs exercises the leased run scratch
-    // and striped prefetch.  28 pages = 7 prefetch batches: below the
-    // TaskGroup's inline member capacity, so the per-call group never grows.
+    // Dirty it so its eviction takes the async writeback path, unless
+    // kMaxDirtyPages pages are already dirty or being written back.  A
+    // dirtied miss is a clean page that is evicted exactly once, and the
+    // writebacks are the only other processes in flight here.
+    const int64_t backlog = marked_dirty - buf.dirty_writebacks() +
+                            static_cast<int64_t>(sched.detached_in_flight()) -
+                            1;
+    if (!hit && backlog < kMaxDirtyPages) {
+      buf.MarkDirty(cold);
+      ++marked_dirty;
+    }
+    // A sequential scan with missing runs exercises the leased run scratch,
+    // striped prefetch and controller-cache hits.  A striped read spawns
+    // one group member per prefetch batch or cached page: up to 7 batches
+    // or 28 hits here.  The 8 ranges (224 pages) overflow the 200-page
+    // controller cache, so the scans mix hits with physical reads.
     if (i % 16 == 0) {
       co_await buf.FetchRange(PageKey{2, (i % 8) * 28}, 28);
       ++*fetches;
@@ -384,17 +461,18 @@ TEST(SchedulerAllocTest, BufferPoolChurnAllocatesNothing) {
     Resource cpu(sched, /*servers=*/1, "cpu");
     CpuCosts costs;
     DiskConfig disk_config;
-    disk_config.disk_cache_pages = 0;  // see section comment
     BufferConfig buf_config;
     buf_config.buffer_pages = 64;
     buf_config.eviction = kind;
     DiskArray disks(sched, disk_config, costs, 20.0, cpu, "t");
     BufferManager buf(sched, buf_config, disks, "buf");
 
+    sched.Spawn(PrimeDiskPools(sched, disks));
+    sched.Run();
     uint64_t fetches = 0;
     sched.Spawn(BufferChurnLoop(sched, buf, /*rounds=*/1000000, &fetches));
-    // Warm-up: fill the pool, reach eviction steady state, grow the frame
-    // arena and the run-scratch pool to their high-water marks.
+    // Warm-up: fill the pool and the controller cache and reach eviction
+    // steady state.
     sched.RunUntil(20000.0);
     ASSERT_GT(buf.evictions(), 100) << "shape does not actually evict";
     ASSERT_GT(buf.buffer_hits(), 100u);
@@ -402,13 +480,91 @@ TEST(SchedulerAllocTest, BufferPoolChurnAllocatesNothing) {
     uint64_t allocations_before = g_allocations;
     uint64_t fetches_before = fetches;
     int64_t writebacks_before = buf.dirty_writebacks();
-    sched.RunUntil(200000.0);
+    int64_t controller_hits_before = disks.cache_hits();
+    sched.RunUntil(400000.0);
     EXPECT_GT(fetches - fetches_before, 5000u);
     EXPECT_GT(buf.dirty_writebacks() - writebacks_before, 100);
+    EXPECT_GT(disks.cache_hits() - controller_hits_before, 1000);
     EXPECT_EQ(g_allocations - allocations_before, 0u)
         << "fetch hit/miss/evict/writeback churn allocated under "
         << EvictionPolicyName(kind);
   }
+}
+
+// --- lock table ------------------------------------------------------------
+// Recycled entry and transaction slots, holder vectors that keep their
+// capacity across reuse, and waiter queues threaded through the waiting
+// frames: once the tables have grown to their peak population, every lock
+// path allocates exactly never — immediate shared and exclusive grants, a
+// contended wait and its grant, ReleaseAll, AbortWaiter and the unwind of a
+// cancelled waiter.
+
+Task<> LockAndFinish(LockManager& lm, TxnId txn, LockKey key, LockMode mode,
+                     uint64_t* finished) {
+  (void)co_await lm.Lock(txn, key, mode);
+  ++*finished;
+}
+
+Task<> LockChurnLoop(Scheduler& sched, LockManager& lm, int64_t rounds,
+                     uint64_t* rounds_done, uint64_t* cancelled) {
+  uint64_t finished = 0;
+  for (int64_t i = 0; i < rounds; ++i) {
+    const TxnId base = 1 + 5 * i;
+    const LockKey shared_key{1, i % 64};
+    const LockKey exclusive_key{1, 64 + i % 64};
+    // Immediate grants: two shared holders, one exclusive lock.
+    (void)co_await lm.Lock(base, shared_key, LockMode::kShared);
+    (void)co_await lm.Lock(base + 1, shared_key, LockMode::kShared);
+    (void)co_await lm.Lock(base, exclusive_key, LockMode::kExclusive);
+    // Contended exclusive request: parks until ReleaseAll grants it.
+    sched.Spawn(LockAndFinish(lm, base + 2, exclusive_key,
+                              LockMode::kExclusive, &finished));
+    co_await sched.Delay(0.5);
+    lm.ReleaseAll(base);
+    co_await sched.Delay(0.5);
+    // A deadlock victim: parks behind the shared holder, then is aborted.
+    sched.Spawn(LockAndFinish(lm, base + 3, shared_key, LockMode::kExclusive,
+                              &finished));
+    co_await sched.Delay(0.5);
+    (void)lm.AbortWaiter(base + 3);
+    // A waiter whose frame is destroyed while it is parked.
+    const uint64_t victim = sched.SpawnWithId(LockAndFinish(
+        lm, base + 4, shared_key, LockMode::kExclusive, &finished));
+    co_await sched.Delay(0.5);
+    if (sched.Cancel(victim)) ++*cancelled;
+    for (TxnId t = base; t < base + 5; ++t) lm.ReleaseAll(t);
+    ++*rounds_done;
+  }
+}
+
+TEST(SchedulerAllocTest, LockTableChurnAllocatesNothing) {
+  Scheduler sched;
+  sched.Reserve(/*events=*/256);
+  LockManager lm(sched);
+  uint64_t rounds = 0;
+  uint64_t cancelled = 0;
+  sched.Spawn(LockChurnLoop(sched, lm, /*rounds=*/1000000, &rounds,
+                            &cancelled));
+  sched.RunUntil(1000.0);  // warm-up: tables, arena and registry grow
+  ASSERT_GT(rounds, 100u);
+
+  const uint64_t allocations_before = g_allocations;
+  const uint64_t rounds_before = rounds;
+  const int64_t waits_before = lm.lock_waits();
+  const int64_t aborts_before = lm.deadlock_aborts();
+  const uint64_t cancelled_before = cancelled;
+  sched.RunUntil(50000.0);
+  EXPECT_GT(rounds - rounds_before, 10000u);
+  // Every round parks three waiters: one granted, one aborted, one
+  // cancelled.
+  EXPECT_EQ(lm.lock_waits() - waits_before,
+            3 * static_cast<int64_t>(rounds - rounds_before));
+  EXPECT_EQ(lm.deadlock_aborts() - aborts_before,
+            static_cast<int64_t>(rounds - rounds_before));
+  EXPECT_EQ(cancelled - cancelled_before, rounds - rounds_before);
+  EXPECT_EQ(g_allocations - allocations_before, 0u)
+      << "lock/wait/release/abort/cancel churn allocated "
+      << (g_allocations - allocations_before) << " times";
 }
 
 TEST(SchedulerAllocTest, AllocationCounterIsLive) {
