@@ -14,18 +14,6 @@
 //                       (names are path-style: figure/series/x)
 //   --seed=S            root seed; point i runs with a seed derived from
 //                       (S, grid index i)
-//   --faults=SPEC       apply a fault spec to every point (grammar in
-//                       common/config.h ParseFaultSpec, e.g.
-//                       "crash@8000:pe3;recover@12000:pe3" or
-//                       "rate=0.5;mttr=3000;retries=3").  The CSV stays
-//                       bit-identical across --jobs with faults on
-//   --query-timeout-ms=T  give every query a T-ms deadline (0 disables);
-//                       overrides the per-point and --faults timeout
-//   --migration-bw=MB   cap elastic fragment migration at MB MB/s per
-//                       active move (only observable when --faults schedules
-//                       addpe/drainpe clauses; see docs/robustness.md)
-//   --eviction=POLICY   override every point's buffer replacement policy
-//                       (lru | lru-k | lfu | clock; see docs/bufmgr.md)
 //   --fast              shrink warm-up/measurement (quick smoke runs)
 //   --list              print the point names of the (filtered) grid, don't run
 //   --quiet             suppress the per-point progress lines on stderr
@@ -37,17 +25,21 @@
 //                       and bytes are identical for every --jobs value);
 //                       also prints the per-subsystem attribution table
 //
-// Environment (kept for compatibility with existing scripts):
-//   PDBLB_BENCH_FAST=1        same as --fast
-//   PDBLB_BENCH_CSV=<path>    same as --csv=<path>
+// plus the config overrides declared in kConfigOverrides (--faults,
+// --migration-bw, --eviction).  Each is checked while parsing, patches
+// every point of the filtered grid before the sweep, and then every point's
+// effective config must pass SystemConfig::Validate(); otherwise the driver
+// exits with status 2, naming the point, before anything runs.
 
 #ifndef PDBLB_BENCH_BENCH_COMMON_H_
 #define PDBLB_BENCH_BENCH_COMMON_H_
 
+#include <array>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
+#include <iterator>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -59,16 +51,10 @@
 namespace pdblb::bench {
 
 namespace internal {
-inline bool& FastFlag() {
-  static bool fast = [] {
-    const char* env = std::getenv("PDBLB_BENCH_FAST");
-    return env != nullptr && env[0] == '1';
-  }();
-  return fast;
-}
+inline bool fast_mode = false;  // set by --fast
 }  // namespace internal
 
-inline bool FastMode() { return internal::FastFlag(); }
+inline bool FastMode() { return internal::fast_mode; }
 
 /// Applies the bench-wide measurement horizon (shortened in fast mode).
 inline void ApplyHorizon(SystemConfig& cfg) {
@@ -81,18 +67,54 @@ inline void ApplyHorizon(SystemConfig& cfg) {
   }
 }
 
+/// A flag that overrides part of every point's config.  `apply` both
+/// validates the value (the CLI runs it on a scratch config while parsing,
+/// so a typo fails before anything runs) and patches one point's config.
+struct ConfigOverride {
+  const char* flag;  ///< "--faults"; the value follows '='
+  const char* help;  ///< its --help line
+  Status (*apply)(const std::string& value, SystemConfig* cfg);
+};
+
+inline constexpr ConfigOverride kConfigOverrides[] = {
+    {"--faults",
+     "  --faults=SPEC        merge a fault spec into every point (grammar "
+     "below)",
+     [](const std::string& spec, SystemConfig* cfg) {
+       return ParseFaultSpec(spec, &cfg->faults);
+     }},
+    {"--migration-bw",
+     "  --migration-bw=MB    cap elastic fragment migration at MB MB/s per "
+     "active move",
+     [](const std::string& mbps, SystemConfig* cfg) {
+       double bw = 0.0;
+       if (!ParseNumber(mbps, &bw) || bw <= 0.0) {
+         return Status::InvalidArgument("want a positive MB/s number: " +
+                                        mbps);
+       }
+       cfg->elastic.migration_bw_mbps = bw;
+       return Status::OK();
+     }},
+    {"--eviction",
+     "  --eviction=POLICY    set every point's buffer replacement policy "
+     "(lru | lru-k | lfu | clock)",
+     [](const std::string& policy, SystemConfig* cfg) {
+       return ParseEvictionPolicy(policy, &cfg->buffer.eviction);
+     }},
+};
+
 /// Parsed command line of a figure binary.
 struct BenchOptions {
   int jobs = 1;
   uint64_t seed = 42;
   std::string csv_path;     // empty: no CSV
-  std::string fault_spec;   // empty: no fault override (--faults=SPEC)
-  double query_timeout_ms = -1.0;  // < 0: keep per-point configuration
-  double migration_bw_mbps = -1.0;  // <= 0: keep per-point configuration
-  std::string eviction;     // empty: keep per-point policy (--eviction=P)
   std::string filter;       // empty: whole grid
   std::string report_json;  // empty: no sweep-throughput report
   std::string trace_path;   // empty: tracing off
+  /// The value of each override flag given, indexed like kConfigOverrides
+  /// (a repeated flag keeps its last value).
+  std::array<std::optional<std::string>, std::size(kConfigOverrides)>
+      overrides;
   bool list_only = false;
   bool quiet = false;
 };
@@ -136,59 +158,32 @@ inline int ParseBenchArgs(int argc, char** argv, BenchOptions& opts) {
   };
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
-    if (const char* v = value_of(arg, "--jobs")) {
-      char* end = nullptr;
-      long jobs = std::strtol(v, &end, 10);
-      if (end == v || *end != '\0' || jobs < 1 || jobs > 1 << 20) {
+    const ConfigOverride* override_flag = nullptr;
+    for (const ConfigOverride& o : kConfigOverrides) {
+      if (value_of(arg, o.flag) != nullptr) override_flag = &o;
+    }
+    if (override_flag != nullptr) {
+      const char* v = value_of(arg, override_flag->flag);
+      SystemConfig scratch;
+      Status st = override_flag->apply(v, &scratch);
+      if (!st.ok()) {
+        std::fprintf(stderr, "invalid %s value: %s\n", override_flag->flag,
+                     st.ToString().c_str());
+        return 2;
+      }
+      opts.overrides[override_flag - kConfigOverrides] = v;
+    } else if (const char* v = value_of(arg, "--jobs")) {
+      if (!ParseNumber(v, &opts.jobs) || opts.jobs < 1 || opts.jobs > 1 << 20) {
         std::fprintf(stderr, "invalid --jobs value: %s\n", v);
         return 2;
       }
-      opts.jobs = static_cast<int>(jobs);
     } else if (const char* v = value_of(arg, "--seed")) {
-      char* end = nullptr;
-      opts.seed = std::strtoull(v, &end, 10);
-      if (end == v || *end != '\0') {
+      if (!ParseNumber(v, &opts.seed)) {
         std::fprintf(stderr, "invalid --seed value: %s\n", v);
         return 2;
       }
     } else if (const char* v = value_of(arg, "--csv")) {
       opts.csv_path = v;
-    } else if (const char* v = value_of(arg, "--faults")) {
-      // Validate eagerly so a typo fails before the sweep starts.
-      FaultConfig probe;
-      Status st = ParseFaultSpec(v, &probe);
-      if (!st.ok()) {
-        std::fprintf(stderr, "invalid --faults value: %s\n",
-                     st.ToString().c_str());
-        return 2;
-      }
-      opts.fault_spec = v;
-    } else if (const char* v = value_of(arg, "--eviction")) {
-      // Validate eagerly so a typo fails before the sweep starts.
-      EvictionPolicyKind probe;
-      Status st = ParseEvictionPolicy(v, &probe);
-      if (!st.ok()) {
-        std::fprintf(stderr, "invalid --eviction value: %s\n",
-                     st.ToString().c_str());
-        return 2;
-      }
-      opts.eviction = v;
-    } else if (const char* v = value_of(arg, "--query-timeout-ms")) {
-      char* end = nullptr;
-      double timeout = std::strtod(v, &end);
-      if (end == v || *end != '\0' || timeout < 0.0) {
-        std::fprintf(stderr, "invalid --query-timeout-ms value: %s\n", v);
-        return 2;
-      }
-      opts.query_timeout_ms = timeout;
-    } else if (const char* v = value_of(arg, "--migration-bw")) {
-      char* end = nullptr;
-      double bw = std::strtod(v, &end);
-      if (end == v || *end != '\0' || bw <= 0.0) {
-        std::fprintf(stderr, "invalid --migration-bw value: %s\n", v);
-        return 2;
-      }
-      opts.migration_bw_mbps = bw;
     } else if (const char* v = value_of(arg, "--filter")) {
       opts.filter = v;
     } else if (const char* v = value_of(arg, "--report-json")) {
@@ -196,7 +191,7 @@ inline int ParseBenchArgs(int argc, char** argv, BenchOptions& opts) {
     } else if (const char* v = value_of(arg, "--trace")) {
       opts.trace_path = v;
     } else if (std::strcmp(arg, "--fast") == 0) {
-      internal::FastFlag() = true;
+      internal::fast_mode = true;
     } else if (std::strcmp(arg, "--list") == 0) {
       opts.list_only = true;
     } else if (std::strcmp(arg, "--quiet") == 0) {
@@ -204,59 +199,56 @@ inline int ParseBenchArgs(int argc, char** argv, BenchOptions& opts) {
     } else if (std::strcmp(arg, "--help") == 0 ||
                std::strcmp(arg, "-h") == 0) {
       std::fprintf(stderr,
-                   "usage: %s [--jobs=N] [--csv=PATH] "
-                   "[--faults=SPEC] [--query-timeout-ms=T] "
-                   "[--migration-bw=MB] "
-                   "[--eviction=lru|lru-k|lfu|clock] "
-                   "[--filter=SUBSTR] [--seed=S] [--fast] [--list] [--quiet] "
-                   "[--report-json=PATH] [--trace=PATH]\n"
+                   "usage: %s [--jobs=N] [--csv=PATH] [--filter=SUBSTR] "
+                   "[--seed=S] [--fast] [--list] [--quiet] "
+                   "[--report-json=PATH] [--trace=PATH] [--faults=SPEC] "
+                   "[--migration-bw=MB] [--eviction=POLICY]\n"
                    "\n"
-                   "  --jobs=N    run sweep points on N worker threads (each "
-                   "simulation is single-threaded)\n"
-                   "\n"
-                   "--faults=SPEC clause grammar (clauses joined by ';', "
-                   "parse errors quote the\n"
-                   "offending clause and its byte offset; docs/robustness.md "
-                   "has the semantics):\n"
-                   "\n"
-                   "  clause                          effect\n"
-                   "  ------------------------------  ------------------------"
-                   "--------------------\n"
-                   "  crash@<ms>:pe<N>                crash PE N at <ms>\n"
-                   "  recover@<ms>:pe<N>              recover PE N at <ms>\n"
-                   "  slowdisk@<ms>:pe<N>:x<M>        multiply PE N's disk "
-                   "service by M (>=1)\n"
-                   "  partition@<ms>:pe<A>-pe<B>      cut the A<->B link\n"
-                   "  heal@<ms>:pe<A>-pe<B>           restore the A<->B link\n"
-                   "  slowlink@<ms>:pe<A>-pe<B>:x<M>  multiply the A<->B wire "
-                   "delay by M (>=1)\n"
-                   "  addpe@<ms>:pe<N>                elastic resize: spare "
-                   "PE N joins at <ms>\n"
-                   "  drainpe@<ms>:pe<N>              elastic resize: migrate "
-                   "PE N out, then leave\n"
-                   "  rate=<r>                        random crashes per PE "
-                   "per minute\n"
-                   "  mttr=<ms>                       mean time to repair for "
-                   "random crashes\n"
-                   "  timeout=<ms>                    per-query deadline (0 "
-                   "disables)\n"
-                   "  timeout_frac=<f>                fraction of queries "
-                   "carrying the deadline\n"
-                   "  retries=<n>                     retry budget per query "
-                   "(RetryPolicy)\n"
-                   "  iorate=<r>                      transient disk error "
-                   "probability per access\n",
+                   "  --jobs=N             run sweep points on N worker "
+                   "threads (each simulation is single-threaded)\n",
                    argv[0]);
+      for (const ConfigOverride& o : kConfigOverrides) {
+        std::fprintf(stderr, "%s\n", o.help);
+      }
+      std::fputs(R"(
+--faults=SPEC clause grammar (clauses joined by ';', parse errors quote the
+offending clause and its byte offset; docs/robustness.md has the semantics):
+
+  clause                          effect
+  ------------------------------  --------------------------------------------
+  crash@<ms>:pe<N>                crash PE N at <ms>
+  recover@<ms>:pe<N>              recover PE N at <ms>
+  slowdisk@<ms>:pe<N>:x<M>        multiply PE N's disk service by M (>=1)
+  partition@<ms>:pe<A>-pe<B>      cut the A<->B link
+  heal@<ms>:pe<A>-pe<B>           restore the A<->B link
+  slowlink@<ms>:pe<A>-pe<B>:x<M>  multiply the A<->B wire delay by M (>=1)
+  addpe@<ms>:pe<N>                elastic resize: spare PE N joins at <ms>
+  drainpe@<ms>:pe<N>              elastic resize: migrate PE N out, then leave
+  rate=<r>                        random crashes per PE per minute
+  mttr=<ms>                       mean time to repair for random crashes
+  timeout=<ms>                    per-query deadline (0 disables)
+  timeout_frac=<f>                fraction of queries carrying the deadline
+  retries=<n>                     retry budget per query (RetryPolicy)
+  iorate=<r>                      transient disk error probability per access
+)",
+                 stderr);
       return 0;
     } else {
       std::fprintf(stderr, "unknown flag: %s (try --help)\n", arg);
       return 2;
     }
   }
-  if (opts.csv_path.empty()) {
-    if (const char* csv = std::getenv("PDBLB_BENCH_CSV")) opts.csv_path = csv;
-  }
   return -1;
+}
+
+/// Applies the override flags in `opts` to `cfg` and validates the result.
+inline Status ApplyOverrides(const BenchOptions& opts, SystemConfig* cfg) {
+  for (size_t i = 0; i < std::size(kConfigOverrides); ++i) {
+    if (opts.overrides[i]) {
+      PDBLB_RETURN_IF_ERROR(kConfigOverrides[i].apply(*opts.overrides[i], cfg));
+    }
+  }
+  return cfg->Validate();
 }
 
 /// Prints the paper-style figure table (stdout).  The kern Mev/s column is
@@ -288,80 +280,83 @@ inline void PrintFigureTable(const Figure& fig,
   std::fputs(t.ToString().c_str(), stdout);
 }
 
-/// True when any point recorded fault activity (crashes, shed queries,
-/// disk errors, partitions, ...).  Gates the robustness table and JSON
-/// block so fault-free output stays byte-identical.
-inline bool AnyFaultActivity(const std::vector<runner::SweepResult>& results) {
-  for (const runner::SweepResult& res : results) {
-    const MetricsReport& r = res.report;
-    if (r.pe_crashes > 0 || r.queries_retried > 0 || r.queries_timed_out > 0 ||
-        r.queries_failed > 0 || r.queries_degraded > 0 || r.queries_shed > 0 ||
-        r.io_errors > 0 || r.link_partitions > 0 || r.slow_disk_ms > 0.0) {
-      return true;
-    }
-  }
-  return false;
+/// Appends one point's columns of `block` (engine/metrics.h ReportBlock)
+/// to `out`, in the block's column order, each rendered by
+/// text(field, value).
+template <typename Text>
+void AppendBlockColumns(ReportBlock block, const MetricsReport& r, Text text,
+                        std::vector<std::string>* out) {
+  const size_t first = out->size();
+  ForEachScalarReportField([&](const ReportField& field, auto member) {
+    if (field.block != block) return;
+    const size_t i = first + field.column;
+    if (out->size() <= i) out->resize(i + 1);
+    (*out)[i] = text(field, r.*member);
+  });
 }
 
-/// Prints the robustness table (stdout): per-point fault-domain activity and
-/// query outcomes.  Printed only when some point saw fault activity, so
-/// fault-free runs produce exactly the historical output.
-inline void PrintRobustnessTable(
-    const Figure& fig, const std::vector<runner::SweepResult>& results) {
-  if (!AnyFaultActivity(results)) return;
-  std::printf("\n=== robustness (%s) ===\n", fig.title().c_str());
-  TextTable t({fig.x_name(), "strategy", "done", "shed", "degr", "retry",
-               "t/o", "fail", "io err", "io rtry", "parts", "slow ms",
-               "crash"});
+/// True when some point has a nonzero activity column in `block`.  Gates
+/// the block's table and JSON array, so runs without faults (or without
+/// resizes) print exactly their historical output.
+inline bool AnyActivity(ReportBlock block,
+                        const std::vector<runner::SweepResult>& results) {
+  bool any = false;
   for (const runner::SweepResult& res : results) {
-    const MetricsReport& r = res.report;
-    t.AddRow({res.point.x_label, res.point.series,
-              std::to_string(r.joins_completed),
-              std::to_string(r.queries_shed),
-              std::to_string(r.queries_degraded),
-              std::to_string(r.queries_retried),
-              std::to_string(r.queries_timed_out),
-              std::to_string(r.queries_failed), std::to_string(r.io_errors),
-              std::to_string(r.io_retries), std::to_string(r.link_partitions),
-              TextTable::Num(r.slow_disk_ms, 0),
-              std::to_string(r.pe_crashes)});
+    ForEachScalarReportField([&](const ReportField& field, auto member) {
+      if (field.block == block && field.activity && res.report.*member != 0) {
+        any = true;
+      }
+    });
+  }
+  return any;
+}
+
+/// Prints the robustness or elasticity table (stdout): one row per point.
+inline void PrintBlockTable(ReportBlock block, const Figure& fig,
+                            const std::vector<runner::SweepResult>& results) {
+  if (!AnyActivity(block, results)) return;
+  std::printf("\n=== %s (%s) ===\n", ReportBlockName(block),
+              fig.title().c_str());
+  std::vector<std::string> header = {fig.x_name(), "strategy"};
+  AppendBlockColumns(
+      block, MetricsReport{},
+      [](const ReportField& field, auto) { return std::string(field.label); },
+      &header);
+  TextTable t(std::move(header));
+  for (const runner::SweepResult& res : results) {
+    std::vector<std::string> row = {res.point.x_label, res.point.series};
+    AppendBlockColumns(
+        block, res.report,
+        [](const ReportField&, auto value) {
+          return FormatReportValue(value, 0);
+        },
+        &row);
+    t.AddRow(std::move(row));
   }
   std::fputs(t.ToString().c_str(), stdout);
 }
 
-/// True when any point performed an elastic resize (membership change or
-/// fragment migration).  Gates the elasticity table and JSON block so
-/// resize-free output stays byte-identical.
-inline bool AnyElasticActivity(
-    const std::vector<runner::SweepResult>& results) {
-  for (const runner::SweepResult& res : results) {
-    const MetricsReport& r = res.report;
-    if (r.pes_added > 0 || r.pes_drained > 0 || r.fragments_migrated > 0 ||
-        r.migration_pages_discarded > 0) {
-      return true;
-    }
+/// The --report-json array of the robustness or elasticity block:
+/// `, "<block>": [{"point": ..., <key>: <value>, ...}, ...]`, or nothing.
+inline std::string BlockJson(ReportBlock block,
+                             const std::vector<runner::SweepResult>& results) {
+  if (!AnyActivity(block, results)) return "";
+  std::string out = ", \"" + std::string(ReportBlockName(block)) + "\": [";
+  for (size_t i = 0; i < results.size(); ++i) {
+    out += (i == 0 ? "{\"point\": \"" : ", {\"point\": \"") +
+           results[i].point.name + '"';
+    std::vector<std::string> entries;
+    AppendBlockColumns(
+        block, results[i].report,
+        [](const ReportField& field, auto value) {
+          return ", \"" + std::string(field.json) +
+                 "\": " + FormatReportValue(value, field.decimals);
+        },
+        &entries);
+    for (const std::string& entry : entries) out += entry;
+    out += '}';
   }
-  return false;
-}
-
-/// Prints the elasticity table (stdout): per-point membership changes and
-/// migration volume.  Printed only when some point resized.
-inline void PrintElasticityTable(
-    const Figure& fig, const std::vector<runner::SweepResult>& results) {
-  if (!AnyElasticActivity(results)) return;
-  std::printf("\n=== elasticity (%s) ===\n", fig.title().c_str());
-  TextTable t({fig.x_name(), "strategy", "added", "drained", "frags",
-               "pages", "discarded", "replans"});
-  for (const runner::SweepResult& res : results) {
-    const MetricsReport& r = res.report;
-    t.AddRow({res.point.x_label, res.point.series,
-              std::to_string(r.pes_added), std::to_string(r.pes_drained),
-              std::to_string(r.fragments_migrated),
-              std::to_string(r.migration_pages_moved),
-              std::to_string(r.migration_pages_discarded),
-              std::to_string(r.migrations_replanned)});
-  }
-  std::fputs(t.ToString().c_str(), stdout);
+  return out + ']';
 }
 
 /// Per-subsystem attribution summed over all points of a sweep (zeros when
@@ -429,13 +424,18 @@ inline int FigureMain(Figure& fig, const BenchOptions& opts) {
     return 2;
   }
 
+  for (runner::SweepPoint& p : fig.sweep().mutable_points()) {
+    Status st = ApplyOverrides(opts, &p.config);
+    if (!st.ok()) {
+      std::fprintf(stderr, "invalid config for point %s: %s\n",
+                   p.name.c_str(), st.ToString().c_str());
+      return 2;
+    }
+  }
+
   runner::SweepOptions run_opts;
   run_opts.jobs = opts.jobs;
   run_opts.root_seed = opts.seed;
-  run_opts.fault_spec = opts.fault_spec;
-  run_opts.query_timeout_ms = opts.query_timeout_ms;
-  run_opts.migration_bw_mbps = opts.migration_bw_mbps;
-  run_opts.eviction = opts.eviction;
   run_opts.trace_path = opts.trace_path;
   if (!opts.quiet) {
     run_opts.on_point_done = [](const runner::SweepPoint& point,
@@ -454,8 +454,8 @@ inline int FigureMain(Figure& fig, const BenchOptions& opts) {
           .count();
 
   PrintFigureTable(fig, results);
-  PrintRobustnessTable(fig, results);
-  PrintElasticityTable(fig, results);
+  PrintBlockTable(ReportBlock::kRobustness, fig, results);
+  PrintBlockTable(ReportBlock::kElasticity, fig, results);
   TraceTotals trace_totals = SumTraceTotals(results);
   PrintTraceAttribution(trace_totals);
   std::printf("\n%zu points in %.1f s with --jobs=%d (%.1f points/min)\n",
@@ -500,56 +500,9 @@ inline int FigureMain(Figure& fig, const BenchOptions& opts) {
       }
       std::fprintf(f, "}");
     }
-    if (AnyFaultActivity(results)) {
-      // Per-point query outcomes vs fault activity (seed-deterministic);
-      // omitted for fault-free sweeps so historical artifacts don't change.
-      std::fprintf(f, ", \"robustness\": [");
-      for (size_t i = 0; i < results.size(); ++i) {
-        const MetricsReport& r = results[i].report;
-        std::fprintf(
-            f,
-            "%s{\"point\": \"%s\", \"completed\": %lld, \"shed\": %lld, "
-            "\"degraded\": %lld, \"retried\": %lld, \"timed_out\": %lld, "
-            "\"failed\": %lld, \"io_errors\": %lld, \"io_retries\": %lld, "
-            "\"link_partitions\": %lld, \"slow_disk_ms\": %.3f, "
-            "\"pe_crashes\": %lld}",
-            i == 0 ? "" : ", ", results[i].point.name.c_str(),
-            static_cast<long long>(r.joins_completed),
-            static_cast<long long>(r.queries_shed),
-            static_cast<long long>(r.queries_degraded),
-            static_cast<long long>(r.queries_retried),
-            static_cast<long long>(r.queries_timed_out),
-            static_cast<long long>(r.queries_failed),
-            static_cast<long long>(r.io_errors),
-            static_cast<long long>(r.io_retries),
-            static_cast<long long>(r.link_partitions), r.slow_disk_ms,
-            static_cast<long long>(r.pe_crashes));
-      }
-      std::fprintf(f, "]");
-    }
-    if (AnyElasticActivity(results)) {
-      // Per-point membership changes and migration volume
-      // (seed-deterministic); omitted for resize-free sweeps so historical
-      // artifacts don't change.
-      std::fprintf(f, ", \"elasticity\": [");
-      for (size_t i = 0; i < results.size(); ++i) {
-        const MetricsReport& r = results[i].report;
-        std::fprintf(
-            f,
-            "%s{\"point\": \"%s\", \"pes_added\": %lld, "
-            "\"pes_drained\": %lld, \"fragments_migrated\": %lld, "
-            "\"migration_pages_moved\": %lld, "
-            "\"migration_pages_discarded\": %lld, "
-            "\"migrations_replanned\": %lld}",
-            i == 0 ? "" : ", ", results[i].point.name.c_str(),
-            static_cast<long long>(r.pes_added),
-            static_cast<long long>(r.pes_drained),
-            static_cast<long long>(r.fragments_migrated),
-            static_cast<long long>(r.migration_pages_moved),
-            static_cast<long long>(r.migration_pages_discarded),
-            static_cast<long long>(r.migrations_replanned));
-      }
-      std::fprintf(f, "]");
+    for (ReportBlock block :
+         {ReportBlock::kRobustness, ReportBlock::kElasticity}) {
+      std::fputs(BlockJson(block, results).c_str(), f);
     }
     std::fprintf(f, "}\n");
     std::fclose(f);

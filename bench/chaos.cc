@@ -32,6 +32,8 @@
 // Run with --report-json=BENCH_chaos.json for the CI artifact (the
 // robustness block maps completed/shed/degraded to each intensity).
 
+#include <algorithm>
+
 #include "bench/bench_common.h"
 
 namespace {
@@ -91,10 +93,11 @@ void Setup(bench::Figure& fig) {
         cfg.faults.retry.max_attempts = 6;
         cfg.faults.retry.initial_backoff_ms = 100.0;
         // Overload domain: thresholds tighten with intensity so level 3
-        // sheds where level 1 merely degrades.
+        // sheds where level 1 merely degrades.  Shedding never starts
+        // below the degrade threshold (SystemConfig::Validate()).
         cfg.overload.enabled = true;
         cfg.overload.degrade_queue_threshold = 2.0;
-        cfg.overload.shed_queue_threshold = 10.0 - 3.0 * i;
+        cfg.overload.shed_queue_threshold = std::max(2.0, 10.0 - 3.0 * i);
         cfg.overload.exit_queue_threshold = 0.5;
         cfg.control_report_interval_ms = 500.0;
       }

@@ -344,15 +344,9 @@ Status SystemConfig::Validate() const {
 namespace {
 
 // Parses "pe<N>" into *pe; returns false on malformed input.
-bool ParsePeToken(const std::string& token, int* pe) {
-  if (token.rfind("pe", 0) != 0) return false;
-  try {
-    size_t used = 0;
-    *pe = std::stoi(token.substr(2), &used);
-    return used == token.size() - 2 && *pe >= 0;
-  } catch (...) {
-    return false;
-  }
+bool ParsePeToken(std::string_view token, int* pe) {
+  return token.substr(0, 2) == "pe" && ParseNumber(token.substr(2), pe) &&
+         *pe >= 0;
 }
 
 // Formats a fault-spec error so the offending clause can be found without
@@ -422,9 +416,7 @@ Status ParseScheduledClause(const std::string& clause, size_t offset,
                            (wants_factor ? ":x<M>" : ""),
                        clause, offset);
   }
-  try {
-    ev->at_ms = std::stod(parts[0]);
-  } catch (...) {
+  if (!ParseNumber(parts[0], &ev->at_ms)) {
     return ClauseError("bad time \"" + parts[0] + "\"", clause, offset);
   }
 
@@ -446,15 +438,8 @@ Status ParseScheduledClause(const std::string& clause, size_t offset,
 
   if (wants_factor) {
     const std::string& f = parts[2];
-    bool bad = f.empty() || f[0] != 'x';
-    if (!bad) {
-      try {
-        ev->factor = std::stod(f.substr(1));
-      } catch (...) {
-        bad = true;
-      }
-    }
-    if (bad) {
+    if (f.empty() || f[0] != 'x' ||
+        !ParseNumber(std::string_view(f).substr(1), &ev->factor)) {
       return ClauseError("bad multiplier \"" + f + "\" (want x<M>)", clause,
                          offset);
     }
@@ -518,30 +503,29 @@ Status ParseFaultSpec(const std::string& spec, FaultConfig* out) {
     if (eq != std::string::npos && clause.find('@') == std::string::npos) {
       std::string key = clause.substr(0, eq);
       std::string val = clause.substr(eq + 1);
-      try {
-        if (key == "rate") {
-          out->crash_rate_per_pe_per_min = std::stod(val);
-        } else if (key == "mttr") {
-          out->mttr_ms = std::stod(val);
-        } else if (key == "timeout") {
-          out->query_timeout_ms = std::stod(val);
-        } else if (key == "timeout_frac") {
-          out->timeout_fraction = std::stod(val);
-        } else if (key == "retries") {
-          out->retry.max_attempts = std::stoi(val);
-        } else if (key == "iorate") {
-          out->io_error_rate = std::stod(val);
-          if (out->io_error_rate < 0.0 || out->io_error_rate >= 1.0) {
-            return ClauseError("iorate must be in [0, 1)", clause,
-                               clause_start);
-          }
-        } else {
-          return ClauseError("unknown key \"" + key +
-                                 "\" (want rate|mttr|timeout|timeout_frac|"
-                                 "retries|iorate)",
-                             clause, clause_start);
+      bool parsed = false;
+      if (key == "rate") {
+        parsed = ParseNumber(val, &out->crash_rate_per_pe_per_min);
+      } else if (key == "mttr") {
+        parsed = ParseNumber(val, &out->mttr_ms);
+      } else if (key == "timeout") {
+        parsed = ParseNumber(val, &out->query_timeout_ms);
+      } else if (key == "timeout_frac") {
+        parsed = ParseNumber(val, &out->timeout_fraction);
+      } else if (key == "retries") {
+        parsed = ParseNumber(val, &out->retry.max_attempts);
+      } else if (key == "iorate") {
+        parsed = ParseNumber(val, &out->io_error_rate);
+        if (parsed && (out->io_error_rate < 0.0 || out->io_error_rate >= 1.0)) {
+          return ClauseError("iorate must be in [0, 1)", clause, clause_start);
         }
-      } catch (...) {
+      } else {
+        return ClauseError("unknown key \"" + key +
+                               "\" (want rate|mttr|timeout|timeout_frac|"
+                               "retries|iorate)",
+                           clause, clause_start);
+      }
+      if (!parsed) {
         return ClauseError("bad value \"" + val + "\"", clause, clause_start);
       }
       continue;

@@ -7,14 +7,35 @@
 #ifndef PDBLB_COMMON_CONFIG_H_
 #define PDBLB_COMMON_CONFIG_H_
 
+#include <charconv>
+#include <cmath>
 #include <cstdint>
 #include <string>
+#include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "common/status.h"
 #include "common/units.h"
 
 namespace pdblb {
+
+/// Parses all of `token` as a finite number of type T.  Every number in a
+/// fault spec or a driver flag goes through here, so leftover characters
+/// ("5000ms", "x2.5q"), a fraction where an integer is due ("2.9"), NaN and
+/// infinities are rejected rather than truncated or let through.
+template <typename T>
+bool ParseNumber(std::string_view token, T* out) {
+  T value{};
+  const char* end = token.data() + token.size();
+  auto [stop, ec] = std::from_chars(token.data(), end, value);
+  if (ec != std::errc() || stop != end) return false;
+  if constexpr (std::is_floating_point_v<T>) {
+    if (!std::isfinite(value)) return false;
+  }
+  *out = value;
+  return true;
+}
 
 /// CPU cost (instruction count) of every major processing step, as listed in
 /// the paper's parameter table.
@@ -392,8 +413,12 @@ struct FaultConfig {
 ///   iorate=<r>            transient disk error probability per access
 ///
 /// Example: "crash@8000:pe3;recover@12000:pe3;timeout=5000".
-/// Unknown terms and out-of-range values are rejected eagerly with a
-/// descriptive error (PE indices are range-checked later, in Validate()).
+/// Rejects what is wrong in the spec alone, with an error quoting the
+/// clause: unknown kinds and keys, malformed or non-finite numbers, factors
+/// below 1, iorate outside [0, 1), self-links and duplicate clauses.  Rules
+/// that need the rest of the config (PE ranges, retries >= 1, timeout >= 0,
+/// the membership timeline) are SystemConfig::Validate()'s; the figure
+/// drivers run it on every point after applying --faults.
 Status ParseFaultSpec(const std::string& spec, FaultConfig* out);
 
 /// Overload-adaptive graceful degradation.  The control node classifies the

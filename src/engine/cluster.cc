@@ -2,7 +2,6 @@
 
 #include "engine/cluster.h"
 
-#include <cassert>
 #include <chrono>
 #include <stdexcept>
 
@@ -17,12 +16,25 @@
 
 namespace pdblb {
 
+namespace {
+
+// One query of a class, as the task to spawn: run through the fault
+// supervisor when SystemConfig::faults is enabled, otherwise the executor
+// itself (no supervisor frame and no std::function, so fault-free runs keep
+// their event and RNG streams).
+template <typename Execute>
+sim::Task<> Query(Cluster& cluster, Execute execute) {
+  if (!cluster.config().faults.Enabled()) return execute(nullptr);
+  return cluster.faults().Supervise(std::move(execute));
+}
+
+}  // namespace
+
 Cluster::Cluster(const SystemConfig& config)
     : config_(config), root_rng_(config.seed),
       workload_rng_(root_rng_.Fork(1)), arrival_rng_(root_rng_.Fork(2)) {
   Status st = config_.Validate();
-  assert(st.ok() && "invalid SystemConfig");
-  (void)st;
+  if (!st.ok()) throw std::invalid_argument(st.ToString());
 
   if (config_.trace.enabled && sim::kTraceCompiledIn) {
     tracer_ = std::make_unique<sim::Tracer>(
@@ -171,78 +183,43 @@ void Cluster::SpawnBackground() {
   sched_.Spawn(deadlock_detector_->Run());
 }
 
-void Cluster::SpawnJoin() {
-  if (config_.faults.Enabled()) {
-    sched_.Spawn(faults_->Supervise(
-        [this](QueryAttempt* qa) { return ExecuteJoinQuery(*this, qa); }));
-  } else {
-    sched_.Spawn(ExecuteJoinQuery(*this));
-  }
-}
-
-void Cluster::SpawnScan() {
-  if (config_.faults.Enabled()) {
-    sched_.Spawn(faults_->Supervise(
-        [this](QueryAttempt* qa) { return ExecuteScanQuery(*this, qa); }));
-  } else {
-    sched_.Spawn(ExecuteScanQuery(*this));
-  }
-}
-
-void Cluster::SpawnUpdate() {
-  if (config_.faults.Enabled()) {
-    sched_.Spawn(faults_->Supervise(
-        [this](QueryAttempt* qa) { return ExecuteUpdateQuery(*this, qa); }));
-  } else {
-    sched_.Spawn(ExecuteUpdateQuery(*this));
-  }
-}
-
-void Cluster::SpawnMultiway() {
-  if (config_.faults.Enabled()) {
-    sched_.Spawn(faults_->Supervise([this](QueryAttempt* qa) {
-      return ExecuteMultiwayJoinQuery(*this, qa);
-    }));
-  } else {
-    sched_.Spawn(ExecuteMultiwayJoinQuery(*this));
-  }
-}
-
-void Cluster::SpawnOltp(PeId node) {
-  if (config_.faults.Enabled()) {
-    sched_.Spawn(faults_->Supervise([this, node](QueryAttempt* qa) {
-      return ExecuteOltpTransaction(*this, node, qa);
-    }));
-  } else {
-    sched_.Spawn(ExecuteOltpTransaction(*this, node));
-  }
-}
-
 void Cluster::SpawnOpenWorkload() {
+  auto join = [this](QueryAttempt* qa) { return ExecuteJoinQuery(*this, qa); };
+  auto scan = [this](QueryAttempt* qa) { return ExecuteScanQuery(*this, qa); };
+  auto update = [this](QueryAttempt* qa) {
+    return ExecuteUpdateQuery(*this, qa);
+  };
+  auto multiway = [this](QueryAttempt* qa) {
+    return ExecuteMultiwayJoinQuery(*this, qa);
+  };
+  auto oltp = [this](PeId node) {
+    return [this, node](QueryAttempt* qa) {
+      return ExecuteOltpTransaction(*this, node, qa);
+    };
+  };
+  auto spawn = [this](auto execute) { sched_.Spawn(Query(*this, execute)); };
   if (trace_.has_value()) {
     // Trace-driven mode: one dispatcher replaces all Poisson sources.
     sched_.Spawn(ReplayTrace(
-        sched_, std::move(*trace_), [this](const TraceEvent& event) {
+        sched_, std::move(*trace_), [=, this](const TraceEvent& event) {
           switch (event.cls) {
             case TraceClass::kJoin:
-              SpawnJoin();
+              spawn(join);
               break;
             case TraceClass::kScan:
-              SpawnScan();
+              spawn(scan);
               break;
             case TraceClass::kUpdate:
-              SpawnUpdate();
+              spawn(update);
               break;
             case TraceClass::kMultiwayJoin:
-              SpawnMultiway();
+              spawn(multiway);
               break;
             case TraceClass::kOltp: {
               PeId node = std::min<PeId>(event.oltp_node, config_.num_pes - 1);
               // OLTP events need the node's private relation; traces with
               // OLTP require oltp.enabled so the schema includes them.
-              if (db_->oltp_relation(node) != nullptr) {
-                SpawnOltp(node);
-              }
+              if (db_->oltp_relation(node) != nullptr) spawn(oltp(node));
               break;
             }
           }
@@ -250,38 +227,31 @@ void Cluster::SpawnOpenWorkload() {
     trace_.reset();
     return;
   }
+  // One Poisson source per query class, each on its own arrival stream.
+  auto source = [&](uint64_t stream, double rate_per_second, auto execute) {
+    sched_.Spawn(PoissonArrivals(sched_, arrival_rng_.Fork(stream),
+                                 rate_per_second,
+                                 [=](int64_t) { spawn(execute); }));
+  };
+  const double pes = static_cast<double>(config_.num_pes);
   if (config_.join_query.arrival_rate_per_pe_qps > 0.0) {
-    double rate = config_.join_query.arrival_rate_per_pe_qps *
-                  static_cast<double>(config_.num_pes);
-    sched_.Spawn(PoissonArrivals(sched_, arrival_rng_.Fork(10), rate,
-                                 [this](int64_t) { SpawnJoin(); }));
+    source(10, config_.join_query.arrival_rate_per_pe_qps * pes, join);
   }
   if (config_.scan_query.enabled &&
       config_.scan_query.arrival_rate_per_pe_qps > 0.0) {
-    double rate = config_.scan_query.arrival_rate_per_pe_qps *
-                  static_cast<double>(config_.num_pes);
-    sched_.Spawn(PoissonArrivals(sched_, arrival_rng_.Fork(20), rate,
-                                 [this](int64_t) { SpawnScan(); }));
+    source(20, config_.scan_query.arrival_rate_per_pe_qps * pes, scan);
   }
   if (config_.update_query.enabled &&
       config_.update_query.arrival_rate_per_pe_qps > 0.0) {
-    double rate = config_.update_query.arrival_rate_per_pe_qps *
-                  static_cast<double>(config_.num_pes);
-    sched_.Spawn(PoissonArrivals(sched_, arrival_rng_.Fork(30), rate,
-                                 [this](int64_t) { SpawnUpdate(); }));
+    source(30, config_.update_query.arrival_rate_per_pe_qps * pes, update);
   }
   if (config_.multiway_join.enabled &&
       config_.multiway_join.arrival_rate_per_pe_qps > 0.0) {
-    double rate = config_.multiway_join.arrival_rate_per_pe_qps *
-                  static_cast<double>(config_.num_pes);
-    sched_.Spawn(PoissonArrivals(sched_, arrival_rng_.Fork(40), rate,
-                                 [this](int64_t) { SpawnMultiway(); }));
+    source(40, config_.multiway_join.arrival_rate_per_pe_qps * pes, multiway);
   }
   if (config_.oltp.enabled) {
     for (PeId node : db_->oltp_nodes()) {
-      sched_.Spawn(PoissonArrivals(
-          sched_, arrival_rng_.Fork(1000 + node), config_.oltp.tps_per_node,
-          [this, node](int64_t) { SpawnOltp(node); }));
+      source(1000 + node, config_.oltp.tps_per_node, oltp(node));
     }
   }
 }
@@ -293,7 +263,7 @@ void Cluster::ResetStatistics() {
 
 MetricsReport Cluster::Collect(SimTime measure_start,
                                SimTime measure_end) const {
-  MetricsReport r;
+  MetricsReport r = metrics_.counters();
   double seconds = MsToSeconds(measure_end - measure_start);
   r.measurement_seconds = seconds;
 
@@ -316,13 +286,11 @@ MetricsReport Cluster::Collect(SimTime measure_start,
   r.oltp_completed = metrics_.oltp_rt().count();
   r.oltp_throughput_tps =
       seconds > 0 ? static_cast<double>(r.oltp_completed) / seconds : 0.0;
-  r.oltp_aborts = metrics_.oltp_aborts();
 
   r.scan_rt_ms = metrics_.scan_rt().mean();
   r.scans_completed = metrics_.scan_rt().count();
   r.update_rt_ms = metrics_.update_rt().mean();
   r.updates_completed = metrics_.update_rt().count();
-  r.update_aborts = metrics_.update_aborts();
   r.multiway_rt_ms = metrics_.multiway_rt().mean();
   r.multiway_completed = metrics_.multiway_rt().count();
 
@@ -345,20 +313,6 @@ MetricsReport Cluster::Collect(SimTime measure_start,
         static_cast<double>(r.buffer_hits + r.buffer_misses);
   }
 
-  r.queries_timed_out = metrics_.queries_timed_out();
-  r.queries_retried = metrics_.queries_retried();
-  r.queries_failed = metrics_.queries_failed();
-  r.queries_degraded = metrics_.queries_degraded();
-  r.pe_crashes = metrics_.pe_crashes();
-  r.pe_recoveries = metrics_.pe_recoveries();
-  r.queries_shed = metrics_.queries_shed();
-  r.link_partitions = metrics_.link_partitions();
-  r.pes_added = metrics_.pes_added();
-  r.pes_drained = metrics_.pes_drained();
-  r.fragments_migrated = metrics_.fragments_migrated();
-  r.migration_pages_moved = metrics_.migration_pages_moved();
-  r.migration_pages_discarded = metrics_.migration_pages_discarded();
-  r.migrations_replanned = metrics_.migrations_replanned();
   for (const auto& pe : pes_) {
     r.io_errors += pe->disks().io_errors();
     r.io_retries += pe->disks().io_retries();
@@ -387,13 +341,10 @@ MetricsReport Cluster::Run() {
     bool done = false;
     sched_.Spawn(ClosedLoop(
         config_.single_user_queries,
-        [this](int64_t) -> sim::Task<> {
-          if (config_.faults.Enabled()) {
-            return faults_->Supervise([this](QueryAttempt* qa) {
-              return ExecuteJoinQuery(*this, qa);
-            });
-          }
-          return ExecuteJoinQuery(*this);
+        [this](int64_t) {
+          return Query(*this, [this](QueryAttempt* qa) {
+            return ExecuteJoinQuery(*this, qa);
+          });
         },
         &done));
     while (!done && sched_.pending_events() > 0) {

@@ -42,9 +42,8 @@ class FaultInjector;
 
 class Cluster {
  public:
-  /// The configuration must satisfy SystemConfig::Validate(); construction
-  /// asserts on invalid configurations (use Validate() directly for
-  /// user-facing checks).
+  /// Throws std::invalid_argument, with SystemConfig::Validate()'s message,
+  /// when the configuration is invalid.
   explicit Cluster(const SystemConfig& config);
   ~Cluster();
   Cluster(const Cluster&) = delete;
@@ -127,14 +126,6 @@ class Cluster {
  private:
   void SpawnBackground();
   void SpawnOpenWorkload();
-  // Spawn one query of the given class, routed through the fault
-  // supervisor when SystemConfig::faults is enabled (direct spawn
-  // otherwise, preserving the fault-free event and RNG streams).
-  void SpawnJoin();
-  void SpawnScan();
-  void SpawnUpdate();
-  void SpawnMultiway();
-  void SpawnOltp(PeId node);
   sim::Task<> ControlReportLoop();
   void ReportAllPes(SimTime window_ms);
   void ResetStatistics();

@@ -8,12 +8,227 @@
 
 #include <array>
 #include <cstdint>
+#include <string>
+#include <type_traits>
 
+#include "common/table.h"
 #include "common/units.h"
 #include "simkern/stats.h"
 #include "simkern/trace_ring.h"
 
 namespace pdblb {
+
+/// Per-subsystem arrays of the event-trace attribution (indexed by
+/// sim::TraceSubsystem).
+using TraceSubsystemEvents = std::array<uint64_t, sim::kNumTraceSubsystems>;
+using TraceSubsystemTimes = std::array<double, sim::kNumTraceSubsystems>;
+
+/// The two per-point blocks the figure drivers print after the figure table
+/// (a text table plus an array in --report-json), each only when some point
+/// shows activity in it.
+enum class ReportBlock : uint8_t { kNone, kRobustness, kElasticity };
+
+/// Title of a block's table and key of its --report-json array.
+constexpr const char* ReportBlockName(ReportBlock block) {
+  return block == ReportBlock::kRobustness ? "robustness" : "elasticity";
+}
+
+/// How one MetricsReport field is printed: its row in
+/// PDBLB_METRICS_REPORT_FIELDS, built with CsvColumn / NotInCsv /
+/// HostMeasured and optionally .Robustness / .Elasticity.
+struct ReportField {
+  const char* name = nullptr;   ///< the member's name
+  const char* csv = nullptr;    ///< CSV column; nullptr: not in the CSV
+  int decimals = 0;             ///< places of a double in the CSV and JSON
+  /// Derived from wall-clock time, so it varies run to run: never in the
+  /// CSV and never compared by the determinism tests.
+  bool host_measured = false;
+  ReportBlock block = ReportBlock::kNone;
+  size_t column = 0;            ///< column order within the block
+  const char* label = nullptr;  ///< block table header
+  const char* json = nullptr;   ///< block --report-json key
+  bool activity = false;        ///< nonzero here makes the block print
+
+  constexpr ReportField Robustness(size_t col, const char* table_label,
+                                   const char* json_key,
+                                   bool is_activity = true) const {
+    return In(ReportBlock::kRobustness, col, table_label, json_key,
+              is_activity);
+  }
+  constexpr ReportField Elasticity(size_t col, const char* table_label,
+                                   const char* json_key) const {
+    return In(ReportBlock::kElasticity, col, table_label, json_key, true);
+  }
+
+ private:
+  constexpr ReportField In(ReportBlock b, size_t col, const char* table_label,
+                           const char* json_key, bool is_activity) const {
+    ReportField f = *this;
+    f.block = b;
+    f.column = col;
+    f.label = table_label;
+    f.json = json_key;
+    f.activity = is_activity;
+    return f;
+  }
+};
+
+/// A CSV column; `decimals` applies to doubles (integers print in full).
+constexpr ReportField CsvColumn(const char* column, int decimals = 0) {
+  ReportField f;
+  f.csv = column;
+  f.decimals = decimals;
+  return f;
+}
+/// A seed-deterministic field that is not in the CSV.
+constexpr ReportField NotInCsv() { return ReportField{}; }
+/// A field measured in host time (see ReportField::host_measured).
+constexpr ReportField HostMeasured() {
+  ReportField f;
+  f.host_measured = true;
+  return f;
+}
+
+// Every MetricsReport field, declared once: X(type, member, how it prints).
+// Row order is the CSV column order (runner::ResultsCsv); the robustness and
+// elasticity blocks order their columns by the number they give.
+//
+// * Query classes: response-time means over the measurement window;
+//   *_completed count them, throughputs divide by measurement_seconds.
+// * Resources: averages of the periodic per-PE samples.  Concurrency
+//   control, buffer and io_* / slow_disk_ms counters aggregate the per-PE
+//   counters over the measurement window (the warm-up reset clears them).
+//   buffer_hit_ratio is hits / (hits + misses), 0 when nothing was fetched.
+// * Faults (engine/faults.h) and elastic resize (engine/elastic.h): all
+//   zero without them.  Query counters cover the measurement window;
+//   crashes, recoveries, partitions and membership/migration counters cover
+//   the whole run (they are scripted or rate-driven, not workload outcomes).
+// * kernel_events counts calendar events and kernel_handoffs the
+//   calendar-bypassing hand-off resumes, over the whole run; both are
+//   deterministic per seed.  wall_seconds and kernel_events_per_sec are
+//   host-measured.
+// * trace_*: per-subsystem attribution of the event trace over the whole
+//   run, filled when SystemConfig::trace.enabled and the build has tracing
+//   compiled in (zeros otherwise); trace_subsystem_time_ms[s] is the
+//   simulated time advanced by dispatches attributed to s.  Deterministic.
+#define PDBLB_METRICS_REPORT_FIELDS(X)                                       \
+  X(double, join_rt_ms, CsvColumn("join_rt_ms", 3))                          \
+  X(double, join_rt_max_ms, NotInCsv())                                      \
+  X(int64_t, joins_completed,                                                \
+    NotInCsv().Robustness(0, "done", "completed", /*is_activity=*/false))    \
+  X(double, avg_degree, CsvColumn("avg_degree", 3))                          \
+  X(double, cpu_utilization, CsvColumn("cpu_util", 4))                       \
+  X(double, disk_utilization, CsvColumn("disk_util", 4))                     \
+  X(double, memory_utilization, CsvColumn("mem_util", 4))                    \
+  X(double, avg_memory_queue_wait_ms, NotInCsv())                            \
+  X(double, temp_pages_written_per_join, CsvColumn("temp_pages_per_join", 2)) \
+  X(double, temp_pages_read_per_join, NotInCsv())                            \
+  X(double, join_throughput_qps, CsvColumn("join_qps", 3))                   \
+  X(double, oltp_rt_ms, CsvColumn("oltp_rt_ms", 3))                          \
+  X(int64_t, oltp_completed, NotInCsv())                                     \
+  X(double, oltp_throughput_tps, CsvColumn("oltp_tps", 3))                   \
+  X(int64_t, oltp_aborts, NotInCsv())                                        \
+  X(double, scan_rt_ms, CsvColumn("scan_rt_ms", 3))                          \
+  X(int64_t, scans_completed, NotInCsv())                                    \
+  X(double, update_rt_ms, CsvColumn("update_rt_ms", 3))                      \
+  X(int64_t, updates_completed, NotInCsv())                                  \
+  X(int64_t, update_aborts, NotInCsv())                                      \
+  X(double, multiway_rt_ms, CsvColumn("multiway_rt_ms", 3))                  \
+  X(int64_t, multiway_completed, NotInCsv())                                 \
+  X(int64_t, lock_waits, CsvColumn("lock_waits"))                            \
+  X(int64_t, deadlock_aborts, NotInCsv())                                    \
+  X(int64_t, queries_timed_out,                                              \
+    CsvColumn("queries_timed_out").Robustness(4, "t/o", "timed_out"))        \
+  X(int64_t, queries_retried,                                                \
+    CsvColumn("queries_retried").Robustness(3, "retry", "retried"))          \
+  X(int64_t, queries_failed,                                                 \
+    CsvColumn("queries_failed").Robustness(5, "fail", "failed"))             \
+  X(int64_t, queries_degraded,                                               \
+    CsvColumn("queries_degraded").Robustness(2, "degr", "degraded"))         \
+  X(int64_t, pe_crashes,                                                     \
+    CsvColumn("pe_crashes").Robustness(10, "crash", "pe_crashes"))           \
+  X(int64_t, pe_recoveries, CsvColumn("pe_recoveries"))                      \
+  X(int64_t, queries_shed,                                                   \
+    CsvColumn("queries_shed").Robustness(1, "shed", "shed"))                 \
+  X(int64_t, io_errors,                                                      \
+    CsvColumn("io_errors").Robustness(6, "io err", "io_errors"))             \
+  X(int64_t, io_retries,                                                     \
+    CsvColumn("io_retries").Robustness(7, "io rtry", "io_retries"))          \
+  X(int64_t, link_partitions,                                                \
+    CsvColumn("link_partitions").Robustness(8, "parts", "link_partitions"))  \
+  X(double, slow_disk_ms,                                                    \
+    CsvColumn("slow_disk_ms", 3).Robustness(9, "slow ms", "slow_disk_ms"))   \
+  X(int64_t, pes_added,                                                      \
+    CsvColumn("pes_added").Elasticity(0, "added", "pes_added"))              \
+  X(int64_t, pes_drained,                                                    \
+    CsvColumn("pes_drained").Elasticity(1, "drained", "pes_drained"))        \
+  X(int64_t, fragments_migrated,                                             \
+    CsvColumn("fragments_migrated")                                          \
+        .Elasticity(2, "frags", "fragments_migrated"))                       \
+  X(int64_t, migration_pages_moved,                                          \
+    CsvColumn("migration_pages_moved")                                       \
+        .Elasticity(3, "pages", "migration_pages_moved"))                    \
+  X(int64_t, migration_pages_discarded,                                      \
+    CsvColumn("migration_pages_discarded")                                   \
+        .Elasticity(4, "discarded", "migration_pages_discarded"))            \
+  X(int64_t, migrations_replanned,                                           \
+    CsvColumn("migrations_replanned")                                        \
+        .Elasticity(5, "replans", "migrations_replanned"))                   \
+  X(double, buffer_hit_ratio, CsvColumn("buf_hit_ratio", 4))                 \
+  X(int64_t, buffer_hits, CsvColumn("buf_hits"))                             \
+  X(int64_t, buffer_misses, CsvColumn("buf_misses"))                         \
+  X(int64_t, buffer_evictions, CsvColumn("buf_evictions"))                   \
+  X(int64_t, buffer_writebacks, CsvColumn("buf_writebacks"))                 \
+  X(uint64_t, kernel_events, CsvColumn("kernel_events"))                     \
+  X(uint64_t, kernel_handoffs, CsvColumn("kernel_handoffs"))                 \
+  X(double, measurement_seconds, NotInCsv())                                 \
+  X(double, wall_seconds, HostMeasured())                                    \
+  X(double, kernel_events_per_sec, HostMeasured())                           \
+  X(bool, trace_enabled, NotInCsv())                                         \
+  X(TraceSubsystemEvents, trace_subsystem_events, NotInCsv())                \
+  X(TraceSubsystemTimes, trace_subsystem_time_ms, NotInCsv())
+
+/// Flat result record of one simulation run (what benches print).
+struct MetricsReport {
+#define PDBLB_DECLARE_REPORT_FIELD(type, member, how) type member{};
+  PDBLB_METRICS_REPORT_FIELDS(PDBLB_DECLARE_REPORT_FIELD)
+#undef PDBLB_DECLARE_REPORT_FIELD
+};
+
+/// Calls fn(field, member) for every MetricsReport field in declaration
+/// order, where `member` is the field's pointer to member.
+template <typename Fn>
+void ForEachReportField(Fn&& fn) {
+#define PDBLB_VISIT_REPORT_FIELD(type, member, how) \
+  {                                                 \
+    ReportField field = how;                        \
+    field.name = #member;                           \
+    fn(field, &MetricsReport::member);              \
+  }
+  PDBLB_METRICS_REPORT_FIELDS(PDBLB_VISIT_REPORT_FIELD)
+#undef PDBLB_VISIT_REPORT_FIELD
+}
+
+/// ForEachReportField over the fields that hold one number (all but the
+/// trace arrays); every CSV and block field is one.
+template <typename Fn>
+void ForEachScalarReportField(Fn&& fn) {
+  ForEachReportField([&](const ReportField& field, auto member) {
+    using T = std::remove_reference_t<decltype(MetricsReport{}.*member)>;
+    if constexpr (std::is_arithmetic_v<T>) fn(field, member);
+  });
+}
+
+/// A field's value as the CSV and --report-json print it: a double with
+/// `decimals` places (printf "%.*f"), an integer in full.
+template <typename T>
+std::string FormatReportValue(T value, int decimals) {
+  if constexpr (std::is_floating_point_v<T>) {
+    return TextTable::Num(value, decimals);
+  } else {
+    return std::to_string(value);
+  }
+}
 
 /// Collected during a run.
 class MetricsCollector {
@@ -34,7 +249,7 @@ class MetricsCollector {
   void RecordOltp(SimTime response_ms, int aborts, SimTime now) {
     if (!Measuring(now)) return;
     oltp_rt_.Add(response_ms);
-    oltp_aborts_ += aborts;
+    counters_.oltp_aborts += aborts;
   }
 
   void RecordScan(SimTime response_ms, SimTime now) {
@@ -45,7 +260,7 @@ class MetricsCollector {
   void RecordUpdate(SimTime response_ms, int aborts, SimTime now) {
     if (!Measuring(now)) return;
     update_rt_.Add(response_ms);
-    update_aborts_ += aborts;
+    counters_.update_aborts += aborts;
   }
 
   void RecordMultiwayJoin(SimTime response_ms, int stages, SimTime now) {
@@ -71,58 +286,58 @@ class MetricsCollector {
 
   /// A query attempt exceeded its deadline (kDeadlineExceeded, no retry).
   void RecordQueryTimedOut(SimTime now) {
-    if (!Measuring(now)) return;
-    ++queries_timed_out_;
+    if (Measuring(now)) ++counters_.queries_timed_out;
   }
   /// One retry of a query whose attempt hit a failed PE (kUnavailable).
   void RecordQueryRetried(SimTime now) {
-    if (!Measuring(now)) return;
-    ++queries_retried_;
+    if (Measuring(now)) ++counters_.queries_retried;
   }
   /// A query exhausted its retry budget.
   void RecordQueryFailed(SimTime now) {
-    if (!Measuring(now)) return;
-    ++queries_failed_;
+    if (Measuring(now)) ++counters_.queries_failed;
   }
   /// A query completed degraded: after at least one retry, or on a
   /// reduced-parallelism plan issued under overload.
   void RecordQueryDegraded(SimTime now) {
-    if (!Measuring(now)) return;
-    ++queries_degraded_;
+    if (Measuring(now)) ++counters_.queries_degraded;
   }
   /// A query was rejected at admission while the control node was shedding
   /// load (kResourceExhausted, never retried).
   void RecordQueryShed(SimTime now) {
-    if (!Measuring(now)) return;
-    ++queries_shed_;
+    if (Measuring(now)) ++counters_.queries_shed;
   }
   /// PE crash / recovery events are counted over the whole run (they are
   /// scripted or rate-driven, not workload outcomes, so warm-up applies
   /// no differently).
-  void RecordPeCrash() { ++pe_crashes_; }
-  void RecordPeRecovery() { ++pe_recoveries_; }
+  void RecordPeCrash() { ++counters_.pe_crashes; }
+  void RecordPeRecovery() { ++counters_.pe_recoveries; }
   /// A scripted network partition was applied (whole run, like crashes).
-  void RecordLinkPartition() { ++link_partitions_; }
+  void RecordLinkPartition() { ++counters_.link_partitions; }
 
   // --- elastic resize (engine/elastic.h) -----------------------------------
   // Whole-run counters like crashes: membership events are scripted, not
   // workload outcomes, so warm-up applies no differently.
   /// A spare PE joined the membership (addpe fired).
-  void RecordPeAdded() { ++pes_added_; }
+  void RecordPeAdded() { ++counters_.pes_added; }
   /// A draining PE finished migrating its fragments out and left.
-  void RecordPeDrained() { ++pes_drained_; }
+  void RecordPeDrained() { ++counters_.pes_drained; }
   /// One fragment finished migrating (ownership flipped), moving `pages`.
   void RecordFragmentMigrated(int64_t pages) {
-    ++fragments_migrated_;
-    migration_pages_moved_ += pages;
+    ++counters_.fragments_migrated;
+    counters_.migration_pages_moved += pages;
   }
   /// Destination pages of an aborted in-flight migration were discarded
   /// (crash unwind); the fragment stays with its donor.
   void RecordMigrationPagesDiscarded(int64_t pages) {
-    migration_pages_discarded_ += pages;
+    counters_.migration_pages_discarded += pages;
   }
   /// The rebalance plan was recomputed around a crashed/lost PE.
-  void RecordMigrationReplanned() { ++migrations_replanned_; }
+  void RecordMigrationReplanned() { ++counters_.migrations_replanned; }
+
+  /// The report fields counted directly (aborts, fault and elastic
+  /// counters); every other field is zero.  Cluster::Collect starts from a
+  /// copy and fills in the rest.
+  const MetricsReport& counters() const { return counters_; }
 
   const sim::SampleStat& join_rt() const { return join_rt_; }
   const sim::SampleStat& oltp_rt() const { return oltp_rt_; }
@@ -130,7 +345,6 @@ class MetricsCollector {
   const sim::SampleStat& update_rt() const { return update_rt_; }
   const sim::SampleStat& multiway_rt() const { return multiway_rt_; }
   const sim::SampleStat& multiway_stages() const { return multiway_stages_; }
-  int64_t update_aborts() const { return update_aborts_; }
   const sim::SampleStat& degree() const { return degree_; }
   const sim::SampleStat& cpu_util() const { return cpu_util_; }
   const sim::SampleStat& disk_util() const { return disk_util_; }
@@ -140,33 +354,16 @@ class MetricsCollector {
   }
   int64_t temp_pages_written() const { return temp_pages_written_; }
   int64_t temp_pages_read() const { return temp_pages_read_; }
-  int64_t oltp_aborts() const { return oltp_aborts_; }
-  int64_t queries_timed_out() const { return queries_timed_out_; }
-  int64_t queries_retried() const { return queries_retried_; }
-  int64_t queries_failed() const { return queries_failed_; }
-  int64_t queries_degraded() const { return queries_degraded_; }
-  int64_t queries_shed() const { return queries_shed_; }
-  int64_t pe_crashes() const { return pe_crashes_; }
-  int64_t pe_recoveries() const { return pe_recoveries_; }
-  int64_t link_partitions() const { return link_partitions_; }
-  int64_t pes_added() const { return pes_added_; }
-  int64_t pes_drained() const { return pes_drained_; }
-  int64_t fragments_migrated() const { return fragments_migrated_; }
-  int64_t migration_pages_moved() const { return migration_pages_moved_; }
-  int64_t migration_pages_discarded() const {
-    return migration_pages_discarded_;
-  }
-  int64_t migrations_replanned() const { return migrations_replanned_; }
 
  private:
   SimTime warmup_end_ = 0.0;
+  MetricsReport counters_;
   sim::SampleStat join_rt_;
   sim::SampleStat oltp_rt_;
   sim::SampleStat scan_rt_;
   sim::SampleStat update_rt_;
   sim::SampleStat multiway_rt_;
   sim::SampleStat multiway_stages_;
-  int64_t update_aborts_ = 0;
   sim::SampleStat degree_;
   sim::SampleStat cpu_util_;
   sim::SampleStat disk_util_;
@@ -174,129 +371,6 @@ class MetricsCollector {
   sim::SampleStat memory_queue_wait_;
   int64_t temp_pages_written_ = 0;
   int64_t temp_pages_read_ = 0;
-  int64_t oltp_aborts_ = 0;
-  int64_t queries_timed_out_ = 0;
-  int64_t queries_retried_ = 0;
-  int64_t queries_failed_ = 0;
-  int64_t queries_degraded_ = 0;
-  int64_t queries_shed_ = 0;
-  int64_t pe_crashes_ = 0;
-  int64_t pe_recoveries_ = 0;
-  int64_t link_partitions_ = 0;
-  int64_t pes_added_ = 0;
-  int64_t pes_drained_ = 0;
-  int64_t fragments_migrated_ = 0;
-  int64_t migration_pages_moved_ = 0;
-  int64_t migration_pages_discarded_ = 0;
-  int64_t migrations_replanned_ = 0;
-};
-
-/// Flat result record of one simulation run (what benches print).
-struct MetricsReport {
-  // Join query class.
-  double join_rt_ms = 0.0;
-  double join_rt_max_ms = 0.0;
-  int64_t joins_completed = 0;
-  double join_throughput_qps = 0.0;
-  double avg_degree = 0.0;
-  double temp_pages_written_per_join = 0.0;
-  double temp_pages_read_per_join = 0.0;
-
-  // OLTP class.
-  double oltp_rt_ms = 0.0;
-  int64_t oltp_completed = 0;
-  double oltp_throughput_tps = 0.0;
-  int64_t oltp_aborts = 0;
-
-  // Standalone scan query class.
-  double scan_rt_ms = 0.0;
-  int64_t scans_completed = 0;
-
-  // Update statement class.
-  double update_rt_ms = 0.0;
-  int64_t updates_completed = 0;
-  int64_t update_aborts = 0;
-
-  // Multi-way join class.
-  double multiway_rt_ms = 0.0;
-  int64_t multiway_completed = 0;
-
-  // Resources (averages of periodic per-PE samples during measurement).
-  double cpu_utilization = 0.0;
-  double disk_utilization = 0.0;
-  double memory_utilization = 0.0;
-  double avg_memory_queue_wait_ms = 0.0;
-
-  // Concurrency control (aggregated over all PEs during measurement).
-  int64_t lock_waits = 0;
-  int64_t deadlock_aborts = 0;
-
-  // Buffer manager (aggregated over all PEs during measurement; the warm-up
-  // reset clears the per-PE counters, so these cover the window only).
-  // Hit ratio is hits / (hits + misses), 0 when no page was fetched — the
-  // eviction-policy ablation metric (bench/ablate_eviction.cc).
-  int64_t buffer_hits = 0;
-  int64_t buffer_misses = 0;
-  int64_t buffer_evictions = 0;
-  int64_t buffer_writebacks = 0;
-  double buffer_hit_ratio = 0.0;
-
-  // Fault injection / query deadlines (engine/faults.h); all zero in
-  // fault-free runs.  Query counters cover the measurement window; crash /
-  // recovery counters cover the whole run.
-  int64_t queries_timed_out = 0;
-  int64_t queries_retried = 0;
-  int64_t queries_failed = 0;
-  int64_t queries_degraded = 0;
-  int64_t pe_crashes = 0;
-  int64_t pe_recoveries = 0;
-
-  // Gray-failure fault domains (disk / network / overload); all zero in
-  // fault-free runs.  io_* and slow_disk_ms aggregate the per-PE disk
-  // counters over the measurement window (the warm-up reset clears them);
-  // queries_shed covers the measurement window; link_partitions counts
-  // scripted partition events over the whole run.
-  int64_t queries_shed = 0;
-  int64_t io_errors = 0;
-  int64_t io_retries = 0;
-  int64_t link_partitions = 0;
-  double slow_disk_ms = 0.0;
-
-  // Elastic resize (engine/elastic.h); all zero without addpe/drainpe
-  // events.  Whole-run counters, like crashes.
-  int64_t pes_added = 0;
-  int64_t pes_drained = 0;
-  int64_t fragments_migrated = 0;
-  int64_t migration_pages_moved = 0;
-  int64_t migration_pages_discarded = 0;
-  int64_t migrations_replanned = 0;
-
-  double measurement_seconds = 0.0;
-
-  // Simulation-kernel throughput for the whole run (diagnostics).
-  // `kernel_events` counts calendar events and `kernel_handoffs` counts
-  // calendar-bypassing hand-off resumes (channel value hand-offs); since
-  // the frameless-awaiter kernel, a contended Resource::Use dispatches one
-  // calendar event instead of two, so `kernel_events` is markedly lower
-  // than under the PR 1 kernel for the same workload.  Both counters are
-  // deterministic per seed; `kernel_events_per_sec` divides by wall-clock
-  // time and therefore varies run to run — it must not take part in
-  // determinism comparisons.
-  uint64_t kernel_events = 0;
-  uint64_t kernel_handoffs = 0;
-  double wall_seconds = 0.0;
-  double kernel_events_per_sec = 0.0;
-
-  // Per-subsystem attribution of the event trace (whole run, including
-  // warm-up and drain), filled when SystemConfig::trace.enabled and the
-  // build has tracing compiled in (sim::kTraceCompiledIn); all zeros
-  // otherwise.  Indexed by sim::TraceSubsystem.  trace_subsystem_time_ms[s]
-  // is the simulated time advanced by dispatches attributed to s ("where
-  // does simulated time go"); both arrays are seed-deterministic and safe
-  // for determinism comparisons.
-  bool trace_enabled = false;
-  std::array<uint64_t, sim::kNumTraceSubsystems> trace_subsystem_events{};
-  std::array<double, sim::kNumTraceSubsystems> trace_subsystem_time_ms{};
 };
 
 }  // namespace pdblb

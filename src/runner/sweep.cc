@@ -7,6 +7,7 @@
 #include <exception>
 #include <mutex>
 #include <stdexcept>
+#include <string>
 #include <thread>
 
 #include "simkern/tracer.h"
@@ -56,28 +57,8 @@ std::vector<SweepResult> Sweep::Run(const SweepOptions& options) const {
       const SweepPoint& point = points_[i];
       try {
         SystemConfig cfg = point.config;
-        if (options.derive_point_seeds) {
-          cfg.seed = PointSeed(options.root_seed, point.declared_index);
-        }
-        if (!options.trace_path.empty()) {
-          cfg.trace.enabled = true;
-          cfg.trace.capacity = options.trace_capacity;
-        }
-        if (!options.fault_spec.empty()) {
-          Status st = ParseFaultSpec(options.fault_spec, &cfg.faults);
-          if (!st.ok()) throw std::runtime_error(st.ToString());
-        }
-        if (options.query_timeout_ms >= 0.0) {
-          cfg.faults.query_timeout_ms = options.query_timeout_ms;
-        }
-        if (options.migration_bw_mbps > 0.0) {
-          cfg.elastic.migration_bw_mbps = options.migration_bw_mbps;
-        }
-        if (!options.eviction.empty()) {
-          Status st = ParseEvictionPolicy(options.eviction,
-                                          &cfg.buffer.eviction);
-          if (!st.ok()) throw std::runtime_error(st.ToString());
-        }
+        cfg.seed = PointSeed(options.root_seed, point.declared_index);
+        if (!options.trace_path.empty()) cfg.trace.enabled = true;
         Cluster cluster(cfg);
         SweepResult& slot = results[i];
         slot.grid_index = i;
@@ -136,65 +117,22 @@ std::vector<SweepResult> Sweep::Run(const SweepOptions& options) const {
 }
 
 std::string ResultsCsv(const std::vector<SweepResult>& results) {
-  std::string out =
-      "name,x,series,join_rt_ms,avg_degree,cpu_util,disk_util,"
-      "mem_util,temp_pages_per_join,join_qps,oltp_rt_ms,oltp_tps,"
-      "scan_rt_ms,update_rt_ms,multiway_rt_ms,lock_waits,"
-      "queries_timed_out,queries_retried,queries_failed,queries_degraded,"
-      "pe_crashes,pe_recoveries,"
-      "queries_shed,io_errors,io_retries,link_partitions,slow_disk_ms,"
-      "pes_added,pes_drained,fragments_migrated,migration_pages_moved,"
-      "migration_pages_discarded,migrations_replanned,"
-      "buf_hit_ratio,buf_hits,buf_misses,buf_evictions,buf_writebacks,"
-      "kernel_events,kernel_handoffs,seed\n";
+  std::string out = "name,x,series";
+  ForEachScalarReportField([&](const ReportField& field, auto) {
+    if (field.csv == nullptr) return;
+    out += ',';
+    out += field.csv;
+  });
+  out += ",seed\n";
   for (const SweepResult& res : results) {
-    const MetricsReport& r = res.report;
-    // Point/series names are caller-controlled and unbounded, so size the
-    // row exactly instead of risking silent truncation of a fixed buffer.
-    auto format_row = [&](char* buf, size_t cap) {
-      return std::snprintf(
-          buf, cap,
-          "\"%s\",%s,\"%s\",%.3f,%.3f,%.4f,%.4f,%.4f,%.2f,%.3f,%.3f,%.3f,"
-          "%.3f,%.3f,%.3f,%lld,%lld,%lld,%lld,%lld,%lld,%lld,"
-          "%lld,%lld,%lld,%lld,%.3f,"
-          "%lld,%lld,%lld,%lld,%lld,%lld,"
-          "%.4f,%lld,%lld,%lld,%lld,%llu,%llu,"
-          "%llu\n",
-          res.point.name.c_str(), res.point.x_label.c_str(),
-          res.point.series.c_str(), r.join_rt_ms, r.avg_degree,
-          r.cpu_utilization, r.disk_utilization, r.memory_utilization,
-          r.temp_pages_written_per_join, r.join_throughput_qps, r.oltp_rt_ms,
-          r.oltp_throughput_tps, r.scan_rt_ms, r.update_rt_ms,
-          r.multiway_rt_ms, static_cast<long long>(r.lock_waits),
-          static_cast<long long>(r.queries_timed_out),
-          static_cast<long long>(r.queries_retried),
-          static_cast<long long>(r.queries_failed),
-          static_cast<long long>(r.queries_degraded),
-          static_cast<long long>(r.pe_crashes),
-          static_cast<long long>(r.pe_recoveries),
-          static_cast<long long>(r.queries_shed),
-          static_cast<long long>(r.io_errors),
-          static_cast<long long>(r.io_retries),
-          static_cast<long long>(r.link_partitions), r.slow_disk_ms,
-          static_cast<long long>(r.pes_added),
-          static_cast<long long>(r.pes_drained),
-          static_cast<long long>(r.fragments_migrated),
-          static_cast<long long>(r.migration_pages_moved),
-          static_cast<long long>(r.migration_pages_discarded),
-          static_cast<long long>(r.migrations_replanned),
-          r.buffer_hit_ratio, static_cast<long long>(r.buffer_hits),
-          static_cast<long long>(r.buffer_misses),
-          static_cast<long long>(r.buffer_evictions),
-          static_cast<long long>(r.buffer_writebacks),
-          static_cast<unsigned long long>(r.kernel_events),
-          static_cast<unsigned long long>(r.kernel_handoffs),
-          static_cast<unsigned long long>(res.point.config.seed));
-    };
-    int needed = format_row(nullptr, 0);
-    std::string line(static_cast<size_t>(needed) + 1, '\0');
-    format_row(line.data(), line.size());
-    line.resize(static_cast<size_t>(needed));  // drop the NUL
-    out += line;
+    out += '"' + res.point.name + "\"," + res.point.x_label + ",\"" +
+           res.point.series + '"';
+    ForEachScalarReportField([&](const ReportField& field, auto member) {
+      if (field.csv == nullptr) return;
+      out += ',';
+      out += FormatReportValue(res.report.*member, field.decimals);
+    });
+    out += ',' + std::to_string(res.point.config.seed) + '\n';
   }
   return out;
 }

@@ -8,6 +8,9 @@
 //
 //   runner::Sweep sweep;
 //   sweep.Add({"fig5/LUM/40", "LUM", 40, "40", cfg});
+//   for (runner::SweepPoint& p : sweep.mutable_points()) {
+//     p.config.buffer.eviction = EvictionPolicyKind::kClock;  // an override
+//   }
 //   runner::SweepOptions opts;
 //   opts.jobs = 8;
 //   std::vector<runner::SweepResult> r = sweep.Run(opts);   // grid order
@@ -69,11 +72,8 @@ struct SweepOptions {
   int jobs = 1;
 
   /// Root seed of the experiment.  Each point runs with
-  /// config.seed = PointSeed(root_seed, point.declared_index) unless
-  /// derive_point_seeds is off (then the declared per-point config.seed is
-  /// used verbatim).
+  /// config.seed = PointSeed(root_seed, point.declared_index).
   uint64_t root_seed = 42;
-  bool derive_point_seeds = true;
 
   /// Invoked after each completed point (serialized under an internal
   /// mutex, so it may print).  `finished` counts completed points, in
@@ -82,36 +82,13 @@ struct SweepOptions {
                      size_t finished, size_t total)>
       on_point_done;
 
-  /// When non-empty, parsed as a fault spec (common/config.h
-  /// ParseFaultSpec: "crash@8000:pe3;recover@12000:pe3", "rate=0.5;...")
-  /// and applied on top of every point's config.faults — the drivers'
-  /// --faults flag.  Fault timing draws come from a dedicated RNG stream,
-  /// so the CSV stays bit-identical across --jobs with faults on.
-  std::string fault_spec;
-  /// When >= 0, overrides every point's config.faults.query_timeout_ms —
-  /// the drivers' --query-timeout-ms flag (0 disables timeouts).
-  double query_timeout_ms = -1.0;
-
-  /// When > 0, overrides every point's config.elastic.migration_bw_mbps —
-  /// the drivers' --migration-bw flag (MB/s granted to elastic fragment
-  /// migration; engine/elastic.h).  Only observable when the fault spec
-  /// schedules addpe/drainpe events.
-  double migration_bw_mbps = -1.0;
-
-  /// When non-empty, parsed as an eviction-policy name (common/config.h
-  /// ParseEvictionPolicy: "lru", "lru-k", "lfu", "clock") and applied to
-  /// every point's config.buffer.eviction — the drivers' --eviction flag.
-  std::string eviction;
-
   /// When non-empty, event tracing is enabled for every point (overriding
-  /// point.config.trace) and each point's retained trace is dumped to
-  /// "<trace_path>.<declared_index>.csv" as it completes.  File names
+  /// point.config.trace.enabled) and each point's retained trace is dumped
+  /// to "<trace_path>.<declared_index>.csv" as it completes.  File names
   /// derive from the grid index, so — like the CSV — the set of trace
   /// files and their bytes are identical for every --jobs value.  In
   /// PDBLB_TRACE=OFF builds each file holds only the CSV header.
   std::string trace_path;
-  /// Ring capacity per point when trace_path is set.
-  int64_t trace_capacity = 1 << 20;
 };
 
 /// A declared grid of sweep points.
@@ -131,6 +108,9 @@ class Sweep {
   size_t size() const { return points_.size(); }
   bool empty() const { return points_.empty(); }
   const std::vector<SweepPoint>& points() const { return points_; }
+  /// For patching the points' configs before Run (the drivers' config
+  /// overrides); callers must not add, drop or reorder points.
+  std::vector<SweepPoint>& mutable_points() { return points_; }
 
   /// Executes every point and returns the results in grid order.  Safe to
   /// call from one thread at a time; the Sweep itself is not mutated.
@@ -142,9 +122,11 @@ class Sweep {
   std::vector<SweepPoint> points_;
 };
 
-/// CSV header + rows for the deterministic result columns, in grid order.
-/// Wall-clock derived metrics (kernel_events_per_sec, wall_seconds) are
-/// deliberately excluded so the bytes are identical for every --jobs value.
+/// CSV header + rows, in grid order: the point's name, x and series, every
+/// CSV column of the MetricsReport declaration (engine/metrics.h), then the
+/// point's seed.  Host-measured fields (kernel_events_per_sec,
+/// wall_seconds) have no column, so the bytes are identical for every
+/// --jobs value.
 std::string ResultsCsv(const std::vector<SweepResult>& results);
 
 /// Writes ResultsCsv(results) to `path`.

@@ -124,6 +124,21 @@ TEST(SystemConfigTest, RejectsBadParameters) {
   EXPECT_FALSE(cfg.Validate().ok());
 }
 
+// The number parser behind the fault spec and the drivers' --jobs, --seed
+// and --migration-bw: whole tokens and finite values only.
+TEST(ParseNumberTest, AcceptsWholeFiniteTokensOnly) {
+  double d = 0.0;
+  EXPECT_TRUE(ParseNumber("1e3", &d));
+  EXPECT_DOUBLE_EQ(d, 1000.0);
+  for (const char* bad : {"", "nan", "-inf", "8x", " 8", "1e999"}) {
+    EXPECT_FALSE(ParseNumber(bad, &d)) << '"' << bad << '"';
+  }
+  int jobs = 0;
+  EXPECT_FALSE(ParseNumber("2.9", &jobs));
+  uint64_t seed = 0;
+  EXPECT_FALSE(ParseNumber("-1", &seed));
+}
+
 TEST(StrategyConfigTest, NamesMatchPaperLabels) {
   EXPECT_EQ(strategies::PsuOptRandom().Name(), "p_su-opt + RANDOM");
   EXPECT_EQ(strategies::PsuNoIOLUM().Name(), "p_su-noIO + LUM");

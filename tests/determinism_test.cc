@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "engine/cluster.h"
+#include "expect_identical_reports.h"
 
 namespace pdblb {
 namespace {
@@ -15,31 +16,6 @@ namespace {
 MetricsReport RunOnce(const SystemConfig& cfg) {
   Cluster cluster(cfg);
   return cluster.Run();
-}
-
-void ExpectIdentical(const MetricsReport& a, const MetricsReport& b) {
-  EXPECT_DOUBLE_EQ(a.join_rt_ms, b.join_rt_ms);
-  EXPECT_EQ(a.joins_completed, b.joins_completed);
-  EXPECT_DOUBLE_EQ(a.avg_degree, b.avg_degree);
-  EXPECT_DOUBLE_EQ(a.cpu_utilization, b.cpu_utilization);
-  EXPECT_DOUBLE_EQ(a.oltp_rt_ms, b.oltp_rt_ms);
-  EXPECT_EQ(a.oltp_completed, b.oltp_completed);
-  EXPECT_DOUBLE_EQ(a.scan_rt_ms, b.scan_rt_ms);
-  EXPECT_DOUBLE_EQ(a.update_rt_ms, b.update_rt_ms);
-  EXPECT_DOUBLE_EQ(a.multiway_rt_ms, b.multiway_rt_ms);
-  EXPECT_EQ(a.lock_waits, b.lock_waits);
-  // The kernel event count is part of the deterministic surface: two runs
-  // of the same seed must dispatch exactly the same events.  Note the
-  // accounting change with the frameless-awaiter kernel: a contended
-  // Resource::Use now costs one calendar event (the end-of-service resume)
-  // instead of two (grant wake-up + service delay), and channel value
-  // hand-offs bypass the calendar entirely — so absolute kernel_events
-  // values are much lower than under the PR 1 kernel and calendar-
-  // bypassing resumes are pinned separately via kernel_handoffs.
-  // (Wall-clock derived fields like kernel_events_per_sec are
-  // intentionally excluded.)
-  EXPECT_EQ(a.kernel_events, b.kernel_events);
-  EXPECT_EQ(a.kernel_handoffs, b.kernel_handoffs);
 }
 
 SystemConfig SmallConfig() {
@@ -52,7 +28,7 @@ SystemConfig SmallConfig() {
 
 TEST(DeterminismTest, BaseJoinWorkload) {
   SystemConfig cfg = SmallConfig();
-  ExpectIdentical(RunOnce(cfg), RunOnce(cfg));
+  ExpectIdenticalReports(RunOnce(cfg), RunOnce(cfg));
 }
 
 TEST(DeterminismTest, DifferentSeedsDiffer) {
@@ -75,7 +51,7 @@ TEST(DeterminismTest, AllClassesMixed) {
   cfg.multiway_join.arrival_rate_per_pe_qps = 0.02;
   cfg.oltp.enabled = true;
   cfg.oltp.tps_per_node = 20.0;
-  ExpectIdentical(RunOnce(cfg), RunOnce(cfg));
+  ExpectIdenticalReports(RunOnce(cfg), RunOnce(cfg));
 }
 
 TEST(DeterminismTest, SharedDiskArchitecture) {
@@ -84,7 +60,7 @@ TEST(DeterminismTest, SharedDiskArchitecture) {
   cfg.oltp.enabled = true;
   cfg.oltp.placement = OltpPlacement::kANodes;
   cfg.oltp.tps_per_node = 50.0;
-  ExpectIdentical(RunOnce(cfg), RunOnce(cfg));
+  ExpectIdenticalReports(RunOnce(cfg), RunOnce(cfg));
 }
 
 TEST(DeterminismTest, TwoPhaseLockingScheme) {
@@ -92,33 +68,33 @@ TEST(DeterminismTest, TwoPhaseLockingScheme) {
   cfg.cc_scheme = CcScheme::kTwoPhaseLocking;
   cfg.update_query.enabled = true;
   cfg.update_query.arrival_rate_per_pe_qps = 0.2;
-  ExpectIdentical(RunOnce(cfg), RunOnce(cfg));
+  ExpectIdenticalReports(RunOnce(cfg), RunOnce(cfg));
 }
 
 TEST(DeterminismTest, SortMergeJoinMethod) {
   SystemConfig cfg = SmallConfig();
   cfg.local_join_method = LocalJoinMethod::kSortMerge;
-  ExpectIdentical(RunOnce(cfg), RunOnce(cfg));
+  ExpectIdenticalReports(RunOnce(cfg), RunOnce(cfg));
 }
 
 TEST(DeterminismTest, SkewedRedistribution) {
   SystemConfig cfg = SmallConfig();
   cfg.join_query.redistribution_skew = 1.0;
   cfg.strategy.skew_aware_assignment = true;
-  ExpectIdentical(RunOnce(cfg), RunOnce(cfg));
+  ExpectIdenticalReports(RunOnce(cfg), RunOnce(cfg));
 }
 
 TEST(DeterminismTest, SingleUserMode) {
   SystemConfig cfg = SmallConfig();
   cfg.single_user_mode = true;
   cfg.single_user_queries = 10;
-  ExpectIdentical(RunOnce(cfg), RunOnce(cfg));
+  ExpectIdenticalReports(RunOnce(cfg), RunOnce(cfg));
 }
 
 TEST(DeterminismTest, RateMatchStrategy) {
   SystemConfig cfg = SmallConfig();
   cfg.strategy = strategies::RateMatchLUC();
-  ExpectIdentical(RunOnce(cfg), RunOnce(cfg));
+  ExpectIdenticalReports(RunOnce(cfg), RunOnce(cfg));
 }
 
 }  // namespace

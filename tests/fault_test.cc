@@ -9,6 +9,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "common/config.h"
 #include "engine/cluster.h"
 
@@ -150,6 +152,25 @@ TEST(FaultTest, FaultSpecParsingRoundTrips) {
   EXPECT_FALSE(ParseFaultSpec("crash@:pe1", &fc).ok());
   EXPECT_FALSE(ParseFaultSpec("bogus=1", &fc).ok());
   EXPECT_FALSE(ParseFaultSpec("crash@100:3", &fc).ok());
+  // Every number must parse whole and be finite: no unit suffixes, no
+  // truncated fractions, no NaN or infinities.
+  EXPECT_FALSE(ParseFaultSpec("timeout=5000ms", &fc).ok());
+  EXPECT_FALSE(ParseFaultSpec("retries=2.9", &fc).ok());
+  EXPECT_FALSE(ParseFaultSpec("rate=0.5x", &fc).ok());
+  EXPECT_FALSE(ParseFaultSpec("crash@2000x:pe3", &fc).ok());
+  EXPECT_FALSE(ParseFaultSpec("timeout=nan", &fc).ok());
+  EXPECT_FALSE(ParseFaultSpec("crash@nan:pe1", &fc).ok());
+  EXPECT_FALSE(ParseFaultSpec("rate=inf;mttr=1500", &fc).ok());
+  EXPECT_FALSE(ParseFaultSpec("crash@2000:pe 3", &fc).ok());
+}
+
+// A fault on a PE the config does not have is rejected when the Cluster is
+// built, in every build type, instead of indexing past the PE array.
+TEST(FaultTest, ClusterRejectsFaultOnMissingPe) {
+  SystemConfig cfg;
+  cfg.num_pes = 10;
+  ASSERT_TRUE(ParseFaultSpec("crash@2000:pe99", &cfg.faults).ok());
+  EXPECT_THROW(Cluster{cfg}, std::invalid_argument);
 }
 
 // Satellite: the gray-failure grammar terms round-trip into FaultConfig and
@@ -193,6 +214,8 @@ TEST(FaultTest, GrayFailureSpecParsingRoundTrips) {
   EXPECT_FALSE(ParseFaultSpec("iorate=-0.1", &sink).ok());
   EXPECT_FALSE(ParseFaultSpec("meltdown@100:pe1", &sink).ok())
       << "unknown kinds must be rejected, not skipped";
+  EXPECT_FALSE(ParseFaultSpec("slowdisk@2000:pe1:x2.5q", &sink).ok());
+  EXPECT_FALSE(ParseFaultSpec("slowdisk@2000:pe1:xinf", &sink).ok());
 }
 
 // Satellite: duplicate scripted clauses — same kind, instant and target —
