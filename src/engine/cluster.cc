@@ -9,7 +9,6 @@
 #include "engine/elastic.h"
 #include "engine/faults.h"
 #include "engine/join_executor.h"
-#include "engine/multiway_executor.h"
 #include "engine/oltp_executor.h"
 #include "engine/scan_executor.h"
 #include "workload/arrivals.h"
@@ -184,13 +183,15 @@ void Cluster::SpawnBackground() {
 }
 
 void Cluster::SpawnOpenWorkload() {
-  auto join = [this](QueryAttempt* qa) { return ExecuteJoinQuery(*this, qa); };
+  auto join = [this](QueryAttempt* qa) {
+    return ExecuteJoinQuery(*this, 2, qa);
+  };
   auto scan = [this](QueryAttempt* qa) { return ExecuteScanQuery(*this, qa); };
   auto update = [this](QueryAttempt* qa) {
     return ExecuteUpdateQuery(*this, qa);
   };
   auto multiway = [this](QueryAttempt* qa) {
-    return ExecuteMultiwayJoinQuery(*this, qa);
+    return ExecuteJoinQuery(*this, config_.multiway_join.ways, qa);
   };
   auto oltp = [this](PeId node) {
     return [this, node](QueryAttempt* qa) {
@@ -343,7 +344,7 @@ MetricsReport Cluster::Run() {
         config_.single_user_queries,
         [this](int64_t) {
           return Query(*this, [this](QueryAttempt* qa) {
-            return ExecuteJoinQuery(*this, qa);
+            return ExecuteJoinQuery(*this, 2, qa);
           });
         },
         &done));

@@ -345,8 +345,7 @@ sim::Task<> ElasticityManager::MigrateFragment(FragmentMove move,
     // owner; the donor copy is simply never read again.
     c.ownership().SetOwner(move.relation_id, move.home, move.to);
     c.metrics().RecordFragmentMigrated(frag_pages);
-    c.pe(move.home).locks().ReleaseAll(txn);
-    latch.Disarm();
+    latch.ReleaseNow();
   }
   st->done->CountDown();
 }

@@ -39,11 +39,14 @@ bool QueryAttempt::Touches(PeId pe) const {
 // ------------------------------------------------------------------ guards
 
 TxnLocksGuard::~TxnLocksGuard() {
-  if (!armed_ || txn_ == 0) return;
-  if (cluster_->sched().tearing_down()) return;
+  if (armed_ && !cluster_->sched().tearing_down()) ReleaseNow();
+}
+
+void TxnLocksGuard::ReleaseNow() {
   for (size_t i = 0; i < pes_.size(); ++i) {
     cluster_->pe(pes_[i]).locks().ReleaseAll(txn_);
   }
+  armed_ = false;
 }
 
 void TxnLocksGuard::AddPe(PeId pe) {

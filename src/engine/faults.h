@@ -104,7 +104,7 @@ class AdmissionGuard {
 };
 
 /// RAII release of a transaction's locks at a set of PEs.  The normal path
-/// keeps its explicit ReleaseAll loop and then disarms; cancellation mid-
+/// calls ReleaseNow() where the transaction ends; cancellation mid-
 /// transaction releases from the destructor so no lock entry leaks.  The PE
 /// set lives inline for up to 8 PEs (an OLTP transaction names one), and
 /// nothing is recorded for txn 0, which takes no locks.
@@ -115,7 +115,9 @@ class TxnLocksGuard {
   TxnLocksGuard(const TxnLocksGuard&) = delete;
   TxnLocksGuard& operator=(const TxnLocksGuard&) = delete;
   void AddPe(PeId pe);
-  void Disarm() { armed_ = false; }
+  /// Releases the transaction's locks at every added PE, in the order they
+  /// were added, and disarms the guard.
+  void ReleaseNow();
 
  private:
   Cluster* cluster_;

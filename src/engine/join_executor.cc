@@ -17,45 +17,95 @@
 namespace pdblb {
 namespace {
 
-using parop::Batch;
 using parop::BatchChannel;
 using parop::CommitRound;
 using parop::DeliverControl;
+using parop::Redistribute;
 using parop::ScanRedistribute;
 using parop::SplitEvenly;
 using parop::UseCpu;
 
+/// One redistribution channel per join processor.
+using Channels = std::vector<std::unique_ptr<BatchChannel>>;
+
+Channels MakeChannels(sim::Scheduler& sched, int p) {
+  Channels channels;
+  channels.reserve(p);
+  for (int j = 0; j < p; ++j) {
+    channels.push_back(std::make_unique<BatchChannel>(sched));
+  }
+  return channels;
+}
+
 /// Join-processor side of the building phase.  Memory was already acquired
 /// by the coordinator (in global PE order, which avoids hold-and-wait
 /// deadlocks between concurrent joins on small buffers).
-sim::Task<> BuildConsumer(Cluster& c, LocalJoin* join, BatchChannel* channel) {
-  (void)c;
+sim::Task<> BuildConsumer(LocalJoin* join, BatchChannel* channel) {
   while (auto batch = co_await channel->Receive()) {
     co_await join->InsertInnerBatch(batch->tuples);
   }
 }
 
 /// Join-processor side of the probing phase, including the deferred joins of
-/// disk-resident partitions and the result transfer to the coordinator.
+/// disk-resident partitions.  The result is materialized at the join
+/// processor; the last stage ships it to the coordinator, an earlier stage
+/// leaves it there as the next stage's inner input.
 sim::Task<> ProbeConsumer(Cluster& c, LocalJoin* join, BatchChannel* channel,
                           PeId join_pe, PeId coord, int64_t result_tuples,
-                          int tuple_size) {
+                          int tuple_size, bool last_stage) {
   while (auto batch = co_await channel->Receive()) {
     co_await join->ProbeBatch(batch->tuples);
   }
   co_await join->CompleteProbe();
   co_await UseCpu(c, join_pe,
                   result_tuples * c.config().costs.write_output_tuple);
-  co_await c.net().Transfer(join_pe, coord, result_tuples * tuple_size);
+  if (last_stage) {
+    co_await c.net().Transfer(join_pe, coord, result_tuples * tuple_size);
+  }
   join->Release();
+}
+
+/// The scan processors of the fragments of `rel` homed at `homes`.  Under
+/// Shared Nothing the data allocation prescribes them: each fragment is
+/// scanned by its current owner.  Under Shared Disk ([27]) any PE can scan
+/// any fragment, so the least CPU-utilized PEs (`by_cpu`) are picked.
+std::vector<PeId> ScanSites(const Cluster& c, const Relation& rel,
+                            const std::vector<PeId>& homes,
+                            const std::vector<PeLoadInfo>& by_cpu) {
+  std::vector<PeId> sites = parop::FragmentOwners(c, rel, homes);
+  if (c.config().architecture == Architecture::kSharedDisk) {
+    for (size_t i = 0; i < sites.size(); ++i) {
+      sites[i] = by_cpu[i % by_cpu.size()].pe;
+    }
+  }
+  return sites;
+}
+
+/// Spawns the parallel scan of `rel` into `scans`: the fragment homed at
+/// homes[i] (its page keys and read-lock site) is scanned at sites[i],
+/// selects an even share of `tuples` and redistributes it to the join
+/// processors.
+void SpawnScans(Cluster& c, sim::TaskGroup& scans, const Relation& rel,
+                const std::vector<PeId>& homes, const std::vector<PeId>& sites,
+                int64_t tuples, TxnId read_txn, const JoinPlan& plan,
+                const std::vector<double>& dest_frac, const Channels& channels,
+                sim::TaskGroup& sends) {
+  std::vector<int64_t> share =
+      SplitEvenly(tuples, static_cast<int>(homes.size()));
+  for (size_t i = 0; i < homes.size(); ++i) {
+    scans.Spawn(ScanRedistribute(c, sites[i], rel, share[i], plan.pes,
+                                 dest_frac, channels, sends, read_txn,
+                                 homes[i]));
+  }
 }
 
 }  // namespace
 
-sim::Task<> ExecuteJoinQuery(Cluster& c, QueryAttempt* qa) {
+sim::Task<> ExecuteJoinQuery(Cluster& c, int ways, QueryAttempt* qa) {
   sim::Scheduler& sched = c.sched();
   const SystemConfig& cfg = c.config();
   const CpuCosts& costs = cfg.costs;
+  const Database& db = c.db();
   const SimTime t0 = sched.Now();
 
   // Random coordinator placement (paper: queries are assigned to a
@@ -79,206 +129,236 @@ sim::Task<> ExecuteJoinQuery(Cluster& c, QueryAttempt* qa) {
 
   // Under strict 2PL the read-only query locks every scanned page; under
   // the base assumption / multiversion CC it reads lock-free (footnote 1).
+  // One read transaction spans all stages.
   const TxnId read_txn =
       cfg.cc_scheme == CcScheme::kTwoPhaseLocking ? c.NextTxnId() : 0;
   TxnLocksGuard read_locks(&c, read_txn);
 
-  // Consult the control node for the current system state (request+reply).
-  co_await c.net().ControlMessage(coord, 0);
-  co_await c.net().ControlMessage(0, coord);
-  JoinPlan plan =
-      c.policy().Plan(c.plan_request(), c.control(), c.workload_rng());
-  const int p = plan.degree;
+  const int tuple_size = cfg.relation_a.tuple_size_bytes;
+  const double theta = cfg.join_query.redistribution_skew;
+  int64_t inner_total = cfg.InnerInputTuples();
+  // The previous stage's result: its join processors and the tuples each
+  // holds (empty in stage 1, whose inner input is the scan of A).
+  std::vector<PeId> result_pes;
+  std::vector<int64_t> result_at;
+  // Every PE that took part in any stage; all of them join the commit.
+  std::set<PeId> participants;
+  int first_degree = 0;
+  bool degraded = false;
+  int64_t temp_written = 0;
+  int64_t temp_read = 0;
 
-  // All PEs that take part in this query: scan processors and join
-  // processors.  Under Shared Nothing the data allocation prescribes the
-  // scan placement; under Shared Disk ([27]) any PE can scan any fragment,
-  // so the least CPU-utilized PEs are picked as scan processors.
-  const std::vector<PeId>& a_nodes = c.db().a_nodes();
-  const std::vector<PeId>& b_nodes = c.db().b_nodes();
-  std::vector<PeId> a_exec(a_nodes);
-  std::vector<PeId> b_exec(b_nodes);
-  if (cfg.architecture == Architecture::kSharedDisk) {
-    std::vector<PeLoadInfo> by_cpu = c.control().CpuSorted();
-    for (size_t i = 0; i < a_exec.size(); ++i) {
-      a_exec[i] = by_cpu[i % by_cpu.size()].pe;
+  for (int stage = 1; stage < ways; ++stage) {
+    const bool first = stage == 1;
+    const bool last = stage == ways - 1;
+
+    // Consult the control node for the current system state (request+reply).
+    co_await c.net().ControlMessage(coord, 0);
+    co_await c.net().ControlMessage(0, coord);
+    JoinPlanRequest req = c.plan_request();
+    if (!first) {
+      // The inner input is the previous result, not the selection of A.
+      const int bf = cfg.relation_a.blocking_factor;
+      int64_t inner_pages = (inner_total + bf - 1) / bf;
+      req.hash_table_pages = static_cast<int64_t>(std::ceil(
+          cfg.join_query.fudge_factor * static_cast<double>(inner_pages)));
+      req.psu_noio = static_cast<int>(std::clamp<int64_t>(
+          (req.hash_table_pages + cfg.buffer.buffer_pages - 1) /
+              cfg.buffer.buffer_pages,
+          1, cfg.num_pes));
     }
-    for (size_t i = 0; i < b_exec.size(); ++i) {
-      b_exec[i] = by_cpu[i % by_cpu.size()].pe;
+    JoinPlan plan = c.policy().Plan(req, c.control(), c.workload_rng());
+    const int p = plan.degree;
+    if (first) first_degree = p;
+    degraded = degraded || plan.degraded;
+
+    // The stage's scans: A (stage 1 only, as the inner input) and the
+    // outer input, B in stage 1 and C afterwards.
+    const std::vector<PeLoadInfo> by_cpu =
+        cfg.architecture == Architecture::kSharedDisk
+            ? c.control().CpuSorted()
+            : std::vector<PeLoadInfo>();
+    const Relation& outer = first ? db.b() : db.c();
+    const std::vector<PeId>& outer_homes =
+        first ? db.b_nodes() : db.all_nodes();
+    const std::vector<PeId> a_sites =
+        first ? ScanSites(c, db.a(), db.a_nodes(), by_cpu)
+              : std::vector<PeId>();
+    const std::vector<PeId> outer_sites =
+        ScanSites(c, outer, outer_homes, by_cpu);
+    const int64_t outer_total =
+        first ? cfg.OuterInputTuples()
+              : std::llround(cfg.join_query.scan_selectivity *
+                             static_cast<double>(outer.num_tuples()));
+    const int64_t result_total = static_cast<int64_t>(
+        cfg.join_query.result_size_factor * static_cast<double>(inner_total));
+
+    // The stage's participants: scan processors, the previous result's
+    // holders and the join processors.
+    std::set<PeId> stage_pes(a_sites.begin(), a_sites.end());
+    stage_pes.insert(outer_sites.begin(), outer_sites.end());
+    stage_pes.insert(result_pes.begin(), result_pes.end());
+    if (!c.elastic_enabled()) {
+      // The homes are the scan sites (Shared Nothing) or the lock sites
+      // whose liveness the query needs (Shared Disk).  Under elastic resize
+      // a home may be a drained (even dead) PE whose fragment now lives
+      // elsewhere — only the owners above actually serve the query, so only
+      // those gate its fate.
+      if (first) stage_pes.insert(db.a_nodes().begin(), db.a_nodes().end());
+      stage_pes.insert(outer_homes.begin(), outer_homes.end());
     }
-  } else if (c.elastic_enabled()) {
-    // Shared Nothing with elastic resize: each fragment is scanned by its
-    // current owner (== home until a migration moved it).
-    for (size_t i = 0; i < a_exec.size(); ++i) {
-      a_exec[i] = c.OwnerOf(c.db().a().id(), a_nodes[i]);
+    stage_pes.insert(plan.pes.begin(), plan.pes.end());
+    if (qa != nullptr &&
+        !qa->AddParticipants({stage_pes.begin(), stage_pes.end()})) {
+      co_return;
     }
-    for (size_t i = 0; i < b_exec.size(); ++i) {
-      b_exec[i] = c.OwnerOf(c.db().b().id(), b_nodes[i]);
-    }
-  }
-  std::set<PeId> participants(a_exec.begin(), a_exec.end());
-  participants.insert(b_exec.begin(), b_exec.end());
-  if (!c.elastic_enabled()) {
-    // The homes are the scan sites (Shared Nothing) or the lock sites whose
-    // liveness the query needs (Shared Disk).  Under elastic resize a home
-    // may be a drained (even dead) PE whose fragment now lives elsewhere —
-    // only the owners above actually serve the query, so only those gate
-    // its fate.
-    participants.insert(a_nodes.begin(), a_nodes.end());
-    participants.insert(b_nodes.begin(), b_nodes.end());
-  }
-  participants.insert(plan.pes.begin(), plan.pes.end());
-  if (qa != nullptr &&
-      !qa->AddParticipants({participants.begin(), participants.end()})) {
-    co_return;
-  }
-  for (PeId pe : participants) read_locks.AddPe(pe);
-  if (c.elastic_enabled()) {
     // Read locks are taken at the homes' lock managers regardless of who
     // executes the scan; the guard must cover them for crash unwind.
-    for (PeId pe : a_nodes) read_locks.AddPe(pe);
-    for (PeId pe : b_nodes) read_locks.AddPe(pe);
-  }
-
-  // Start the subqueries: the coordinator serializes its send costs, the
-  // deliveries run in parallel.
-  {
-    sim::TaskGroup startup(sched);
-    for (PeId dest : participants) {
-      if (dest == coord) continue;
-      co_await UseCpu(c, coord, costs.send_message + costs.copy_message);
-      startup.Spawn(DeliverControl(c, dest));
+    for (PeId pe : stage_pes) read_locks.AddPe(pe);
+    if (first) {
+      for (PeId pe : db.a_nodes()) read_locks.AddPe(pe);
     }
-    co_await startup.Wait();
-  }
+    for (PeId pe : outer_homes) read_locks.AddPe(pe);
 
-  // One local join instance per join processor.  The partitioning function's
-  // per-destination fractions are uniform in the paper's base setting; with
-  // configured redistribution skew they follow a Zipf law, and the mapping
-  // of partitions to the selected PEs is either size-aware (largest subjoin
-  // to the best PE — the planner returns PEs in goodness order) or random
-  // (a size-oblivious hash partitioner).
-  const int tuple_size = cfg.relation_a.tuple_size_bytes;
-  const int64_t inner_total = cfg.InnerInputTuples();
-  const int64_t outer_total = cfg.OuterInputTuples();
-  const int64_t result_total = static_cast<int64_t>(
-      cfg.join_query.result_size_factor * static_cast<double>(inner_total));
-  const double theta = cfg.join_query.redistribution_skew;
-  // With no skew all weights are equal and the assignment is a no-op; skip
-  // the permutation so the RNG stream (and thus the base experiments) is
-  // untouched.
-  std::vector<double> dest_frac =
-      theta > 0.0 ? AssignWeights(ZipfWeights(p, theta),
-                                  cfg.strategy.skew_aware_assignment,
-                                  c.workload_rng())
-                  : ZipfWeights(p, 0.0);
-  std::vector<int64_t> inner_share = SplitWeighted(inner_total, dest_frac);
-  std::vector<int64_t> outer_share = SplitWeighted(outer_total, dest_frac);
-  std::vector<int64_t> result_share = SplitWeighted(result_total, dest_frac);
-
-  std::vector<std::unique_ptr<LocalJoin>> joins;
-  joins.reserve(p);
-  for (int j = 0; j < p; ++j) {
-    LocalJoinParams params;
-    params.temp_relation_id = c.NextTempRelationId();
-    params.expected_inner_tuples = inner_share[j];
-    params.expected_outer_tuples = outer_share[j];
-    params.blocking_factor = cfg.relation_a.blocking_factor;
-    params.fudge_factor = cfg.join_query.fudge_factor;
-    params.want_pages = plan.pages_per_pe;
-    if (theta > 0.0) {
-      // Skewed subjoins need working space proportional to their share; the
-      // control node's uniform estimate is corrected so back-to-back joins
-      // do not stack their dominant partitions on the same PE.
-      const int bf = cfg.relation_a.blocking_factor;
-      int64_t share_pages = (inner_share[j] + bf - 1) / bf;
-      params.want_pages = static_cast<int>(std::llround(
-          std::ceil(cfg.join_query.fudge_factor *
-                    static_cast<double>(share_pages))));
-      c.control().NoteSubjoinSize(plan.pes[j],
-                                  params.want_pages - plan.pages_per_pe,
-                                  dest_frac[j] * static_cast<double>(p));
+    // Start the subqueries: the coordinator serializes its send costs, the
+    // deliveries run in parallel.
+    {
+      sim::TaskGroup startup(sched);
+      for (PeId dest : stage_pes) {
+        if (dest == coord) continue;
+        co_await UseCpu(c, coord, costs.send_message + costs.copy_message);
+        startup.Spawn(DeliverControl(c, dest));
+      }
+      co_await startup.Wait();
     }
-    params.write_batch_pages = cfg.disk.prefetch_pages;
-    params.opportunistic_growth = cfg.pphj_opportunistic_growth;
-    PeId jp = plan.pes[j];
-    joins.push_back(CreateLocalJoin(cfg.local_join_method, sched,
-                                    c.pe(jp).buffer(), c.pe(jp).disks(),
-                                    c.pe(jp).cpu(), costs, cfg.mips_per_pe,
-                                    params));
-  }
+    participants.merge(stage_pes);
 
-  // Acquire working space at every join processor before the build starts.
-  // Acquisition follows ascending PE id (a global resource order), so
-  // concurrent joins cannot deadlock on each other's memory queues even
-  // when one query's hash table spans a large share of the cluster memory.
-  {
-    std::vector<int> order(p);
-    for (int j = 0; j < p; ++j) order[j] = j;
-    std::sort(order.begin(), order.end(),
-              [&](int a, int b) { return plan.pes[a] < plan.pes[b]; });
-    SimTime queued_at = sched.Now();
-    for (int j : order) {
-      co_await joins[j]->AcquireMemory();
-    }
-    c.metrics().RecordMemoryQueueWait(sched.Now() - queued_at, sched.Now());
-  }
+    // One local join instance per join processor.  The partitioning
+    // function's per-destination fractions are uniform in the paper's base
+    // setting; with configured redistribution skew they follow a Zipf law,
+    // and the mapping of partitions to the selected PEs is either size-aware
+    // (largest subjoin to the best PE — the planner returns PEs in goodness
+    // order) or random (a size-oblivious hash partitioner).  With no skew
+    // all weights are equal and the assignment is a no-op; skip the
+    // permutation so the RNG stream (and thus the base experiments) is
+    // untouched.
+    std::vector<double> dest_frac =
+        theta > 0.0 ? AssignWeights(ZipfWeights(p, theta),
+                                    cfg.strategy.skew_aware_assignment,
+                                    c.workload_rng())
+                    : ZipfWeights(p, 0.0);
+    std::vector<int64_t> inner_share = SplitWeighted(inner_total, dest_frac);
+    std::vector<int64_t> outer_share = SplitWeighted(outer_total, dest_frac);
+    std::vector<int64_t> result_share = SplitWeighted(result_total, dest_frac);
 
-  // --- building phase: scan A, redistribute, build hash tables -----------
-  {
-    std::vector<std::unique_ptr<BatchChannel>> channels;
+    std::vector<std::unique_ptr<LocalJoin>> joins;
+    joins.reserve(p);
     for (int j = 0; j < p; ++j) {
-      channels.push_back(std::make_unique<BatchChannel>(sched));
+      LocalJoinParams params;
+      params.temp_relation_id = c.NextTempRelationId();
+      params.expected_inner_tuples = inner_share[j];
+      params.expected_outer_tuples = outer_share[j];
+      params.blocking_factor = cfg.relation_a.blocking_factor;
+      params.fudge_factor = cfg.join_query.fudge_factor;
+      params.want_pages = plan.pages_per_pe;
+      if (theta > 0.0) {
+        // Skewed subjoins need working space proportional to their share;
+        // the control node's uniform estimate is corrected so back-to-back
+        // joins do not stack their dominant partitions on the same PE.
+        const int bf = cfg.relation_a.blocking_factor;
+        int64_t share_pages = (inner_share[j] + bf - 1) / bf;
+        params.want_pages = static_cast<int>(std::llround(
+            std::ceil(cfg.join_query.fudge_factor *
+                      static_cast<double>(share_pages))));
+        c.control().NoteSubjoinSize(plan.pes[j],
+                                    params.want_pages - plan.pages_per_pe,
+                                    dest_frac[j] * static_cast<double>(p));
+      }
+      params.write_batch_pages = cfg.disk.prefetch_pages;
+      params.opportunistic_growth = cfg.pphj_opportunistic_growth;
+      PeId jp = plan.pes[j];
+      joins.push_back(CreateLocalJoin(cfg.local_join_method, sched,
+                                      c.pe(jp).buffer(), c.pe(jp).disks(),
+                                      c.pe(jp).cpu(), costs, cfg.mips_per_pe,
+                                      params));
     }
-    sim::TaskGroup consumers(sched);
-    for (int j = 0; j < p; ++j) {
-      consumers.Spawn(BuildConsumer(c, joins[j].get(), channels[j].get()));
-    }
-    sim::TaskGroup scans(sched);
-    sim::TaskGroup sends(sched);
-    std::vector<int64_t> node_share =
-        SplitEvenly(inner_total, static_cast<int>(a_nodes.size()));
-    for (size_t i = 0; i < a_nodes.size(); ++i) {
-      scans.Spawn(ScanRedistribute(c, a_exec[i], c.db().a(), node_share[i],
-                                   plan.pes, dest_frac, channels, sends,
-                                   read_txn, a_nodes[i]));
-    }
-    co_await scans.Wait();
-    co_await sends.Wait();
-    for (auto& ch : channels) ch->Close();
-    co_await consumers.Wait();
-  }
 
-  // --- probing phase: scan B, redistribute, probe, merge results ---------
-  {
-    std::vector<std::unique_ptr<BatchChannel>> channels;
-    for (int j = 0; j < p; ++j) {
-      channels.push_back(std::make_unique<BatchChannel>(sched));
+    // Acquire working space at every join processor before the build
+    // starts.  Acquisition follows ascending PE id (a global resource
+    // order), so concurrent joins cannot deadlock on each other's memory
+    // queues even when one query's hash table spans a large share of the
+    // cluster memory.
+    {
+      std::vector<int> order(p);
+      for (int j = 0; j < p; ++j) order[j] = j;
+      std::sort(order.begin(), order.end(),
+                [&](int a, int b) { return plan.pes[a] < plan.pes[b]; });
+      SimTime queued_at = sched.Now();
+      for (int j : order) {
+        co_await joins[j]->AcquireMemory();
+      }
+      c.metrics().RecordMemoryQueueWait(sched.Now() - queued_at, sched.Now());
     }
-    sim::TaskGroup consumers(sched);
-    for (int j = 0; j < p; ++j) {
-      consumers.Spawn(ProbeConsumer(c, joins[j].get(), channels[j].get(),
-                                    plan.pes[j], coord, result_share[j],
-                                    tuple_size));
+
+    // --- building phase: scan A or redistribute the previous result, build
+    // the hash tables ----------------------------------------------------
+    {
+      Channels channels = MakeChannels(sched, p);
+      sim::TaskGroup consumers(sched);
+      for (int j = 0; j < p; ++j) {
+        consumers.Spawn(BuildConsumer(joins[j].get(), channels[j].get()));
+      }
+      sim::TaskGroup sources(sched);
+      sim::TaskGroup sends(sched);
+      if (first) {
+        SpawnScans(c, sources, db.a(), db.a_nodes(), a_sites, inner_total,
+                   read_txn, plan, dest_frac, channels, sends);
+      } else {
+        for (size_t i = 0; i < result_pes.size(); ++i) {
+          sources.Spawn(Redistribute(c, result_pes[i], result_at[i],
+                                     tuple_size, plan.pes, dest_frac,
+                                     channels, sends));
+        }
+      }
+      co_await sources.Wait();
+      co_await sends.Wait();
+      for (auto& ch : channels) ch->Close();
+      co_await consumers.Wait();
     }
-    sim::TaskGroup scans(sched);
-    sim::TaskGroup sends(sched);
-    std::vector<int64_t> node_share =
-        SplitEvenly(outer_total, static_cast<int>(b_nodes.size()));
-    for (size_t i = 0; i < b_nodes.size(); ++i) {
-      scans.Spawn(ScanRedistribute(c, b_exec[i], c.db().b(), node_share[i],
-                                   plan.pes, dest_frac, channels, sends,
-                                   read_txn, b_nodes[i]));
+
+    // --- probing phase: scan B or C, redistribute, probe, materialize the
+    // result ------------------------------------------------------------
+    {
+      Channels channels = MakeChannels(sched, p);
+      sim::TaskGroup consumers(sched);
+      for (int j = 0; j < p; ++j) {
+        consumers.Spawn(ProbeConsumer(c, joins[j].get(), channels[j].get(),
+                                      plan.pes[j], coord, result_share[j],
+                                      tuple_size, last));
+      }
+      sim::TaskGroup scans(sched);
+      sim::TaskGroup sends(sched);
+      SpawnScans(c, scans, outer, outer_homes, outer_sites, outer_total,
+                 read_txn, plan, dest_frac, channels, sends);
+      co_await scans.Wait();
+      co_await sends.Wait();
+      for (auto& ch : channels) ch->Close();
+      co_await consumers.Wait();
     }
-    co_await scans.Wait();
-    co_await sends.Wait();
-    for (auto& ch : channels) ch->Close();
-    co_await consumers.Wait();
+
+    for (const auto& j : joins) {
+      temp_written += j->temp_pages_written();
+      temp_read += j->temp_pages_read();
+    }
+    // The result becomes the next stage's inner input.
+    result_pes = std::move(plan.pes);
+    result_at = std::move(result_share);
+    inner_total = result_total;
   }
 
   // --- distributed commit with the read-only optimization (one round) ----
   // The single commit round also releases the read locks at the scan
-  // processors (the paper's read-only optimization).
+  // processors and the fragment homes (the paper's read-only optimization).
   {
     sim::TaskGroup commits(sched);
     for (PeId dest : participants) {
@@ -287,31 +367,21 @@ sim::Task<> ExecuteJoinQuery(Cluster& c, QueryAttempt* qa) {
       commits.Spawn(CommitRound(c, coord, dest));
     }
     co_await commits.Wait();
-    if (read_txn != 0) {
-      for (PeId dest : participants) c.pe(dest).locks().ReleaseAll(read_txn);
-      if (c.elastic_enabled()) {
-        // Locks live at the homes' lock managers, which under elastic
-        // resize may not be participants (drained homes).
-        for (PeId pe : a_nodes) c.pe(pe).locks().ReleaseAll(read_txn);
-        for (PeId pe : b_nodes) c.pe(pe).locks().ReleaseAll(read_txn);
-      }
-    }
-    read_locks.Disarm();
+    read_locks.ReleaseNow();
   }
   co_await UseCpu(c, coord, costs.terminate_txn);
   admission.ReleaseNow();
 
-  int64_t temp_written = 0;
-  int64_t temp_read = 0;
-  for (const auto& j : joins) {
-    temp_written += j->temp_pages_written();
-    temp_read += j->temp_pages_read();
+  if (ways == 2) {
+    c.metrics().RecordJoin(sched.Now() - t0, first_degree, temp_written,
+                           temp_read, sched.Now());
+  } else {
+    c.metrics().RecordMultiwayJoin(sched.Now() - t0, sched.Now());
   }
-  c.metrics().RecordJoin(sched.Now() - t0, p, temp_written, temp_read,
-                         sched.Now());
-  if (plan.degraded) {
-    // Supervised queries defer the degraded count to the supervisor (which
-    // also folds in retry-degradation); unsupervised ones count here.
+  if (degraded) {
+    // Any overload-capped stage marks the query degraded.  Supervised
+    // queries defer the count to the supervisor (which also folds in
+    // retry-degradation); unsupervised ones count here.
     if (qa != nullptr) {
       qa->degraded_plan = true;
     } else {

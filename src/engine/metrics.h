@@ -263,10 +263,9 @@ class MetricsCollector {
     counters_.update_aborts += aborts;
   }
 
-  void RecordMultiwayJoin(SimTime response_ms, int stages, SimTime now) {
+  void RecordMultiwayJoin(SimTime response_ms, SimTime now) {
     if (!Measuring(now)) return;
     multiway_rt_.Add(response_ms);
-    multiway_stages_.Add(stages);
   }
 
   /// Periodic per-PE utilization samples (from the control-report loop).
@@ -344,7 +343,6 @@ class MetricsCollector {
   const sim::SampleStat& scan_rt() const { return scan_rt_; }
   const sim::SampleStat& update_rt() const { return update_rt_; }
   const sim::SampleStat& multiway_rt() const { return multiway_rt_; }
-  const sim::SampleStat& multiway_stages() const { return multiway_stages_; }
   const sim::SampleStat& degree() const { return degree_; }
   const sim::SampleStat& cpu_util() const { return cpu_util_; }
   const sim::SampleStat& disk_util() const { return disk_util_; }
@@ -363,7 +361,6 @@ class MetricsCollector {
   sim::SampleStat scan_rt_;
   sim::SampleStat update_rt_;
   sim::SampleStat multiway_rt_;
-  sim::SampleStat multiway_stages_;
   sim::SampleStat degree_;
   sim::SampleStat cpu_util_;
   sim::SampleStat disk_util_;

@@ -99,8 +99,7 @@ sim::Task<> ExecuteOltpTransaction(Cluster& c, PeId home, QueryAttempt* qa) {
     TxnLocksGuard txn_locks(&c, txn);
     txn_locks.AddPe(home);
     bool ok = co_await OltpAttempt(c, home, txn);
-    pe.locks().ReleaseAll(txn);
-    txn_locks.Disarm();
+    txn_locks.ReleaseNow();
     if (ok) break;
     ++aborts;
     // Deadlock victim: back off and restart with a fresh txn id.

@@ -15,6 +15,15 @@ std::vector<int64_t> SplitEvenly(int64_t total, int parts) {
   return out;
 }
 
+std::vector<PeId> FragmentOwners(const Cluster& c, const Relation& rel,
+                                 const std::vector<PeId>& homes) {
+  std::vector<PeId> owners(homes);
+  if (c.elastic_enabled()) {
+    for (PeId& pe : owners) pe = c.OwnerOf(rel.id(), pe);
+  }
+  return owners;
+}
+
 sim::Task<> SendBatch(Cluster& c, PeId src, PeId dst, int64_t tuples,
                       int tuple_size, BatchChannel* channel) {
   co_await c.net().Transfer(src, dst, tuples * tuple_size);

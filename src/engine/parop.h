@@ -29,6 +29,13 @@ using BatchChannel = sim::Channel<Batch>;
 /// `total` split into `parts` near-equal shares (remainder spread left).
 std::vector<int64_t> SplitEvenly(int64_t total, int parts);
 
+/// The PEs that serve the fragments of `rel` homed at `homes`: each
+/// fragment's current owner, which is its home until an elastic migration
+/// moved it (catalog/ownership.h).  Data processing happens at the owner;
+/// the fragment's geometry, page keys and lock site stay at the home.
+std::vector<PeId> FragmentOwners(const Cluster& c, const Relation& rel,
+                                 const std::vector<PeId>& homes);
+
 /// Charges `instructions` on `pe`'s CPU server.  Returns the resource's
 /// frameless Use awaiter directly — `co_await UseCpu(...)` suspends the
 /// caller on the CPU's wait queue without an intermediate coroutine frame.

@@ -3,7 +3,6 @@
 #include "engine/scan_executor.h"
 
 #include <algorithm>
-#include <set>
 #include <vector>
 
 #include "engine/faults.h"
@@ -15,6 +14,7 @@ namespace {
 
 using parop::CommitRound;
 using parop::DeliverControl;
+using parop::FragmentOwners;
 using parop::LockPageShared;
 using parop::SplitEvenly;
 using parop::TwoPhaseCommitRounds;
@@ -28,8 +28,8 @@ using parop::UseCpu;
 /// until an elastic migration moves the fragment).
 sim::Task<> ScanFragment(Cluster& c, PeId node, PeId exec,
                          const Relation& rel, ScanAccess access,
-                         int64_t examined_share, int64_t selected_share,
-                         PeId coord, TxnId read_lock_txn) {
+                         int64_t selected_share, PeId coord,
+                         TxnId read_lock_txn) {
   const SystemConfig& cfg = c.config();
   const CpuCosts& costs = cfg.costs;
   ProcessingElement& pe = c.pe(exec);
@@ -102,7 +102,6 @@ sim::Task<> ScanFragment(Cluster& c, PeId node, PeId exec,
       break;
     }
   }
-  (void)examined_share;
 
   // Materialize and ship the selected tuples to the coordinator.
   co_await UseCpu(c, exec, selected_share * costs.write_output_tuple);
@@ -123,15 +122,10 @@ sim::Task<> ExecuteScanQuery(Cluster& c, QueryAttempt* qa) {
 
   const Relation& rel = c.db().target(q.relation);
   const std::vector<PeId>& nodes = c.db().target_nodes(q.relation);
-  // Execution sites: the fragments' current owners (== nodes until an
-  // elastic migration moves one).  Data processing, messages and admission
-  // happen at the owner; geometry and the read-lock site stay at the home.
-  std::vector<PeId> execs(nodes);
-  if (c.elastic_enabled()) {
-    for (size_t i = 0; i < execs.size(); ++i) {
-      execs[i] = c.OwnerOf(rel.id(), nodes[i]);
-    }
-  }
+  // Execution sites: the fragments' current owners.  Data processing,
+  // messages and admission happen at the owner; geometry and the read-lock
+  // site stay at the home.
+  const std::vector<PeId> execs = FragmentOwners(c, rel, nodes);
 
   const PeId coord = c.MemberPe(
       static_cast<PeId>(c.workload_rng().UniformInt(0, c.num_pes() - 1)));
@@ -164,15 +158,12 @@ sim::Task<> ExecuteScanQuery(Cluster& c, QueryAttempt* qa) {
       q.selectivity * static_cast<double>(rel.num_tuples()));
   std::vector<int64_t> selected_share =
       SplitEvenly(selected_total, static_cast<int>(nodes.size()));
-  std::vector<int64_t> examined_share =
-      SplitEvenly(rel.num_tuples(), static_cast<int>(nodes.size()));
 
   {
     sim::TaskGroup scans(sched);
     for (size_t i = 0; i < nodes.size(); ++i) {
       scans.Spawn(ScanFragment(c, nodes[i], execs[i], rel, q.access,
-                               examined_share[i], selected_share[i], coord,
-                               read_txn));
+                               selected_share[i], coord, read_txn));
     }
     co_await scans.Wait();
   }
@@ -190,10 +181,7 @@ sim::Task<> ExecuteScanQuery(Cluster& c, QueryAttempt* qa) {
       commits.Spawn(CommitRound(c, coord, dest));
     }
     co_await commits.Wait();
-    if (read_txn != 0) {
-      for (PeId node : nodes) c.pe(node).locks().ReleaseAll(read_txn);
-    }
-    read_locks.Disarm();
+    read_locks.ReleaseNow();
   }
   co_await UseCpu(c, coord, costs.terminate_txn);
   admission.ReleaseNow();
@@ -283,13 +271,7 @@ sim::Task<> ExecuteUpdateQuery(Cluster& c, QueryAttempt* qa) {
 
   const Relation& rel = c.db().target(q.relation);
   const std::vector<PeId>& nodes = c.db().target_nodes(q.relation);
-  // Owner routing, exactly as in ExecuteScanQuery.
-  std::vector<PeId> execs(nodes);
-  if (c.elastic_enabled()) {
-    for (size_t i = 0; i < execs.size(); ++i) {
-      execs[i] = c.OwnerOf(rel.id(), nodes[i]);
-    }
-  }
+  const std::vector<PeId> execs = FragmentOwners(c, rel, nodes);
 
   const PeId coord = c.MemberPe(
       static_cast<PeId>(c.workload_rng().UniformInt(0, c.num_pes() - 1)));
@@ -346,15 +328,13 @@ sim::Task<> ExecuteUpdateQuery(Cluster& c, QueryAttempt* qa) {
       }
       co_await c.pe(coord).disks().LogWrite();
       co_await commits.Wait();
-      for (PeId node : nodes) c.pe(node).locks().ReleaseAll(txn);
-      txn_locks.Disarm();
+      txn_locks.ReleaseNow();
       co_await UseCpu(c, coord, costs.terminate_txn);
       break;
     }
 
     // Deadlock victim: release everything, back off, restart.
-    for (PeId node : nodes) c.pe(node).locks().ReleaseAll(txn);
-    txn_locks.Disarm();
+    txn_locks.ReleaseNow();
     ++aborts;
     co_await sched.Delay(10.0);
   }

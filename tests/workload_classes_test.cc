@@ -195,6 +195,41 @@ TEST(MultiwayJoinTest, ThreeWaySlowerThanTwoWay) {
   EXPECT_GT(r3.multiway_rt_ms, r2.join_rt_ms);
 }
 
+TEST(MultiwayJoinTest, TakesReadLocksUnderTwoPhaseLocking) {
+  // A multi-way join runs the two-way join's stages, so under strict 2PL
+  // its scans read-lock their pages like a two-way join's do.
+  SystemConfig cfg = Base();
+  cfg.cc_scheme = CcScheme::kTwoPhaseLocking;
+  cfg.multiway_join.enabled = true;
+  cfg.multiway_join.arrival_rate_per_pe_qps = 0.02;
+  Cluster cluster(cfg);
+  MetricsReport r = cluster.Run();
+  ASSERT_GT(r.multiway_completed, 0);
+  int64_t granted = 0;
+  for (PeId pe = 0; pe < cfg.num_pes; ++pe) {
+    granted += cluster.pe(pe).locks().locks_granted();
+  }
+  EXPECT_GT(granted, 0);
+}
+
+TEST(MultiwayJoinTest, RedistributionSkewReachesEveryStage) {
+  auto run = [](double theta) {
+    SystemConfig cfg = Base();
+    cfg.join_query.redistribution_skew = theta;
+    cfg.multiway_join.enabled = true;
+    cfg.multiway_join.arrival_rate_per_pe_qps = 0.02;
+    Cluster cluster(cfg);
+    return cluster.Run();
+  };
+  MetricsReport uniform = run(0.0);
+  MetricsReport skewed = run(1.0);
+  ASSERT_GT(uniform.multiway_completed, 0);
+  ASSERT_GT(skewed.multiway_completed, 0);
+  // Skewed partitioning leaves one dominant subjoin per stage, which the
+  // stage has to wait for.
+  EXPECT_GT(skewed.multiway_rt_ms, uniform.multiway_rt_ms);
+}
+
 TEST(MultiwayJoinTest, ValidateRejectsTwoWays) {
   SystemConfig cfg;
   cfg.multiway_join.enabled = true;
