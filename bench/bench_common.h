@@ -360,7 +360,7 @@ inline std::string BlockJson(ReportBlock block,
 }
 
 /// Per-subsystem attribution summed over all points of a sweep (zeros when
-/// tracing was off or compiled out).
+/// tracing was off).
 struct TraceTotals {
   bool any = false;
   uint64_t events[sim::kNumTraceSubsystems] = {};

@@ -10,12 +10,12 @@
 //   ResourceContention  M clients hammering a k-server FCFS resource
 //   ChannelPingPong     two processes bouncing a token over two channels
 //   ChannelStream       producer streaming value bursts to a consumer
-//   WhenAllFanout       repeated fork/join over F child tasks
+//   TaskGroupFanout     repeated fork/join over F child tasks
 //
 // The pure dispatch shapes (TimerChurn, CallbackChurn, ZeroDelayPingPong)
 // report items/sec where one item is one dispatched scheduler event.  The
 // blocking-primitive shapes (ResourceContention, ChannelPingPong,
-// ChannelStream, WhenAllFanout) report items/sec where one item is one
+// ChannelStream, TaskGroupFanout) report items/sec where one item is one
 // completed *operation* (acquisition / message / join) — the unit that is
 // invariant across kernel rewrites.  The frameless-awaiter kernel
 // deliberately dispatches fewer calendar events per operation than the
@@ -39,6 +39,7 @@
 #include "simkern/rng.h"
 #include "simkern/scheduler.h"
 #include "simkern/task.h"
+#include "simkern/task_group.h"
 
 namespace pdblb::sim {
 namespace {
@@ -298,22 +299,22 @@ void BM_ChannelStream(benchmark::State& state) {
 }
 BENCHMARK(BM_ChannelStream)->Arg(8)->Unit(benchmark::kMillisecond);
 
-// --- WhenAllFanout --------------------------------------------------------
-// Fork/join: a parent repeatedly WhenAll()s over F one-delay children (the
-// shape of parallel scan/join subquery execution).
+// --- TaskGroupFanout ------------------------------------------------------
+// Fork/join: a parent repeatedly spawns F one-delay children into a
+// TaskGroup and waits for them (the fan-out the scan and join executors
+// use).
 
 Task<> FanoutParent(Scheduler& sched, int fanout, int64_t rounds) {
   for (int64_t i = 0; i < rounds; ++i) {
-    std::vector<Task<>> children;
-    children.reserve(static_cast<size_t>(fanout));
+    TaskGroup group(sched);
     for (int f = 0; f < fanout; ++f) {
-      children.push_back(TimerLoop(sched, 1.0 + 0.01 * f, 1));
+      group.Spawn(TimerLoop(sched, 1.0 + 0.01 * f, 1));
     }
-    co_await WhenAll(sched, std::move(children));
+    co_await group.Wait();
   }
 }
 
-void BM_WhenAllFanout(benchmark::State& state) {
+void BM_TaskGroupFanout(benchmark::State& state) {
   const int fanout = static_cast<int>(state.range(0));
   const int64_t rounds = EventTarget() / (3 * fanout);
   uint64_t events = 0;
@@ -330,7 +331,7 @@ void BM_WhenAllFanout(benchmark::State& state) {
   state.counters["events_per_op"] =
       static_cast<double>(events) / static_cast<double>(ops);
 }
-BENCHMARK(BM_WhenAllFanout)->Arg(32)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_TaskGroupFanout)->Arg(32)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace pdblb::sim

@@ -162,8 +162,7 @@ bool BufferManager::IsResident(PageKey page) const {
   return table_.Lookup(page) >= 0;
 }
 
-int BufferManager::TryReserve(int want_pages) {
-  if (!mem_queue_.empty()) return 0;  // FCFS: queued joins go first
+int BufferManager::Grant(int want_pages) {
   // Joins may only reserve pages the protected hot set does not need.
   int granted = std::min(want_pages, GrantablePages());
   if (granted <= 0) return 0;
@@ -172,15 +171,17 @@ int BufferManager::TryReserve(int want_pages) {
   return granted;
 }
 
+int BufferManager::TryReserve(int want_pages) {
+  if (!mem_queue_.empty()) return 0;  // FCFS: queued joins go first
+  return Grant(want_pages);
+}
+
 sim::Task<int> BufferManager::ReserveWait(int min_pages, int want_pages) {
   min_pages = std::max(1, min_pages);
   want_pages = std::max(want_pages, min_pages);
 
   if (mem_queue_.empty() && GrantablePages() >= min_pages) {
-    int granted = std::min(want_pages, GrantablePages());
-    reserved_ += granted;
-    ShrinkResidentTo(UnreservedFrames());
-    co_return granted;
+    co_return Grant(want_pages);
   }
 
   MemWaiter waiter{min_pages, want_pages, 0, nullptr};
@@ -225,9 +226,7 @@ void BufferManager::ServeMemoryQueue() {
   while (!mem_queue_.empty()) {
     MemWaiter* head = mem_queue_.front();
     if (GrantablePages() < head->min_pages) break;
-    head->granted = std::min(head->want_pages, GrantablePages());
-    reserved_ += head->granted;
-    ShrinkResidentTo(UnreservedFrames());
+    head->granted = Grant(head->want_pages);
     mem_queue_.pop_front();
     // The waiter may not have suspended yet if Serve runs in the same event;
     // the handle is always set before any other event runs because the

@@ -175,6 +175,10 @@ class BufferManager {
   void EvictOne();
   /// Evicts until the resident set fits `limit`.
   void ShrinkResidentTo(int limit);
+  /// Reserves min(want_pages, GrantablePages()) frames and evicts the
+  /// resident pages that no longer fit; returns the grant (0, reserving
+  /// nothing, when no page is grantable).
+  int Grant(int want_pages);
   /// Steals frames from the registered victims (largest reservation first)
   /// until `needed` frames are unreserved or no victim can yield more.
   void StealFromVictims(int needed);

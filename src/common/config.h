@@ -97,8 +97,7 @@ struct BufferConfig {
 /// Kernel event tracing (src/simkern/tracer.h).  When enabled, every
 /// dispatched event and hand-off resume is recorded into a pre-allocated
 /// per-scheduler ring (most recent `capacity` records retained) and the
-/// run's MetricsReport carries the per-subsystem attribution fold.  Has no
-/// effect in PDBLB_TRACE=OFF builds (the hooks are compiled out).
+/// run's MetricsReport carries the per-subsystem attribution fold.
 struct TraceConfig {
   bool enabled = false;
   /// Records retained by the ring (rounded up to a power of two).  The
@@ -165,7 +164,6 @@ struct RelationConfig {
   int tuple_size_bytes = 400;
   int blocking_factor = 20;  ///< Tuples per page.
   IndexType index = IndexType::kClusteredBTree;
-  bool memory_resident = false;  ///< Simulate main-memory DB partitions.
 };
 
 /// Degree-of-parallelism policies (Section 3.1 of the paper, plus the

@@ -35,7 +35,7 @@ Cluster::Cluster(const SystemConfig& config)
   Status st = config_.Validate();
   if (!st.ok()) throw std::invalid_argument(st.ToString());
 
-  if (config_.trace.enabled && sim::kTraceCompiledIn) {
+  if (config_.trace.enabled) {
     tracer_ = std::make_unique<sim::Tracer>(
         static_cast<size_t>(config_.trace.capacity));
     sched_.AttachTracer(tracer_.get());

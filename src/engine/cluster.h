@@ -61,9 +61,9 @@ class Cluster {
   ProcessingElement& pe(PeId id) { return *pes_[id]; }
   int num_pes() const { return config_.num_pes; }
 
-  /// The event tracer, when config.trace.enabled and the build has tracing
-  /// compiled in; nullptr otherwise.  Valid for the Cluster's lifetime —
-  /// read the retained trace (or dump it via Tracer::WriteCsv) after Run().
+  /// The event tracer when config.trace.enabled, nullptr otherwise.  Valid
+  /// for the Cluster's lifetime — read the retained trace (or dump it via
+  /// Tracer::WriteCsv) after Run().
   const sim::Tracer* tracer() const { return tracer_.get(); }
 
   /// Precomputed planning inputs for the configured join class.

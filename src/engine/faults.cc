@@ -92,8 +92,9 @@ sim::Task<> RunAttempt(FaultInjector* injector, sim::Task<> work,
 }
 
 // Deadline watchdog for one attempt, armed with the query's *remaining*
-// budget.  Work finishing and the timer firing at the same timestamp
-// resolve by calendar FIFO, deterministically (see simkern/deadline.h).
+// budget.  The timer is an ordinary calendar event, so work finishing and
+// the timer firing at the same timestamp resolve by calendar FIFO,
+// deterministically (Supervise spawns both and waits for the first).
 sim::Task<> AttemptTimer(sim::Scheduler& sched, SimTime delay_ms,
                          QueryAttempt* qa) {
   co_await sched.Delay(delay_ms);
@@ -313,8 +314,7 @@ sim::Task<> FaultInjector::Supervise(AttemptFactory make) {
 
       // Children are detached frames pointing into this frame; if this
       // frame is itself cancelled mid-wait they must go first.  Cancel of a
-      // finished id no-ops, so the guards are unconditional (the pattern of
-      // simkern/deadline.h).
+      // finished id no-ops, so the guards are unconditional.
       struct ChildGuard {
         sim::Scheduler* sched;
         uint64_t id = 0;

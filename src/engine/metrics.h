@@ -108,9 +108,9 @@ constexpr ReportField HostMeasured() {
 //   deterministic per seed.  wall_seconds and kernel_events_per_sec are
 //   host-measured.
 // * trace_*: per-subsystem attribution of the event trace over the whole
-//   run, filled when SystemConfig::trace.enabled and the build has tracing
-//   compiled in (zeros otherwise); trace_subsystem_time_ms[s] is the
-//   simulated time advanced by dispatches attributed to s.  Deterministic.
+//   run, filled when SystemConfig::trace.enabled (zeros otherwise);
+//   trace_subsystem_time_ms[s] is the simulated time advanced by dispatches
+//   attributed to s.  Deterministic.
 #define PDBLB_METRICS_REPORT_FIELDS(X)                                       \
   X(double, join_rt_ms, CsvColumn("join_rt_ms", 3))                          \
   X(double, join_rt_max_ms, NotInCsv())                                      \

@@ -10,7 +10,7 @@ namespace pdblb {
 
 Pphj::Pphj(sim::Scheduler& sched, BufferManager& buffer, DiskArray& disks,
            sim::Resource& cpu, const CpuCosts& costs, double mips,
-           Params params)
+           LocalJoinParams params)
     : sched_(sched), buffer_(buffer), disks_(disks), cpu_(cpu), costs_(costs),
       mips_(mips), params_(params) {
   int64_t expected_pages = PagesForTuples(params_.expected_inner_tuples);

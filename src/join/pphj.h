@@ -38,18 +38,9 @@ namespace pdblb {
 /// One PPHJ instance = one join processor's share of one join query.
 class Pphj : public LocalJoin, public MemoryVictim {
  public:
-  struct Params {
-    int32_t temp_relation_id = -1;   ///< Namespace for temp-file pages.
-    int64_t expected_inner_tuples = 0;  ///< This PE's share of the inner input.
-    int blocking_factor = 20;        ///< Tuples per page.
-    double fudge_factor = 1.05;      ///< Hash-table overhead F.
-    int want_pages = 0;              ///< Planner's working-space target.
-    int write_batch_pages = 4;       ///< Temp-file write batching.
-    bool opportunistic_growth = true;  ///< TryGrow enabled (ablation knob).
-  };
-
   Pphj(sim::Scheduler& sched, BufferManager& buffer, DiskArray& disks,
-       sim::Resource& cpu, const CpuCosts& costs, double mips, Params params);
+       sim::Resource& cpu, const CpuCosts& costs, double mips,
+       LocalJoinParams params);
   ~Pphj() override;
 
   /// Waits in the FCFS memory queue until the minimum working space
@@ -109,7 +100,7 @@ class Pphj : public LocalJoin, public MemoryVictim {
   sim::Resource& cpu_;
   CpuCosts costs_;
   double mips_;
-  Params params_;
+  LocalJoinParams params_;
 
   int num_partitions_ = 1;
   int min_pages_ = 1;

@@ -166,15 +166,8 @@ std::unique_ptr<LocalJoin> CreateLocalJoin(
     case LocalJoinMethod::kPPHJ:
       break;
   }
-  Pphj::Params pphj;
-  pphj.temp_relation_id = params.temp_relation_id;
-  pphj.expected_inner_tuples = params.expected_inner_tuples;
-  pphj.blocking_factor = params.blocking_factor;
-  pphj.fudge_factor = params.fudge_factor;
-  pphj.want_pages = params.want_pages;
-  pphj.write_batch_pages = params.write_batch_pages;
-  pphj.opportunistic_growth = params.opportunistic_growth;
-  return std::make_unique<Pphj>(sched, buffer, disks, cpu, costs, mips, pphj);
+  return std::make_unique<Pphj>(sched, buffer, disks, cpu, costs, mips,
+                                params);
 }
 
 }  // namespace pdblb

@@ -71,13 +71,7 @@ std::vector<SweepResult> Sweep::Run(const SweepOptions& options) const {
           // paths per point: safe to write from concurrent workers.
           std::string path = options.trace_path + "." +
                              std::to_string(point.declared_index) + ".csv";
-          // PDBLB_TRACE=OFF builds have no tracer on the cluster; an empty
-          // Tracer (compiled unconditionally) writes the identical
-          // header-only file, keeping the --trace file set and format the
-          // same across build modes.
-          Status st = cluster.tracer() != nullptr
-                          ? cluster.tracer()->WriteCsv(path)
-                          : sim::Tracer(/*capacity=*/1).WriteCsv(path);
+          Status st = cluster.tracer()->WriteCsv(path);
           if (!st.ok()) throw std::runtime_error(st.ToString());
         }
       } catch (...) {

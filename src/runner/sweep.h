@@ -86,8 +86,7 @@ struct SweepOptions {
   /// point.config.trace.enabled) and each point's retained trace is dumped
   /// to "<trace_path>.<declared_index>.csv" as it completes.  File names
   /// derive from the grid index, so — like the CSV — the set of trace
-  /// files and their bytes are identical for every --jobs value.  In
-  /// PDBLB_TRACE=OFF builds each file holds only the CSV header.
+  /// files and their bytes are identical for every --jobs value.
   std::string trace_path;
 };
 

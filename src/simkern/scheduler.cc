@@ -5,8 +5,6 @@
 #include <algorithm>
 #include <limits>
 
-#include "simkern/latch.h"
-
 namespace pdblb::sim {
 
 Scheduler::~Scheduler() {
@@ -186,48 +184,42 @@ bool Scheduler::PopNext(Event* out, SimTime until) {
   return true;
 }
 
-void Scheduler::Dispatch(const Event& event) {
-  // Cancelled (tombstoned) events are dropped: no resume, no count, and
-  // Now() does not advance — as if the event had never been scheduled.
-  if (event.h == kCancelledEvent) return;
-  now_ = event.at;
-  ++events_processed_;
-  if ((event.h & 1u) == 0) {
-    std::coroutine_handle<>::from_address(reinterpret_cast<void*>(event.h))
-        .resume();
-  } else {
-    RunCallbackCell(static_cast<uint32_t>(event.h >> 1));
-  }
-}
-
-#if PDBLB_TRACE
-void Scheduler::RunTraced(SimTime until) {
+template <bool kTraced>
+void Scheduler::Drain(SimTime until) {
   Event event;
   while (true) {
+    // The hand-off lane drains before the calendar: its entries are ready
+    // continuations at the current timestamp (see HandOff()).
     if (!handoffs_.empty()) {
       std::coroutine_handle<> h = handoffs_.front();
       handoffs_.pop_front();
-      if (!h) continue;  // cancelled hand-off entry
+      if (!h) continue;  // nulled by CancelHandle: no resume, no record
       ++inline_resumes_;
-      // Lane resumes record statically as kChannel (see HandOff()).
-      tracer_->Record(now_, TraceEventKind::kHandOff,
-                      TraceTag(TraceSubsystem::kChannel).bits,
-                      inline_resumes_);
+      if constexpr (kTraced) {
+        // Lane resumes record statically as kChannel (see HandOff()).
+        tracer_->Record(now_, TraceEventKind::kHandOff,
+                        TraceTag(TraceSubsystem::kChannel).bits,
+                        inline_resumes_);
+      }
       h.resume();
       continue;
     }
     if (!PopNext(&event, until)) break;
-    if (event.h == kCancelledEvent) continue;  // no dispatch, no record
+    // Cancelled (tombstoned) events are dropped: no resume, no count, no
+    // record, and Now() does not advance — as if never scheduled.
+    if (event.h == kCancelledEvent) continue;
     now_ = event.at;
     ++events_processed_;
-    // The record's seq is the event's schedule-time sequence number (the
-    // high bits of the packed word); the tag and the ring/calendar source
-    // bit ride in the low bits (see PushEvent).
-    tracer_->Record(event.at,
-                    (event.seq & kTraceRingBit) ? TraceEventKind::kZeroDelay
-                                                : TraceEventKind::kCalendar,
-                    static_cast<uint16_t>(event.seq),
-                    event.seq >> kTraceTagShift);
+    if constexpr (kTraced) {
+      // The record's seq is the event's schedule-time sequence number (the
+      // high bits of the packed word); the tag and the ring/calendar source
+      // bit ride in the low bits (see PushEvent).
+      tracer_->Record(event.at,
+                      (event.seq & kTraceRingBit) ? TraceEventKind::kZeroDelay
+                                                  : TraceEventKind::kCalendar,
+                      static_cast<uint16_t>(event.seq),
+                      event.seq >> kTraceTagShift);
+    }
     if ((event.h & 1u) == 0) {
       std::coroutine_handle<>::from_address(reinterpret_cast<void*>(event.h))
           .resume();
@@ -236,79 +228,23 @@ void Scheduler::RunTraced(SimTime until) {
     }
   }
 }
-#endif
 
 void Scheduler::Run() {
   constexpr SimTime kForever = std::numeric_limits<SimTime>::infinity();
-#if PDBLB_TRACE
   if (tracer_ != nullptr) {
-    RunTraced(kForever);
-    return;
-  }
-#endif
-  Event event;
-  while (true) {
-    // The hand-off lane drains before the calendar: its entries are ready
-    // continuations at the current timestamp (see HandOff()).
-    if (!handoffs_.empty()) {
-      ResumeHandOff();
-      continue;
-    }
-    if (!PopNext(&event, kForever)) break;
-    Dispatch(event);
+    Drain<true>(kForever);
+  } else {
+    Drain<false>(kForever);
   }
 }
 
 void Scheduler::RunUntil(SimTime until) {
-#if PDBLB_TRACE
   if (tracer_ != nullptr) {
-    RunTraced(until);
-    if (now_ < until) now_ = until;
-    return;
-  }
-#endif
-  Event event;
-  while (true) {
-    if (!handoffs_.empty()) {
-      ResumeHandOff();
-      continue;
-    }
-    if (!PopNext(&event, until)) break;
-    Dispatch(event);
+    Drain<true>(until);
+  } else {
+    Drain<false>(until);
   }
   if (now_ < until) now_ = until;
-}
-
-namespace {
-Task<> RunAndCountDown(Task<> task, Latch* latch) {
-  co_await std::move(task);
-  latch->CountDown();
-}
-}  // namespace
-
-Task<> WhenAll(Scheduler& sched, std::vector<Task<>> tasks) {
-  Latch latch(sched, static_cast<int>(tasks.size()));
-  std::vector<uint64_t> ids;
-  ids.reserve(tasks.size());
-  // If this frame is destroyed mid-wait (cancellation cascade), the spawned
-  // members would outlive the latch they count down — cancel them first.
-  // Disarmed on the normal path, where completion already retired the ids.
-  struct MemberGuard {
-    Scheduler* sched;
-    std::vector<uint64_t>* ids;
-    bool armed = true;
-    ~MemberGuard() {
-      if (!armed) return;
-      for (uint64_t id : *ids) sched->Cancel(id);
-    }
-  };
-  MemberGuard guard{&sched, &ids};
-  for (auto& t : tasks) {
-    ids.push_back(sched.SpawnWithId(RunAndCountDown(std::move(t), &latch)));
-  }
-  tasks.clear();
-  co_await latch.Wait();
-  guard.armed = false;
 }
 
 }  // namespace pdblb::sim

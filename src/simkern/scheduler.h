@@ -27,11 +27,10 @@
 //  * Optional event tracing (trace_ring.h / tracer.h): every schedule call
 //    carries a 16-bit TraceTag packed into the low bits of the event's
 //    sequence word (ordering is decided by the high 47 bits, so FIFO
-//    semantics are untouched).  Run/RunUntil check for an attached Tracer
-//    once per call and select either the untraced drain loop — identical
-//    to the pre-tracing kernel — or a traced twin that writes one 16-byte
-//    record per event into a pre-allocated ring; with PDBLB_TRACE=0 the
-//    hooks do not exist at all.
+//    semantics are untouched).  There is one drain loop, Drain<kTraced>:
+//    Run/RunUntil check for an attached Tracer once per call and pick the
+//    instantiation, so Drain<false> holds no tracing code and Drain<true>
+//    writes one 16-byte record per event into a pre-allocated ring.
 
 #ifndef PDBLB_SIMKERN_SCHEDULER_H_
 #define PDBLB_SIMKERN_SCHEDULER_H_
@@ -136,7 +135,7 @@ class Scheduler {
   /// Removes the pending event that would resume `h`, if any: the matching
   /// calendar/ring entry is tombstoned in place (heap order is untouched —
   /// only the payload word changes) and hand-off lane entries are nulled;
-  /// the drain loops skip tombstones without dispatching, counting or
+  /// the drain loop skips tombstones without dispatching, counting or
   /// tracing them.  A suspended frame has at most one pending entry, so the
   /// scan stops at the first hit.  Called by cancellation-aware awaiter
   /// destructors; allocates nothing.
@@ -243,23 +242,11 @@ class Scheduler {
   /// Attaches (or detaches, with nullptr) an event tracer: every dispatch
   /// and hand-off resume is recorded until detached.  Takes effect at the
   /// next Run/RunUntil call (the drain loop binds to the tracer once per
-  /// call, keeping the untraced loop identical to the pre-tracing kernel);
-  /// must not be called from inside a running simulation process.  The
-  /// tracer must outlive its attachment.  No-op in PDBLB_TRACE=0 builds.
-  void AttachTracer(Tracer* tracer) {
-#if PDBLB_TRACE
-    tracer_ = tracer;
-#else
-    (void)tracer;
-#endif
-  }
-  Tracer* tracer() const {
-#if PDBLB_TRACE
-    return tracer_;
-#else
-    return nullptr;
-#endif
-  }
+  /// call, so the untraced loop holds no tracing code); must not be called
+  /// from inside a running simulation process.  The tracer must outlive
+  /// its attachment.
+  void AttachTracer(Tracer* tracer) { tracer_ = tracer; }
+  Tracer* tracer() const { return tracer_; }
 
   /// Number of events processed since construction (diagnostics).
   uint64_t events_processed() const { return events_processed_; }
@@ -283,12 +270,12 @@ class Scheduler {
   }
 
   // One calendar entry.  `h` is a tagged word: coroutine handle address
-  // (low bit 0) or (callback cell index << 1) | 1.  In tracing builds the
-  // low kTraceTagShift bits of `seq` hold the packed TraceTag; the real
+  // (low bit 0) or (callback cell index << 1) | 1.  The low kTraceTagShift
+  // bits of `seq` hold the packed TraceTag and the ring bit; the real
   // sequence number occupies the high bits, so Precedes() needs no mask
-  // (distinct events always differ in the high bits).  Bit 63 of `seq` is
-  // never set and free for another use: sequence numbers occupy bits 17–62
-  // in traced builds (kTraceTagShift = 17) and bits 0–62 in untraced builds.
+  // (distinct events always differ in the high bits).  Sequence numbers
+  // occupy bits 17–62 (kTraceTagShift = 17); bit 63 is never set and free
+  // for another use.
   struct Event {
     SimTime at;
     uint64_t seq;
@@ -300,7 +287,7 @@ class Scheduler {
   // (their words carry low bit 1), and its low bit 0 means the teardown
   // callback sweep skips it for free.  Cancelled entries keep their (at,
   // seq) key — overwriting only the payload preserves heap order — and are
-  // dropped by the drain loops without dispatch, count or trace record.
+  // dropped by the drain loop without dispatch, count or trace record.
   static constexpr uint64_t kCancelledEvent = 0;
   static_assert(sizeof(Event) == 24, "Event must stay a compact POD");
   static_assert(std::is_trivially_copyable_v<Event>);
@@ -377,18 +364,16 @@ class Scheduler {
   void GrowCellSlab();
 
   // --- calendar -----------------------------------------------------------
-#if PDBLB_TRACE
   // next_seq_ is kept pre-scaled (stepped by 1 << kTraceTagShift) so a push
-  // pays one OR for the tag — no shift — versus the untraced kernel; with
-  // the default tag the OR constant-folds away entirely.  The sequence
-  // bump stays inside each branch (as in the pre-tracing kernel) so the
-  // branch does not wait on the seq data flow.
+  // pays one OR for the tag and no shift; with the default tag the OR
+  // constant-folds away entirely.  The sequence bump stays inside each
+  // branch so the branch does not wait on the seq data flow.
   void PushEvent(SimTime at, uint64_t h, TraceTag tag) {
     assert(at >= now_);
     constexpr uint64_t kSeqStep = uint64_t{1} << kTraceTagShift;
     if (at == now_) {
-      // The ring bit lets the traced dispatch loop label the record's
-      // source structure without any side-channel from the pop path.
+      // The ring bit lets the traced drain loop label the record's source
+      // structure without any side-channel from the pop path.
       uint64_t seq = next_seq_ | tag.bits | kTraceRingBit;
       next_seq_ += kSeqStep;
       RingPush(Event{at, seq, h});
@@ -399,17 +384,6 @@ class Scheduler {
       SiftUp(heap_.size() - 1);
     }
   }
-#else
-  void PushEvent(SimTime at, uint64_t h, TraceTag) {
-    assert(at >= now_);
-    if (at == now_) {
-      RingPush(Event{at, next_seq_++, h});
-    } else {
-      heap_.push_back(Event{at, next_seq_++, h});
-      SiftUp(heap_.size() - 1);
-    }
-  }
-#endif
 
   void SiftUp(size_t i);
   Event HeapPop();
@@ -429,28 +403,16 @@ class Scheduler {
   // Pops the globally next event if its timestamp is <= `until`.
   bool PopNext(Event* out, SimTime until);
 
-  void Dispatch(const Event& event);
-#if PDBLB_TRACE
-  // Traced twin of the Run/RunUntil drain loop.  The tracer check happens
-  // once per Run call, not once per event: with no tracer attached the
-  // drain loop and Dispatch are instruction-identical to the pre-tracing
-  // kernel.  (Consequence: AttachTracer takes effect at the next
-  // Run/RunUntil call and must not be called from inside a running
-  // simulation process.)
-  void RunTraced(SimTime until);
-#endif
+  // The one dispatch loop behind Run and RunUntil: resumes hand-off lane
+  // entries ahead of calendar events and dispatches every event with
+  // at <= `until`.  Run/RunUntil test tracer_ once per call, not once per
+  // event (a per-dispatch branch cost 5–8% on the fastest bench_simkern
+  // shapes), so Drain<false> holds no tracing code and Drain<true> records
+  // every dispatch and hand-off resume.
+  template <bool kTraced>
+  void Drain(SimTime until);
   void RunCallbackCell(uint32_t idx);
   void DestroyPendingCallback(const Event& event);
-
-  // Resumes the oldest hand-off lane entry (see HandOff()).  Entries nulled
-  // by CancelHandle are dropped without a resume.
-  void ResumeHandOff() {
-    std::coroutine_handle<> h = handoffs_.front();
-    handoffs_.pop_front();
-    if (!h) return;
-    ++inline_resumes_;
-    h.resume();
-  }
 
   std::vector<Event> heap_;  // implicit binary min-heap
   std::vector<Event> ring_;  // power-of-two capacity FIFO ring
@@ -470,14 +432,8 @@ class Scheduler {
   uint64_t inline_resumes_ = 0;
   bool shutting_down_ = false;
   bool tearing_down_ = false;
-#if PDBLB_TRACE
   Tracer* tracer_ = nullptr;
-#endif
 };
-
-/// Awaits all tasks in `tasks` concurrently; completes when the last one
-/// finishes.  Tasks are started in order at the current simulation time.
-Task<> WhenAll(Scheduler& sched, std::vector<Task<>> tasks);
 
 }  // namespace pdblb::sim
 

@@ -25,23 +25,4 @@ double SampleStat::variance() const {
 
 double SampleStat::stddev() const { return std::sqrt(variance()); }
 
-void TimeWeightedStat::Set(double value, SimTime now) {
-  integral_ += value_ * (now - last_update_);
-  value_ = value;
-  last_update_ = now;
-}
-
-double TimeWeightedStat::TimeAverage(SimTime now) const {
-  double window = now - window_start_;
-  if (window <= 0.0) return value_;
-  double integral = integral_ + value_ * (now - last_update_);
-  return integral / window;
-}
-
-void TimeWeightedStat::ResetWindow(SimTime now) {
-  integral_ = 0.0;
-  last_update_ = now;
-  window_start_ = now;
-}
-
 }  // namespace pdblb::sim

@@ -1,16 +1,13 @@
 // Copyright 2026 the pdblb authors. MIT license.
 //
-// Statistics accumulators used for all simulation outputs: event-based
-// samples (response times), time-weighted values (queue lengths, memory
-// occupancy) and simple counters.
+// Streaming sample statistics used for simulation outputs (response
+// times and other per-event samples).
 
 #ifndef PDBLB_SIMKERN_STATS_H_
 #define PDBLB_SIMKERN_STATS_H_
 
 #include <cstdint>
 #include <limits>
-
-#include "common/units.h"
 
 namespace pdblb::sim {
 
@@ -34,45 +31,6 @@ class SampleStat {
   double m2_ = 0.0;
   double min_ = std::numeric_limits<double>::infinity();
   double max_ = -std::numeric_limits<double>::infinity();
-};
-
-/// Time-weighted average of a piecewise-constant value, e.g. the number of
-/// occupied buffer frames.  Call Set() whenever the value changes.
-class TimeWeightedStat {
- public:
-  explicit TimeWeightedStat(double initial = 0.0) : value_(initial) {}
-
-  /// Records a new value effective at time `now`.
-  void Set(double value, SimTime now);
-
-  /// Current (instantaneous) value.
-  double value() const { return value_; }
-
-  /// Time average over [window start, now].
-  double TimeAverage(SimTime now) const;
-
-  /// Restarts the averaging window at `now`, keeping the current value.
-  void ResetWindow(SimTime now);
-
- private:
-  double value_;
-  double integral_ = 0.0;
-  SimTime last_update_ = 0.0;
-  SimTime window_start_ = 0.0;
-};
-
-/// Monotonic counter with window support (throughput measurements).
-class WindowedCounter {
- public:
-  void Add(int64_t delta = 1) { total_ += delta; }
-  void ResetWindow() { window_base_ = total_; }
-
-  int64_t total() const { return total_; }
-  int64_t InWindow() const { return total_ - window_base_; }
-
- private:
-  int64_t total_ = 0;
-  int64_t window_base_ = 0;
 };
 
 }  // namespace pdblb::sim

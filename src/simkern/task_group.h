@@ -1,6 +1,6 @@
 // Copyright 2026 the pdblb authors. MIT license.
 //
-// TaskGroup: dynamic fork/join.  Unlike WhenAll, tasks can be added while
+// TaskGroup: the kernel's fork/join primitive.  Tasks can be added while
 // others are already running (e.g. packet-send tasks spawned as a scan
 // streams), and Wait() completes once the group is empty.
 

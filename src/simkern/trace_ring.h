@@ -4,19 +4,9 @@
 // most recent records of a run.  This header is included by the scheduler
 // hot path, so it holds only POD types and inline one-liners; the recording
 // logic lives in tracer.h.
-//
-// Compile-time gate: building with -DPDBLB_TRACE=0 (CMake option
-// PDBLB_TRACE=OFF) removes every tracing hook from the kernel — the
-// dispatch loop is bit-identical to a build that never heard of tracing.
-// The types below stay defined either way so call sites that pass a
-// TraceTag compile unchanged; the tag is simply ignored.
 
 #ifndef PDBLB_SIMKERN_TRACE_RING_H_
 #define PDBLB_SIMKERN_TRACE_RING_H_
-
-#ifndef PDBLB_TRACE
-#define PDBLB_TRACE 1
-#endif
 
 #include <cstddef>
 #include <cstdint>
@@ -26,10 +16,10 @@
 
 namespace pdblb::sim {
 
-/// True when the tracing hooks are compiled into the kernel.  Tests and
-/// drivers use this to skip trace-content assertions in PDBLB_TRACE=OFF
-/// builds (the API surface still exists; it just records nothing).
-inline constexpr bool kTraceCompiledIn = PDBLB_TRACE != 0;
+/// Always true: the tracing hooks are part of every build, and tracing is
+/// switched on per run (SystemConfig::trace).  Kept for the benchmark's
+/// machine record, which prints it.
+inline constexpr bool kTraceCompiledIn = true;
 
 /// Simulation subsystem a dispatched event is attributed to.  The id is
 /// threaded from the call site that schedules the wake-up (a disk Resource

@@ -5,8 +5,8 @@
 // A Tracer owns a pre-allocated TraceRing plus one (event count, simulated
 // time) accumulator per subsystem.  The scheduler calls Record() once per
 // dispatched event / hand-off resume while a tracer is attached; with no
-// tracer attached the hot path pays a single well-predicted branch, and
-// with PDBLB_TRACE=0 the hook is compiled out entirely.
+// tracer attached the scheduler runs its untraced drain loop, which holds
+// no tracing code.
 //
 // Attribution semantics: the simulated time that elapses between two
 // consecutive dispatches is charged to the subsystem of the event that
@@ -38,9 +38,7 @@ struct TraceBreakdown {
 class Tracer {
  public:
   static constexpr size_t kDefaultCapacity = 1 << 20;
-  /// Header of the ToCsv()/WriteCsv() format.  Shared with the runner's
-  /// header-only dump for PDBLB_TRACE=OFF builds, so the --trace file
-  /// format cannot drift between build modes.
+  /// Header of the ToCsv()/WriteCsv() format.
   static constexpr const char* kCsvHeader =
       "ordinal,at_ms,kind,subsystem,origin,seq\n";
 

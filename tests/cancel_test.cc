@@ -352,9 +352,7 @@ TEST(CancelTest, CancellationScenarioReplaysBitIdentical) {
   EXPECT_GT(a.events, 0u);
   EXPECT_EQ(a.events, b.events);
   EXPECT_EQ(a.trace, b.trace) << "cancellation perturbed the event trace";
-  if (sim::kTraceCompiledIn) {
-    EXPECT_NE(a.trace, Tracer::kCsvHeader) << "scenario recorded no events";
-  }
+  EXPECT_NE(a.trace, Tracer::kCsvHeader) << "scenario recorded no events";
 }
 
 // Composed-fault unwind regression: disk retry chains, a partition and a PE

@@ -108,5 +108,28 @@ TEST(DeterminismTest, RateMatchStrategy) {
   ExpectIdenticalReports(RunOnce(cfg), RunOnce(cfg));
 }
 
+// Tracing only observes: a traced run dispatches exactly the events of an
+// untraced one.  OLTP, 3-way joins and a crash with timeouts put channel
+// hand-offs and cancelled (tombstoned) calendar entries on the path, which
+// the traced drain loop must skip exactly as the untraced one does.
+TEST(DeterminismTest, TracingDoesNotChangeResults) {
+  SystemConfig cfg = SmallConfig();
+  cfg.oltp.enabled = true;
+  cfg.multiway_join.enabled = true;
+  cfg.multiway_join.arrival_rate_per_pe_qps = 0.05;
+  ASSERT_TRUE(ParseFaultSpec("crash@1500:pe3;recover@3000:pe3;timeout=4000",
+                             &cfg.faults)
+                  .ok());
+  MetricsReport untraced = RunOnce(cfg);
+  cfg.trace.enabled = true;
+  MetricsReport traced = RunOnce(cfg);
+  EXPECT_TRUE(traced.trace_enabled);
+  EXPECT_GT(traced.kernel_handoffs, 0u);
+  traced.trace_enabled = false;
+  traced.trace_subsystem_events = {};
+  traced.trace_subsystem_time_ms = {};
+  ExpectIdenticalReports(untraced, traced);
+}
+
 }  // namespace
 }  // namespace pdblb

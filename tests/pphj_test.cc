@@ -33,16 +33,6 @@ struct Fixture {
     buffer =
         std::make_unique<BufferManager>(sched, buf_config, *disks, "buf");
   }
-
-  Pphj::Params Params(int64_t inner_tuples, int want_pages) {
-    Pphj::Params p;
-    p.temp_relation_id = -1;
-    p.expected_inner_tuples = inner_tuples;
-    p.blocking_factor = 20;
-    p.fudge_factor = 1.05;
-    p.want_pages = want_pages;
-    return p;
-  }
 };
 
 /// Drives a full join at one PE: build with `inner` tuples in `batches`,
@@ -64,7 +54,7 @@ TEST(PphjTest, PartitionCountIsCeilSqrtFb) {
   Fixture f;
   // 2500 tuples -> 132 pages with fudge: ceil(sqrt(1.05 * 132)) = 12.
   Pphj join(f.sched, *f.buffer, *f.disks, f.cpu, f.costs, 20.0,
-            f.Params(2500, 40));
+            {.expected_inner_tuples = 2500, .want_pages = 40});
   EXPECT_EQ(join.num_partitions(), 12);
   EXPECT_EQ(join.min_pages(), 12);
 }
@@ -72,14 +62,15 @@ TEST(PphjTest, PartitionCountIsCeilSqrtFb) {
 TEST(PphjTest, MinPagesCappedByBufferCapacity) {
   Fixture f(5);
   Pphj join(f.sched, *f.buffer, *f.disks, f.cpu, f.costs, 20.0,
-            f.Params(2500, 40));
+            {.expected_inner_tuples = 2500, .want_pages = 40});
   EXPECT_EQ(join.min_pages(), 5);
 }
 
 TEST(PphjTest, FullyResidentJoinDoesNoTempIo) {
   Fixture f(50);
+  // 500 tuples are 27 pages with fudge: they fit in 30.
   Pphj join(f.sched, *f.buffer, *f.disks, f.cpu, f.costs, 20.0,
-            f.Params(500, 30));  // 27 pages with fudge, fits in 30
+            {.expected_inner_tuples = 500, .want_pages = 30});
   f.sched.Spawn(DriveJoin(join, 500, 2000, 5));
   f.sched.Run();
   EXPECT_EQ(join.temp_pages_written(), 0);
@@ -94,7 +85,7 @@ TEST(PphjTest, OverflowSpillsAndDefersProportionally) {
   Fixture f(50);
   // Inner needs ~53 pages but only ~20 are reserved: must spill.
   Pphj join(f.sched, *f.buffer, *f.disks, f.cpu, f.costs, 20.0,
-            f.Params(1000, 20));
+            {.expected_inner_tuples = 1000, .want_pages = 20});
   f.sched.Spawn(DriveJoin(join, 1000, 4000, 10));
   f.sched.Run();
   EXPECT_GT(join.temp_pages_written(), 0);
@@ -108,7 +99,7 @@ TEST(PphjTest, OverflowSpillsAndDefersProportionally) {
 TEST(PphjTest, ResidentFractionTracksMemory) {
   Fixture f(50);
   Pphj join(f.sched, *f.buffer, *f.disks, f.cpu, f.costs, 20.0,
-            f.Params(1000, 10));
+            {.expected_inner_tuples = 1000, .want_pages = 10});
   f.sched.Spawn([](Pphj& j) -> sim::Task<> {
     co_await j.AcquireMemory();
     co_await j.InsertInnerBatch(1000);
@@ -121,7 +112,7 @@ TEST(PphjTest, ResidentFractionTracksMemory) {
 TEST(PphjTest, StealSpillsPartitionsAndReportsPages) {
   Fixture f(50);
   Pphj join(f.sched, *f.buffer, *f.disks, f.cpu, f.costs, 20.0,
-            f.Params(500, 30));
+            {.expected_inner_tuples = 500, .want_pages = 30});
   f.sched.Spawn([](Pphj& j) -> sim::Task<> {
     co_await j.AcquireMemory();
     co_await j.InsertInnerBatch(500);
@@ -140,7 +131,7 @@ TEST(PphjTest, StealSpillsPartitionsAndReportsPages) {
 TEST(PphjTest, StealBelowMinimumSuspendsUntilMemoryReturns) {
   Fixture f(50);
   Pphj join(f.sched, *f.buffer, *f.disks, f.cpu, f.costs, 20.0,
-            f.Params(500, 30));
+            {.expected_inner_tuples = 500, .want_pages = 30});
   bool insert_done = false;
   f.sched.Spawn([](Pphj& j, BufferManager& buf, bool* done) -> sim::Task<> {
     co_await j.AcquireMemory();
@@ -167,7 +158,7 @@ TEST(PphjTest, StealBelowMinimumSuspendsUntilMemoryReturns) {
 TEST(PphjTest, CompleteProbeJoinsSpilledPartitions) {
   Fixture f(50);
   Pphj join(f.sched, *f.buffer, *f.disks, f.cpu, f.costs, 20.0,
-            f.Params(1000, 15));
+            {.expected_inner_tuples = 1000, .want_pages = 15});
   f.sched.Spawn(DriveJoin(join, 1000, 1000, 4));
   f.sched.Run();
   // Spilled inner pages and deferred outer pages were re-read.  Writes may
@@ -178,8 +169,9 @@ TEST(PphjTest, CompleteProbeJoinsSpilledPartitions) {
 
 TEST(PphjTest, ReleaseIsIdempotent) {
   Fixture f(50);
-  auto join = std::make_unique<Pphj>(f.sched, *f.buffer, *f.disks, f.cpu,
-                                     f.costs, 20.0, f.Params(100, 10));
+  auto join = std::make_unique<Pphj>(
+      f.sched, *f.buffer, *f.disks, f.cpu, f.costs, 20.0,
+      LocalJoinParams{.expected_inner_tuples = 100, .want_pages = 10});
   f.sched.Spawn([](Pphj& j) -> sim::Task<> {
     co_await j.AcquireMemory();
   }(*join));
@@ -198,7 +190,7 @@ TEST(PphjTest, TryGrowClaimsFreedMemory) {
   // First join grabs most of the buffer.
   EXPECT_EQ(f.buffer->TryReserve(40), 40);
   Pphj join(f.sched, *f.buffer, *f.disks, f.cpu, f.costs, 20.0,
-            f.Params(1000, 30));
+            {.expected_inner_tuples = 1000, .want_pages = 30});
   f.sched.Spawn([](Pphj& j) -> sim::Task<> {
     co_await j.AcquireMemory();
     co_await j.InsertInnerBatch(500);
@@ -217,7 +209,7 @@ TEST(PphjTest, AcquireWaitsInMemoryQueue) {
   Fixture f(20);
   EXPECT_EQ(f.buffer->TryReserve(20), 20);  // buffer exhausted
   Pphj join(f.sched, *f.buffer, *f.disks, f.cpu, f.costs, 20.0,
-            f.Params(200, 10));
+            {.expected_inner_tuples = 200, .want_pages = 10});
   bool acquired = false;
   f.sched.Spawn([](Pphj& j, bool* out) -> sim::Task<> {
     co_await j.AcquireMemory();
@@ -239,7 +231,7 @@ TEST_P(PphjPressureTest, ConservesTuplesAndMemory) {
   int want = GetParam();
   Fixture f(50);
   Pphj join(f.sched, *f.buffer, *f.disks, f.cpu, f.costs, 20.0,
-            f.Params(2000, want));
+            {.expected_inner_tuples = 2000, .want_pages = want});
   f.sched.Spawn(DriveJoin(join, 2000, 8000, 8));
   f.sched.Run();
   EXPECT_EQ(join.inner_tuples_received(), 2000);

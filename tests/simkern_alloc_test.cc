@@ -282,9 +282,7 @@ TEST(SchedulerAllocTest, TaskGroupFanOutAllocatesNothing) {
 // Tracing must preserve the zero-allocation guarantee: the record ring is
 // pre-allocated at Tracer construction and the per-dispatch Record() only
 // writes into it (wrapping in place once full — the 4096-record ring here
-// wraps thousands of times below).  In a PDBLB_TRACE=OFF build AttachTracer
-// is a no-op and this test degenerates to the plain dispatch test, so the
-// compiled-out path is covered by the same assertion in the OFF CI build.
+// wraps thousands of times below).
 TEST(SchedulerAllocTest, DispatchWithTracingEnabledAllocatesNothing) {
   Scheduler sched;
   Tracer tracer(/*capacity=*/4096);
@@ -320,16 +318,11 @@ TEST(SchedulerAllocTest, DispatchWithTracingEnabledAllocatesNothing) {
       << "dispatching " << dispatched
       << " events with tracing enabled must not allocate";
 
-  if (kTraceCompiledIn) {
-    EXPECT_GT(tracer.ring().total(), tracer.ring().capacity())
-        << "shape did not exercise ring wrap-around";
-    uint64_t recorded = 0;
-    for (const TraceBreakdown& b : tracer.breakdown()) recorded += b.events;
-    EXPECT_EQ(recorded,
-              sched.events_processed() + sched.inline_resumes());
-  } else {
-    EXPECT_EQ(tracer.ring().total(), 0u);
-  }
+  EXPECT_GT(tracer.ring().total(), tracer.ring().capacity())
+      << "shape did not exercise ring wrap-around";
+  uint64_t recorded = 0;
+  for (const TraceBreakdown& b : tracer.breakdown()) recorded += b.events;
+  EXPECT_EQ(recorded, sched.events_processed() + sched.inline_resumes());
 }
 
 // Cancellation must be allocation-free in steady state: SpawnWithId feeds

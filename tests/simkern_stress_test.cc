@@ -148,14 +148,14 @@ Task<> Supervise(World& w, uint64_t seed, int workers, int rounds) {
         ChannelDrainer(w, -1 - static_cast<int>(c), c));
   }
   {
-    std::vector<Task<>> tasks;
+    TaskGroup workers_group(w.sched);
     for (int i = 0; i < workers; ++i) {
       const int priority = 1 + static_cast<int>(root.UniformInt(0, 3));
-      tasks.push_back(
+      workers_group.Spawn(
           Worker(w, i, root.Fork(static_cast<uint64_t>(i) + 1), rounds,
                  priority));
     }
-    co_await WhenAll(w.sched, std::move(tasks));
+    co_await workers_group.Wait();
   }
   // All producers are done: close the channels so the drainers finish and
   // no coroutine is left suspended at scheduler teardown.

@@ -18,6 +18,7 @@
 #include "simkern/scheduler.h"
 #include "simkern/stats.h"
 #include "simkern/task.h"
+#include "simkern/task_group.h"
 
 namespace pdblb::sim {
 namespace {
@@ -228,17 +229,17 @@ TEST(TaskTest, ValueReturningTask) {
   EXPECT_EQ(out, 42);
 }
 
-TEST(WhenAllTest, CompletesAtSlowestTask) {
+TEST(TaskGroupTest, WaitEndsAtSlowestMember) {
   Scheduler sched;
   std::vector<int> order;
   SimTime end = -1.0;
   auto parent = [](Scheduler& s, std::vector<int>* ord,
                    SimTime* end_time) -> Task<> {
-    std::vector<Task<>> tasks;
-    tasks.push_back(AppendAfter(s, 3.0, 1, ord));
-    tasks.push_back(AppendAfter(s, 7.0, 2, ord));
-    tasks.push_back(AppendAfter(s, 5.0, 3, ord));
-    co_await WhenAll(s, std::move(tasks));
+    TaskGroup group(s);
+    group.Spawn(AppendAfter(s, 3.0, 1, ord));
+    group.Spawn(AppendAfter(s, 7.0, 2, ord));
+    group.Spawn(AppendAfter(s, 5.0, 3, ord));
+    co_await group.Wait();
     *end_time = s.Now();
   };
   sched.Spawn(parent(sched, &order, &end));
@@ -247,11 +248,12 @@ TEST(WhenAllTest, CompletesAtSlowestTask) {
   EXPECT_DOUBLE_EQ(end, 7.0);
 }
 
-TEST(WhenAllTest, EmptyTaskListCompletesImmediately) {
+TEST(TaskGroupTest, EmptyGroupWaitEndsAtOnce) {
   Scheduler sched;
   bool done = false;
   auto parent = [](Scheduler& s, bool* flag) -> Task<> {
-    co_await WhenAll(s, {});
+    TaskGroup group(s);
+    co_await group.Wait();
     *flag = true;
   };
   sched.Spawn(parent(sched, &done));
@@ -554,31 +556,6 @@ TEST(SampleStatTest, EmptyStatIsZero) {
   EXPECT_DOUBLE_EQ(s.mean(), 0.0);
   EXPECT_DOUBLE_EQ(s.stddev(), 0.0);
   EXPECT_EQ(s.count(), 0);
-}
-
-TEST(TimeWeightedStatTest, PiecewiseConstantAverage) {
-  TimeWeightedStat s(0.0);
-  s.Set(10.0, 0.0);
-  s.Set(20.0, 5.0);   // 10 for [0,5)
-  s.Set(0.0, 10.0);   // 20 for [5,10)
-  // average over [0, 20]: (10*5 + 20*5 + 0*10) / 20 = 7.5
-  EXPECT_DOUBLE_EQ(s.TimeAverage(20.0), 7.5);
-}
-
-TEST(TimeWeightedStatTest, ResetWindowDropsHistory) {
-  TimeWeightedStat s(5.0);
-  s.Set(5.0, 0.0);
-  s.ResetWindow(10.0);
-  EXPECT_DOUBLE_EQ(s.TimeAverage(20.0), 5.0);
-}
-
-TEST(WindowedCounterTest, WindowDelta) {
-  WindowedCounter c;
-  c.Add(5);
-  c.ResetWindow();
-  c.Add(3);
-  EXPECT_EQ(c.total(), 8);
-  EXPECT_EQ(c.InWindow(), 3);
 }
 
 // Property-style sweep: with k servers and m jobs of equal service time s,

@@ -55,7 +55,6 @@ std::vector<std::string> Records(const Tracer& tracer) {
 Task<> UseOnce(Resource& res, SimTime service) { co_await res.Use(service); }
 
 TEST(TraceGoldenTest, ContendedResourceMatchesHandCheckedTrace) {
-  if (!kTraceCompiledIn) GTEST_SKIP() << "PDBLB_TRACE=OFF build";
   Scheduler sched;
   Tracer tracer(64);
   sched.AttachTracer(&tracer);
@@ -104,7 +103,6 @@ Task<> PingPongConsumer(Channel<int>& ch, int* received) {
 }
 
 TEST(TraceGoldenTest, ChannelPingPongMatchesHandCheckedTrace) {
-  if (!kTraceCompiledIn) GTEST_SKIP() << "PDBLB_TRACE=OFF build";
   Scheduler sched;
   Tracer tracer(64);
   sched.AttachTracer(&tracer);
@@ -189,7 +187,6 @@ SystemConfig SmallClusterConfig() {
 }
 
 TEST(TraceGoldenTest, FixedSeedClusterTraceIsBitIdenticalAcrossReruns) {
-  if (!kTraceCompiledIn) GTEST_SKIP() << "PDBLB_TRACE=OFF build";
   auto run_once = [](std::string* csv, MetricsReport* report) {
     Cluster cluster(SmallClusterConfig());
     *report = cluster.Run();
@@ -227,10 +224,7 @@ std::string ReadFile(const std::string& path) {
   return ss.str();
 }
 
-// Runs in every build mode: with tracing compiled in, the per-point files
-// must be byte-identical across --jobs values; with PDBLB_TRACE=OFF the
-// runner must still emit the same file set, each holding exactly the CSV
-// header (the documented cross-build-mode contract).
+// The per-point trace files must be byte-identical across --jobs values.
 TEST(TraceGoldenTest, SweepTraceFilesAreIdenticalAcrossJobCounts) {
   runner::Sweep sweep;
   for (int pes : {2, 4}) {
@@ -254,12 +248,7 @@ TEST(TraceGoldenTest, SweepTraceFilesAreIdenticalAcrossJobCounts) {
     std::string suffix = "." + std::to_string(i) + ".csv";
     std::string a = ReadFile(base + "_j1" + suffix);
     std::string b = ReadFile(base + "_j2" + suffix);
-    if (kTraceCompiledIn) {
-      ASSERT_GT(a.size(), 1000u) << "missing or empty trace file " << i;
-    } else {
-      EXPECT_EQ(a, Tracer::kCsvHeader)
-          << "OFF builds must emit header-only trace files";
-    }
+    ASSERT_GT(a.size(), 1000u) << "missing or empty trace file " << i;
     EXPECT_EQ(a, b) << "per-point trace must not depend on --jobs";
   }
 }
