@@ -26,8 +26,8 @@ std::vector<PeId> FragmentOwners(const Cluster& c, const Relation& rel,
 
 sim::Task<> SendBatch(Cluster& c, PeId src, PeId dst, int64_t tuples,
                       int tuple_size, BatchChannel* channel) {
-  co_await c.net().Transfer(src, dst, tuples * tuple_size);
-  channel->Send(Batch{tuples});
+  return c.net().Transfer(src, dst, tuples * tuple_size,
+                          [channel, tuples] { channel->Send(Batch{tuples}); });
 }
 
 sim::Task<> DeliverControl(Cluster& c, PeId dest) {

@@ -44,7 +44,10 @@ inline auto UseCpu(Cluster& c, PeId pe, int64_t instructions) {
       InstructionsToMs(instructions, c.config().mips_per_pe));
 }
 
-/// Ships one tuple batch over the network, then hands it to the consumer.
+/// Ships one tuple batch over the network and hands it to the consumer's
+/// channel in the event that ends the receiver's CPU service.  Not a
+/// coroutine: the returned task is the network transfer itself, so a
+/// packet in flight holds one frame.
 sim::Task<> SendBatch(Cluster& c, PeId src, PeId dst, int64_t tuples,
                       int tuple_size, BatchChannel* channel);
 

@@ -83,12 +83,10 @@ void Pphj::FlushAppends(bool final_flush) {
 
 sim::Task<> Pphj::EnsureMinimumMemory() {
   while (reserved_pages_ < min_pages_) {
-    suspended_ = true;
     int got = co_await buffer_.ReserveWait(min_pages_ - reserved_pages_,
                                            min_pages_ - reserved_pages_);
     reserved_pages_ += got;
   }
-  suspended_ = false;
 }
 
 void Pphj::TryGrow() {
@@ -101,7 +99,9 @@ void Pphj::TryGrow() {
 
 sim::Task<> Pphj::InsertInnerBatch(int64_t tuples) {
   assert(acquired_);
-  co_await EnsureMinimumMemory();
+  // Checked here, not only inside: a batch that needs no wait must not pay
+  // for a coroutine frame.
+  if (reserved_pages_ < min_pages_) co_await EnsureMinimumMemory();
   TryGrow();
 
   inner_received_ += tuples;
@@ -125,7 +125,7 @@ sim::Task<> Pphj::InsertInnerBatch(int64_t tuples) {
 
 sim::Task<> Pphj::ProbeBatch(int64_t tuples) {
   assert(acquired_);
-  co_await EnsureMinimumMemory();
+  if (reserved_pages_ < min_pages_) co_await EnsureMinimumMemory();
   TryGrow();
 
   // Direct probes hit resident partitions; the rest is deferred.

@@ -82,7 +82,6 @@ class Pphj : public LocalJoin, public MemoryVictim {
   int64_t temp_pages_read() const override { return temp_pages_read_; }
   int64_t direct_probes() const { return direct_probes_; }
   int64_t deferred_probes() const { return deferred_probes_; }
-  bool suspended() const { return suspended_; }
 
  private:
   int PagesForTuples(int64_t tuples) const;
@@ -107,7 +106,6 @@ class Pphj : public LocalJoin, public MemoryVictim {
   int reserved_pages_ = 0;
   bool acquired_ = false;
   bool released_ = false;
-  bool suspended_ = false;
 
   int resident_partitions_ = 0;
   int64_t inner_received_ = 0;       // total inner tuples seen

@@ -12,6 +12,7 @@
 #define PDBLB_NETSIM_NETWORK_H_
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "common/config.h"
@@ -37,21 +38,34 @@ class Network {
   ///   sender CPU:   send_message + copy_message * packets
   ///   wire:         wire_time_per_packet * packets (pure delay)
   ///   receiver CPU: receive_message + copy_message * packets
-  /// Completes when the receiver has processed the message.  Local transfers
-  /// (src == dst) are free: co-located operators communicate via memory.
+  /// and runs `delivered()` in the event that ends the receiver's CPU
+  /// service.  Local transfers (src == dst) are free — co-located operators
+  /// communicate via memory — and run `delivered()` at once.  Sending is
+  /// the transfer itself: a sender that spawns it and hands the payload
+  /// over in `delivered` holds one coroutine frame per message in flight.
+  template <typename Delivered>
+  sim::Task<> Transfer(PeId src, PeId dst, int64_t bytes,
+                       Delivered delivered) {
+    return Ship(src, dst, bytes, sent_, std::move(delivered));
+  }
+
+  /// Transfer with nothing to hand over: completes when the receiver has
+  /// processed the message.
   sim::Task<> Transfer(PeId src, PeId dst, int64_t bytes);
 
   /// A short control message (startup, commit votes): one packet.
   sim::Task<> ControlMessage(PeId src, PeId dst);
 
-  /// Bulk data transfer (fragment migration): same packetization, CPU
-  /// charges and wire delay as Transfer, but accounted separately so the
-  /// foreground message counters stay comparable across elastic and
-  /// resize-free runs.
+  /// Bulk data transfer (fragment migration): the same transfer, accounted
+  /// in the bulk counters so the foreground message counters stay
+  /// comparable across elastic and resize-free runs.
   sim::Task<> TransferBulk(PeId src, PeId dst, int64_t bytes);
 
   /// Packets needed for `bytes` (at least 1 for a non-empty message).
-  int64_t PacketsFor(int64_t bytes) const;
+  int64_t PacketsFor(int64_t bytes) const {
+    if (bytes <= 0) return 1;
+    return (bytes + config_.packet_size_bytes - 1) / config_.packet_size_bytes;
+  }
 
   // --- link faults (engine/faults.h) --------------------------------------
   // Per-link partition flags and wire-delay multipliers.  The state tables
@@ -72,17 +86,58 @@ class Network {
   void SetLinkDelayMultiplier(PeId a, PeId b, double factor);
 
   // --- statistics ---------------------------------------------------------
-  int64_t messages_sent() const { return messages_sent_; }
-  int64_t packets_sent() const { return packets_sent_; }
-  int64_t bytes_sent() const { return bytes_sent_; }
+  int64_t messages_sent() const { return sent_.messages; }
+  int64_t packets_sent() const { return sent_.packets; }
+  int64_t bytes_sent() const { return sent_.bytes; }
   /// Bulk (migration) traffic, kept out of the foreground counters above.
-  int64_t bulk_messages_sent() const { return bulk_messages_sent_; }
-  int64_t bulk_bytes_sent() const { return bulk_bytes_sent_; }
-  void ResetStats();
+  int64_t bulk_messages_sent() const { return bulk_sent_.messages; }
+  int64_t bulk_bytes_sent() const { return bulk_sent_.bytes; }
+  void ResetStats() { sent_ = bulk_sent_ = Counters{}; }
 
  private:
+  struct Counters {
+    int64_t messages = 0;
+    int64_t packets = 0;
+    int64_t bytes = 0;
+  };
+
   size_t LinkIndex(PeId a, PeId b) const {
     return static_cast<size_t>(a) * cpus_.size() + static_cast<size_t>(b);
+  }
+
+  // The one transfer body behind every public transfer; `counters` is the
+  // set (foreground or bulk) the message is accounted in.
+  template <typename Delivered>
+  sim::Task<> Ship(PeId src, PeId dst, int64_t bytes, Counters& counters,
+                   Delivered delivered) {
+    if (src != dst) {
+      const int64_t packets = PacketsFor(bytes);
+      ++counters.messages;
+      counters.packets += packets;
+      counters.bytes += bytes;
+
+      // Sender-side CPU: message setup plus one buffer copy per packet.
+      co_await cpus_[src]->Use(InstructionsToMs(
+          costs_.send_message + costs_.copy_message * packets, mips_));
+
+      // Wire latency (store-and-forward across packets).  Traced as network
+      // time with the sending PE as origin; the CPU shares of the transfer
+      // are charged on (and attributed to) the endpoint CPUs.  A slow link
+      // stretches the wire share only (the endpoint CPU work is unchanged).
+      double wire_ms =
+          config_.wire_time_per_packet_ms * static_cast<double>(packets);
+      if (!link_delay_factor_.empty()) {
+        wire_ms *= link_delay_factor_[LinkIndex(src, dst)];
+      }
+      co_await sched_.Delay(
+          wire_ms, sim::TraceTag(sim::TraceSubsystem::kNetwork,
+                                 static_cast<uint16_t>(src)));
+
+      // Receiver-side CPU.
+      co_await cpus_[dst]->Use(InstructionsToMs(
+          costs_.receive_message + costs_.copy_message * packets, mips_));
+    }
+    delivered();
   }
 
   sim::Scheduler& sched_;
@@ -96,11 +151,8 @@ class Network {
   std::vector<double> link_delay_factor_;
   int partitioned_links_ = 0;
 
-  int64_t messages_sent_ = 0;
-  int64_t packets_sent_ = 0;
-  int64_t bytes_sent_ = 0;
-  int64_t bulk_messages_sent_ = 0;
-  int64_t bulk_bytes_sent_ = 0;
+  Counters sent_;
+  Counters bulk_sent_;
 };
 
 }  // namespace pdblb

@@ -5,7 +5,11 @@
 #include <algorithm>
 #include <limits>
 
+#include "simkern/task_group.h"
+
 namespace pdblb::sim {
+
+void internal::FinishGroupMember(TaskGroup* group) { group->Finish(); }
 
 Scheduler::~Scheduler() {
   // Destroy every detached process still suspended (parked in a resource /

@@ -95,19 +95,20 @@ class Scheduler {
     return SpawnRoot(std::move(task), nullptr);
   }
 
-  /// Spawn variant for members of a structured group (TaskGroup): `owner`
-  /// tags the process so that CancelOwned(owner) finds it while it is in
-  /// flight.  The group needs no per-member storage of its own.
-  void SpawnOwned(Task<> task, const void* owner) {
-    assert(owner != nullptr);
-    (void)SpawnRoot(std::move(task), owner);
+  /// Spawn variant for TaskGroup members: the member's own frame is
+  /// registered, tagged with `group`, so its final awaiter reports to the
+  /// group and CancelOwned(group) finds it in flight.  A member costs its
+  /// own frame and no per-member storage in the group.
+  void SpawnOwned(Task<> task, TaskGroup* group) {
+    assert(group != nullptr);
+    (void)SpawnRoot(std::move(task), group);
   }
 
-  /// Cancel() for every in-flight process spawned with `owner`, oldest
-  /// first.  Allocation-free.
-  void CancelOwned(const void* owner) {
-    assert(owner != nullptr);
-    while (std::coroutine_handle<> h = detached_.FindOldestOwnedBy(owner)) {
+  /// Cancel() for every in-flight member of `group`, oldest first.
+  /// Allocation-free.
+  void CancelOwned(const TaskGroup* group) {
+    assert(group != nullptr);
+    while (std::coroutine_handle<> h = detached_.FindOldestInGroup(group)) {
       CancelHandle(h);
       h.destroy();
     }
@@ -223,7 +224,8 @@ class Scheduler {
     return Awaiter{this, now_ + delta, tag};
   }
 
-  /// Runs until the event calendar is empty.
+  /// Runs until the event calendar is empty.  An exception thrown out of a
+  /// detached process (or a callback) propagates out of Run/RunUntil.
   void Run();
 
   /// Runs all events with timestamp <= `until`, then advances Now() to
@@ -261,10 +263,10 @@ class Scheduler {
   }
 
  private:
-  uint64_t SpawnRoot(Task<> task, const void* owner) {
+  uint64_t SpawnRoot(Task<> task, TaskGroup* group) {
     Task<>::Handle h = task.Detach();
     const uint64_t id = next_spawn_id_++;
-    detached_.Register(h, &h.promise(), id, owner);
+    detached_.Register(h, &h.promise(), id, group);
     ScheduleHandle(now_, h);
     return id;
   }

@@ -34,8 +34,13 @@ namespace pdblb::sim {
 
 template <typename T>
 class Task;
+class TaskGroup;
 
 namespace internal {
+
+/// TaskGroup::Finish for a member's final awaiter; out of line
+/// (scheduler.cc) because task.h cannot see TaskGroup.
+void FinishGroupMember(TaskGroup* group);
 
 /// Size-bucketed free list recycling coroutine frames.  Simulations spawn
 /// one short-lived coroutine per query/sub-operation, millions per run, in
@@ -120,9 +125,10 @@ class DetachedRegistry {
  public:
   ~DetachedRegistry() { assert(frames_.empty() && "call DestroyAll() first"); }
 
-  /// `owner` (may be null) tags the frame for FindOldestOwnedBy.
+  /// `group` (may be null) makes the frame a member of that TaskGroup: its
+  /// final awaiter reports to the group, and FindOldestInGroup finds it.
   inline void Register(std::coroutine_handle<> handle, PromiseBase* promise,
-                       uint64_t id, const void* owner);
+                       uint64_t id, TaskGroup* group);
 
   void Unregister(uint32_t index) {
     frames_[index] = frames_.back();
@@ -142,17 +148,20 @@ class DetachedRegistry {
     return nullptr;
   }
 
-  /// The earliest-spawned in-flight frame registered with `owner`, or null
+  /// The earliest-spawned in-flight member of `group`, or null
   /// (Scheduler::CancelOwned).  Linear scan, like FindById.
-  std::coroutine_handle<> FindOldestOwnedBy(const void* owner) const {
+  std::coroutine_handle<> FindOldestInGroup(const TaskGroup* group) const {
     const Entry* oldest = nullptr;
     for (const Entry& e : frames_) {
-      if (e.owner == owner && (oldest == nullptr || e.id < oldest->id)) {
+      if (e.group == group && (oldest == nullptr || e.id < oldest->id)) {
         oldest = &e;
       }
     }
     return oldest != nullptr ? oldest->handle : nullptr;
   }
+
+  /// The group the frame at `index` was spawned into, or null.
+  TaskGroup* GroupAt(uint32_t index) const { return frames_[index].group; }
 
   /// Destroys every registered frame (most recently spawned first).  Each
   /// destruction runs the frame's local destructors — which may destroy
@@ -171,7 +180,7 @@ class DetachedRegistry {
     std::coroutine_handle<> handle;
     PromiseBase* promise;
     uint64_t id;
-    const void* owner;
+    TaskGroup* group;
   };
   inline static void Reindex(const Entry& entry, uint32_t index);
 
@@ -206,6 +215,11 @@ struct PromiseBase {
       std::coroutine_handle<> next =
           p.continuation ? p.continuation : std::noop_coroutine();
       if (p.detached) {
+        // A group member joins through its own promise: the group hears of
+        // the completion before the frame goes away.
+        if (TaskGroup* group = p.registry->GroupAt(p.registry_index)) {
+          FinishGroupMember(group);
+        }
         // Detached frames own themselves; nobody will destroy them later.
         h.destroy();
       }
@@ -215,16 +229,23 @@ struct PromiseBase {
   };
   FinalAwaiter final_suspend() noexcept { return {}; }
 
-  void unhandled_exception() noexcept { exception = std::current_exception(); }
+  // An awaited frame keeps the exception for its parent (Task::await_resume
+  // rethrows it).  A detached frame has no parent: the exception leaves the
+  // resume, and so Scheduler::Run/RunUntil, and the frame stays parked at
+  // its final suspend point, still registered, until ~Scheduler destroys it.
+  void unhandled_exception() {
+    if (detached) throw;
+    exception = std::current_exception();
+  }
 };
 
 inline void DetachedRegistry::Register(std::coroutine_handle<> handle,
                                        PromiseBase* promise, uint64_t id,
-                                       const void* owner) {
+                                       TaskGroup* group) {
   assert(promise->detached && "only detached frames register");
   promise->registry = this;
   promise->registry_index = static_cast<uint32_t>(frames_.size());
-  frames_.push_back(Entry{handle, promise, id, owner});
+  frames_.push_back(Entry{handle, promise, id, group});
 }
 
 inline void DetachedRegistry::Reindex(const Entry& entry, uint32_t index) {

@@ -15,15 +15,18 @@
 
 namespace pdblb::sim {
 
-/// A set of detached tasks with a joinable completion point.
+/// A set of detached tasks with a joinable completion point.  A member is
+/// its own frame: no wrapper coroutine awaits it, and its final awaiter
+/// calls Finish() before the frame destroys itself.
 ///
 /// The group must outlive all tasks spawned into it: members are detached
-/// frames holding a pointer back to the group.  The usual pattern — a
-/// coroutine creates a TaskGroup on its frame, spawns into it, and
-/// `co_await group.Wait()` before the frame dies — guarantees this on the
-/// normal path, and the destructor guarantees it on the cancellation path
-/// by cancelling every still-active member (Scheduler::Cancel cascade):
-/// destroying a frame that owns a TaskGroup with members in flight is safe.
+/// frames whose registry entries point back to the group.  The usual
+/// pattern — a coroutine creates a TaskGroup on its frame, spawns into it,
+/// and `co_await group.Wait()` before the frame dies — guarantees this on
+/// the normal path, and the destructor guarantees it on the cancellation
+/// path by cancelling every still-active member (Scheduler::Cancel
+/// cascade): destroying a frame that owns a TaskGroup with members in
+/// flight is safe.
 class TaskGroup {
  public:
   /// `tag` attributes the join wake-ups in event traces.
@@ -46,10 +49,10 @@ class TaskGroup {
   /// Starts `task` at the current simulation time as a member of the group.
   /// Members are found again through the scheduler's registry of in-flight
   /// processes (tagged with this group), so any fan-out spawns without an
-  /// allocation beyond the recycled frames.
+  /// allocation beyond the members' own recycled frames.
   void Spawn(Task<> task) {
     ++active_;
-    sched_.SpawnOwned(RunAndFinish(std::move(task), this), this);
+    sched_.SpawnOwned(std::move(task), this);
   }
 
   int active() const { return active_; }
@@ -83,10 +86,7 @@ class TaskGroup {
   }
 
  private:
-  static Task<> RunAndFinish(Task<> task, TaskGroup* group) {
-    co_await std::move(task);
-    group->Finish();
-  }
+  friend void internal::FinishGroupMember(TaskGroup* group);
 
   void Finish() {
     if (--active_ == 0) {

@@ -16,6 +16,7 @@
 #include "common/config.h"
 #include "iosim/disk.h"
 #include "lockmgr/lock_manager.h"
+#include "netsim/network.h"
 #include "simkern/channel.h"
 #include "simkern/latch.h"
 #include "simkern/resource.h"
@@ -277,6 +278,62 @@ TEST(SchedulerAllocTest, TaskGroupFanOutAllocatesNothing) {
   EXPECT_EQ(cancelled - cancelled_before, joins - joins_before);
   EXPECT_EQ(g_allocations - allocations_before, 0u)
       << "64-wide task-group fork/join and cancellation allocated";
+}
+
+// Frame shape: a group member is its own frame and nothing more.  A
+// warm-up round sizes the calendar, the registry and the CPU wait queue;
+// trimming the arena then sends every frame allocation to operator new, so
+// the allocation count is the frame count.
+TEST(SchedulerAllocTest, TaskGroupMemberIsOneFrame) {
+  Scheduler sched;
+  sched.Reserve(/*events=*/256);
+  TaskGroup group(sched);
+  auto spawn_round = [&] {
+    for (int f = 0; f < 64; ++f) group.Spawn(GroupMember(sched, 1.0));
+    sched.RunUntil(sched.Now() + 0.5);  // every member suspended in Delay
+  };
+  spawn_round();
+  sched.Run();  // warm-up
+  TrimFrameArenaThreadCache();
+
+  uint64_t allocations_before = g_allocations;
+  spawn_round();
+  EXPECT_EQ(group.active(), 64);
+  EXPECT_EQ(g_allocations - allocations_before, 64u)
+      << "a TaskGroup member must cost exactly its own frame";
+  sched.Run();
+  EXPECT_EQ(group.active(), 0);
+}
+
+// The same for a redistribution packet: a transfer spawned into a group
+// with its delivery callback is the packet's only frame.
+TEST(SchedulerAllocTest, NetworkTransferIsOneFrame) {
+  Scheduler sched;
+  sched.Reserve(/*events=*/256);
+  Resource sender(sched, /*servers=*/1, "cpu0");
+  Resource receiver(sched, /*servers=*/1, "cpu1");
+  Network net(sched, NetworkConfig{}, CpuCosts{}, /*mips=*/20.0,
+              {&sender, &receiver});
+  TaskGroup sends(sched);
+  int64_t delivered = 0;
+  auto spawn_round = [&] {
+    for (int i = 0; i < 64; ++i) {
+      sends.Spawn(net.Transfer(0, 1, 8192, [&delivered] { ++delivered; }));
+    }
+    sched.RunUntil(sched.Now() + 0.1);  // every transfer at the sender CPU
+  };
+  spawn_round();
+  sched.Run();  // warm-up
+  ASSERT_EQ(delivered, 64);
+  TrimFrameArenaThreadCache();
+
+  uint64_t allocations_before = g_allocations;
+  spawn_round();
+  EXPECT_EQ(sends.active(), 64);
+  EXPECT_EQ(g_allocations - allocations_before, 64u)
+      << "a packet in flight must cost exactly its transfer's frame";
+  sched.Run();
+  EXPECT_EQ(delivered, 128);
 }
 
 // Tracing must preserve the zero-allocation guarantee: the record ring is

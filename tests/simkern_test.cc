@@ -1,13 +1,15 @@
 // Copyright 2026 the pdblb authors. MIT license.
 //
 // Unit tests for the discrete-event kernel: scheduling order, delays,
-// resources, channels, latches, RNG determinism and statistics.
+// resources, channels, latches, task groups, exceptions, RNG determinism
+// and statistics.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
 #include <cstdint>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -260,6 +262,56 @@ TEST(TaskGroupTest, EmptyGroupWaitEndsAtOnce) {
   sched.Run();
   EXPECT_TRUE(done);
   EXPECT_DOUBLE_EQ(sched.Now(), 0.0);
+}
+
+// An exception escaping a simulation process must not vanish.  A detached
+// process has no parent to rethrow into, so the exception leaves Run (or
+// RunUntil); the thrower stays parked at its final suspend point and
+// ~Scheduler destroys it, which the ASan build checks for leaks and
+// double frees.
+Task<> ThrowAfter(Scheduler& sched, SimTime delay) {
+  co_await sched.Delay(delay);
+  throw std::runtime_error("process failed");
+}
+
+TEST(TaskTest, DetachedThrowLeavesRun) {
+  Scheduler sched;
+  sched.Spawn(ThrowAfter(sched, 1.0));
+  EXPECT_THROW(sched.Run(), std::runtime_error);
+  EXPECT_DOUBLE_EQ(sched.Now(), 1.0);
+  EXPECT_EQ(sched.detached_in_flight(), 1u);
+}
+
+TEST(TaskTest, ThrowInAwaitedChildOfDetachedParentLeavesRun) {
+  Scheduler sched;
+  bool resumed = false;
+  auto parent = [](Scheduler& s, bool* flag) -> Task<> {
+    co_await ThrowAfter(s, 1.0);
+    *flag = true;
+  };
+  sched.Spawn(parent(sched, &resumed));
+  EXPECT_THROW(sched.Run(), std::runtime_error);
+  EXPECT_FALSE(resumed);
+  EXPECT_EQ(sched.detached_in_flight(), 1u);
+}
+
+TEST(TaskGroupTest, MemberThrowLeavesRunUntil) {
+  Scheduler sched;
+  bool joined = false;
+  auto parent = [](Scheduler& s, bool* flag) -> Task<> {
+    TaskGroup group(s);
+    group.Spawn(IdleUntil(s, 1.0));
+    group.Spawn(ThrowAfter(s, 2.0));
+    group.Spawn(IdleUntil(s, 3.0));
+    co_await group.Wait();
+    *flag = true;
+  };
+  sched.Spawn(parent(sched, &joined));
+  EXPECT_THROW(sched.RunUntil(10.0), std::runtime_error);
+  EXPECT_FALSE(joined);
+  EXPECT_DOUBLE_EQ(sched.Now(), 2.0);
+  // The waiting owner, the thrower and the slowest member.
+  EXPECT_EQ(sched.detached_in_flight(), 3u);
 }
 
 Task<> UseResource(Scheduler& sched, Resource& res, SimTime service,
