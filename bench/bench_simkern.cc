@@ -5,15 +5,14 @@
 // this is the repo-wide hot path.  Scenarios:
 //
 //   TimerChurn          N coroutines looping on staggered Delay()s
-//   CallbackChurn       self-rescheduling ScheduleCallback() chains
 //   ZeroDelayPingPong   Delay(0) chains (same-timestamp FIFO fast path)
 //   ResourceContention  M clients hammering a k-server FCFS resource
 //   ChannelPingPong     two processes bouncing a token over two channels
 //   ChannelStream       producer streaming value bursts to a consumer
 //   TaskGroupFanout     repeated fork/join over F child tasks
 //
-// The pure dispatch shapes (TimerChurn, CallbackChurn, ZeroDelayPingPong)
-// report items/sec where one item is one dispatched scheduler event.  The
+// The pure dispatch shapes (TimerChurn, ZeroDelayPingPong) report items/sec
+// where one item is one dispatched scheduler event.  The
 // blocking-primitive shapes (ResourceContention, ChannelPingPong,
 // ChannelStream, TaskGroupFanout) report items/sec where one item is one
 // completed *operation* (acquisition / message / join) — the unit that is
@@ -77,82 +76,6 @@ void BM_TimerChurn(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(events));
 }
 BENCHMARK(BM_TimerChurn)->Arg(16)->Arg(1024)->Unit(benchmark::kMillisecond);
-
-// --- CallbackChurn --------------------------------------------------------
-// Self-rescheduling callbacks: each dispatch schedules the next link of the
-// chain.  Exercises the callback storage path (the old kernel paid one heap
-// allocation plus several std::function copies per link).
-
-struct CallbackChain {
-  Scheduler* sched;
-  int64_t remaining;
-  SimTime period;
-  void Arm() {
-    sched->ScheduleCallback(sched->Now() + period, [this] {
-      if (--remaining > 0) Arm();
-    });
-  }
-};
-
-void BM_CallbackChurn(benchmark::State& state) {
-  const int chains = static_cast<int>(state.range(0));
-  const int64_t rounds = EventTarget() / chains;
-  uint64_t events = 0;
-  for (auto _ : state) {
-    Scheduler sched;
-    std::vector<CallbackChain> chain(static_cast<size_t>(chains));
-    for (int i = 0; i < chains; ++i) {
-      chain[i] = CallbackChain{&sched, rounds, 1.0 + 0.007 * i};
-      chain[i].Arm();
-    }
-    uint64_t before = sched.events_processed();
-    sched.Run();
-    events += sched.events_processed() - before;
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(events));
-}
-BENCHMARK(BM_CallbackChurn)->Arg(64)->Unit(benchmark::kMillisecond);
-
-// --- CallbackChurnCtx -----------------------------------------------------
-// Same chain shape, but each callback carries 40 bytes of captured context
-// (several pointers/ids, the size of a realistic completion callback).
-// This exceeds libstdc++'s 16-byte std::function small-buffer, so a
-// type-erasing kernel pays one heap allocation per link; the slab's inline
-// cells do not.
-
-struct ContextLink {
-  Scheduler* sched;
-  int64_t remaining;
-  SimTime period;
-  uint64_t context[2];  // stand-in for txn id / page id / operator state
-
-  void operator()() {
-    benchmark::DoNotOptimize(context[0] += context[1]);
-    if (--remaining > 0) {
-      sched->ScheduleCallback(sched->Now() + period, *this);
-    }
-  }
-};
-static_assert(sizeof(ContextLink) == 40);
-
-void BM_CallbackChurnCtx(benchmark::State& state) {
-  const int chains = static_cast<int>(state.range(0));
-  const int64_t rounds = EventTarget() / chains;
-  uint64_t events = 0;
-  for (auto _ : state) {
-    Scheduler sched;
-    for (int i = 0; i < chains; ++i) {
-      sched.ScheduleCallback(
-          1.0 + 0.007 * i,
-          ContextLink{&sched, rounds, 1.0 + 0.007 * i, {uint64_t(i), 1}});
-    }
-    uint64_t before = sched.events_processed();
-    sched.Run();
-    events += sched.events_processed() - before;
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(events));
-}
-BENCHMARK(BM_CallbackChurnCtx)->Arg(64)->Unit(benchmark::kMillisecond);
 
 // --- ZeroDelayPingPong ----------------------------------------------------
 // Delay(0) re-queues through the calendar at the current timestamp (FIFO

@@ -265,7 +265,6 @@ sim::Task<> BufferManager::IngestBatch(PageKey first, int count) {
   co_await disks_.WriteBatch(first, count);
   // The pages are durable on the destination's disks but deliberately not
   // Admit()ed: cold bulk data must not displace the hot set.
-  pages_ingested_ += count;
 }
 
 void BufferManager::OnCrash() {

@@ -154,9 +154,6 @@ class BufferManager {
   int64_t pages_stolen() const { return pages_stolen_; }
   int64_t dirty_writebacks() const { return dirty_writebacks_; }
   int64_t evictions() const { return evictions_; }
-  /// Migration pages durably ingested via IngestBatch (completed batches
-  /// only; a cancelled batch never counts).
-  int64_t pages_ingested() const { return pages_ingested_; }
   /// The page most recently evicted (valid once evictions() > 0); lets the
   /// model-based policy tests check victim identity, not just counts.
   PageKey last_evicted() const { return last_evicted_; }
@@ -215,7 +212,6 @@ class BufferManager {
   int64_t pages_stolen_ = 0;
   int64_t dirty_writebacks_ = 0;
   int64_t evictions_ = 0;
-  int64_t pages_ingested_ = 0;
   PageKey last_evicted_{0, 0};
 };
 

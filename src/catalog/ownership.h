@@ -45,9 +45,6 @@ class OwnershipMap {
     }
   }
 
-  /// True once any fragment has a non-home owner.
-  bool Moved() const { return !moves_.empty(); }
-
   /// Monotone version counter, bumped on every committed flip.  Planners
   /// and tests use it to detect concurrent map changes.
   uint64_t version() const { return version_; }

@@ -21,9 +21,10 @@
 namespace pdblb {
 
 /// Parses all of `token` as a finite number of type T.  Every number in a
-/// fault spec or a driver flag goes through here, so leftover characters
-/// ("5000ms", "x2.5q"), a fraction where an integer is due ("2.9"), NaN and
-/// infinities are rejected rather than truncated or let through.
+/// fault spec, a driver flag or a trace file goes through here, so leftover
+/// characters ("5000ms", "x2.5q"), a leading "+", a fraction where an
+/// integer is due ("2.9"), NaN and infinities are rejected rather than
+/// truncated or let through.
 template <typename T>
 bool ParseNumber(std::string_view token, T* out) {
   T value{};

@@ -1,15 +1,13 @@
 // Copyright 2026 the pdblb authors. MIT license.
 //
-// A lightweight Status / StatusOr pair in the style used by large C++
-// database code bases (Arrow, RocksDB, Abseil).  pdblb is an in-process
+// A lightweight Status in the style used by large C++ database code bases
+// (Arrow, RocksDB, Abseil).  pdblb is an in-process
 // simulator, so most errors indicate configuration mistakes; Status keeps
 // them explicit without exceptions.
 
 #ifndef PDBLB_COMMON_STATUS_H_
 #define PDBLB_COMMON_STATUS_H_
 
-#include <cassert>
-#include <optional>
 #include <ostream>
 #include <string>
 #include <utility>
@@ -40,29 +38,11 @@ class Status {
   static Status InvalidArgument(std::string msg) {
     return Status(StatusCode::kInvalidArgument, std::move(msg));
   }
-  static Status FailedPrecondition(std::string msg) {
-    return Status(StatusCode::kFailedPrecondition, std::move(msg));
-  }
-  static Status NotFound(std::string msg) {
-    return Status(StatusCode::kNotFound, std::move(msg));
-  }
   static Status OutOfRange(std::string msg) {
     return Status(StatusCode::kOutOfRange, std::move(msg));
   }
-  static Status Internal(std::string msg) {
-    return Status(StatusCode::kInternal, std::move(msg));
-  }
   static Status IoError(std::string msg) {
     return Status(StatusCode::kIoError, std::move(msg));
-  }
-  static Status DeadlineExceeded(std::string msg) {
-    return Status(StatusCode::kDeadlineExceeded, std::move(msg));
-  }
-  static Status Unavailable(std::string msg) {
-    return Status(StatusCode::kUnavailable, std::move(msg));
-  }
-  static Status ResourceExhausted(std::string msg) {
-    return Status(StatusCode::kResourceExhausted, std::move(msg));
   }
 
   bool ok() const { return code_ == StatusCode::kOk; }
@@ -77,41 +57,6 @@ class Status {
 };
 
 std::ostream& operator<<(std::ostream& os, const Status& status);
-
-/// Either a value of type T or an error Status.
-template <typename T>
-class StatusOr {
- public:
-  StatusOr(Status status) : status_(std::move(status)) {  // NOLINT(runtime/explicit)
-    assert(!status_.ok() && "StatusOr constructed from OK status without value");
-  }
-  StatusOr(T value) : value_(std::move(value)) {}  // NOLINT(runtime/explicit)
-
-  bool ok() const { return value_.has_value(); }
-  const Status& status() const { return status_; }
-
-  const T& value() const& {
-    assert(ok());
-    return *value_;
-  }
-  T& value() & {
-    assert(ok());
-    return *value_;
-  }
-  T&& value() && {
-    assert(ok());
-    return std::move(*value_);
-  }
-
-  const T& operator*() const& { return value(); }
-  T& operator*() & { return value(); }
-  const T* operator->() const { return &value(); }
-  T* operator->() { return &value(); }
-
- private:
-  Status status_;
-  std::optional<T> value_;
-};
 
 }  // namespace pdblb
 

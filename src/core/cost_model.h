@@ -33,9 +33,6 @@ class CostModel {
  public:
   explicit CostModel(const SystemConfig& config);
 
-  /// Derives the join profile from the configured query class.
-  JoinQueryProfile Profile() const { return profile_; }
-
   /// Single-user response time estimate [ms] with p join processors.
   double ResponseTimeMs(int p) const;
 

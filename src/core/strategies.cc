@@ -54,26 +54,6 @@ int MinOverflowDegree(const std::vector<PeLoadInfo>& avail, int64_t need,
   return best_k;
 }
 
-int MinOverflowDegreeNear(const std::vector<PeLoadInfo>& avail, int64_t need,
-                          int limit, int target) {
-  limit = std::min(limit, static_cast<int>(avail.size()));
-  assert(limit >= 1);
-  int best_k = 1;
-  int64_t best_overflow = OverflowPages(avail, need, 1);
-  for (int k = 2; k <= limit; ++k) {
-    int64_t overflow = OverflowPages(avail, need, k);
-    bool better =
-        overflow < best_overflow ||
-        (overflow == best_overflow &&
-         std::abs(k - target) < std::abs(best_k - target));
-    if (better) {
-      best_overflow = overflow;
-      best_k = k;
-    }
-  }
-  return best_k;
-}
-
 }  // namespace internal
 
 namespace {
@@ -81,7 +61,6 @@ namespace {
 using internal::AllNoIoDegrees;
 using internal::MinNoIoDegree;
 using internal::MinOverflowDegree;
-using internal::MinOverflowDegreeNear;
 
 int PagesPerPe(int64_t need, int k) {
   return static_cast<int>((need + k - 1) / k);

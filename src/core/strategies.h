@@ -89,11 +89,6 @@ int64_t OverflowPages(const std::vector<PeLoadInfo>& avail, int64_t need,
 int MinOverflowDegree(const std::vector<PeLoadInfo>& avail, int64_t need,
                       int limit, bool prefer_larger);
 
-/// k in [1, limit] minimizing overflow; ties broken toward the k closest to
-/// `target` (MIN-IO-SUOPT's fallback keeps leaning on p_su-opt).
-int MinOverflowDegreeNear(const std::vector<PeLoadInfo>& avail, int64_t need,
-                          int limit, int target);
-
 /// RateMatch degree (Mehta & DeWitt [20]): smallest p whose aggregate
 /// derated consumption rate matches the scan production rate.  Grows with
 /// the average CPU/disk utilization; ignores memory.

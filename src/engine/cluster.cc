@@ -5,7 +5,6 @@
 #include <chrono>
 #include <stdexcept>
 
-#include "common/logging.h"
 #include "engine/elastic.h"
 #include "engine/faults.h"
 #include "engine/join_executor.h"

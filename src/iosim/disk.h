@@ -101,7 +101,6 @@ class DiskArray {
   /// multiplier is per-facade: it models this PE's degraded storage
   /// adapter path to the shared spindles.
   void SetServiceMultiplier(double m);
-  double service_multiplier() const { return service_multiplier_; }
 
   int64_t io_errors() const { return io_errors_; }
   int64_t io_retries() const { return io_retries_; }

@@ -102,7 +102,6 @@ std::vector<TxnId> DeadlockDetector::DetectAndResolve() {
       lock_managers_[site->second]->AbortWaiter(victim);
     }
   }
-  total_victims_ += static_cast<int64_t>(victims.size());
   return victims;
 }
 

@@ -36,13 +36,10 @@ class DeadlockDetector {
   static std::vector<TxnId> FindCycleVictims(
       const std::vector<WaitForEdge>& edges);
 
-  int64_t total_victims() const { return total_victims_; }
-
  private:
   sim::Scheduler& sched_;
   std::vector<LockManager*> lock_managers_;
   SimTime check_interval_ms_;
-  int64_t total_victims_ = 0;
 };
 
 }  // namespace pdblb

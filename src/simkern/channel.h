@@ -58,7 +58,7 @@ class Channel {
     assert(!closed_ && "Send on closed channel");
     values_.push_back(std::move(value));
     if (!waiters_.empty()) {
-      sched_.HandOff(waiters_.front(), tag_);
+      sched_.HandOff(waiters_.front());
       waiters_.pop_front();
       ++pending_wakeups_;
     }

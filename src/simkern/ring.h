@@ -1,7 +1,8 @@
 // Copyright 2026 the pdblb authors. MIT license.
 //
 // RingBuffer<T, InlineCapacity>: the recycled FIFO backing every blocking
-// primitive's waiter/value queue (Resource, Channel, Latch, TaskGroup).
+// primitive's waiter/value queue (Resource, Channel, Latch, TaskGroup) and
+// the scheduler's same-time ring and hand-off lane.
 //
 // Why not std::deque: libstdc++'s deque allocates and frees 512-byte chunks
 // as the head/tail cross chunk boundaries, so a heavily contended station

@@ -1,15 +1,13 @@
 // Copyright 2026 the pdblb authors. MIT license.
 //
 // The discrete-event scheduler: a calendar of timestamped events, each of
-// which resumes a suspended coroutine or invokes a callback.  Events with
-// equal timestamps are processed in FIFO insertion order (stable via a
-// sequence number), which makes every simulation run fully deterministic.
+// which resumes a suspended coroutine.  Events with equal timestamps are
+// processed in FIFO insertion order (stable via a sequence number), which
+// makes every simulation run fully deterministic.
 //
 // Hot-path design (see src/simkern/README.md for the full story):
-//  * An event is a 24-byte POD {at, seq, handle_bits}.  Callbacks are not
-//    stored in the calendar; they live in a side slab of fixed-size cells
-//    and the event carries a tagged cell index (low bit 1).  Coroutine
-//    handles are stored as their address (low bit 0 — frames are aligned).
+//  * An event is a 24-byte POD {at, seq, frame}: the payload is the
+//    suspended frame's address, and null marks a cancelled entry.
 //  * The calendar is a compact index-based binary min-heap over those PODs
 //    with bottom-up deletion and branchless child selection: no per-node
 //    allocation, trivially-copyable sifts, `Reserve()` for pre-sizing.
@@ -17,13 +15,11 @@
 //    the compact heap on every scenario of bench_simkern — see the simkern
 //    README for the numbers.)
 //  * Events scheduled at exactly the current time (zero delays, latch and
-//    channel wake-ups) bypass the heap through a FIFO ring buffer; the
+//    channel wake-ups) bypass the heap through a FIFO RingBuffer; the
 //    dispatch loop merges ring and heap by sequence number, so same-time
 //    FIFO semantics are preserved while the common wake-up costs O(1).
-//  * Callback cells are recycled through a free list and store small
-//    callables inline (small-buffer optimization), and coroutine frames
-//    are recycled through a size-bucketed arena (task.h), so steady-state
-//    dispatch performs no heap allocations per event.
+//  * Coroutine frames are recycled through a size-bucketed arena (task.h),
+//    so steady-state dispatch performs no heap allocations per event.
 //  * Optional event tracing (trace_ring.h / tracer.h): every schedule call
 //    carries a 16-bit TraceTag packed into the low bits of the event's
 //    sequence word (ordering is decided by the high 47 bits, so FIFO
@@ -39,9 +35,6 @@
 #include <coroutine>
 #include <cstddef>
 #include <cstdint>
-#include <cstring>
-#include <memory>
-#include <new>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -71,16 +64,7 @@ class Scheduler {
   void ScheduleHandle(SimTime at, std::coroutine_handle<> handle,
                       TraceTag tag = {}) {
     assert(handle);
-    PushEvent(at, reinterpret_cast<uint64_t>(handle.address()), tag);
-  }
-
-  /// Schedules `fn` to run at absolute time `at` (>= Now()).  Callables up
-  /// to kInlineCallbackBytes are stored inline in a recycled cell (no heap
-  /// allocation); larger ones fall back to the heap.
-  template <typename F>
-  void ScheduleCallback(SimTime at, F&& fn, TraceTag tag = {}) {
-    uint32_t idx = StoreCallback(std::forward<F>(fn));
-    PushEvent(at, (static_cast<uint64_t>(idx) << 1) | 1u, tag);
+    PushEvent(at, handle.address(), tag);
   }
 
   /// Starts a detached simulation process at the current time.  The frame
@@ -164,15 +148,14 @@ class Scheduler {
   /// fan-out broadcasts) must keep scheduling through the calendar.
   /// Dispatch stays fully deterministic: hand-offs occur at fixed points of
   /// the event sequence.
-  /// The `tag` parameter is accepted for call-site symmetry but the lane
-  /// records statically as kChannel: channels are the lane's only client
-  /// (see the contract above), and a per-entry tag would either widen the
-  /// 8-byte entry or cost a branch per Send — measurable on the 5 ns/op
-  /// channel shapes.  A future non-channel client that needs attribution
-  /// should reintroduce a parallel tag ring gated on the tracer.
-  void HandOff(std::coroutine_handle<> h, TraceTag tag = {}) {
+  /// The lane takes no TraceTag and records statically as kChannel:
+  /// channels are the lane's only client (see the contract above), and a
+  /// per-entry tag would either widen the 8-byte entry or cost a branch per
+  /// Send — measurable on the 5 ns/op channel shapes.  A future non-channel
+  /// client that needs attribution should add a parallel tag ring gated on
+  /// the tracer.
+  void HandOff(std::coroutine_handle<> h) {
     assert(h);
-    (void)tag;
     handoffs_.push_back(h);
   }
 
@@ -225,16 +208,19 @@ class Scheduler {
   }
 
   /// Runs until the event calendar is empty.  An exception thrown out of a
-  /// detached process (or a callback) propagates out of Run/RunUntil.
+  /// detached process propagates out of Run/RunUntil.
   void Run();
 
   /// Runs all events with timestamp <= `until`, then advances Now() to
   /// `until`.  Later events remain queued.
   void RunUntil(SimTime until);
 
-  /// Pre-sizes the calendar (and optionally the callback slab) so a run
-  /// with at most `events` concurrently pending events allocates nothing.
-  void Reserve(size_t events, size_t callbacks = 0);
+  /// Pre-sizes the heap and the same-time ring so a run with at most
+  /// `events` concurrently pending events allocates nothing.
+  void Reserve(size_t events) {
+    heap_.reserve(events);
+    ring_.reserve(events);
+  }
 
   /// Signals cooperative shutdown: long-running generator processes are
   /// expected to poll ShuttingDown() after each wait and terminate.
@@ -259,7 +245,7 @@ class Scheduler {
   /// separately from events_processed(): hand-offs are not calendar events.
   uint64_t inline_resumes() const { return inline_resumes_; }
   size_t pending_events() const {
-    return heap_.size() + ring_size_ + handoffs_.size();
+    return heap_.size() + ring_.size() + handoffs_.size();
   }
 
  private:
@@ -271,26 +257,22 @@ class Scheduler {
     return id;
   }
 
-  // One calendar entry.  `h` is a tagged word: coroutine handle address
-  // (low bit 0) or (callback cell index << 1) | 1.  The low kTraceTagShift
-  // bits of `seq` hold the packed TraceTag and the ring bit; the real
-  // sequence number occupies the high bits, so Precedes() needs no mask
-  // (distinct events always differ in the high bits).  Sequence numbers
-  // occupy bits 17–62 (kTraceTagShift = 17); bit 63 is never set and free
-  // for another use.
+  // One calendar entry.  `frame` is the address of the suspended coroutine
+  // frame to resume.  The low kTraceTagShift bits of `seq` hold the packed
+  // TraceTag and the ring bit; the real sequence number occupies the high
+  // bits, so Precedes() needs no mask (distinct events always differ in the
+  // high bits).  Sequence numbers occupy bits 17–62 (kTraceTagShift = 17);
+  // bit 63 is never set and free for another use.
   struct Event {
     SimTime at;
     uint64_t seq;
-    uint64_t h;
+    void* frame;
   };
 
-  // Tombstone payload for cancelled events.  0 can collide with neither a
-  // coroutine handle (ScheduleHandle asserts non-null) nor a callback cell
-  // (their words carry low bit 1), and its low bit 0 means the teardown
-  // callback sweep skips it for free.  Cancelled entries keep their (at,
-  // seq) key — overwriting only the payload preserves heap order — and are
-  // dropped by the drain loop without dispatch, count or trace record.
-  static constexpr uint64_t kCancelledEvent = 0;
+  // Cancelled entries keep their (at, seq) key — overwriting only the
+  // payload with null preserves heap order — and are dropped by the drain
+  // loop without dispatch, count or trace record.  ScheduleHandle asserts
+  // a non-null handle, so null marks nothing but a cancellation.
   static_assert(sizeof(Event) == 24, "Event must stay a compact POD");
   static_assert(std::is_trivially_copyable_v<Event>);
 
@@ -301,76 +283,11 @@ class Scheduler {
     return (a.at < b.at) | ((a.at == b.at) & (a.seq < b.seq));
   }
 
-  // --- callback cell slab -------------------------------------------------
-  // Cells are allocated in fixed chunks (stable addresses, no relocation of
-  // live callables) and recycled through a free list.  `op` both invokes
-  // (invoke=true) and destroys, or just destroys (invoke=false, used when
-  // the scheduler is torn down with events still pending).
-  static constexpr size_t kInlineCallbackBytes = 48;
-  static constexpr size_t kCellsPerChunk = 64;
-  struct CallbackCell {
-    void (*op)(void* storage, bool invoke);
-    alignas(std::max_align_t) unsigned char storage[kInlineCallbackBytes];
-  };
-
-  // Moves `fn` into a recycled cell (inline when it fits, boxed otherwise)
-  // and returns the cell index, which ScheduleCallback pushes as a tagged
-  // calendar payload.
-  template <typename F>
-  uint32_t StoreCallback(F&& fn) {
-    using Fn = std::decay_t<F>;
-    uint32_t idx = AllocCell();
-    CallbackCell& cell = CellAt(idx);
-    try {
-      if constexpr (sizeof(Fn) <= kInlineCallbackBytes &&
-                    alignof(Fn) <= alignof(std::max_align_t)) {
-        ::new (static_cast<void*>(cell.storage)) Fn(std::forward<F>(fn));
-        cell.op = [](void* storage, bool invoke) {
-          Fn* f = std::launder(reinterpret_cast<Fn*>(storage));
-          // Destroy even if the invocation throws.
-          struct Guard {
-            Fn* f;
-            ~Guard() { f->~Fn(); }
-          } guard{f};
-          if (invoke) (*f)();
-        };
-      } else {
-        Fn* boxed = new Fn(std::forward<F>(fn));
-        std::memcpy(cell.storage, &boxed, sizeof(boxed));
-        cell.op = [](void* storage, bool invoke) {
-          Fn* f;
-          std::memcpy(&f, storage, sizeof(f));
-          struct Guard {
-            Fn* f;
-            ~Guard() { delete f; }
-          } guard{f};
-          if (invoke) (*f)();
-        };
-      }
-    } catch (...) {
-      free_cells_.push_back(idx);  // reserved capacity: cannot throw
-      throw;
-    }
-    return idx;
-  }
-
-  CallbackCell& CellAt(uint32_t idx) {
-    return cell_chunks_[idx / kCellsPerChunk][idx % kCellsPerChunk];
-  }
-  uint32_t AllocCell() {
-    if (free_cells_.empty()) GrowCellSlab();
-    uint32_t idx = free_cells_.back();
-    free_cells_.pop_back();
-    return idx;
-  }
-  void GrowCellSlab();
-
-  // --- calendar -----------------------------------------------------------
   // next_seq_ is kept pre-scaled (stepped by 1 << kTraceTagShift) so a push
   // pays one OR for the tag and no shift; with the default tag the OR
   // constant-folds away entirely.  The sequence bump stays inside each
   // branch so the branch does not wait on the seq data flow.
-  void PushEvent(SimTime at, uint64_t h, TraceTag tag) {
+  void PushEvent(SimTime at, void* frame, TraceTag tag) {
     assert(at >= now_);
     constexpr uint64_t kSeqStep = uint64_t{1} << kTraceTagShift;
     if (at == now_) {
@@ -378,29 +295,17 @@ class Scheduler {
       // structure without any side-channel from the pop path.
       uint64_t seq = next_seq_ | tag.bits | kTraceRingBit;
       next_seq_ += kSeqStep;
-      RingPush(Event{at, seq, h});
+      ring_.push_back(Event{at, seq, frame});
     } else {
       uint64_t seq = next_seq_ | tag.bits;
       next_seq_ += kSeqStep;
-      heap_.push_back(Event{at, seq, h});
+      heap_.push_back(Event{at, seq, frame});
       SiftUp(heap_.size() - 1);
     }
   }
 
   void SiftUp(size_t i);
   Event HeapPop();
-
-  // FIFO ring for events at exactly Now().  The ring drains (merged with
-  // same-time heap entries by seq) before simulated time can advance, so
-  // its entries are always at the current timestamp.
-  void RingPush(const Event& e);
-  void RingGrow();
-  Event RingPop() {
-    Event e = ring_[ring_head_];
-    ring_head_ = (ring_head_ + 1) & (ring_.size() - 1);
-    --ring_size_;
-    return e;
-  }
 
   // Pops the globally next event if its timestamp is <= `until`.
   bool PopNext(Event* out, SimTime until);
@@ -413,17 +318,13 @@ class Scheduler {
   // every dispatch and hand-off resume.
   template <bool kTraced>
   void Drain(SimTime until);
-  void RunCallbackCell(uint32_t idx);
-  void DestroyPendingCallback(const Event& event);
 
   std::vector<Event> heap_;  // implicit binary min-heap
-  std::vector<Event> ring_;  // power-of-two capacity FIFO ring
-  size_t ring_head_ = 0;
-  size_t ring_size_ = 0;
+  // FIFO of events at exactly Now().  It drains (merged with same-time heap
+  // entries by seq) before simulated time can advance, so its entries are
+  // always at the current timestamp.
+  RingBuffer<Event> ring_;
   RingBuffer<std::coroutine_handle<>, 4> handoffs_;  // inline-resume lane
-
-  std::vector<std::unique_ptr<CallbackCell[]>> cell_chunks_;
-  std::vector<uint32_t> free_cells_;
 
   internal::DetachedRegistry detached_;  // in-flight Spawn'ed frames
 

@@ -6,7 +6,9 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <string_view>
 
+#include "common/config.h"
 #include "simkern/rng.h"
 
 namespace pdblb {
@@ -39,9 +41,7 @@ Status ParseClassToken(const std::string& token, TraceEvent* event) {
     event->cls = TraceClass::kMultiwayJoin;
   } else if (token.rfind("oltp:", 0) == 0) {
     event->cls = TraceClass::kOltp;
-    try {
-      event->oltp_node = static_cast<PeId>(std::stoi(token.substr(5)));
-    } catch (...) {
+    if (!ParseNumber(std::string_view(token).substr(5), &event->oltp_node)) {
       return Status::InvalidArgument("bad oltp node in trace: " + token);
     }
     if (event->oltp_node < 0) {
@@ -83,8 +83,9 @@ Status Trace::FromText(const std::string& text, Trace* out) {
     if (line.empty() || line[0] == '#') continue;
     std::istringstream fields(line);
     TraceEvent event;
-    std::string cls;
-    if (!(fields >> event.arrival_ms >> cls)) {
+    std::string arrival, cls, extra;
+    if (!(fields >> arrival >> cls) || fields >> extra ||
+        !ParseNumber(arrival, &event.arrival_ms)) {
       return Status::InvalidArgument("malformed trace line " +
                                      std::to_string(lineno) + ": " + line);
     }

@@ -28,6 +28,7 @@
 #include "bufmgr/buffer_manager.h"
 #include "engine/cluster.h"
 #include "iosim/disk.h"
+#include "run_at.h"
 #include "runner/sweep.h"
 #include "simkern/resource.h"
 #include "simkern/scheduler.h"
@@ -609,7 +610,7 @@ TEST_P(BufmgrPolicyCrashTest, CrashAfterCancelledWaiterRestartsCold) {
   f.sched.Run();
   f.buffer->MarkDirty(PageKey{1, 2});
   // The warm-up ran the clock forward; all times below are t0-relative
-  // (ScheduleCallback/RunUntil take absolute times, Delay is relative).
+  // (RunAt/RunUntil take absolute times, Delay is relative).
   const SimTime t0 = f.sched.Now();
 
   // Blocker takes half the pool until t0+50; the victim needs more than the
@@ -619,7 +620,7 @@ TEST_P(BufmgrPolicyCrashTest, CrashAfterCancelledWaiterRestartsCold) {
                                     &blocker_granted));
   uint64_t victim_id = f.sched.SpawnWithId(
       ReserveDelayRelease(f.sched, *f.buffer, 5, 1.0, 1.0, &victim_granted));
-  f.sched.ScheduleCallback(t0 + 5.0, [&] {
+  sim::RunAt(f.sched, t0 + 5.0, [&] {
     // The crash path cancels resident queries first (FaultInjector order):
     // the parked waiter unhooks from the memory queue in its awaiter
     // destructor.
@@ -633,7 +634,7 @@ TEST_P(BufmgrPolicyCrashTest, CrashAfterCancelledWaiterRestartsCold) {
 
   // The blocker releases at t0+50; crash after that, with the queue empty
   // and no reservations outstanding (OnCrash's preconditions).
-  f.sched.ScheduleCallback(t0 + 60.0, [&] { f.buffer->OnCrash(); });
+  sim::RunAt(f.sched, t0 + 60.0, [&] { f.buffer->OnCrash(); });
   f.sched.Run();
   EXPECT_EQ(f.buffer->reserved(), 0);
   for (int64_t pg = 0; pg < 4; ++pg) {

@@ -7,6 +7,7 @@
 
 #include "bufmgr/buffer_manager.h"
 #include "iosim/disk.h"
+#include "run_at.h"
 #include "simkern/resource.h"
 #include "simkern/scheduler.h"
 
@@ -132,7 +133,7 @@ TEST(BufferTest, ReserveWaitQueuesFcfs) {
   ASSERT_EQ(grants.size(), 1u);
   EXPECT_EQ(grants[0], 8);
 
-  f.sched.ScheduleCallback(2.0, [&] { f.buffer->ReleaseReservation(8); });
+  sim::RunAt(f.sched, 2.0, [&] { f.buffer->ReleaseReservation(8); });
   f.sched.Run();
   ASSERT_EQ(grants.size(), 3u);
   EXPECT_EQ(grants[1], 5);
@@ -152,7 +153,7 @@ TEST(BufferTest, MemoryQueueHeadBlocksLaterSmallRequests) {
   f.sched.Spawn(waiter(*f.buffer, 1, 2, &order));  // would fit, but FCFS
   f.sched.RunUntil(1.0);
   EXPECT_TRUE(order.empty());
-  f.sched.ScheduleCallback(2.0, [&] { f.buffer->ReleaseReservation(9); });
+  sim::RunAt(f.sched, 2.0, [&] { f.buffer->ReleaseReservation(9); });
   f.sched.Run();
   EXPECT_EQ(order, (std::vector<int>{1, 2}));
 }
@@ -260,8 +261,7 @@ TEST(BufferTest, WorkingSetDecaysOverTime) {
   f.sched.Run();
   EXPECT_EQ(f.buffer->HotPages(), 1);
   // Advance time past the window: the page is no longer hot or touched.
-  f.sched.ScheduleCallback(10000.0, [] {});
-  f.sched.Run();
+  f.sched.RunUntil(10000.0);
   EXPECT_EQ(f.buffer->HotPages(), 0);
   EXPECT_EQ(f.buffer->TouchedPages(), 0);
 }

@@ -23,6 +23,7 @@
 #include "engine/cluster.h"
 #include "iosim/disk.h"
 #include "lockmgr/lock_manager.h"
+#include "run_at.h"
 #include "simkern/channel.h"
 #include "simkern/latch.h"
 #include "simkern/resource.h"
@@ -37,6 +38,7 @@ namespace {
 using sim::Channel;
 using sim::Latch;
 using sim::Resource;
+using sim::RunAt;
 using sim::Scheduler;
 using sim::Task;
 using sim::TaskGroup;
@@ -52,7 +54,7 @@ TEST(CancelTest, CancelRemovesPendingDelay) {
   bool ran = false;
   uint64_t id = sched.SpawnWithId(FlagAfterDelay(sched, 10.0, &ran));
   EXPECT_TRUE(sched.Alive(id));
-  sched.ScheduleCallback(5.0, [&] {
+  RunAt(sched, 5.0, [&] {
     EXPECT_TRUE(sched.Cancel(id));
     EXPECT_FALSE(sched.Alive(id));
     EXPECT_FALSE(sched.Cancel(id)) << "stale ids must no-op";
@@ -95,7 +97,7 @@ TEST(CancelTest, CancelWaiterQueuedInResourceAcquire) {
   uint64_t victim_id =
       sched.SpawnWithId(AcquireAndFlag(sched, res, 1.0, &victim));
   sched.Spawn(AcquireAndFlag(sched, res, 1.0, &behind));
-  sched.ScheduleCallback(5.0, [&] { EXPECT_TRUE(sched.Cancel(victim_id)); });
+  RunAt(sched, 5.0, [&] { EXPECT_TRUE(sched.Cancel(victim_id)); });
   sched.Run();
   EXPECT_TRUE(holder);
   EXPECT_FALSE(victim);
@@ -104,22 +106,46 @@ TEST(CancelTest, CancelWaiterQueuedInResourceAcquire) {
 }
 
 // Victim cancelled in the window between Release() granting it a server and
-// the grant event dispatching: CancelWaiter must hand the server back.  The
-// cancel callback is scheduled at the exact release timestamp, after the
-// holder's resume in same-time FIFO order, so it runs once the victim is
-// granted-but-pending.
-TEST(CancelTest, CancelGrantedButPendingResourceWaiter) {
+// its end-of-service resume: CancelWaiter must scrub the resume and hand the
+// server back.  The cancel is scheduled after the holder's resume@10, so at
+// t=10 it runs once the holder's release has granted the victim.  Handing
+// the server back is a release, so it counts as a completion.
+TEST(CancelTest, CancelResourceWaiterBetweenGrantAndResume) {
   Scheduler sched;
   Resource res(sched, /*servers=*/1, "cpu");
   bool holder = false, victim = false, behind = false;
   sched.Spawn(UseAndFlag(res, 10.0, &holder));  // resume@10 inserted first
   uint64_t victim_id = sched.SpawnWithId(UseAndFlag(res, 1.0, &victim));
   sched.Spawn(UseAndFlag(res, 1.0, &behind));
-  sched.ScheduleCallback(10.0, [&] { sched.Cancel(victim_id); });
+  RunAt(sched, 10.0, [&] {
+    EXPECT_EQ(res.queue_length(), 1u) << "victim was not granted yet";
+    EXPECT_TRUE(sched.Cancel(victim_id));
+  });
   sched.Run();
   EXPECT_TRUE(holder);
   EXPECT_FALSE(victim);
   EXPECT_TRUE(behind) << "server leaked by cancelling a granted waiter";
+  EXPECT_EQ(res.completed(), 3u);
+}
+
+// Victim cancelled at the exact timestamp the holder releases the server.
+// The cancel is scheduled first, so it runs ahead of the holder's
+// end-of-service resume in same-time FIFO order: the victim is still queued
+// (not yet granted, despite the test's name), and the release must skip it.
+// CancelResourceWaiterBetweenGrantAndResume covers the granted window.
+TEST(CancelTest, CancelGrantedButPendingResourceWaiter) {
+  Scheduler sched;
+  Resource res(sched, /*servers=*/1, "cpu");
+  bool holder = false, victim = false, behind = false;
+  uint64_t victim_id = 0;
+  RunAt(sched, 10.0, [&] { sched.Cancel(victim_id); });
+  sched.Spawn(UseAndFlag(res, 10.0, &holder));
+  victim_id = sched.SpawnWithId(UseAndFlag(res, 1.0, &victim));
+  sched.Spawn(UseAndFlag(res, 1.0, &behind));
+  sched.Run();
+  EXPECT_TRUE(holder);
+  EXPECT_FALSE(victim);
+  EXPECT_TRUE(behind) << "waiter behind the cancelled one was never granted";
   EXPECT_EQ(res.completed(), 2u);
 }
 
@@ -138,8 +164,8 @@ TEST(CancelTest, CancelConsumerParkedInChannelReceive) {
   uint64_t victim_id =
       sched.SpawnWithId(ReceiveAndFlag(ch, &victim_got, &victim_closed));
   sched.Spawn(ReceiveAndFlag(ch, &other_got, &other_closed));
-  sched.ScheduleCallback(5.0, [&] { sched.Cancel(victim_id); });
-  sched.ScheduleCallback(8.0, [&] {
+  RunAt(sched, 5.0, [&] { sched.Cancel(victim_id); });
+  RunAt(sched, 8.0, [&] {
     ch.Send(42);
     ch.Close();
   });
@@ -161,8 +187,8 @@ TEST(CancelTest, CancelWaiterParkedInLatchWait) {
   bool victim = false, other = false;
   uint64_t victim_id = sched.SpawnWithId(WaitLatchAndFlag(latch, &victim));
   sched.Spawn(WaitLatchAndFlag(latch, &other));
-  sched.ScheduleCallback(5.0, [&] { sched.Cancel(victim_id); });
-  sched.ScheduleCallback(8.0, [&] { latch.CountDown(); });
+  RunAt(sched, 5.0, [&] { sched.Cancel(victim_id); });
+  RunAt(sched, 8.0, [&] { latch.CountDown(); });
   sched.Run();
   EXPECT_FALSE(victim);
   EXPECT_TRUE(other);
@@ -180,7 +206,7 @@ TEST(CancelTest, CancelWaiterParkedInTaskGroupWait) {
   group.Spawn(FlagAfterDelay(sched, 10.0, &member_done));
   uint64_t victim_id = sched.SpawnWithId(WaitGroupAndFlag(group, &victim));
   sched.Spawn(WaitGroupAndFlag(group, &other));
-  sched.ScheduleCallback(5.0, [&] { sched.Cancel(victim_id); });
+  RunAt(sched, 5.0, [&] { sched.Cancel(victim_id); });
   sched.Run();
   EXPECT_TRUE(member_done);
   EXPECT_FALSE(victim);
@@ -217,7 +243,7 @@ TEST(CancelTest, DestroyingAGroupOwnerCancelsMembersInSpawnOrder) {
   bool bystander = false;
   uint64_t owner = sched.SpawnWithId(OwnWideGroup(sched, &destroyed));
   sched.Spawn(FlagAfterDelay(sched, 50.0, &bystander));
-  sched.ScheduleCallback(5.0, [&] { EXPECT_TRUE(sched.Cancel(owner)); });
+  RunAt(sched, 5.0, [&] { EXPECT_TRUE(sched.Cancel(owner)); });
   sched.Run();
   std::vector<int> want;
   for (int k = 0; k < 20; k += 2) want.push_back(k);
@@ -246,7 +272,7 @@ TEST(CancelTest, CancelWaiterParkedInLockManagerWait) {
   uint64_t victim_id = sched.SpawnWithId(
       LockDelayRelease(sched, lm, 2, 1.0, 1.0, &victim_granted));
   sched.Spawn(LockDelayRelease(sched, lm, 3, 2.0, 1.0, &behind_granted));
-  sched.ScheduleCallback(5.0, [&] { sched.Cancel(victim_id); });
+  RunAt(sched, 5.0, [&] { sched.Cancel(victim_id); });
   sched.Run();
   EXPECT_FALSE(victim_granted) << "cancelled lock waiter was granted";
   EXPECT_TRUE(behind_granted)
@@ -291,7 +317,7 @@ TEST(CancelTest, CancelWaiterParkedInBufferMemoryQueue) {
       ReserveDelayRelease(f.sched, *f.buffer, 5, 1.0, 1.0, &victim));
   f.sched.Spawn(
       ReserveDelayRelease(f.sched, *f.buffer, 4, 2.0, 1.0, &behind));
-  f.sched.ScheduleCallback(5.0, [&] { f.sched.Cancel(victim_id); });
+  RunAt(f.sched, 5.0, [&] { f.sched.Cancel(victim_id); });
   f.sched.Run();
   EXPECT_FALSE(victim);
   EXPECT_TRUE(behind)
@@ -331,13 +357,13 @@ ScenarioResult RunCancellationScenario() {
       sched.SpawnWithId(WaitLatchAndFlag(latch, &sink_bool));
   sched.Spawn(WaitLatchAndFlag(latch, &sink_bool));
 
-  sched.ScheduleCallback(5.0, [&] {
+  RunAt(sched, 5.0, [&] {
     sched.Cancel(res_victim);
     sched.Cancel(delay_victim);
     sched.Cancel(ch_victim);
     sched.Cancel(latch_victim);
   });
-  sched.ScheduleCallback(8.0, [&] {
+  RunAt(sched, 8.0, [&] {
     ch.Send(7);
     ch.Close();
     latch.CountDown();

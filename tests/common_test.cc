@@ -1,6 +1,6 @@
 // Copyright 2026 the pdblb authors. MIT license.
 //
-// Unit tests for common: Status/StatusOr, units, TextTable and SystemConfig
+// Unit tests for common: Status, units, TextTable and SystemConfig
 // (including the paper's derived page counts).
 
 #include <gtest/gtest.h>
@@ -24,18 +24,6 @@ TEST(StatusTest, ErrorCarriesCodeAndMessage) {
   EXPECT_FALSE(s.ok());
   EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
   EXPECT_EQ(s.ToString(), "InvalidArgument: bad knob");
-}
-
-TEST(StatusOrTest, HoldsValue) {
-  StatusOr<int> v = 42;
-  ASSERT_TRUE(v.ok());
-  EXPECT_EQ(*v, 42);
-}
-
-TEST(StatusOrTest, HoldsError) {
-  StatusOr<int> v = Status::NotFound("nope");
-  EXPECT_FALSE(v.ok());
-  EXPECT_EQ(v.status().code(), StatusCode::kNotFound);
 }
 
 TEST(UnitsTest, InstructionToMsConversion) {

@@ -1,9 +1,8 @@
 // Copyright 2026 the pdblb authors. MIT license.
 //
 // Verifies the kernel's zero-allocation dispatch guarantee: once a
-// simulation reaches steady state (calendar reserved, callback cells and
-// coroutine frames recycled), dispatching events performs no heap
-// allocations at all.  This lives in its own test binary because it
+// simulation reaches steady state (calendar reserved, coroutine frames
+// recycled), dispatching events performs no heap allocations at all.  This lives in its own test binary because it
 // replaces the global operator new/delete to count heap traffic.
 
 #include <gtest/gtest.h>
@@ -82,22 +81,9 @@ Task<> FrameChurnLoop(Scheduler& sched, int64_t rounds) {
   }
 }
 
-struct RearmingCallback {
-  Scheduler* sched;
-  int64_t remaining;
-  SimTime period;
-  uint64_t context[2];  // sized like a realistic completion callback
-
-  void operator()() {
-    if (--remaining > 0) {
-      sched->ScheduleCallback(sched->Now() + period, *this);
-    }
-  }
-};
-
 TEST(SchedulerAllocTest, SteadyStateDispatchAllocatesNothing) {
   Scheduler sched;
-  sched.Reserve(/*events=*/1024, /*callbacks=*/256);
+  sched.Reserve(/*events=*/1024);
 
   constexpr int64_t kRounds = 200000;
   for (int i = 0; i < 16; ++i) {
@@ -107,10 +93,9 @@ TEST(SchedulerAllocTest, SteadyStateDispatchAllocatesNothing) {
     sched.Spawn(ZeroDelayLoop(sched, kRounds));
   }
   sched.Spawn(FrameChurnLoop(sched, kRounds));
-  sched.ScheduleCallback(1.0,
-                         RearmingCallback{&sched, kRounds, 0.7, {1, 2}});
 
-  // Warm-up: grow the calendar/slab/arena to their steady-state sizes.
+  // Warm-up: grow the calendar and the frame arena to their steady-state
+  // sizes.
   sched.RunUntil(500.0);
   uint64_t events_before = sched.events_processed();
   ASSERT_GT(events_before, 10000u);
@@ -344,7 +329,7 @@ TEST(SchedulerAllocTest, DispatchWithTracingEnabledAllocatesNothing) {
   Scheduler sched;
   Tracer tracer(/*capacity=*/4096);
   sched.AttachTracer(&tracer);
-  sched.Reserve(/*events=*/1024, /*callbacks=*/256);
+  sched.Reserve(/*events=*/1024);
 
   constexpr int64_t kRounds = 200000;
   for (int i = 0; i < 8; ++i) {

@@ -7,12 +7,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <array>
 #include <cstdint>
 #include <stdexcept>
 #include <utility>
 #include <vector>
 
+#include "run_at.h"
 #include "simkern/channel.h"
 #include "simkern/latch.h"
 #include "simkern/resource.h"
@@ -69,29 +69,23 @@ TEST(SchedulerTest, RunUntilStopsAtBoundary) {
   EXPECT_EQ(order, (std::vector<int>{1, 2}));
 }
 
-TEST(SchedulerTest, CallbacksRun) {
-  Scheduler sched;
-  int hits = 0;
-  sched.ScheduleCallback(2.0, [&] { ++hits; });
-  sched.ScheduleCallback(4.0, [&] { ++hits; });
-  sched.Run();
-  EXPECT_EQ(hits, 2);
-}
-
 TEST(SchedulerTest, EqualTimestampFifoAcrossCallbacksAndCoroutines) {
-  // Callbacks scheduled directly at t=5 come first (they draw sequence
-  // numbers at schedule time); the spawned coroutines re-queue themselves
-  // at t=5 only when they start running at t=0, so their sequence numbers
-  // are strictly larger.  The dispatch order must reflect exactly that,
-  // regardless of which internal structure (ring or heap) held each event.
+  // RunAt callbacks for the even ids wait in the heap for t=5.  The first
+  // of them spawns the odd-id coroutines, which enter the same-time ring at
+  // t=5 while callbacks 2..8 are still in the heap for t=5.  Those were
+  // scheduled first, so they run first: the dispatch order is the schedule
+  // order, regardless of which internal structure (ring or heap) held each
+  // event.
   Scheduler sched;
   std::vector<int> order;
-  for (int i = 0; i < 10; ++i) {
-    if (i % 2 == 0) {
-      sched.ScheduleCallback(5.0, [&order, i] { order.push_back(i); });
-    } else {
-      sched.Spawn(AppendAfter(sched, 5.0, i, &order));
-    }
+  for (int i = 0; i < 10; i += 2) {
+    RunAt(sched, 5.0, [&sched, &order, i] {
+      order.push_back(i);
+      if (i != 0) return;
+      for (int k = 1; k < 10; k += 2) {
+        sched.Spawn(AppendAfter(sched, 0.0, k, &order));
+      }
+    });
   }
   sched.Run();
   EXPECT_EQ(order, (std::vector<int>{0, 2, 4, 6, 8, 1, 3, 5, 7, 9}));
@@ -114,62 +108,67 @@ TEST(SchedulerTest, RunUntilIncludesEventsExactlyAtBoundary) {
 
 TEST(SchedulerTest, PendingEventsCountsRingAndHeap) {
   Scheduler sched;
-  sched.ScheduleCallback(0.0, [] {});  // at Now(): ring
-  sched.ScheduleCallback(3.0, [] {});  // future: heap
-  sched.ScheduleCallback(7.0, [] {});
+  sched.Spawn(IdleUntil(sched, 3.0));
+  sched.Spawn(IdleUntil(sched, 7.0));
+  sched.RunUntil(0.0);  // both started: future wake-ups, in the heap
+  sched.Spawn([]() -> Task<> { co_return; }());  // at Now(): ring
   EXPECT_EQ(sched.pending_events(), 3u);
+  const uint64_t before = sched.events_processed();
   sched.Run();
   EXPECT_EQ(sched.pending_events(), 0u);
-  EXPECT_EQ(sched.events_processed(), 3u);
+  EXPECT_EQ(sched.events_processed() - before, 3u);
 }
 
-// Dispatching a callback must not copy the callable: it is moved into its
-// storage cell once at schedule time and invoked in place.  (The previous
-// kernel copied the std::function out of priority_queue::top() on every
-// dispatch.)
-struct CopyCountingCallback {
-  static int copies;
-  static int invocations;
-  int payload = 0;
+// Records `id`, and the scheduler's pending-event count if asked.
+Task<> AppendNow(Scheduler& sched, int id, std::vector<int>* order,
+                 size_t* pending = nullptr) {
+  order->push_back(id);
+  if (pending != nullptr) *pending = sched.pending_events();
+  co_return;
+}
 
-  CopyCountingCallback() = default;
-  CopyCountingCallback(const CopyCountingCallback& other)
-      : payload(other.payload) {
-    ++copies;
-  }
-  CopyCountingCallback(CopyCountingCallback&& other) noexcept
-      : payload(other.payload) {}
-  void operator()() const { ++invocations; }
-};
-int CopyCountingCallback::copies = 0;
-int CopyCountingCallback::invocations = 0;
-
-TEST(SchedulerTest, DispatchDoesNotCopyCallbacks) {
-  CopyCountingCallback::copies = 0;
-  CopyCountingCallback::invocations = 0;
+TEST(SchedulerTest, SameTimeRingKeepsScheduleOrderAcrossWrapAndGrow) {
+  // 40 spawns at t=0 grow the same-time ring to 64 slots and leave its head
+  // at slot 40; the 40 processes then wait in the heap for t=5.  At t=5
+  // process 0 spawns 100..129 into the ring (slots 40..63, then 0..5, past
+  // the wrap point) and cancels 127, which sits in slot 3.  Process 1 then
+  // spawns 130..169, which fills the wrapped ring and grows it.  Processes
+  // 2..39 wait in the heap at t=5 all the while.
   Scheduler sched;
-  for (int i = 0; i < 100; ++i) {
-    sched.ScheduleCallback(1.0 + i, CopyCountingCallback{});
+  std::vector<int> order;
+  size_t pending_after_victim = 0;
+  RunAt(sched, 5.0, [&] {
+    order.push_back(0);
+    uint64_t victim = 0;
+    for (int id = 100; id < 130; ++id) {
+      uint64_t spawn_id = sched.SpawnWithId(AppendNow(
+          sched, id, &order, id == 128 ? &pending_after_victim : nullptr));
+      if (id == 127) victim = spawn_id;
+    }
+    EXPECT_TRUE(sched.Cancel(victim));
+  });
+  RunAt(sched, 5.0, [&] {
+    order.push_back(1);
+    for (int id = 130; id < 170; ++id) {
+      sched.Spawn(AppendNow(sched, id, &order));
+    }
+  });
+  for (int id = 2; id < 40; ++id) {
+    sched.Spawn(AppendAfter(sched, 5.0, id, &order));
   }
   sched.Run();
-  EXPECT_EQ(CopyCountingCallback::invocations, 100);
-  EXPECT_EQ(CopyCountingCallback::copies, 0);
-}
 
-TEST(SchedulerTest, LargeCallbacksSurviveTheInlineCellLimit) {
-  // Callables above the inline cell size take a boxed fallback path; they
-  // must still run correctly and destroy cleanly when left pending.
-  Scheduler sched;
-  std::array<uint64_t, 32> big_payload;
-  big_payload.fill(7);
-  uint64_t sum = 0;
-  sched.ScheduleCallback(1.0, [big_payload, &sum] {
-    for (uint64_t v : big_payload) sum += v;
-  });
-  // A second large callable is intentionally left pending at destruction.
-  sched.ScheduleCallback(2.0, [big_payload, &sum] { sum += big_payload[0]; });
-  sched.RunUntil(1.5);
-  EXPECT_EQ(sum, 7u * 32u);
+  std::vector<int> expected;
+  for (int id = 0; id < 40; ++id) expected.push_back(id);
+  for (int id = 100; id < 170; ++id) {
+    if (id != 127) expected.push_back(id);
+  }
+  EXPECT_EQ(order, expected);
+  // When 128 runs, the ring holds 129..169: the cancelled entry is gone.
+  EXPECT_EQ(pending_after_victim, 41u);
+  EXPECT_EQ(sched.pending_events(), 0u);
+  // 40 spawns at t=0, then 40 heap wake-ups and 69 ring dispatches at t=5.
+  EXPECT_EQ(sched.events_processed(), 149u);
 }
 
 TEST(SchedulerTest, DeterministicEventCountAcrossIdenticalRuns) {
@@ -180,7 +179,7 @@ TEST(SchedulerTest, DeterministicEventCountAcrossIdenticalRuns) {
     for (int i = 0; i < 50; ++i) {
       sched.Spawn(AppendAfter(sched, rng.Exponential(3.0), i, &order));
       if (i % 3 == 0) {
-        sched.ScheduleCallback(rng.Exponential(5.0), [] {});
+        sched.Spawn(IdleUntil(sched, rng.Exponential(5.0)));
       }
     }
     sched.Run();
@@ -420,7 +419,7 @@ TEST(ChannelTest, CloseWithoutValuesUnblocksConsumer) {
   Channel<int> ch(sched);
   std::vector<int> got;
   sched.Spawn(Consumer(ch, &got));
-  sched.ScheduleCallback(5.0, [&] { ch.Close(); });
+  RunAt(sched, 5.0, [&] { ch.Close(); });
   sched.Run();
   EXPECT_TRUE(got.empty());
 }
@@ -447,7 +446,7 @@ TEST(ChannelTest, CloseWithPromisedValuesDoesNotStrandLoopingConsumer) {
   bool done1 = false, done2 = false;
   sched.Spawn(FlaggedConsumer(ch, &got1, &done1));
   sched.Spawn(FlaggedConsumer(ch, &got2, &done2));
-  sched.ScheduleCallback(1.0, [&] {
+  RunAt(sched, 1.0, [&] {
     ch.Send(1);  // promised to c1 (hand-off wakeup)
     ch.Send(2);  // promised to c2 (hand-off wakeup)
     ch.Close();
@@ -473,7 +472,7 @@ TEST(ChannelTest, MultiConsumerCloseDrainsAllValuesAndUnblocksEveryone) {
   for (int i = 0; i < kConsumers; ++i) {
     sched.Spawn(FlaggedConsumer(ch, &got[i], &done[i]));
   }
-  sched.ScheduleCallback(2.0, [&] {
+  RunAt(sched, 2.0, [&] {
     ch.Send(10);  // hand-off wakeup
     ch.Send(20);  // hand-off wakeup
     ch.Close();   // calendar broadcast to the two remaining waiters
@@ -515,9 +514,9 @@ TEST(LatchTest, WaitersReleasedOnFinalCountDown) {
   };
   Latch latch(sched, 3);
   sched.Spawn(waiter(sched, latch, &done));
-  sched.ScheduleCallback(1.0, [&] { latch.CountDown(); });
-  sched.ScheduleCallback(2.0, [&] { latch.CountDown(); });
-  sched.ScheduleCallback(3.0, [&] { latch.CountDown(); });
+  RunAt(sched, 1.0, [&] { latch.CountDown(); });
+  RunAt(sched, 2.0, [&] { latch.CountDown(); });
+  RunAt(sched, 3.0, [&] { latch.CountDown(); });
   sched.Run();
   EXPECT_TRUE(done);
   EXPECT_DOUBLE_EQ(sched.Now(), 3.0);

@@ -54,6 +54,9 @@ TEST(TraceFormatTest, RejectsMalformedLines) {
   EXPECT_FALSE(Trace::FromText("10 zorp\n", &parsed).ok());
   EXPECT_FALSE(Trace::FromText("10 oltp:x\n", &parsed).ok());
   EXPECT_FALSE(Trace::FromText("-5 join\n", &parsed).ok());
+  EXPECT_FALSE(Trace::FromText("10 oltp:3x\n", &parsed).ok());
+  EXPECT_FALSE(Trace::FromText("10 oltp:+3\n", &parsed).ok());
+  EXPECT_FALSE(Trace::FromText("10 join extra\n", &parsed).ok());
 }
 
 TEST(TraceFormatTest, FileRoundTrip) {
