@@ -505,7 +505,11 @@ inline int FigureMain(Figure& fig, const BenchOptions& opts) {
       std::fputs(BlockJson(block, results).c_str(), f);
     }
     std::fprintf(f, "}\n");
-    std::fclose(f);
+    const bool ok = std::ferror(f) == 0;
+    if (std::fclose(f) != 0 || !ok) {
+      std::fprintf(stderr, "cannot write %s\n", opts.report_json.c_str());
+      return 1;
+    }
   }
   return 0;
 }

@@ -2,7 +2,7 @@
 # Copyright 2026 the pdblb authors. MIT license.
 """Prints the self-time shares of a profile written by the SIGPROF sampler.
 
-Usage: symbolize.py PROFILE
+Usage: symbolize.py PROFILE [--annotate SUBSTRING]
 
 PROFILE holds the sampler's "pc <hex>" lines and the profiled process's
 /proc/self/maps ("map <line>").  Each program counter is mapped to its
@@ -13,12 +13,18 @@ file.  GCC's coroutine bodies keep their own names: each is reported as
 Samples in perfbench's CalibrationLoopSeconds, the benchmark's own
 calibration loop, are left out of the total.  The ROWS symbols with the
 largest shares are printed.
+
+With --annotate SUBSTRING, the function with the most samples among those
+whose name (as the table prints it) contains SUBSTRING is disassembled
+instead (`objdump -d -C`), each instruction prefixed with the number of
+samples taken at its address.
 """
 
 import argparse
 import bisect
 import collections
 import os
+import re
 import subprocess
 import sys
 
@@ -96,25 +102,73 @@ class Symbolizer:
             self.objects[path] = (base, symbols, [s[0] for s in symbols])
         return self.objects[path]
 
-    def name(self, pc):
+    def locate(self, pc):
+        """(object file, link-time address, (address, size, name) of the
+        enclosing function) of `pc`: all None if unmapped, the function
+        None if `nm` lists none there."""
         i = bisect.bisect_right(self.starts, pc) - 1
         if i < 0 or pc >= self.maps[i][1] or not self.maps[i][3]:
-            return "[unmapped]"
+            return None, None, None
         path = self.maps[i][3]
         base, symbols, addrs = self._object(path)
-        j = bisect.bisect_right(addrs, pc - base) - 1
-        if j >= 0 and pc - base < symbols[j][0] + max(symbols[j][1], 1):
-            return short_name(symbols[j][2])
-        return "[" + os.path.basename(path) + "]"
+        addr = pc - base
+        j = bisect.bisect_right(addrs, addr) - 1
+        if j >= 0 and addr < symbols[j][0] + max(symbols[j][1], 1):
+            return path, addr, symbols[j]
+        return path, addr, None
+
+    def name(self, pc):
+        path, _, symbol = self.locate(pc)
+        if path is None:
+            return "[unmapped]"
+        if symbol is None:
+            return "[" + os.path.basename(path) + "]"
+        return short_name(symbol[2])
+
+
+INSTRUCTION = re.compile(r"^\s*([0-9a-f]+):\t")
+
+
+def annotate(symbolizer, pcs, substring):
+    """Prints the objdump listing of the sampled function matching
+    `substring` with the most samples, a sample count per instruction."""
+    per_function = collections.Counter()
+    per_address = collections.Counter()
+    for pc in pcs:
+        path, addr, symbol = symbolizer.locate(pc)
+        if symbol is not None and substring in short_name(symbol[2]):
+            per_function[(path, symbol)] += 1
+            per_address[(path, addr)] += 1
+    if not per_function:
+        print(f"no samples in a function matching '{substring}'")
+        return 1
+    (path, (start, size, name)), n = min(
+        per_function.items(), key=lambda x: (-x[1], x[0]))
+    print(f"{n} samples in {name}")
+    listing = subprocess.run(
+        ["objdump", "-d", "-C", "--no-show-raw-insn",
+         f"--start-address={start:#x}", f"--stop-address={start + size:#x}",
+         path], capture_output=True, text=True).stdout
+    for line in listing.splitlines():
+        match = INSTRUCTION.match(line)
+        if match:
+            count = per_address[(path, int(match.group(1), 16))]
+            print(f"{count:7d}  {line}")
+        elif line.startswith(f"{start:016x} <"):
+            print(line)
+    return 0
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("profile")
+    parser.add_argument("--annotate", metavar="SUBSTRING")
     args = parser.parse_args()
 
     pcs, maps = read_profile(args.profile)
     symbolizer = Symbolizer(maps)
+    if args.annotate is not None:
+        return annotate(symbolizer, pcs, args.annotate)
     counts = collections.Counter(symbolizer.name(pc) for pc in pcs)
     excluded = sum(n for name, n in counts.items() if EXCLUDED in name)
     total = len(pcs) - excluded

@@ -30,7 +30,8 @@ bool Scheduler::CancelHandle(std::coroutine_handle<> h) {
   void* const frame = h.address();
   // A suspended frame has at most one pending entry across the three
   // structures, so stop at the first hit.  Calendar first: timer-style
-  // waits (Delay) dominate the cancellation paths.
+  // waits (Delay) dominate the cancellation paths.  A free root's frame is
+  // null, so it never matches.
   for (Event& e : heap_) {
     if (e.frame == frame) {
       e.frame = nullptr;
@@ -63,19 +64,35 @@ void Scheduler::SiftUp(size_t i) {
   heap_[i] = e;
 }
 
-Scheduler::Event Scheduler::HeapPop() {
-  Event top = heap_[0];
+void Scheduler::SiftDown(const Event& e) {
+  const size_t n = heap_.size();
+  size_t hole = 0;
+  size_t child = 1;
+  while (child < n) {
+    child += static_cast<size_t>(child + 1 < n &&
+                                 Precedes(heap_[child + 1], heap_[child]));
+    if (!Precedes(heap_[child], e)) break;
+    heap_[hole] = heap_[child];
+    hole = child;
+    child = 2 * hole + 1;
+  }
+  heap_[hole] = e;
+}
+
+void Scheduler::HeapPop() {
+  root_free_ = false;
   const size_t n = heap_.size() - 1;
   Event last = heap_[n];
   heap_.pop_back();
   if (n > 0) {
-    // Bottom-up deletion: walk the hole from the root to a leaf, always
-    // promoting the smaller child (branchless select), then bubble the
-    // former last leaf up from there.  This removes the unpredictable
-    // early-exit test against the relocated leaf at every level — the
-    // classic __adjust_heap trick, applied to trivially-copyable 24-byte
-    // events.  (4-ary layouts, with and without branchless tournaments,
-    // measured slower on bench_simkern; see the simkern README.)
+    // Bottom-up deletion of the free root (a hold fills it through SiftDown
+    // instead): walk the hole from the root to a leaf, always promoting the
+    // smaller child (branchless select), then bubble the former last leaf
+    // up from there.  This removes the unpredictable early-exit test
+    // against the relocated leaf at every level — the classic
+    // __adjust_heap trick, applied to trivially-copyable 24-byte events.
+    // (4-ary layouts, with and without branchless tournaments, measured
+    // slower on bench_simkern; see the simkern README.)
     size_t hole = 0;
     size_t child = 1;
     while (child < n) {
@@ -101,10 +118,11 @@ Scheduler::Event Scheduler::HeapPop() {
     }
     heap_[hole] = last;
   }
-  return top;
 }
 
 bool Scheduler::PopNext(Event* out, SimTime until) {
+  // No heap push filled the root since the last heap dispatch.
+  if (root_free_) HeapPop();
   // The ring holds events at exactly Now(); heap entries at the same time
   // can only be older (smaller seq) arrivals, so one comparison restores
   // global FIFO order across the two structures.
@@ -118,7 +136,9 @@ bool Scheduler::PopNext(Event* out, SimTime until) {
     }
   }
   if (heap_.empty() || heap_[0].at > until) return false;
-  *out = HeapPop();
+  *out = heap_[0];
+  heap_[0].frame = nullptr;
+  root_free_ = true;
   return true;
 }
 

@@ -8,12 +8,18 @@
 // Hot-path design (see src/simkern/README.md for the full story):
 //  * An event is a 24-byte POD {at, seq, frame}: the payload is the
 //    suspended frame's address, and null marks a cancelled entry.
-//  * The calendar is a compact index-based binary min-heap over those PODs
-//    with bottom-up deletion and branchless child selection: no per-node
-//    allocation, trivially-copyable sifts, `Reserve()` for pre-sizing.
-//    (A bucketed calendar queue was prototyped and benchmarked; it lost to
-//    the compact heap on every scenario of bench_simkern — see the simkern
-//    README for the numbers.)
+//  * The calendar is a compact index-based binary min-heap over those PODs:
+//    no per-node allocation, trivially-copyable sifts, `Reserve()` for
+//    pre-sizing.  Keys compare as one unsigned 128-bit integer (the bit
+//    pattern of `at`, then `seq`), which orders exactly like (at, seq)
+//    because every calendar time is a non-negative finite double.
+//    (A bucketed calendar queue and a 4-ary heap were prototyped and
+//    benchmarked; neither beat the binary heap — see the simkern README.)
+//  * Dispatching a heap event leaves its slot in place as a free root: a
+//    dispatched process usually schedules its next event before the next
+//    pop (a hold), and that push is written into the root and sifted down
+//    from the top.  Only a pop that still finds the root free pays the
+//    bottom-up removal.
 //  * Events scheduled at exactly the current time (zero delays, latch and
 //    channel wake-ups) bypass the heap through a FIFO RingBuffer; the
 //    dispatch loop merges ring and heap by sequence number, so same-time
@@ -31,10 +37,12 @@
 #ifndef PDBLB_SIMKERN_SCHEDULER_H_
 #define PDBLB_SIMKERN_SCHEDULER_H_
 
+#include <bit>
 #include <cassert>
 #include <coroutine>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -244,8 +252,11 @@ class Scheduler {
   /// Number of calendar-bypassing hand-off resumes (diagnostics).  Counted
   /// separately from events_processed(): hand-offs are not calendar events.
   uint64_t inline_resumes() const { return inline_resumes_; }
+  /// Events and hand-offs waiting to be dispatched.  A free root (the slot
+  /// of the heap event being dispatched, see PopNext) is not one of them.
   size_t pending_events() const {
-    return heap_.size() + ring_.size() + handoffs_.size();
+    return heap_.size() - static_cast<size_t>(root_free_) + ring_.size() +
+           handoffs_.size();
   }
 
  private:
@@ -275,12 +286,22 @@ class Scheduler {
   // a non-null handle, so null marks nothing but a cancellation.
   static_assert(sizeof(Event) == 24, "Event must stay a compact POD");
   static_assert(std::is_trivially_copyable_v<Event>);
+  static_assert(std::numeric_limits<SimTime>::is_iec559,
+                "Precedes() orders times by their IEEE-754 bit patterns");
 
-  // Min on time, FIFO (seq) for equal times.  Written as bitwise logic so
-  // the compiler emits setcc/cmov instead of branches: sift comparisons on
-  // random timestamps are ~50/50 and would otherwise mispredict.
+  // Min on time, FIFO (seq) for equal times, compared as one unsigned
+  // 128-bit key (bit pattern of `at`, then `seq`): GCC emits a cmp/sbb
+  // pair, no float compare and no branch.  For non-negative finite doubles
+  // the bit patterns order exactly like the values, and every calendar
+  // time is one: heap entries have at > Now() >= +0.0, and ring entries
+  // store now_ rather than the caller's `at`, so a -0.0 (whose sign bit
+  // would sort it last) never enters.
   static bool Precedes(const Event& a, const Event& b) {
-    return (a.at < b.at) | ((a.at == b.at) & (a.seq < b.seq));
+    using Key = unsigned __int128;
+    auto key = [](const Event& e) {
+      return Key{std::bit_cast<uint64_t>(e.at)} << 64 | e.seq;
+    };
+    return key(a) < key(b);
   }
 
   // next_seq_ is kept pre-scaled (stepped by 1 << kTraceTagShift) so a push
@@ -295,19 +316,34 @@ class Scheduler {
       // structure without any side-channel from the pop path.
       uint64_t seq = next_seq_ | tag.bits | kTraceRingBit;
       next_seq_ += kSeqStep;
-      ring_.push_back(Event{at, seq, frame});
+      ring_.push_back(Event{now_, seq, frame});  // now_: never a -0.0
     } else {
       uint64_t seq = next_seq_ | tag.bits;
       next_seq_ += kSeqStep;
-      heap_.push_back(Event{at, seq, frame});
-      SiftUp(heap_.size() - 1);
+      if (root_free_) {
+        root_free_ = false;
+        SiftDown(Event{at, seq, frame});
+      } else {
+        heap_.push_back(Event{at, seq, frame});
+        SiftUp(heap_.size() - 1);
+      }
     }
   }
 
   void SiftUp(size_t i);
-  Event HeapPop();
+  // Writes `e` into the free root and sifts it down from the top, stopping
+  // at the first level where it precedes both children.  The early exit
+  // shortens the chain of dependent loads that bounds a sift: it beat
+  // HeapPop's walk to a leaf and back up (see the simkern README).
+  void SiftDown(const Event& e);
+  // Removes the free root (bottom-up deletion).
+  void HeapPop();
 
-  // Pops the globally next event if its timestamp is <= `until`.
+  // Pops the globally next event if its timestamp is <= `until`.  A heap
+  // event is copied out and its slot left in place as the free root, with
+  // a null frame so CancelHandle never matches it; the next heap push
+  // fills the root, or the next PopNext removes it first.  An exception
+  // escaping Run can leave the root free, which the next Run removes.
   bool PopNext(Event* out, SimTime until);
 
   // The one dispatch loop behind Run and RunUntil: resumes hand-off lane
@@ -320,6 +356,7 @@ class Scheduler {
   void Drain(SimTime until);
 
   std::vector<Event> heap_;  // implicit binary min-heap
+  bool root_free_ = false;  // heap_[0] is a free root (see PopNext)
   // FIFO of events at exactly Now().  It drains (merged with same-time heap
   // entries by seq) before simulated time can advance, so its entries are
   // always at the current timestamp.

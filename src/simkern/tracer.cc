@@ -35,8 +35,9 @@ Status Tracer::WriteCsv(const std::string& path) const {
   }
   std::string csv = ToCsv();
   size_t written = std::fwrite(csv.data(), 1, csv.size(), f);
-  std::fclose(f);
-  if (written != csv.size()) {
+  // A full disk may show only when fclose flushes the buffer.
+  const bool ok = written == csv.size() && std::ferror(f) == 0;
+  if (std::fclose(f) != 0 || !ok) {
     return Status::IoError("short write to " + path);
   }
   return Status::OK();

@@ -105,6 +105,7 @@ Status Trace::WriteFile(const std::string& path) const {
   std::ofstream out(path);
   if (!out) return Status::IoError("cannot open for writing: " + path);
   out << ToText();
+  out.close();  // flushes: a full disk may show only here
   return out ? Status::OK() : Status::IoError("write failed: " + path);
 }
 

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <filesystem>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -109,6 +110,13 @@ TEST(RunnerTest, CsvHeaderIsPinned) {
             "migration_pages_discarded,migrations_replanned,"
             "buf_hit_ratio,buf_hits,buf_misses,buf_evictions,buf_writebacks,"
             "kernel_events,kernel_handoffs,seed\n");
+}
+
+TEST(RunnerTest, CsvWriteFailureIsReported) {
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  // The header alone fits the stdio buffer: the write fails at the flush.
+  EXPECT_EQ(runner::WriteResultsCsv("/dev/full", {}).code(),
+            StatusCode::kIoError);
 }
 
 TEST(RunnerTest, FilterKeepsMatchingPointsInGridOrder) {

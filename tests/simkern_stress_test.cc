@@ -8,13 +8,16 @@
 // statistics bit-identically, and a different seed must diverge.  This
 // catches the FIFO/ordering regressions the unit tests are too small to
 // see — in particular around the frameless Resource::Use hand-off, the
-// scheduler's hand-off lane and the ring-buffer waiter queues.
+// scheduler's hand-off lane and the ring-buffer waiter queues.  A last test
+// checks the calendar's dispatch order against an independent model.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <memory>
+#include <set>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "simkern/channel.h"
@@ -285,6 +288,138 @@ TEST(SimkernStressTest, MixedUseAndAcquireWaitersStayFcfs) {
   }
   EXPECT_EQ(res.completed(), 10u);
   EXPECT_EQ(res.max_queue_length(), 9u);
+}
+
+// --------------------------------------------------- reference dispatch order
+//
+// The tests above compare a run with its rerun, so an ordering bug that
+// repeats the same way every run passes them.  This one checks the
+// calendar against an independent model: pending wake-ups in a std::set
+// keyed by (time, schedule counter), where the counter steps once per spawn
+// and once per delay and never on a cancel.
+
+constexpr int kModelProcs = 64;
+constexpr int kModelWakes = 40;
+
+// A run's pre-drawn script: each process's delay before each of its wakes,
+// and the process it cancels after that wake (-1: none).  Zero and equal
+// delays put ring and heap entries at one timestamp.
+struct WakeScript {
+  std::vector<std::vector<SimTime>> delay;
+  std::vector<std::vector<int>> cancel;
+};
+
+WakeScript DrawWakeScript(uint64_t seed) {
+  static constexpr SimTime kDelays[] = {0.0, 0.5, 1.0, 1.0, 2.5};
+  Rng rng(seed);
+  WakeScript script;
+  script.delay.assign(kModelProcs, std::vector<SimTime>(kModelWakes));
+  script.cancel.assign(kModelProcs, std::vector<int>(kModelWakes, -1));
+  for (int id = 0; id < kModelProcs; ++id) {
+    for (int wake = 0; wake < kModelWakes; ++wake) {
+      script.delay[id][wake] = kDelays[rng.UniformInt(0, 4)];
+      if (rng.UniformInt(0, 63) == 0) {
+        int target = static_cast<int>(rng.UniformInt(0, kModelProcs - 2));
+        script.cancel[id][wake] = target >= id ? target + 1 : target;
+      }
+    }
+  }
+  return script;
+}
+
+struct WakeLog {
+  SimTime at;
+  int id;
+  int wake;
+  bool operator==(const WakeLog&) const = default;
+};
+
+struct WakeRun {
+  std::vector<WakeLog> log;
+  uint64_t dispatches = 0;
+};
+
+struct CalendarWorld {
+  Scheduler sched;
+  const WakeScript* script;
+  std::vector<uint64_t> spawn_ids;
+  std::vector<WakeLog> log;
+};
+
+Task<> Waker(CalendarWorld& w, int id) {
+  for (int wake = 0; wake < kModelWakes; ++wake) {
+    co_await w.sched.Delay(w.script->delay[id][wake]);
+    w.log.push_back({w.sched.Now(), id, wake});
+    const int target = w.script->cancel[id][wake];
+    if (target >= 0) w.sched.Cancel(w.spawn_ids[target]);  // no-op if gone
+  }
+}
+
+WakeRun RunCalendar(const WakeScript& script) {
+  CalendarWorld w;
+  w.script = &script;
+  for (int id = 0; id < kModelProcs; ++id) {
+    w.spawn_ids.push_back(w.sched.SpawnWithId(Waker(w, id)));
+  }
+  for (int step = 1; step <= 8; ++step) w.sched.RunUntil(3.7 * step);
+  w.sched.Run();
+  return {std::move(w.log), w.sched.events_processed()};
+}
+
+WakeRun RunModel(const WakeScript& script) {
+  using Entry = std::tuple<SimTime, uint64_t, int>;  // (time, counter, id)
+  std::set<Entry> pending;
+  std::vector<Entry> entry_of(kModelProcs);
+  std::vector<int> next_wake(kModelProcs, -1);  // -1: not started yet
+  std::vector<bool> alive(kModelProcs, true);
+  uint64_t counter = 0;
+  auto schedule = [&](SimTime at, int id) {
+    entry_of[id] = {at, counter++, id};
+    pending.insert(entry_of[id]);
+  };
+  for (int id = 0; id < kModelProcs; ++id) schedule(0.0, id);
+  WakeRun run;
+  while (!pending.empty()) {
+    const auto [now, seq, id] = *pending.begin();
+    pending.erase(pending.begin());
+    ++run.dispatches;
+    int wake = next_wake[id];
+    if (wake >= 0) {
+      run.log.push_back({now, id, wake});
+      const int target = script.cancel[id][wake];
+      if (target >= 0 && alive[target]) {
+        alive[target] = false;
+        pending.erase(entry_of[target]);
+      }
+    }
+    next_wake[id] = ++wake;
+    if (wake < kModelWakes) {
+      schedule(now + script.delay[id][wake], id);
+    } else {
+      alive[id] = false;
+    }
+  }
+  return run;
+}
+
+TEST(SchedulerModelTest, DispatchOrderMatchesReferenceModel) {
+  for (uint64_t seed = 1; seed <= 20; ++seed) {
+    SCOPED_TRACE(seed);
+    const WakeScript script = DrawWakeScript(seed);
+    const WakeRun model = RunModel(script);
+    const WakeRun calendar = RunCalendar(script);
+    // Cancels cut some processes short.
+    ASSERT_LT(model.log.size(), size_t{kModelProcs} * kModelWakes);
+    ASSERT_EQ(calendar.log.size(), model.log.size());
+    for (size_t i = 0; i < model.log.size(); ++i) {
+      ASSERT_TRUE(calendar.log[i] == model.log[i])
+          << "order diverges at step " << i << ": (" << calendar.log[i].at
+          << ", p" << calendar.log[i].id << ", w" << calendar.log[i].wake
+          << ") vs model (" << model.log[i].at << ", p" << model.log[i].id
+          << ", w" << model.log[i].wake << ")";
+    }
+    EXPECT_EQ(calendar.dispatches, model.dispatches);
+  }
 }
 
 }  // namespace

@@ -313,6 +313,104 @@ TEST(TaskGroupTest, MemberThrowLeavesRunUntil) {
   EXPECT_EQ(sched.detached_in_flight(), 3u);
 }
 
+// A dispatched heap event's slot stays in the heap as a free root until
+// the process pushes its next event or the next pop removes it.  The tests
+// below pin what must not leak out of that window.
+
+TEST(SchedulerTest, CancelFromHandOffScrubsTheRingEntryOfAHeapWokenProcess) {
+  // The victim wakes from the heap at t=1, hands a value to the blocked
+  // consumer and parks with Delay(0), a ring entry.  The consumer runs from
+  // the hand-off lane before the next pop and cancels the victim: the ring
+  // entry must be scrubbed, so the victim never resumes.  (Here the Delay
+  // awaiter's destructor scrubs a second time; the next test cancels a
+  // process that has no such awaiter.)
+  Scheduler sched;
+  Channel<int> ch(sched);
+  uint64_t victim = 0;
+  bool cancelled = false;
+  bool victim_resumed = false;
+  auto consumer = [](Scheduler& s, Channel<int>& c, const uint64_t* id,
+                     bool* done) -> Task<> {
+    co_await c.Receive();
+    *done = s.Cancel(*id);
+  };
+  auto sender = [](Scheduler& s, Channel<int>& c, bool* resumed) -> Task<> {
+    co_await s.Delay(1.0);
+    c.Send(7);
+    co_await s.Delay(0.0);
+    *resumed = true;
+  };
+  sched.Spawn(consumer(sched, ch, &victim, &cancelled));
+  victim = sched.SpawnWithId(sender(sched, ch, &victim_resumed));
+  sched.Run();
+  EXPECT_TRUE(cancelled);
+  EXPECT_FALSE(victim_resumed);
+  EXPECT_FALSE(sched.Alive(victim));
+  EXPECT_EQ(sched.pending_events(), 0u);
+  // Two spawns and the heap wake-up; the scrubbed Delay(0) never dispatches.
+  EXPECT_EQ(sched.events_processed(), 3u);
+}
+
+// Counts its start, wakes at `at`, sends one value and finishes.
+Task<> SendAt(Scheduler& sched, Channel<int>& ch, SimTime at, int* starts) {
+  ++*starts;
+  co_await sched.Delay(at - sched.Now());
+  ch.Send(1);
+}
+
+TEST(SchedulerTest, CancelFromHandOffMissesTheSlotOfAFinishedHeapWokenProcess) {
+  // The first sender wakes from the heap at t=1, hands a value to the
+  // blocked consumer and finishes, returning its frame to the frame arena.
+  // The consumer runs from the hand-off lane before the next pop, spawns a
+  // second sender (the arena hands it the same frame) and cancels it
+  // before it starts.  The scrub must hit the new spawn's ring entry, not
+  // the dispatched slot that held the same frame address: an unstarted
+  // process has no awaiter whose destructor would scrub it a second time.
+  Scheduler sched;
+  Channel<int> ch(sched);
+  int starts = 0;
+  bool cancelled = false;
+  auto consumer = [](Scheduler& s, Channel<int>& c, int* count,
+                     bool* done) -> Task<> {
+    co_await c.Receive();
+    *done = s.Cancel(s.SpawnWithId(SendAt(s, c, 2.0, count)));
+  };
+  sched.Spawn(consumer(sched, ch, &starts, &cancelled));
+  sched.Spawn(SendAt(sched, ch, 1.0, &starts));
+  sched.Run();
+  EXPECT_TRUE(cancelled);
+  EXPECT_EQ(starts, 1);  // the second sender never started
+  EXPECT_EQ(sched.detached_in_flight(), 0u);
+  EXPECT_EQ(sched.events_processed(), 3u);
+}
+
+TEST(SchedulerTest, PendingEventsSeenByAHeapWokenProcessLeavesItsOwnOut) {
+  Scheduler sched;
+  size_t seen = 0;
+  auto reader = [](Scheduler& s, size_t* out) -> Task<> {
+    co_await s.Delay(1.0);
+    *out = s.pending_events();
+  };
+  sched.Spawn(reader(sched, &seen));
+  sched.Spawn(IdleUntil(sched, 2.0));
+  sched.Spawn(IdleUntil(sched, 3.0));
+  sched.Run();
+  EXPECT_EQ(seen, 2u);  // the two idlers' wake-ups, not the reader's own
+}
+
+TEST(SchedulerTest, RunAfterAThrowFromAHeapWokenProcessFinishesTheRest) {
+  Scheduler sched;
+  std::vector<int> order;
+  sched.Spawn(ThrowAfter(sched, 1.0));
+  sched.Spawn(AppendAfter(sched, 2.0, 1, &order));
+  EXPECT_THROW(sched.Run(), std::runtime_error);
+  EXPECT_EQ(sched.pending_events(), 1u);
+  sched.Run();
+  EXPECT_EQ(order, (std::vector<int>{1}));
+  EXPECT_DOUBLE_EQ(sched.Now(), 2.0);
+  EXPECT_EQ(sched.pending_events(), 0u);
+}
+
 Task<> UseResource(Scheduler& sched, Resource& res, SimTime service,
                    std::vector<SimTime>* completions) {
   co_await res.Use(service);

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 
 #include "engine/cluster.h"
 #include "workload/trace.h"
@@ -69,6 +70,15 @@ TEST(TraceFormatTest, FileRoundTrip) {
   ASSERT_TRUE(Trace::ReadFile(path, &loaded).ok());
   EXPECT_EQ(loaded.events(), trace.events());
   std::remove(path.c_str());
+}
+
+TEST(TraceFormatTest, WriteFailureIsReported) {
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  // A two-event trace fits the stream buffer: the write fails at the flush.
+  Trace trace;
+  trace.Add({1.0, TraceClass::kJoin, 0});
+  trace.Add({2.0, TraceClass::kOltp, 2});
+  EXPECT_EQ(trace.WriteFile("/dev/full").code(), StatusCode::kIoError);
 }
 
 TEST(TraceFormatTest, ReadMissingFileFails) {

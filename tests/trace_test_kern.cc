@@ -15,6 +15,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -173,6 +174,18 @@ TEST(TracerTest, AttributionIsExactAcrossWrapAround) {
   EXPECT_EQ(b[static_cast<size_t>(TraceSubsystem::kDisk)].events, 500u);
   EXPECT_DOUBLE_EQ(b[static_cast<size_t>(TraceSubsystem::kDisk)].sim_time_ms,
                    499.0);
+}
+
+TEST(TracerTest, CsvWriteFailureIsReported) {
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  // Three records fit the stdio buffer: the write fails at the flush.
+  Tracer tracer(64);
+  for (int i = 0; i < 3; ++i) {
+    tracer.Record(static_cast<SimTime>(i), TraceEventKind::kCalendar,
+                  TraceTag(TraceSubsystem::kCpu).bits,
+                  static_cast<uint64_t>(i));
+  }
+  EXPECT_EQ(tracer.WriteCsv("/dev/full").code(), StatusCode::kIoError);
 }
 
 SystemConfig SmallClusterConfig() {
