@@ -267,32 +267,38 @@ MetricsReport Cluster::Collect(SimTime measure_start,
   double seconds = MsToSeconds(measure_end - measure_start);
   r.measurement_seconds = seconds;
 
-  r.join_rt_ms = metrics_.join_rt().mean();
-  r.join_rt_max_ms = metrics_.join_rt().max();
-  r.joins_completed = metrics_.join_rt().count();
+  const QueryClassStats& join = metrics_.queries(QueryClass::kJoin);
+  r.join_rt_ms = join.response_ms.mean();
+  r.join_rt_max_ms = join.response_ms.max();
+  r.joins_completed = join.response_ms.count();
   r.join_throughput_qps =
       seconds > 0 ? static_cast<double>(r.joins_completed) / seconds : 0.0;
-  r.avg_degree = metrics_.degree().mean();
+  r.avg_degree = join.degree.mean();
   if (r.joins_completed > 0) {
     r.temp_pages_written_per_join =
-        static_cast<double>(metrics_.temp_pages_written()) /
+        static_cast<double>(join.temp_pages_written) /
         static_cast<double>(r.joins_completed);
-    r.temp_pages_read_per_join =
-        static_cast<double>(metrics_.temp_pages_read()) /
-        static_cast<double>(r.joins_completed);
+    r.temp_pages_read_per_join = static_cast<double>(join.temp_pages_read) /
+                                 static_cast<double>(r.joins_completed);
   }
 
-  r.oltp_rt_ms = metrics_.oltp_rt().mean();
-  r.oltp_completed = metrics_.oltp_rt().count();
+  const QueryClassStats& oltp = metrics_.queries(QueryClass::kOltp);
+  r.oltp_rt_ms = oltp.response_ms.mean();
+  r.oltp_completed = oltp.response_ms.count();
   r.oltp_throughput_tps =
       seconds > 0 ? static_cast<double>(r.oltp_completed) / seconds : 0.0;
+  r.oltp_aborts = oltp.aborts;
 
-  r.scan_rt_ms = metrics_.scan_rt().mean();
-  r.scans_completed = metrics_.scan_rt().count();
-  r.update_rt_ms = metrics_.update_rt().mean();
-  r.updates_completed = metrics_.update_rt().count();
-  r.multiway_rt_ms = metrics_.multiway_rt().mean();
-  r.multiway_completed = metrics_.multiway_rt().count();
+  const QueryClassStats& scan = metrics_.queries(QueryClass::kScan);
+  r.scan_rt_ms = scan.response_ms.mean();
+  r.scans_completed = scan.response_ms.count();
+  const QueryClassStats& update = metrics_.queries(QueryClass::kUpdate);
+  r.update_rt_ms = update.response_ms.mean();
+  r.updates_completed = update.response_ms.count();
+  r.update_aborts = update.aborts;
+  const QueryClassStats& multiway = metrics_.queries(QueryClass::kMultiwayJoin);
+  r.multiway_rt_ms = multiway.response_ms.mean();
+  r.multiway_completed = multiway.response_ms.count();
 
   r.cpu_utilization = metrics_.cpu_util().mean();
   r.disk_utilization = metrics_.disk_util().mean();

@@ -42,7 +42,6 @@
 #include "common/status.h"
 #include "common/units.h"
 #include "simkern/latch.h"
-#include "simkern/resource.h"
 #include "simkern/ring.h"
 #include "simkern/rng.h"
 #include "simkern/scheduler.h"
@@ -53,54 +52,31 @@ namespace pdblb {
 class Cluster;
 class FaultInjector;
 
-/// Per-attempt bookkeeping shared between the supervisor and the executor.
-/// Lives in the supervisor's frame, so it survives cancellation of the
-/// attempt frame itself.  Executors register every PE a query touches
-/// *before* doing work there; registration fails fast (returns false, sets
-/// outcome = kUnavailable) when the PE is already down, and the recorded
-/// set is what ApplyCrash consults to find the attempts a crash kills.
+/// Per-attempt bookkeeping shared between the supervisor and the query
+/// (engine/query.h).  Lives in the supervisor's frame, so it survives
+/// cancellation of the attempt frame itself.  A query registers every PE it
+/// touches *before* doing work there; registration fails fast (returns
+/// false, sets outcome = kUnavailable) when the PE is already down, and the
+/// recorded set is what ApplyCrash consults to find the attempts a crash
+/// kills.
 struct QueryAttempt {
   FaultInjector* injector = nullptr;
   sim::Latch* done = nullptr;
   uint64_t work_id = 0;
   StatusCode outcome = StatusCode::kOk;
   std::vector<PeId> participants;
-  /// Set by the executor when the attempt ran on an overload-capped plan
+  /// Set by the lifecycle when the attempt ran on an overload-capped plan
   /// (JoinPlan::degraded); the supervisor counts it on completion.
   bool degraded_plan = false;
 
   /// Records that the attempt is about to use `pe`.  Returns false (and
   /// marks the attempt kUnavailable) if the PE is down, or if the network
   /// path between `pe` and any already-registered participant is
-  /// partitioned — the executor must co_return immediately; its RAII
-  /// guards release whatever it holds.
+  /// partitioned — the query must co_return immediately; its RAII guards
+  /// release whatever it holds.
   bool AddParticipant(PeId pe);
   bool AddParticipants(const std::vector<PeId>& pes);
   bool Touches(PeId pe) const;
-};
-
-/// RAII release of one admission slot (ProcessingElement::admission()).
-/// Executors acquire the slot explicitly, then arm the guard: the normal
-/// path calls ReleaseNow() where the old explicit Release() sat, and the
-/// cancellation path releases from the destructor as the frame unwinds.
-class AdmissionGuard {
- public:
-  AdmissionGuard(sim::Scheduler& sched, sim::Resource& admission)
-      : sched_(sched), admission_(admission) {}
-  ~AdmissionGuard() {
-    if (armed_ && !sched_.tearing_down()) admission_.Release();
-  }
-  AdmissionGuard(const AdmissionGuard&) = delete;
-  AdmissionGuard& operator=(const AdmissionGuard&) = delete;
-  void ReleaseNow() {
-    armed_ = false;
-    admission_.Release();
-  }
-
- private:
-  sim::Scheduler& sched_;
-  sim::Resource& admission_;
-  bool armed_ = true;
 };
 
 /// RAII release of a transaction's locks at a set of PEs.  The normal path

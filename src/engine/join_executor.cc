@@ -9,8 +9,8 @@
 #include <vector>
 
 #include "core/skew.h"
-#include "engine/faults.h"
 #include "engine/parop.h"
+#include "engine/query.h"
 #include "join/local_join.h"
 #include "simkern/task_group.h"
 
@@ -18,8 +18,8 @@ namespace pdblb {
 namespace {
 
 using parop::BatchChannel;
-using parop::CommitRound;
 using parop::DeliverControl;
+using parop::FanOut;
 using parop::Redistribute;
 using parop::ScanRedistribute;
 using parop::SplitEvenly;
@@ -65,14 +65,13 @@ sim::Task<> ProbeConsumer(Cluster& c, LocalJoin* join, BatchChannel* channel,
   join->Release();
 }
 
-/// The scan processors of the fragments of `rel` homed at `homes`.  Under
-/// Shared Nothing the data allocation prescribes them: each fragment is
-/// scanned by its current owner.  Under Shared Disk ([27]) any PE can scan
-/// any fragment, so the least CPU-utilized PEs (`by_cpu`) are picked.
+/// The scan processors of the fragments of `rel`.  Under Shared Nothing the
+/// data allocation prescribes them: each fragment is scanned by its current
+/// owner.  Under Shared Disk ([27]) any PE can scan any fragment, so the
+/// least CPU-utilized PEs (`by_cpu`) are picked.
 std::vector<PeId> ScanSites(const Cluster& c, const Relation& rel,
-                            const std::vector<PeId>& homes,
                             const std::vector<PeLoadInfo>& by_cpu) {
-  std::vector<PeId> sites = parop::FragmentOwners(c, rel, homes);
+  std::vector<PeId> sites = parop::FragmentOwners(c, rel);
   if (c.config().architecture == Architecture::kSharedDisk) {
     for (size_t i = 0; i < sites.size(); ++i) {
       sites[i] = by_cpu[i % by_cpu.size()].pe;
@@ -99,40 +98,13 @@ void SpawnScans(Cluster& c, sim::TaskGroup& scans, const Relation& rel,
   }
 }
 
-}  // namespace
-
-sim::Task<> ExecuteJoinQuery(Cluster& c, int ways, QueryAttempt* qa) {
+/// The pipeline's stages, as the lifecycle's read-only body: the commit
+/// reaches every PE of every stage.
+sim::Task<> JoinStages(Cluster& c, Query& q, int ways) {
   sim::Scheduler& sched = c.sched();
   const SystemConfig& cfg = c.config();
   const CpuCosts& costs = cfg.costs;
   const Database& db = c.db();
-  const SimTime t0 = sched.Now();
-
-  // Random coordinator placement (paper: queries are assigned to a
-  // coordinating PE uniformly over all PEs).  Under elastic resize the draw
-  // is remapped to the nearest member (the draw itself always happens, so
-  // the RNG stream matches resize-free runs).
-  const PeId coord = c.MemberPe(
-      static_cast<PeId>(c.workload_rng().UniformInt(0, c.num_pes() - 1)));
-  if (qa != nullptr && !qa->AddParticipant(coord)) co_return;
-  if (c.control().ShouldShed()) {
-    // Overload shedding: reject before queueing for an admission slot, so a
-    // shed query holds nothing and costs nothing.  kResourceExhausted is
-    // final — the supervisor does not retry it.
-    c.metrics().RecordQueryShed(sched.Now());
-    if (qa != nullptr) qa->outcome = StatusCode::kResourceExhausted;
-    co_return;
-  }
-  co_await c.pe(coord).admission().Acquire();
-  AdmissionGuard admission(sched, c.pe(coord).admission());
-  co_await UseCpu(c, coord, costs.initiate_txn);
-
-  // Under strict 2PL the read-only query locks every scanned page; under
-  // the base assumption / multiversion CC it reads lock-free (footnote 1).
-  // One read transaction spans all stages.
-  const TxnId read_txn =
-      cfg.cc_scheme == CcScheme::kTwoPhaseLocking ? c.NextTxnId() : 0;
-  TxnLocksGuard read_locks(&c, read_txn);
 
   const int tuple_size = cfg.relation_a.tuple_size_bytes;
   const double theta = cfg.join_query.redistribution_skew;
@@ -143,18 +115,14 @@ sim::Task<> ExecuteJoinQuery(Cluster& c, int ways, QueryAttempt* qa) {
   std::vector<int64_t> result_at;
   // Every PE that took part in any stage; all of them join the commit.
   std::set<PeId> participants;
-  int first_degree = 0;
-  bool degraded = false;
-  int64_t temp_written = 0;
-  int64_t temp_read = 0;
 
   for (int stage = 1; stage < ways; ++stage) {
     const bool first = stage == 1;
     const bool last = stage == ways - 1;
 
     // Consult the control node for the current system state (request+reply).
-    co_await c.net().ControlMessage(coord, 0);
-    co_await c.net().ControlMessage(0, coord);
+    co_await c.net().ControlMessage(q.coord, 0);
+    co_await c.net().ControlMessage(0, q.coord);
     JoinPlanRequest req = c.plan_request();
     if (!first) {
       // The inner input is the previous result, not the selection of A.
@@ -169,8 +137,8 @@ sim::Task<> ExecuteJoinQuery(Cluster& c, int ways, QueryAttempt* qa) {
     }
     JoinPlan plan = c.policy().Plan(req, c.control(), c.workload_rng());
     const int p = plan.degree;
-    if (first) first_degree = p;
-    degraded = degraded || plan.degraded;
+    if (first) q.degree = p;
+    q.degraded = q.degraded || plan.degraded;
 
     // The stage's scans: A (stage 1 only, as the inner input) and the
     // outer input, B in stage 1 and C afterwards.
@@ -182,10 +150,8 @@ sim::Task<> ExecuteJoinQuery(Cluster& c, int ways, QueryAttempt* qa) {
     const std::vector<PeId>& outer_homes =
         first ? db.b_nodes() : db.all_nodes();
     const std::vector<PeId> a_sites =
-        first ? ScanSites(c, db.a(), db.a_nodes(), by_cpu)
-              : std::vector<PeId>();
-    const std::vector<PeId> outer_sites =
-        ScanSites(c, outer, outer_homes, by_cpu);
+        first ? ScanSites(c, db.a(), by_cpu) : std::vector<PeId>();
+    const std::vector<PeId> outer_sites = ScanSites(c, outer, by_cpu);
     const int64_t outer_total =
         first ? cfg.OuterInputTuples()
               : std::llround(cfg.join_query.scan_selectivity *
@@ -208,29 +174,19 @@ sim::Task<> ExecuteJoinQuery(Cluster& c, int ways, QueryAttempt* qa) {
       stage_pes.insert(outer_homes.begin(), outer_homes.end());
     }
     stage_pes.insert(plan.pes.begin(), plan.pes.end());
-    if (qa != nullptr &&
-        !qa->AddParticipants({stage_pes.begin(), stage_pes.end()})) {
+    if (q.attempt != nullptr &&
+        !q.attempt->AddParticipants({stage_pes.begin(), stage_pes.end()})) {
       co_return;
     }
     // Read locks are taken at the homes' lock managers regardless of who
     // executes the scan; the guard must cover them for crash unwind.
-    for (PeId pe : stage_pes) read_locks.AddPe(pe);
+    for (PeId pe : stage_pes) q.locks->AddPe(pe);
     if (first) {
-      for (PeId pe : db.a_nodes()) read_locks.AddPe(pe);
+      for (PeId pe : db.a_nodes()) q.locks->AddPe(pe);
     }
-    for (PeId pe : outer_homes) read_locks.AddPe(pe);
+    for (PeId pe : outer_homes) q.locks->AddPe(pe);
 
-    // Start the subqueries: the coordinator serializes its send costs, the
-    // deliveries run in parallel.
-    {
-      sim::TaskGroup startup(sched);
-      for (PeId dest : stage_pes) {
-        if (dest == coord) continue;
-        co_await UseCpu(c, coord, costs.send_message + costs.copy_message);
-        startup.Spawn(DeliverControl(c, dest));
-      }
-      co_await startup.Wait();
-    }
+    co_await FanOut(c, q.coord, stage_pes, DeliverControl);  // subquery startup
     participants.merge(stage_pes);
 
     // One local join instance per join processor.  The partitioning
@@ -312,7 +268,7 @@ sim::Task<> ExecuteJoinQuery(Cluster& c, int ways, QueryAttempt* qa) {
       sim::TaskGroup sends(sched);
       if (first) {
         SpawnScans(c, sources, db.a(), db.a_nodes(), a_sites, inner_total,
-                   read_txn, plan, dest_frac, channels, sends);
+                   q.txn, plan, dest_frac, channels, sends);
       } else {
         for (size_t i = 0; i < result_pes.size(); ++i) {
           sources.Spawn(Redistribute(c, result_pes[i], result_at[i],
@@ -333,13 +289,13 @@ sim::Task<> ExecuteJoinQuery(Cluster& c, int ways, QueryAttempt* qa) {
       sim::TaskGroup consumers(sched);
       for (int j = 0; j < p; ++j) {
         consumers.Spawn(ProbeConsumer(c, joins[j].get(), channels[j].get(),
-                                      plan.pes[j], coord, result_share[j],
+                                      plan.pes[j], q.coord, result_share[j],
                                       tuple_size, last));
       }
       sim::TaskGroup scans(sched);
       sim::TaskGroup sends(sched);
       SpawnScans(c, scans, outer, outer_homes, outer_sites, outer_total,
-                 read_txn, plan, dest_frac, channels, sends);
+                 q.txn, plan, dest_frac, channels, sends);
       co_await scans.Wait();
       co_await sends.Wait();
       for (auto& ch : channels) ch->Close();
@@ -347,8 +303,8 @@ sim::Task<> ExecuteJoinQuery(Cluster& c, int ways, QueryAttempt* qa) {
     }
 
     for (const auto& j : joins) {
-      temp_written += j->temp_pages_written();
-      temp_read += j->temp_pages_read();
+      q.temp_pages_written += j->temp_pages_written();
+      q.temp_pages_read += j->temp_pages_read();
     }
     // The result becomes the next stage's inner input.
     result_pes = std::move(plan.pes);
@@ -356,38 +312,16 @@ sim::Task<> ExecuteJoinQuery(Cluster& c, int ways, QueryAttempt* qa) {
     inner_total = result_total;
   }
 
-  // --- distributed commit with the read-only optimization (one round) ----
-  // The single commit round also releases the read locks at the scan
-  // processors and the fragment homes (the paper's read-only optimization).
-  {
-    sim::TaskGroup commits(sched);
-    for (PeId dest : participants) {
-      if (dest == coord) continue;
-      co_await UseCpu(c, coord, costs.send_message + costs.copy_message);
-      commits.Spawn(CommitRound(c, coord, dest));
-    }
-    co_await commits.Wait();
-    read_locks.ReleaseNow();
-  }
-  co_await UseCpu(c, coord, costs.terminate_txn);
-  admission.ReleaseNow();
+  q.sites.assign(participants.begin(), participants.end());
+}
 
-  if (ways == 2) {
-    c.metrics().RecordJoin(sched.Now() - t0, first_degree, temp_written,
-                           temp_read, sched.Now());
-  } else {
-    c.metrics().RecordMultiwayJoin(sched.Now() - t0, sched.Now());
-  }
-  if (degraded) {
-    // Any overload-capped stage marks the query degraded.  Supervised
-    // queries defer the count to the supervisor (which also folds in
-    // retry-degradation); unsupervised ones count here.
-    if (qa != nullptr) {
-      qa->degraded_plan = true;
-    } else {
-      c.metrics().RecordQueryDegraded(sched.Now());
-    }
-  }
+}  // namespace
+
+sim::Task<> ExecuteJoinQuery(Cluster& c, int ways, QueryAttempt* qa) {
+  return RunQuery(c, ways == 2 ? QueryClass::kJoin : QueryClass::kMultiwayJoin,
+                  qa, Query{}, [ways](Cluster& cluster, Query& q) {
+                    return JoinStages(cluster, q, ways);
+                  });
 }
 
 }  // namespace pdblb

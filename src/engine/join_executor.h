@@ -5,12 +5,13 @@
 //
 //   (A ⋈ B) ⋈ C [⋈ C ...]
 //
-// A coordinator admits the query, runs `ways - 1` stages, and finishes with
-// the read-only-optimized distributed commit.  Every stage consults the
-// control node and asks the load-balancing policy for its degree of join
-// parallelism and its join processors, so each stage adapts to the system
-// state the previous one left.  A stage then starts its subqueries and
-// drives two phases:
+// The stages are the body of a read-only query in the lifecycle
+// (engine/query.h), which admits the query at its coordinator and finishes
+// it with the read-only-optimized distributed commit.  Every stage consults
+// the control node and asks the load-balancing policy for its degree of
+// join parallelism and its join processors, so each stage adapts to the
+// system state the previous one left.  A stage then starts its subqueries
+// and drives two phases:
 //
 //  * building: the inner input is redistributed to the join processors,
 //    which build their hash tables.  Stage 1 scans A; a later stage
@@ -35,12 +36,11 @@
 
 namespace pdblb {
 
-/// Executes one `ways`-way join query end to end (`ways` >= 2) and records
-/// it on completion: as a two-way join (MetricsCollector::RecordJoin) or as
-/// a multi-way join (RecordMultiwayJoin).  Spawn via Scheduler::Spawn (open
-/// workload) or await (single-user mode).  `qa` links the query to the
-/// fault injector's supervision (fail fast on dead PEs, cancellation on
-/// crash); nullptr in fault-free runs.
+/// Executes one `ways`-way join query end to end (`ways` >= 2), recorded as
+/// a two-way join (QueryClass::kJoin) or a multi-way join (kMultiwayJoin).
+/// Spawn via Scheduler::Spawn (open workload) or await (single-user mode).
+/// `qa` links the query to the fault injector's supervision (fail fast on
+/// dead PEs, cancellation on crash); nullptr in fault-free runs.
 sim::Task<> ExecuteJoinQuery(Cluster& cluster, int ways,
                              QueryAttempt* qa = nullptr);
 

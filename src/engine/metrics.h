@@ -230,6 +230,21 @@ std::string FormatReportValue(T value, int decimals) {
   }
 }
 
+/// The workload's query classes (paper Section 4); kMultiwayJoin joins three
+/// or more relations.  engine/query.h's kQueryClasses says what the query
+/// lifecycle knows of each.
+enum class QueryClass : uint8_t { kJoin, kMultiwayJoin, kScan, kUpdate, kOltp };
+inline constexpr size_t kNumQueryClasses = 5;
+
+/// One query class's completions over the measurement window.
+struct QueryClassStats {
+  sim::SampleStat response_ms;
+  int64_t aborts = 0;  ///< deadlock restarts
+  sim::SampleStat degree;
+  int64_t temp_pages_written = 0;
+  int64_t temp_pages_read = 0;
+};
+
 /// Collected during a run.
 class MetricsCollector {
  public:
@@ -237,35 +252,17 @@ class MetricsCollector {
   SimTime warmup_end() const { return warmup_end_; }
   bool Measuring(SimTime now) const { return now >= warmup_end_; }
 
-  void RecordJoin(SimTime response_ms, int degree, int64_t temp_written,
-                  int64_t temp_read, SimTime now) {
+  /// One completed query of class `cls`, with its deadlock restarts and a
+  /// join's first-stage degree and temporary pages written and read.
+  void RecordQuery(QueryClass cls, SimTime response_ms, int aborts, int degree,
+                   int64_t temp_written, int64_t temp_read, SimTime now) {
     if (!Measuring(now)) return;
-    join_rt_.Add(response_ms);
-    degree_.Add(degree);
-    temp_pages_written_ += temp_written;
-    temp_pages_read_ += temp_read;
-  }
-
-  void RecordOltp(SimTime response_ms, int aborts, SimTime now) {
-    if (!Measuring(now)) return;
-    oltp_rt_.Add(response_ms);
-    counters_.oltp_aborts += aborts;
-  }
-
-  void RecordScan(SimTime response_ms, SimTime now) {
-    if (!Measuring(now)) return;
-    scan_rt_.Add(response_ms);
-  }
-
-  void RecordUpdate(SimTime response_ms, int aborts, SimTime now) {
-    if (!Measuring(now)) return;
-    update_rt_.Add(response_ms);
-    counters_.update_aborts += aborts;
-  }
-
-  void RecordMultiwayJoin(SimTime response_ms, SimTime now) {
-    if (!Measuring(now)) return;
-    multiway_rt_.Add(response_ms);
+    QueryClassStats& s = queries_[static_cast<size_t>(cls)];
+    s.response_ms.Add(response_ms);
+    s.aborts += aborts;
+    s.degree.Add(degree);
+    s.temp_pages_written += temp_written;
+    s.temp_pages_read += temp_read;
   }
 
   /// Periodic per-PE utilization samples (from the control-report loop).
@@ -333,41 +330,36 @@ class MetricsCollector {
   /// The rebalance plan was recomputed around a crashed/lost PE.
   void RecordMigrationReplanned() { ++counters_.migrations_replanned; }
 
-  /// The report fields counted directly (aborts, fault and elastic
-  /// counters); every other field is zero.  Cluster::Collect starts from a
-  /// copy and fills in the rest.
+  /// The report fields counted directly (fault and elastic counters); every
+  /// other field is zero.  Cluster::Collect starts from a copy and fills in
+  /// the rest.
   const MetricsReport& counters() const { return counters_; }
 
-  const sim::SampleStat& join_rt() const { return join_rt_; }
-  const sim::SampleStat& oltp_rt() const { return oltp_rt_; }
-  const sim::SampleStat& scan_rt() const { return scan_rt_; }
-  const sim::SampleStat& update_rt() const { return update_rt_; }
-  const sim::SampleStat& multiway_rt() const { return multiway_rt_; }
-  const sim::SampleStat& degree() const { return degree_; }
+  const QueryClassStats& queries(QueryClass cls) const {
+    return queries_[static_cast<size_t>(cls)];
+  }
+  /// Temporary pages written and read by the two-way joins.
+  int64_t temp_pages_written() const {
+    return queries(QueryClass::kJoin).temp_pages_written;
+  }
+  int64_t temp_pages_read() const {
+    return queries(QueryClass::kJoin).temp_pages_read;
+  }
   const sim::SampleStat& cpu_util() const { return cpu_util_; }
   const sim::SampleStat& disk_util() const { return disk_util_; }
   const sim::SampleStat& mem_util() const { return mem_util_; }
   const sim::SampleStat& memory_queue_wait() const {
     return memory_queue_wait_;
   }
-  int64_t temp_pages_written() const { return temp_pages_written_; }
-  int64_t temp_pages_read() const { return temp_pages_read_; }
 
  private:
   SimTime warmup_end_ = 0.0;
   MetricsReport counters_;
-  sim::SampleStat join_rt_;
-  sim::SampleStat oltp_rt_;
-  sim::SampleStat scan_rt_;
-  sim::SampleStat update_rt_;
-  sim::SampleStat multiway_rt_;
-  sim::SampleStat degree_;
+  std::array<QueryClassStats, kNumQueryClasses> queries_;
   sim::SampleStat cpu_util_;
   sim::SampleStat disk_util_;
   sim::SampleStat mem_util_;
   sim::SampleStat memory_queue_wait_;
-  int64_t temp_pages_written_ = 0;
-  int64_t temp_pages_read_ = 0;
 };
 
 }  // namespace pdblb

@@ -4,26 +4,24 @@
 
 #include <algorithm>
 
-#include "engine/faults.h"
 #include "engine/parop.h"
+#include "engine/query.h"
 
 namespace pdblb {
 namespace {
 
 using parop::UseCpu;
 
-/// One execution attempt under strict 2PL; returns false if this txn was
-/// chosen as a deadlock victim while waiting for a lock.
-sim::Task<bool> OltpAttempt(Cluster& c, PeId home, TxnId txn) {
+/// The debit-credit accesses at the transaction's home (the coordinator),
+/// as the lifecycle's restartable body under strict 2PL; false when the
+/// transaction lost a deadlock.
+sim::Task<bool> OltpAccesses(Cluster& c, Query& q) {
   const SystemConfig& cfg = c.config();
   const CpuCosts& costs = cfg.costs;
+  const PeId home = q.coord;
   ProcessingElement& pe = c.pe(home);
   const Relation* rel = c.db().oltp_relation(home);
-
-  // The transaction request arrives as a message from the client terminal;
-  // the reply is sent back at EOT (debit-credit interaction model).
-  co_await UseCpu(c, home, costs.receive_message + costs.copy_message);
-  co_await UseCpu(c, home, costs.initiate_txn);
+  q.locks->AddPe(home);
 
   const int64_t frag_pages = rel->PagesAt(home);
   const int bf = rel->blocking_factor();
@@ -42,7 +40,7 @@ sim::Task<bool> OltpAttempt(Cluster& c, PeId home, TxnId txn) {
     LockMode mode =
         cfg.oltp.updates ? LockMode::kExclusive : LockMode::kShared;
     bool granted =
-        co_await pe.locks().Lock(txn, LockKey{rel->id(), tuple}, mode);
+        co_await pe.locks().Lock(q.txn, LockKey{rel->id(), tuple}, mode);
     if (!granted) co_return false;
 
     // Non-clustered index: inner levels are assumed cached (CPU only), the
@@ -76,38 +74,13 @@ sim::Task<bool> OltpAttempt(Cluster& c, PeId home, TxnId txn) {
     c.sched().Spawn(
         pe.disks().WriteBatch(PageKey{c.NextTempRelationId(), 0}, 1));
   }
-
-  // Commit: force the log, then terminate (no-force for data pages).
-  co_await pe.disks().LogWrite();
-  co_await UseCpu(c, home, costs.terminate_txn);
-  co_await UseCpu(c, home, costs.send_message + costs.copy_message);
   co_return true;
 }
 
 }  // namespace
 
 sim::Task<> ExecuteOltpTransaction(Cluster& c, PeId home, QueryAttempt* qa) {
-  const SimTime t0 = c.sched().Now();
-  ProcessingElement& pe = c.pe(home);
-  if (qa != nullptr && !qa->AddParticipant(home)) co_return;
-  co_await pe.admission().Acquire();
-  AdmissionGuard admission(c.sched(), pe.admission());
-
-  int aborts = 0;
-  while (true) {
-    TxnId txn = c.NextTxnId();
-    TxnLocksGuard txn_locks(&c, txn);
-    txn_locks.AddPe(home);
-    bool ok = co_await OltpAttempt(c, home, txn);
-    txn_locks.ReleaseNow();
-    if (ok) break;
-    ++aborts;
-    // Deadlock victim: back off and restart with a fresh txn id.
-    co_await c.sched().Delay(10.0);
-  }
-
-  admission.ReleaseNow();
-  c.metrics().RecordOltp(c.sched().Now() - t0, aborts, c.sched().Now());
+  return RunQuery(c, QueryClass::kOltp, qa, Query(home), OltpAccesses);
 }
 
 }  // namespace pdblb

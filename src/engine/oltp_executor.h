@@ -3,8 +3,8 @@
 // Debit-credit-style OLTP transaction execution (paper Section 5.1/5.3):
 // four non-clustered index selects with updates on an OLTP-private relation,
 // affinity-routed so that processing is local to the home node.  Uses strict
-// 2PL tuple locks, no-force buffering with a commit log write, and restarts
-// on deadlock aborts.
+// 2PL tuple locks and no-force buffering.  The query lifecycle
+// (engine/query.h) forces the commit log and restarts deadlock victims.
 
 #ifndef PDBLB_ENGINE_OLTP_EXECUTOR_H_
 #define PDBLB_ENGINE_OLTP_EXECUTOR_H_

@@ -15,9 +15,8 @@ std::vector<int64_t> SplitEvenly(int64_t total, int parts) {
   return out;
 }
 
-std::vector<PeId> FragmentOwners(const Cluster& c, const Relation& rel,
-                                 const std::vector<PeId>& homes) {
-  std::vector<PeId> owners(homes);
+std::vector<PeId> FragmentOwners(const Cluster& c, const Relation& rel) {
+  std::vector<PeId> owners(rel.home_pes());
   if (c.elastic_enabled()) {
     for (PeId& pe : owners) pe = c.OwnerOf(rel.id(), pe);
   }
@@ -30,7 +29,7 @@ sim::Task<> SendBatch(Cluster& c, PeId src, PeId dst, int64_t tuples,
                           [channel, tuples] { channel->Send(Batch{tuples}); });
 }
 
-sim::Task<> DeliverControl(Cluster& c, PeId dest) {
+sim::Task<> DeliverControl(Cluster& c, PeId /*coord*/, PeId dest) {
   co_await c.sched().Delay(c.config().network.wire_time_per_packet_ms);
   const CpuCosts& costs = c.config().costs;
   co_await UseCpu(c, dest, costs.receive_message + costs.copy_message);

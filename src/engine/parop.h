@@ -2,14 +2,17 @@
 //
 // PAROP: the parallelization meta-operator of the paper's query processing
 // system (Section 4) — the machinery shared by every parallel executor:
-// dynamic data redistribution between operator instances, subquery startup
-// message delivery, and the distributed commit rounds.
+// dynamic data redistribution between operator instances, the coordinator's
+// message fan-out, subquery startup message delivery, and the distributed
+// commit rounds.
 
 #ifndef PDBLB_ENGINE_PAROP_H_
 #define PDBLB_ENGINE_PAROP_H_
 
+#include <coroutine>
 #include <cstdint>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "catalog/relation.h"
@@ -29,12 +32,11 @@ using BatchChannel = sim::Channel<Batch>;
 /// `total` split into `parts` near-equal shares (remainder spread left).
 std::vector<int64_t> SplitEvenly(int64_t total, int parts);
 
-/// The PEs that serve the fragments of `rel` homed at `homes`: each
+/// The PEs that serve the fragments of `rel`, in rel.home_pes() order: each
 /// fragment's current owner, which is its home until an elastic migration
 /// moved it (catalog/ownership.h).  Data processing happens at the owner;
 /// the fragment's geometry, page keys and lock site stay at the home.
-std::vector<PeId> FragmentOwners(const Cluster& c, const Relation& rel,
-                                 const std::vector<PeId>& homes);
+std::vector<PeId> FragmentOwners(const Cluster& c, const Relation& rel);
 
 /// Charges `instructions` on `pe`'s CPU server.  Returns the resource's
 /// frameless Use awaiter directly — `co_await UseCpu(...)` suspends the
@@ -53,7 +55,7 @@ sim::Task<> SendBatch(Cluster& c, PeId src, PeId dst, int64_t tuples,
 
 /// Wire + receiver-side cost of a control message whose send costs the
 /// coordinator already serialized itself.
-sim::Task<> DeliverControl(Cluster& c, PeId dest);
+sim::Task<> DeliverControl(Cluster& c, PeId coord, PeId dest);
 
 /// One participant's part of the read-only-optimized commit (single round):
 /// receive the commit message, release resources, acknowledge.
@@ -62,6 +64,25 @@ sim::Task<> CommitRound(Cluster& c, PeId coord, PeId dest);
 /// One participant's part of a full two-phase commit (update transactions):
 /// prepare round with a forced log write, then the commit round.
 sim::Task<> TwoPhaseCommitRounds(Cluster& c, PeId coord, PeId dest);
+
+/// One message round from `coord` to every other PE of `dests`: the
+/// coordinator serializes the send+copy costs, the deliveries (`deliver`:
+/// DeliverControl, CommitRound or TwoPhaseCommitRounds) run in parallel,
+/// and `local`, the coordinator's own part, runs while they are in flight.
+template <typename Dests, typename Local = std::suspend_never>
+sim::Task<> FanOut(Cluster& c, PeId coord, const Dests& dests,
+                   sim::Task<> (*deliver)(Cluster&, PeId, PeId),
+                   Local local = {}) {
+  const CpuCosts& costs = c.config().costs;
+  sim::TaskGroup deliveries(c.sched());
+  for (PeId dest : dests) {
+    if (dest == coord) continue;
+    co_await UseCpu(c, coord, costs.send_message + costs.copy_message);
+    deliveries.Spawn(deliver(c, coord, dest));
+  }
+  co_await std::move(local);
+  co_await deliveries.Wait();
+}
 
 /// Acquires a long page-level read lock for a read-only (sub)query under
 /// CcScheme::kTwoPhaseLocking.  A read-only deadlock victim releases its

@@ -5,20 +5,44 @@
 #include <algorithm>
 #include <vector>
 
-#include "engine/faults.h"
 #include "engine/parop.h"
+#include "engine/query.h"
 #include "simkern/task_group.h"
 
 namespace pdblb {
 namespace {
 
-using parop::CommitRound;
 using parop::DeliverControl;
-using parop::FragmentOwners;
+using parop::FanOut;
 using parop::LockPageShared;
 using parop::SplitEvenly;
-using parop::TwoPhaseCommitRounds;
 using parop::UseCpu;
+
+/// Reads `pages` pages of the fragment homed at `node` through `exec`'s
+/// buffer, from page `start` on and wrapping at the fragment's end, in
+/// striped groups that spread over the disk array.  With `read_lock_txn` set
+/// every page is read-locked at the home first; every tuple costs read_tuple.
+sim::Task<> ReadPages(Cluster& c, PeId node, PeId exec, const Relation& rel,
+                      int64_t start, int64_t pages, TxnId read_lock_txn) {
+  const SystemConfig& cfg = c.config();
+  const int64_t frag_pages = rel.PagesAt(node);
+  const int64_t group_pages =
+      static_cast<int64_t>(cfg.disk.prefetch_pages) * cfg.disk.disks_per_pe;
+  for (int64_t done = 0; done < pages;) {
+    int64_t pos = (start + done) % frag_pages;
+    int64_t len = std::min({group_pages, pages - done, frag_pages - pos});
+    if (read_lock_txn != 0) {
+      for (int64_t i = 0; i < len; ++i) {
+        co_await LockPageShared(c, node, read_lock_txn,
+                                rel.DataPage(node, pos + i));
+      }
+    }
+    co_await c.pe(exec).buffer().FetchRange(rel.DataPage(node, pos), len);
+    co_await UseCpu(c, exec,
+                    len * rel.blocking_factor() * cfg.costs.read_tuple);
+    done += len;
+  }
+}
 
 /// One data processor's share of a scan query: locate + read + filter the
 /// fragment, then ship the selected tuples to the coordinator.  Under
@@ -30,31 +54,16 @@ sim::Task<> ScanFragment(Cluster& c, PeId node, PeId exec,
                          const Relation& rel, ScanAccess access,
                          int64_t selected_share, PeId coord,
                          TxnId read_lock_txn) {
-  const SystemConfig& cfg = c.config();
-  const CpuCosts& costs = cfg.costs;
+  const CpuCosts& costs = c.config().costs;
   ProcessingElement& pe = c.pe(exec);
   const int bf = rel.blocking_factor();
   const int64_t frag_pages = rel.PagesAt(node);
 
   switch (access) {
-    case ScanAccess::kRelationScan: {
+    case ScanAccess::kRelationScan:
       // Read every fragment page sequentially and examine every tuple.
-      const int64_t group_pages =
-          static_cast<int64_t>(cfg.disk.prefetch_pages) *
-          cfg.disk.disks_per_pe;
-      for (int64_t pos = 0; pos < frag_pages; pos += group_pages) {
-        int64_t len = std::min(group_pages, frag_pages - pos);
-        if (read_lock_txn != 0) {
-          for (int64_t i = 0; i < len; ++i) {
-            co_await LockPageShared(c, node, read_lock_txn,
-                                    rel.DataPage(node, pos + i));
-          }
-        }
-        co_await pe.buffer().FetchRange(rel.DataPage(node, pos), len);
-        co_await UseCpu(c, exec, len * bf * costs.read_tuple);
-      }
+      co_await ReadPages(c, node, exec, rel, 0, frag_pages, read_lock_txn);
       break;
-    }
     case ScanAccess::kClusteredIndex: {
       // Descend the index, then read just the selected range.
       co_await UseCpu(c, exec, costs.read_tuple * rel.IndexLevels(node));
@@ -62,22 +71,7 @@ sim::Task<> ScanFragment(Cluster& c, PeId node, PeId exec,
           std::min<int64_t>(frag_pages, (selected_share + bf - 1) / bf);
       int64_t start = c.workload_rng().UniformInt(
           0, std::max<int64_t>(0, frag_pages - 1));
-      const int64_t group_pages =
-          static_cast<int64_t>(cfg.disk.prefetch_pages) *
-          cfg.disk.disks_per_pe;
-      for (int64_t done = 0; done < pages;) {
-        int64_t pos = (start + done) % frag_pages;
-        int64_t len = std::min({group_pages, pages - done, frag_pages - pos});
-        if (read_lock_txn != 0) {
-          for (int64_t i = 0; i < len; ++i) {
-            co_await LockPageShared(c, node, read_lock_txn,
-                                    rel.DataPage(node, pos + i));
-          }
-        }
-        co_await pe.buffer().FetchRange(rel.DataPage(node, pos), len);
-        co_await UseCpu(c, exec, len * bf * costs.read_tuple);
-        done += len;
-      }
+      co_await ReadPages(c, node, exec, rel, start, pages, read_lock_txn);
       break;
     }
     case ScanAccess::kUnclusteredIndex: {
@@ -111,92 +105,38 @@ sim::Task<> ScanFragment(Cluster& c, PeId node, PeId exec,
   }
 }
 
-}  // namespace
-
-sim::Task<> ExecuteScanQuery(Cluster& c, QueryAttempt* qa) {
-  sim::Scheduler& sched = c.sched();
-  const SystemConfig& cfg = c.config();
-  const ScanQueryConfig& q = cfg.scan_query;
-  const CpuCosts& costs = cfg.costs;
-  const SimTime t0 = sched.Now();
-
-  const Relation& rel = c.db().target(q.relation);
-  const std::vector<PeId>& nodes = c.db().target_nodes(q.relation);
-  // Execution sites: the fragments' current owners.  Data processing,
-  // messages and admission happen at the owner; geometry and the read-lock
-  // site stay at the home.
-  const std::vector<PeId> execs = FragmentOwners(c, rel, nodes);
-
-  const PeId coord = c.MemberPe(
-      static_cast<PeId>(c.workload_rng().UniformInt(0, c.num_pes() - 1)));
-  if (qa != nullptr &&
-      (!qa->AddParticipant(coord) || !qa->AddParticipants(execs))) {
-    co_return;
-  }
-  co_await c.pe(coord).admission().Acquire();
-  AdmissionGuard admission(sched, c.pe(coord).admission());
-  co_await UseCpu(c, coord, costs.initiate_txn);
-
-  const TxnId read_txn =
-      cfg.cc_scheme == CcScheme::kTwoPhaseLocking ? c.NextTxnId() : 0;
-  TxnLocksGuard read_locks(&c, read_txn);
-  for (PeId node : nodes) read_locks.AddPe(node);
-
-  // Subquery startup (the scan placement is prescribed by the data
-  // allocation, so no control-node round trip is needed).
-  {
-    sim::TaskGroup startup(sched);
-    for (PeId dest : execs) {
-      if (dest == coord) continue;
-      co_await UseCpu(c, coord, costs.send_message + costs.copy_message);
-      startup.Spawn(DeliverControl(c, dest));
-    }
-    co_await startup.Wait();
-  }
+/// The scan's fragment work, as the lifecycle's read-only body: start the
+/// subqueries, scan every fragment in parallel, merge at the coordinator.
+sim::Task<> ScanFragments(Cluster& c, Query& q) {
+  const ScanQueryConfig& scan = c.config().scan_query;
+  const Relation& rel = *q.target;
+  const std::vector<PeId>& nodes = rel.home_pes();
+  for (PeId node : nodes) q.locks->AddPe(node);
+  // The data allocation prescribes the scan placement, so no control-node
+  // round trip precedes the subquery startup.
+  co_await FanOut(c, q.coord, q.sites, DeliverControl);
 
   const int64_t selected_total = static_cast<int64_t>(
-      q.selectivity * static_cast<double>(rel.num_tuples()));
+      scan.selectivity * static_cast<double>(rel.num_tuples()));
   std::vector<int64_t> selected_share =
       SplitEvenly(selected_total, static_cast<int>(nodes.size()));
-
-  {
-    sim::TaskGroup scans(sched);
-    for (size_t i = 0; i < nodes.size(); ++i) {
-      scans.Spawn(ScanFragment(c, nodes[i], execs[i], rel, q.access,
-                               selected_share[i], coord, read_txn));
-    }
-    co_await scans.Wait();
+  sim::TaskGroup scans(c.sched());
+  for (size_t i = 0; i < nodes.size(); ++i) {
+    scans.Spawn(ScanFragment(c, nodes[i], q.sites[i], rel, scan.access,
+                             selected_share[i], q.coord, q.txn));
   }
-
+  co_await scans.Wait();
   // Merge the sorted/streamed inputs at the coordinator.
-  co_await UseCpu(c, coord, selected_total * costs.read_tuple);
-
-  // Read-only optimized commit: one round to release the read locks at the
-  // data processors.
-  {
-    sim::TaskGroup commits(sched);
-    for (PeId dest : execs) {
-      if (dest == coord) continue;
-      co_await UseCpu(c, coord, costs.send_message + costs.copy_message);
-      commits.Spawn(CommitRound(c, coord, dest));
-    }
-    co_await commits.Wait();
-    read_locks.ReleaseNow();
-  }
-  co_await UseCpu(c, coord, costs.terminate_txn);
-  admission.ReleaseNow();
-  c.metrics().RecordScan(sched.Now() - t0, sched.Now());
+  co_await UseCpu(c, q.coord, selected_total * c.config().costs.read_tuple);
 }
 
-namespace {
-
 /// One data processor's share of an update statement: locate the affected
-/// tuples, lock their pages exclusively (ascending within the fragment, so
-/// page locks conflict with the page-level read locks of queries under
-/// CcScheme::kTwoPhaseLocking), apply the updates.  Under multiversion CC
-/// the before-images are copied to a version pool (extra CPU per tuple and
-/// one asynchronous version-page write per dirtied page).  Sets *victim if
-/// this transaction was chosen as a deadlock victim.
+/// tuples, lock their pages exclusively (from a random start, wrapping at
+/// the fragment's end; the page X locks conflict with the page read locks
+/// of queries under CcScheme::kTwoPhaseLocking), apply the updates.  Under
+/// multiversion CC the before-images are copied to a version pool (extra
+/// CPU per tuple and one asynchronous version-page write per dirtied page).
+/// Sets *victim if this transaction was chosen as a deadlock victim.
 sim::Task<> UpdateFragment(Cluster& c, PeId node, PeId exec,
                            const Relation& rel, bool index_supported,
                            int64_t update_share, TxnId txn,
@@ -222,13 +162,7 @@ sim::Task<> UpdateFragment(Cluster& c, PeId node, PeId exec,
     co_await UseCpu(c, exec, costs.read_tuple * rel.IndexLevels(node));
   } else {
     // No index support: full fragment scan to find the affected tuples.
-    const int64_t group_pages = static_cast<int64_t>(cfg.disk.prefetch_pages) *
-                                cfg.disk.disks_per_pe;
-    for (int64_t pos = 0; pos < frag_pages; pos += group_pages) {
-      int64_t len = std::min(group_pages, frag_pages - pos);
-      co_await pe.buffer().FetchRange(rel.DataPage(node, pos), len);
-      co_await UseCpu(c, exec, len * bf * costs.read_tuple);
-    }
+    co_await ReadPages(c, node, exec, rel, 0, frag_pages, 0);
   }
 
   const bool mvcc = cfg.cc_scheme == CcScheme::kMultiversion;
@@ -260,87 +194,45 @@ sim::Task<> UpdateFragment(Cluster& c, PeId node, PeId exec,
   }
 }
 
-}  // namespace
-
-sim::Task<> ExecuteUpdateQuery(Cluster& c, QueryAttempt* qa) {
-  sim::Scheduler& sched = c.sched();
-  const SystemConfig& cfg = c.config();
-  const UpdateQueryConfig& q = cfg.update_query;
-  const CpuCosts& costs = cfg.costs;
-  const SimTime t0 = sched.Now();
-
-  const Relation& rel = c.db().target(q.relation);
-  const std::vector<PeId>& nodes = c.db().target_nodes(q.relation);
-  const std::vector<PeId> execs = FragmentOwners(c, rel, nodes);
-
-  const PeId coord = c.MemberPe(
-      static_cast<PeId>(c.workload_rng().UniformInt(0, c.num_pes() - 1)));
-  if (qa != nullptr &&
-      (!qa->AddParticipant(coord) || !qa->AddParticipants(execs))) {
-    co_return;
-  }
-  co_await c.pe(coord).admission().Acquire();
-  AdmissionGuard admission(sched, c.pe(coord).admission());
+/// The update's fragment work, as the lifecycle's restartable body: start
+/// the subqueries and update every fragment in parallel.  False when the
+/// transaction lost a deadlock.
+sim::Task<bool> UpdateFragments(Cluster& c, Query& q) {
+  const UpdateQueryConfig& update = c.config().update_query;
+  const Relation& rel = *q.target;
+  const std::vector<PeId>& nodes = rel.home_pes();
+  for (PeId node : nodes) q.locks->AddPe(node);
+  co_await FanOut(c, q.coord, q.sites, DeliverControl);
 
   const int64_t update_total = std::max<int64_t>(
-      1, static_cast<int64_t>(q.selectivity *
+      1, static_cast<int64_t>(update.selectivity *
                               static_cast<double>(rel.num_tuples())));
   std::vector<int64_t> update_share =
       SplitEvenly(update_total, static_cast<int>(nodes.size()));
-
-  int aborts = 0;
-  while (true) {
-    TxnId txn = c.NextTxnId();
-    TxnLocksGuard txn_locks(&c, txn);
-    for (PeId node : nodes) txn_locks.AddPe(node);
-    co_await UseCpu(c, coord, costs.initiate_txn);
-
-    {
-      sim::TaskGroup startup(sched);
-      for (PeId dest : execs) {
-        if (dest == coord) continue;
-        co_await UseCpu(c, coord, costs.send_message + costs.copy_message);
-        startup.Spawn(DeliverControl(c, dest));
-      }
-      co_await startup.Wait();
-    }
-
-    bool victim = false;
-    {
-      const int32_t version_rel = c.NextTempRelationId();
-      sim::TaskGroup updates(sched);
-      for (size_t i = 0; i < nodes.size(); ++i) {
-        updates.Spawn(UpdateFragment(c, nodes[i], execs[i], rel,
-                                     q.index_supported, update_share[i], txn,
-                                     version_rel, &victim));
-      }
-      co_await updates.Wait();
-    }
-
-    if (!victim) {
-      // Full two-phase commit: every participant forces its log in the
-      // prepare phase; the coordinator serializes its message sends.
-      sim::TaskGroup commits(sched);
-      for (PeId dest : execs) {
-        if (dest == coord) continue;
-        co_await UseCpu(c, coord, costs.send_message + costs.copy_message);
-        commits.Spawn(TwoPhaseCommitRounds(c, coord, dest));
-      }
-      co_await c.pe(coord).disks().LogWrite();
-      co_await commits.Wait();
-      txn_locks.ReleaseNow();
-      co_await UseCpu(c, coord, costs.terminate_txn);
-      break;
-    }
-
-    // Deadlock victim: release everything, back off, restart.
-    txn_locks.ReleaseNow();
-    ++aborts;
-    co_await sched.Delay(10.0);
+  bool victim = false;
+  const int32_t version_rel = c.NextTempRelationId();
+  sim::TaskGroup updates(c.sched());
+  for (size_t i = 0; i < nodes.size(); ++i) {
+    updates.Spawn(UpdateFragment(c, nodes[i], q.sites[i], rel,
+                                 update.index_supported, update_share[i],
+                                 q.txn, version_rel, &victim));
   }
+  co_await updates.Wait();
+  co_return !victim;
+}
 
-  admission.ReleaseNow();
-  c.metrics().RecordUpdate(sched.Now() - t0, aborts, sched.Now());
+}  // namespace
+
+sim::Task<> ExecuteScanQuery(Cluster& c, QueryAttempt* qa) {
+  return RunQuery(c, QueryClass::kScan, qa,
+                  Query(c.db().target(c.config().scan_query.relation)),
+                  ScanFragments);
+}
+
+sim::Task<> ExecuteUpdateQuery(Cluster& c, QueryAttempt* qa) {
+  return RunQuery(c, QueryClass::kUpdate, qa,
+                  Query(c.db().target(c.config().update_query.relation)),
+                  UpdateFragments);
 }
 
 }  // namespace pdblb

@@ -11,9 +11,10 @@
 // optimization.
 //
 // Update statements locate the affected tuples (via the clustered index or
-// a full scan when no index supports the predicate), acquire exclusive
-// tuple locks under strict 2PL, and commit with a full two-phase commit
-// including forced log writes.  Deadlock victims restart the statement.
+// a full scan when no index supports the predicate), X-lock their pages
+// under every concurrency control scheme, and commit with a full two-phase
+// commit including forced log writes.  Deadlock victims restart the
+// statement.  Both run in the query lifecycle (engine/query.h).
 
 #ifndef PDBLB_ENGINE_SCAN_EXECUTOR_H_
 #define PDBLB_ENGINE_SCAN_EXECUTOR_H_

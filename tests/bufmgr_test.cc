@@ -32,12 +32,6 @@ struct Fixture {
   }
 };
 
-sim::Task<> FetchOne(BufferManager& buf, PageKey page, bool* hit = nullptr,
-                     bool oltp = false) {
-  bool h = co_await buf.Fetch(page, AccessPattern::kRandom, oltp);
-  if (hit != nullptr) *hit = h;
-}
-
 TEST(BufferTest, MissThenHit) {
   Fixture f;
   bool hit1 = true, hit2 = false;

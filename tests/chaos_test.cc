@@ -16,6 +16,9 @@
 #include "common/config.h"
 #include "core/control_node.h"
 #include "engine/cluster.h"
+#include "engine/join_executor.h"
+#include "engine/oltp_executor.h"
+#include "engine/scan_executor.h"
 #include "iosim/disk.h"
 #include "netsim/network.h"
 #include "runner/sweep.h"
@@ -312,6 +315,39 @@ TEST(ChaosClusterTest, OverloadShedsAndDegradesUnderSustainedPressure) {
   EXPECT_GT(r.queries_degraded, 0) << "no plan was overload-capped";
   EXPECT_GT(r.joins_completed, 0) << "shedding must not starve admission";
   EXPECT_EQ(r.queries_failed, 0) << "shed queries must not count as failed";
+}
+
+// Shedding is a fact of the query class (engine/query.h): while the control
+// node sheds load, both join classes are rejected at admission and the
+// scan, the update and the OLTP transaction run to completion.
+TEST(ChaosClusterTest, OnlyJoinsAreShed) {
+  SystemConfig cfg;
+  cfg.num_pes = 8;
+  cfg.overload.enabled = true;
+  cfg.multiway_join.enabled = true;
+  cfg.oltp.enabled = true;
+  Cluster cluster(cfg);
+  for (int round = 0; round < 10; ++round) {
+    cluster.control().NoteLoadRound(1e6);
+  }
+  ASSERT_EQ(cluster.control().overload_state(), OverloadState::kShedding);
+
+  // One query of each class, without the background loops of Run().
+  sim::Scheduler& sched = cluster.sched();
+  sched.Spawn(ExecuteJoinQuery(cluster, 2));
+  sched.Spawn(ExecuteJoinQuery(cluster, cfg.multiway_join.ways));
+  sched.Spawn(ExecuteScanQuery(cluster));
+  sched.Spawn(ExecuteUpdateQuery(cluster));
+  sched.Spawn(ExecuteOltpTransaction(cluster, cluster.db().oltp_nodes()[0]));
+  sched.Run();
+
+  const MetricsCollector& m = cluster.metrics();
+  EXPECT_EQ(m.counters().queries_shed, 2);
+  EXPECT_EQ(m.queries(QueryClass::kJoin).response_ms.count(), 0);
+  EXPECT_EQ(m.queries(QueryClass::kMultiwayJoin).response_ms.count(), 0);
+  EXPECT_EQ(m.queries(QueryClass::kScan).response_ms.count(), 1);
+  EXPECT_EQ(m.queries(QueryClass::kUpdate).response_ms.count(), 1);
+  EXPECT_EQ(m.queries(QueryClass::kOltp).response_ms.count(), 1);
 }
 
 TEST(ChaosClusterTest, SlackOverloadThresholdsMatchDisabledRunExactly) {

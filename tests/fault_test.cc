@@ -13,6 +13,7 @@
 
 #include "common/config.h"
 #include "engine/cluster.h"
+#include "expect_identical_reports.h"
 
 namespace pdblb {
 namespace {
@@ -301,6 +302,56 @@ TEST(FaultTest, SameTimestampEventsApplyInSpecOrder) {
   EXPECT_EQ(r_down.pe_recoveries, 0)
       << "recover of an alive PE must no-op, then the crash applies";
   EXPECT_GT(r_down.queries_failed, 0) << "the PE stays down";
+}
+
+// Every query class runs supervised through a crash, a partition and query
+// deadlines, under strict 2PL, so that cancellation cuts each class's
+// lifecycle at every step: admission, locks, buffer reservations and the
+// memory queue must all be returned at every PE, and no transaction the
+// run issued may still hold a lock.
+TEST(FaultTest, EveryQueryClassUnwindsCleanly) {
+  SystemConfig cfg;
+  cfg.num_pes = 10;
+  cfg.warmup_ms = 1000.0;
+  cfg.measurement_ms = 6000.0;
+  cfg.cc_scheme = CcScheme::kTwoPhaseLocking;
+  cfg.join_query.arrival_rate_per_pe_qps = 0.05;
+  cfg.scan_query.enabled = true;
+  cfg.scan_query.arrival_rate_per_pe_qps = 0.1;
+  cfg.update_query.enabled = true;
+  cfg.update_query.arrival_rate_per_pe_qps = 0.2;
+  cfg.multiway_join.enabled = true;
+  cfg.multiway_join.arrival_rate_per_pe_qps = 0.1;
+  cfg.oltp.enabled = true;
+  cfg.oltp.tps_per_node = 20.0;
+  ASSERT_TRUE(ParseFaultSpec("crash@1500:pe3;recover@3000:pe3;"
+                             "partition@2000:pe1-pe4;heal@2600:pe1-pe4;"
+                             "timeout=3000",
+                             &cfg.faults)
+                  .ok());
+  cfg.faults.retry.max_attempts = 4;
+
+  Cluster cluster(cfg);
+  MetricsReport r = cluster.Run();
+  for (PeId pe = 0; pe < cfg.num_pes; ++pe) {
+    EXPECT_EQ(cluster.pe(pe).admission().busy(), 0) << "pe " << pe;
+    EXPECT_EQ(cluster.pe(pe).buffer().reserved(), 0) << "pe " << pe;
+    EXPECT_EQ(cluster.pe(pe).buffer().memory_queue_length(), 0u)
+        << "pe " << pe;
+  }
+  const TxnId issued = cluster.NextTxnId();
+  for (TxnId txn = 1; txn < issued; ++txn) {
+    for (PeId pe = 0; pe < cfg.num_pes; ++pe) {
+      EXPECT_FALSE(cluster.pe(pe).locks().HoldsAnyLock(txn))
+          << "txn " << txn << " at pe " << pe;
+    }
+  }
+  EXPECT_GT(r.scans_completed, 0);
+  EXPECT_GT(r.updates_completed, 0);
+  EXPECT_GT(r.oltp_completed, 0);
+  EXPECT_GT(r.multiway_completed, 0);
+  EXPECT_GT(r.queries_retried, 0) << "the faults cancelled nothing";
+  ExpectIdenticalReports(r, Cluster(cfg).Run());
 }
 
 }  // namespace
