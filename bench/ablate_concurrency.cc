@@ -47,7 +47,6 @@ void Setup(bench::Figure& fig) {
       cfg.strategy = strategies::PmuCpuLUM();
       cfg.join_query.arrival_rate_per_pe_qps = 0.10;
       if (rate > 0.0) {
-        cfg.update_query.enabled = true;
         cfg.update_query.relation = TargetRelation::kA;
         cfg.update_query.selectivity = 0.02;
         cfg.update_query.arrival_rate_per_pe_qps = rate;

@@ -30,19 +30,16 @@ int main(int argc, char** argv) {
   cfg.join_query.arrival_rate_per_pe_qps = 0.05;
 
   // A 3-way join pipeline (A |><| B) |><| C, planned stage by stage.
-  cfg.multiway_join.enabled = true;
   cfg.multiway_join.ways = 3;
   cfg.multiway_join.arrival_rate_per_pe_qps = 0.01;
 
   // Clustered index scans on B.
-  cfg.scan_query.enabled = true;
   cfg.scan_query.access = ScanAccess::kClusteredIndex;
   cfg.scan_query.relation = TargetRelation::kB;
   cfg.scan_query.selectivity = 0.01;
   cfg.scan_query.arrival_rate_per_pe_qps = 0.05;
 
   // Update statements on A (indexed predicate).
-  cfg.update_query.enabled = true;
   cfg.update_query.relation = TargetRelation::kA;
   cfg.update_query.selectivity = 0.001;
   cfg.update_query.arrival_rate_per_pe_qps = 0.05;

@@ -14,6 +14,7 @@
 // inspect or hand-edit it); without, it stays in memory.
 
 #include <cstdio>
+#include <cstdlib>
 
 #include "common/table.h"
 #include "engine/cluster.h"
@@ -29,9 +30,10 @@ int main(int argc, char** argv) {
   std::vector<PeId> oltp_nodes;
   for (PeId pe = 0; pe < num_pes / 5; ++pe) oltp_nodes.push_back(pe);
   Trace trace = SynthesizeTrace(/*seed=*/99, horizon_ms,
-                                /*join_qps=*/2.0, /*scan_qps=*/1.0,
-                                /*update_qps=*/0.0, /*multiway_qps=*/0.0,
-                                oltp_nodes, /*oltp_tps_per_node=*/60.0);
+                                {{QueryClass::kJoin, 2.0},
+                                 {QueryClass::kScan, 1.0},
+                                 {QueryClass::kOltp, 60.0}},  // per node
+                                oltp_nodes);
   std::printf("Synthesized a trace with %zu arrival events over %.0f s.\n",
               trace.size(), horizon_ms / 1000.0);
 
@@ -61,7 +63,10 @@ int main(int argc, char** argv) {
     cfg.warmup_ms = 2000.0;
     cfg.measurement_ms = horizon_ms - cfg.warmup_ms;
     Cluster cluster(cfg);
-    cluster.SetTrace(trace);
+    if (Status st = cluster.SetTrace(trace); !st.ok()) {
+      std::fprintf(stderr, "cannot replay trace: %s\n", st.ToString().c_str());
+      std::exit(1);
+    }
     return cluster.Run();
   };
 

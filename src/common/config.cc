@@ -140,16 +140,15 @@ Status SystemConfig::Validate() const {
   if (oltp.enabled && oltp.tps_per_node <= 0) {
     return Status::InvalidArgument("oltp.tps_per_node must be positive");
   }
-  if (scan_query.enabled &&
-      (scan_query.selectivity <= 0.0 || scan_query.selectivity > 1.0)) {
+  // Checked with no arrivals configured too: a trace can start any class.
+  if (scan_query.selectivity <= 0.0 || scan_query.selectivity > 1.0) {
     return Status::InvalidArgument("scan_query.selectivity must be in (0,1]");
   }
-  if (update_query.enabled &&
-      (update_query.selectivity <= 0.0 || update_query.selectivity > 1.0)) {
+  if (update_query.selectivity <= 0.0 || update_query.selectivity > 1.0) {
     return Status::InvalidArgument(
         "update_query.selectivity must be in (0,1]");
   }
-  if (multiway_join.enabled && multiway_join.ways < 3) {
+  if (multiway_join.ways < 3) {
     return Status::InvalidArgument("multiway_join.ways must be >= 3");
   }
   if (relation_c.num_tuples <= 0 || relation_c.blocking_factor <= 0) {
@@ -488,7 +487,7 @@ Status ParseFaultSpec(const std::string& spec, FaultConfig* out) {
   // and target(s) — used to be accepted with silent last-wins ordering;
   // reject them eagerly like every other spec error.  The key includes the
   // kind on purpose: distinct kinds at the same (time, PE) are legitimate
-  // and apply in spec order (e.g. "crash@3000:pe=2;recover@3000:pe=2" is a
+  // and apply in spec order (e.g. "crash@3000:pe2;recover@3000:pe2" is a
   // bounce; FaultTest pins that tie-break).
   std::set<std::tuple<int, double, int, int>> seen;
   size_t pos = 0;

@@ -91,7 +91,7 @@ struct BufferConfig {
   /// working set that join reservations must not displace.
   double working_set_window_ms = 2000.0;
   /// Short window for the "touched frames" estimate a PE reports to the
-  /// control node as occupied memory (see DESIGN.md Section 4).
+  /// control node as occupied memory (BufferManager::AvailablePages).
   double touched_window_ms = 300.0;
 };
 
@@ -245,7 +245,6 @@ enum class ScanAccess {
 
 /// Standalone scan query class with its own open arrival stream.
 struct ScanQueryConfig {
-  bool enabled = false;
   ScanAccess access = ScanAccess::kClusteredIndex;
   TargetRelation relation = TargetRelation::kB;
   double selectivity = 0.01;  ///< Fraction of tuples satisfying the predicate.
@@ -256,7 +255,6 @@ struct ScanQueryConfig {
 /// and without index support)").  Updates run under strict 2PL with a full
 /// two-phase distributed commit.
 struct UpdateQueryConfig {
-  bool enabled = false;
   bool index_supported = true;  ///< Without index: full scan to find tuples.
   TargetRelation relation = TargetRelation::kA;
   double selectivity = 0.001;   ///< Fraction of tuples updated.
@@ -266,7 +264,6 @@ struct UpdateQueryConfig {
 /// Multi-way join query class: a left-deep pipeline of hash joins
 /// (A ⋈ B) ⋈ C [⋈ C ...] with dynamic redistribution between stages.
 struct MultiwayJoinConfig {
-  bool enabled = false;
   int ways = 3;  ///< Number of input relations (>= 3).
   double arrival_rate_per_pe_qps = 0.0;
 };
@@ -280,10 +277,11 @@ enum class OltpPlacement {
 
 /// Debit-credit-like OLTP class (4 non-clustered index selects + updates).
 struct OltpConfig {
+  /// Builds the OLTP-private relations (the schema) and starts the class.
   bool enabled = false;
   double tps_per_node = 100.0;  ///< Arrival rate per OLTP node.
-  int tuple_accesses = 4;       ///< Tuple reads (each via unclustered index).
-  bool updates = true;          ///< Update each accessed tuple.
+  int tuple_accesses = 4;       ///< Tuples read and updated, each via an
+                                ///< unclustered index.
   OltpPlacement placement = OltpPlacement::kANodes;
   /// Tuples per OLTP node in the OLTP-private relation (controls buffer-hit
   /// behaviour and thus the OLTP node's disk/memory utilization).
@@ -294,6 +292,39 @@ struct OltpConfig {
   /// the rest is uniform over the fragment (account records).
   double hot_access_fraction = 0.85;
   int64_t hot_pages = 22;
+};
+
+/// The query classes of the workload (paper Section 4: an open queueing
+/// model with one arrival rate per query type); kMultiwayJoin joins three
+/// or more relations.  kQueryClasses, after SystemConfig, says what the
+/// workload and the query lifecycle know of each.
+enum class QueryClass : uint8_t { kJoin, kScan, kUpdate, kMultiwayJoin, kOltp };
+inline constexpr size_t kNumQueryClasses = 5;
+
+struct SystemConfig;
+
+/// One query class, as a row of kQueryClasses.
+struct QueryClassInfo {
+  /// Its token in a trace file (workload/trace.h); an OLTP event appends
+  /// ":<home PE>".
+  const char* token;
+  /// Its open arrivals per second under `config`, per node for OLTP.  The
+  /// class has a Poisson source when this is positive.
+  double (*arrivals_per_second)(const SystemConfig& config);
+  /// The stream of the cluster's arrival RNG its Poisson source draws
+  /// from, and the stream of SynthesizeTrace's seed; an OLTP node adds its
+  /// id to both.
+  uint64_t stream;
+  uint64_t trace_stream;
+  /// Rejected at admission while the control node sheds load: the joins,
+  /// whose degree and working memory overload control trades.  Scans and
+  /// updates hold no working memory and have a prescribed placement; OLTP
+  /// transactions are short and have priority (docs/robustness.md).
+  bool shed;
+  /// Arrives from a client terminal (the debit-credit interaction): the
+  /// request is received before BOT and the reply sent after EOT, and the
+  /// transaction holds its locks until the reply is out.
+  bool terminal;
 };
 
 /// One scripted fault event.  Crash/recover pairs drive the PE failure
@@ -544,6 +575,26 @@ struct SystemConfig {
 
   /// Validates parameter ranges; returns the first violation found.
   Status Validate() const;
+};
+
+/// Open arrivals per second of a class configured per PE.
+template <auto kClassConfig>
+constexpr double PerPe(const SystemConfig& c) {
+  return (c.*kClassConfig).arrival_rate_per_pe_qps * c.num_pes;
+}
+
+/// The query classes, indexed by QueryClass.
+inline constexpr QueryClassInfo kQueryClasses[kNumQueryClasses] = {
+    // token, arrivals_per_second, stream, trace_stream, shed, terminal
+    {"join", PerPe<&SystemConfig::join_query>, 10, 1, true, false},
+    {"scan", PerPe<&SystemConfig::scan_query>, 20, 2, false, false},
+    {"update", PerPe<&SystemConfig::update_query>, 30, 3, false, false},
+    {"multiway", PerPe<&SystemConfig::multiway_join>, 40, 4, true, false},
+    {"oltp",
+     [](const SystemConfig& c) {
+       return c.oltp.enabled ? c.oltp.tps_per_node : 0.0;
+     },
+     1000, 1000, false, true},
 };
 
 /// Strategy shorthands used throughout benches/examples/tests.

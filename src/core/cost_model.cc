@@ -13,8 +13,8 @@ namespace {
 /// Coordinator-serial overhead per join processor, in instructions: subquery
 /// startup message plus its share of termination processing.  Calibrated so
 /// that the integer argmin of R(p) reproduces the paper's published anchor
-/// p_su-opt = 30 at 1% scan selectivity (and 10 at 0.1%, ~70 at 5%); see
-/// DESIGN.md "p_su-opt calibration".
+/// p_su-opt = 30 at 1% scan selectivity (and 10 at 0.1%, ~70 at 5%), as
+/// CostModelTest.PsuOptPaperAnchors (tests/core_test.cc) pins.
 constexpr int64_t kCoordinatorPerPeInstr = 15500;
 
 }  // namespace

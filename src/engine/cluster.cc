@@ -3,7 +3,9 @@
 #include "engine/cluster.h"
 
 #include <chrono>
+#include <cstdio>
 #include <stdexcept>
+#include <string>
 
 #include "engine/elastic.h"
 #include "engine/faults.h"
@@ -14,19 +16,22 @@
 
 namespace pdblb {
 
-namespace {
-
-// One query of a class, as the task to spawn: run through the fault
-// supervisor when SystemConfig::faults is enabled, otherwise the executor
-// itself (no supervisor frame and no std::function, so fault-free runs keep
-// their event and RNG streams).
-template <typename Execute>
-sim::Task<> Query(Cluster& cluster, Execute execute) {
-  if (!cluster.config().faults.Enabled()) return execute(nullptr);
-  return cluster.faults().Supervise(std::move(execute));
+sim::Task<> ExecuteQuery(Cluster& c, QueryClass cls, PeId home,
+                         QueryAttempt* qa) {
+  switch (cls) {
+    case QueryClass::kJoin:
+      return ExecuteJoinQuery(c, 2, qa);
+    case QueryClass::kScan:
+      return ExecuteScanQuery(c, qa);
+    case QueryClass::kUpdate:
+      return ExecuteUpdateQuery(c, qa);
+    case QueryClass::kMultiwayJoin:
+      return ExecuteJoinQuery(c, c.config().multiway_join.ways, qa);
+    case QueryClass::kOltp:
+      break;
+  }
+  return ExecuteOltpTransaction(c, home, qa);
 }
-
-}  // namespace
 
 Cluster::Cluster(const SystemConfig& config)
     : config_(config), root_rng_(config.seed),
@@ -181,77 +186,57 @@ void Cluster::SpawnBackground() {
   sched_.Spawn(deadlock_detector_->Run());
 }
 
+Status Cluster::SetTrace(Trace trace) {
+  for (const TraceEvent& e : trace.events()) {
+    if (e.cls != QueryClass::kOltp) continue;
+    // Range first: Database::oltp_relation only asserts it.
+    const bool in_range = e.oltp_node >= 0 && e.oltp_node < num_pes();
+    if (in_range && db_->oltp_relation(e.oltp_node) != nullptr) continue;
+    char event[64];
+    std::snprintf(event, sizeof(event), "trace event at %.3f ms: oltp:%d ",
+                  e.arrival_ms, e.oltp_node);
+    return Status::InvalidArgument(
+        event + std::string(in_range ? "names a PE without an OLTP relation"
+                                     : "names no PE of the cluster"));
+  }
+  trace_ = std::move(trace);
+  return Status::OK();
+}
+
+sim::Task<> Cluster::Submit(QueryClass cls, PeId home) {
+  if (!config_.faults.Enabled()) return ExecuteQuery(*this, cls, home, nullptr);
+  return faults_->Supervise(cls, home);
+}
+
 void Cluster::SpawnOpenWorkload() {
-  auto join = [this](QueryAttempt* qa) {
-    return ExecuteJoinQuery(*this, 2, qa);
-  };
-  auto scan = [this](QueryAttempt* qa) { return ExecuteScanQuery(*this, qa); };
-  auto update = [this](QueryAttempt* qa) {
-    return ExecuteUpdateQuery(*this, qa);
-  };
-  auto multiway = [this](QueryAttempt* qa) {
-    return ExecuteJoinQuery(*this, config_.multiway_join.ways, qa);
-  };
-  auto oltp = [this](PeId node) {
-    return [this, node](QueryAttempt* qa) {
-      return ExecuteOltpTransaction(*this, node, qa);
-    };
-  };
-  auto spawn = [this](auto execute) { sched_.Spawn(Query(*this, execute)); };
   if (trace_.has_value()) {
     // Trace-driven mode: one dispatcher replaces all Poisson sources.
-    sched_.Spawn(ReplayTrace(
-        sched_, std::move(*trace_), [=, this](const TraceEvent& event) {
-          switch (event.cls) {
-            case TraceClass::kJoin:
-              spawn(join);
-              break;
-            case TraceClass::kScan:
-              spawn(scan);
-              break;
-            case TraceClass::kUpdate:
-              spawn(update);
-              break;
-            case TraceClass::kMultiwayJoin:
-              spawn(multiway);
-              break;
-            case TraceClass::kOltp: {
-              PeId node = std::min<PeId>(event.oltp_node, config_.num_pes - 1);
-              // OLTP events need the node's private relation; traces with
-              // OLTP require oltp.enabled so the schema includes them.
-              if (db_->oltp_relation(node) != nullptr) spawn(oltp(node));
-              break;
-            }
-          }
-        }));
+    sched_.Spawn(ReplayTrace(sched_, std::move(*trace_),
+                             [this](const TraceEvent& event) {
+                               sched_.Spawn(Submit(event.cls, event.oltp_node));
+                             }));
     trace_.reset();
     return;
   }
-  // One Poisson source per query class, each on its own arrival stream.
-  auto source = [&](uint64_t stream, double rate_per_second, auto execute) {
-    sched_.Spawn(PoissonArrivals(sched_, arrival_rng_.Fork(stream),
-                                 rate_per_second,
-                                 [=](int64_t) { spawn(execute); }));
-  };
-  const double pes = static_cast<double>(config_.num_pes);
-  if (config_.join_query.arrival_rate_per_pe_qps > 0.0) {
-    source(10, config_.join_query.arrival_rate_per_pe_qps * pes, join);
-  }
-  if (config_.scan_query.enabled &&
-      config_.scan_query.arrival_rate_per_pe_qps > 0.0) {
-    source(20, config_.scan_query.arrival_rate_per_pe_qps * pes, scan);
-  }
-  if (config_.update_query.enabled &&
-      config_.update_query.arrival_rate_per_pe_qps > 0.0) {
-    source(30, config_.update_query.arrival_rate_per_pe_qps * pes, update);
-  }
-  if (config_.multiway_join.enabled &&
-      config_.multiway_join.arrival_rate_per_pe_qps > 0.0) {
-    source(40, config_.multiway_join.arrival_rate_per_pe_qps * pes, multiway);
-  }
-  if (config_.oltp.enabled) {
-    for (PeId node : db_->oltp_nodes()) {
-      source(1000 + node, config_.oltp.tps_per_node, oltp(node));
+  // One Poisson source per query class, and per node for OLTP, each on its
+  // own arrival stream.
+  for (size_t i = 0; i < kNumQueryClasses; ++i) {
+    const double rate = kQueryClasses[i].arrivals_per_second(config_);
+    if (rate <= 0.0) continue;
+    const auto cls = static_cast<QueryClass>(i);
+    auto source = [&](PeId home) {
+      sched_.Spawn(PoissonArrivals(
+          sched_,
+          arrival_rng_.Fork(kQueryClasses[i].stream +
+                            static_cast<uint64_t>(home)),
+          rate, [this, cls, home](int64_t) {
+            sched_.Spawn(Submit(cls, home));
+          }));
+    };
+    if (cls == QueryClass::kOltp) {
+      for (PeId node : db_->oltp_nodes()) source(node);
+    } else {
+      source(0);
     }
   }
 }
@@ -347,12 +332,7 @@ MetricsReport Cluster::Run() {
     bool done = false;
     sched_.Spawn(ClosedLoop(
         config_.single_user_queries,
-        [this](int64_t) {
-          return Query(*this, [this](QueryAttempt* qa) {
-            return ExecuteJoinQuery(*this, 2, qa);
-          });
-        },
-        &done));
+        [this](int64_t) { return Submit(QueryClass::kJoin, 0); }, &done));
     while (!done && sched_.pending_events() > 0) {
       sched_.RunUntil(sched_.Now() + 60000.0);
     }

@@ -39,6 +39,7 @@ namespace pdblb {
 
 class ElasticityManager;
 class FaultInjector;
+struct QueryAttempt;
 
 class Cluster {
  public:
@@ -112,9 +113,10 @@ class Cluster {
   /// Replaces the open Poisson sources with a fixed arrival trace (paper
   /// Section 4: trace-driven workloads [18]).  The trace is replayed from
   /// t = 0; per-class query parameters still come from the SystemConfig,
-  /// while the `enabled`/arrival-rate fields are ignored.  Call before
-  /// Run().
-  void SetTrace(Trace trace) { trace_ = std::move(trace); }
+  /// while the arrival rates are ignored.  Rejects a trace with an OLTP
+  /// event at a PE that holds no OLTP relation (oltp.enabled and
+  /// oltp.placement build them) with InvalidArgument.  Call before Run().
+  Status SetTrace(Trace trace);
 
   /// Runs the full experiment (warm-up, measurement, drain) and returns the
   /// collected metrics.  A Cluster is single-shot: the scheduler, statistics
@@ -126,6 +128,12 @@ class Cluster {
  private:
   void SpawnBackground();
   void SpawnOpenWorkload();
+  /// One query of class `cls` (`home`: an OLTP transaction's home PE), as
+  /// the task to spawn or await: under FaultInjector::Supervise when
+  /// SystemConfig::faults is enabled, otherwise the executor itself (no
+  /// supervisor frame, so fault-free runs keep their event and RNG
+  /// streams).
+  sim::Task<> Submit(QueryClass cls, PeId home);
   sim::Task<> ControlReportLoop();
   void ReportAllPes(SimTime window_ms);
   void ResetStatistics();
@@ -160,6 +168,14 @@ class Cluster {
   bool ran_ = false;
   std::optional<Trace> trace_;
 };
+
+/// Starts one query of class `cls` in its executor: the one map from a
+/// query class to the executor that runs it.  `home` is an OLTP
+/// transaction's home PE, unused by the other classes; `qa` links the
+/// query to fault supervision (engine/faults.h), nullptr when it runs
+/// unsupervised.
+sim::Task<> ExecuteQuery(Cluster& cluster, QueryClass cls, PeId home,
+                         QueryAttempt* qa);
 
 }  // namespace pdblb
 

@@ -113,8 +113,6 @@ FaultInjector::FaultInjector(Cluster& cluster)
       // fault timing so enabling faults never perturbs the others.
       fault_rng_(sim::Rng(cluster.config().seed).Fork(3)) {}
 
-bool FaultInjector::Enabled() const { return cluster_.config().faults.Enabled(); }
-
 bool FaultInjector::PeFailed(PeId pe) const { return cluster_.pe(pe).failed(); }
 
 bool FaultInjector::LinkBlocked(PeId pe,
@@ -279,7 +277,7 @@ void FaultInjector::ApplyRecovery(PeId pe) {
   if (cluster_.elastic_enabled()) cluster_.elastic().OnPeRecovered(pe);
 }
 
-sim::Task<> FaultInjector::Supervise(AttemptFactory make) {
+sim::Task<> FaultInjector::Supervise(QueryClass cls, PeId home) {
   const FaultConfig& faults = cluster_.config().faults;
   const RetryPolicy& retry = faults.retry;
   sim::Scheduler& sched = cluster_.sched();
@@ -324,7 +322,8 @@ sim::Task<> FaultInjector::Supervise(AttemptFactory make) {
       };
       ChildGuard work_guard{&sched};
       ChildGuard timer_guard{&sched};
-      qa.work_id = sched.SpawnWithId(RunAttempt(this, make(&qa), &qa));
+      qa.work_id = sched.SpawnWithId(
+          RunAttempt(this, ExecuteQuery(cluster_, cls, home, &qa), &qa));
       work_guard.id = qa.work_id;
       if (has_deadline) {
         timer_guard.id =

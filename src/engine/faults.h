@@ -35,7 +35,6 @@
 #define PDBLB_ENGINE_FAULTS_H_
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "common/config.h"
@@ -106,21 +105,18 @@ class TxnLocksGuard {
 /// processes, and the per-query supervisor (retry + deadline).
 class FaultInjector {
  public:
-  using AttemptFactory = std::function<sim::Task<>(QueryAttempt*)>;
-
   explicit FaultInjector(Cluster& cluster);
-
-  bool Enabled() const;
 
   /// Spawns the scripted fault events and (when crash_rate > 0) one random
   /// crash/repair loop per PE.  Call once, before the workload starts.
   void SpawnFaultProcesses();
 
-  /// Runs one query as a supervised attempt chain: deadline assignment,
-  /// fail-fast / cancellation on PE failure, capped exponential backoff
-  /// between attempts, and metrics accounting (timed out / retried /
-  /// failed / degraded).  `make` is invoked once per attempt.
-  sim::Task<> Supervise(AttemptFactory make);
+  /// Runs one query of class `cls` (`home`: an OLTP transaction's home PE)
+  /// as a supervised attempt chain: deadline assignment, fail-fast /
+  /// cancellation on PE failure, capped exponential backoff between
+  /// attempts, and metrics accounting (timed out / retried / failed /
+  /// degraded).  Each attempt is a fresh ExecuteQuery (engine/cluster.h).
+  sim::Task<> Supervise(QueryClass cls, PeId home);
 
   /// True when `pe` is currently down (executors fail fast against it).
   bool PeFailed(PeId pe) const;

@@ -41,8 +41,7 @@ namespace pdblb {
 /// Spawn via Scheduler::Spawn (open workload) or await (single-user mode).
 /// `qa` links the query to the fault injector's supervision (fail fast on
 /// dead PEs, cancellation on crash); nullptr in fault-free runs.
-sim::Task<> ExecuteJoinQuery(Cluster& cluster, int ways,
-                             QueryAttempt* qa = nullptr);
+sim::Task<> ExecuteJoinQuery(Cluster& cluster, int ways, QueryAttempt* qa);
 
 }  // namespace pdblb
 

@@ -11,6 +11,7 @@
 #include <string>
 #include <type_traits>
 
+#include "common/config.h"
 #include "common/table.h"
 #include "common/units.h"
 #include "simkern/stats.h"
@@ -229,12 +230,6 @@ std::string FormatReportValue(T value, int decimals) {
     return std::to_string(value);
   }
 }
-
-/// The workload's query classes (paper Section 4); kMultiwayJoin joins three
-/// or more relations.  engine/query.h's kQueryClasses says what the query
-/// lifecycle knows of each.
-enum class QueryClass : uint8_t { kJoin, kMultiwayJoin, kScan, kUpdate, kOltp };
-inline constexpr size_t kNumQueryClasses = 5;
 
 /// One query class's completions over the measurement window.
 struct QueryClassStats {

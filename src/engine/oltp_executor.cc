@@ -37,10 +37,8 @@ sim::Task<bool> OltpAccesses(Cluster& c, Query& q) {
     }
     int64_t tuple = page * bf + c.workload_rng().UniformInt(0, bf - 1);
 
-    LockMode mode =
-        cfg.oltp.updates ? LockMode::kExclusive : LockMode::kShared;
-    bool granted =
-        co_await pe.locks().Lock(q.txn, LockKey{rel->id(), tuple}, mode);
+    bool granted = co_await pe.locks().Lock(
+        q.txn, LockKey{rel->id(), tuple}, LockMode::kExclusive);
     if (!granted) co_return false;
 
     // Non-clustered index: inner levels are assumed cached (CPU only), the
@@ -59,16 +57,14 @@ sim::Task<bool> OltpAccesses(Cluster& c, Query& q) {
                                AccessPattern::kRandom,
                                /*priority_oltp=*/true);
     co_await UseCpu(c, home, costs.read_tuple);
-    if (cfg.oltp.updates) {
+    co_await UseCpu(c, home, costs.write_output_tuple);
+    if (cfg.cc_scheme == CcScheme::kMultiversion) {
+      // Version maintenance: copy the before-image to the version pool.
       co_await UseCpu(c, home, costs.write_output_tuple);
-      if (cfg.cc_scheme == CcScheme::kMultiversion) {
-        // Version maintenance: copy the before-image to the version pool.
-        co_await UseCpu(c, home, costs.write_output_tuple);
-      }
-      pe.buffer().MarkDirty(rel->DataPage(home, page));
     }
+    pe.buffer().MarkDirty(rel->DataPage(home, page));
   }
-  if (cfg.oltp.updates && cfg.cc_scheme == CcScheme::kMultiversion) {
+  if (cfg.cc_scheme == CcScheme::kMultiversion) {
     // One batched version-page append per transaction.
     co_await UseCpu(c, home, costs.io_overhead);
     c.sched().Spawn(

@@ -19,7 +19,7 @@ namespace pdblb {
 /// links the transaction to fault supervision (engine/faults.h); nullptr
 /// when faults are disabled.
 sim::Task<> ExecuteOltpTransaction(Cluster& cluster, PeId home,
-                                   QueryAttempt* qa = nullptr);
+                                   QueryAttempt* qa);
 
 }  // namespace pdblb
 

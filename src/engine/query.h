@@ -31,27 +31,6 @@
 
 namespace pdblb {
 
-/// What the lifecycle knows of a query class.
-struct QueryClassInfo {
-  /// Rejected at admission while the control node sheds load: the joins,
-  /// whose degree and working memory overload control trades.  Scans and
-  /// updates hold no working memory and have a prescribed placement; OLTP
-  /// transactions are short and have priority (docs/robustness.md).
-  bool shed;
-  /// Arrives from a client terminal (the debit-credit interaction): the
-  /// request is received before BOT and the reply sent after EOT, and the
-  /// transaction holds its locks until the reply is out.
-  bool terminal;
-};
-
-inline constexpr QueryClassInfo kQueryClasses[kNumQueryClasses] = {
-    {.shed = true, .terminal = false},   // kJoin
-    {.shed = true, .terminal = false},   // kMultiwayJoin
-    {.shed = false, .terminal = false},  // kScan
-    {.shed = false, .terminal = false},  // kUpdate
-    {.shed = false, .terminal = true},   // kOltp
-};
-
 /// One query as its body sees it.
 struct Query {
   Query() = default;

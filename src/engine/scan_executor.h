@@ -28,10 +28,10 @@ namespace pdblb {
 /// Executes one scan query (config: SystemConfig::scan_query).  `qa` links
 /// the query to fault supervision (engine/faults.h); nullptr when faults
 /// are disabled.
-sim::Task<> ExecuteScanQuery(Cluster& cluster, QueryAttempt* qa = nullptr);
+sim::Task<> ExecuteScanQuery(Cluster& cluster, QueryAttempt* qa);
 
 /// Executes one update statement (config: SystemConfig::update_query).
-sim::Task<> ExecuteUpdateQuery(Cluster& cluster, QueryAttempt* qa = nullptr);
+sim::Task<> ExecuteUpdateQuery(Cluster& cluster, QueryAttempt* qa);
 
 }  // namespace pdblb
 

@@ -3,52 +3,35 @@
 #include "workload/trace.h"
 
 #include <algorithm>
+#include <array>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <string_view>
 
-#include "common/config.h"
 #include "simkern/rng.h"
 
 namespace pdblb {
 namespace {
 
-std::string ClassToken(const TraceEvent& e) {
-  switch (e.cls) {
-    case TraceClass::kJoin:
-      return "join";
-    case TraceClass::kScan:
-      return "scan";
-    case TraceClass::kUpdate:
-      return "update";
-    case TraceClass::kMultiwayJoin:
-      return "multiway";
-    case TraceClass::kOltp:
-      return "oltp:" + std::to_string(e.oltp_node);
-  }
-  return "?";
-}
-
 Status ParseClassToken(const std::string& token, TraceEvent* event) {
-  if (token == "join") {
-    event->cls = TraceClass::kJoin;
-  } else if (token == "scan") {
-    event->cls = TraceClass::kScan;
-  } else if (token == "update") {
-    event->cls = TraceClass::kUpdate;
-  } else if (token == "multiway") {
-    event->cls = TraceClass::kMultiwayJoin;
-  } else if (token.rfind("oltp:", 0) == 0) {
-    event->cls = TraceClass::kOltp;
-    if (!ParseNumber(std::string_view(token).substr(5), &event->oltp_node)) {
-      return Status::InvalidArgument("bad oltp node in trace: " + token);
-    }
-    if (event->oltp_node < 0) {
-      return Status::InvalidArgument("negative oltp node: " + token);
-    }
-  } else {
+  const size_t colon = token.find(':');
+  const std::string_view name = std::string_view(token).substr(0, colon);
+  size_t i = 0;
+  while (i < kNumQueryClasses && name != kQueryClasses[i].token) ++i;
+  // Only an OLTP event names a node, and it must.
+  const bool oltp = i == static_cast<size_t>(QueryClass::kOltp);
+  if (i == kNumQueryClasses || oltp != (colon != std::string::npos)) {
     return Status::InvalidArgument("unknown trace class: " + token);
+  }
+  event->cls = static_cast<QueryClass>(i);
+  if (!oltp) return Status::OK();
+  if (!ParseNumber(std::string_view(token).substr(colon + 1),
+                   &event->oltp_node)) {
+    return Status::InvalidArgument("bad oltp node in trace: " + token);
+  }
+  if (event->oltp_node < 0) {
+    return Status::InvalidArgument("negative oltp node: " + token);
   }
   return Status::OK();
 }
@@ -68,7 +51,9 @@ std::string Trace::ToText() const {
   for (const TraceEvent& e : events_) {
     char buf[64];
     std::snprintf(buf, sizeof(buf), "%.3f", e.arrival_ms);
-    out << buf << ' ' << ClassToken(e) << '\n';
+    out << buf << ' ' << kQueryClasses[static_cast<size_t>(e.cls)].token;
+    if (e.cls == QueryClass::kOltp) out << ':' << e.oltp_node;
+    out << '\n';
   }
   return out.str();
 }
@@ -117,29 +102,32 @@ Status Trace::ReadFile(const std::string& path, Trace* out) {
   return FromText(buf.str(), out);
 }
 
-Trace SynthesizeTrace(uint64_t seed, SimTime horizon_ms, double join_qps,
-                      double scan_qps, double update_qps, double multiway_qps,
-                      const std::vector<PeId>& oltp_nodes,
-                      double oltp_tps_per_node) {
+Trace SynthesizeTrace(uint64_t seed, SimTime horizon_ms,
+                      const std::vector<ClassRate>& rates,
+                      const std::vector<PeId>& oltp_nodes) {
+  std::array<double, kNumQueryClasses> per_second{};
+  for (const ClassRate& r : rates) {
+    per_second[static_cast<size_t>(r.cls)] = r.per_second;
+  }
   Trace trace;
   sim::Rng root(seed);
-  auto draw = [&](uint64_t stream, double rate_per_second, TraceClass cls,
-                  PeId node) {
-    if (rate_per_second <= 0.0) return;
-    sim::Rng rng = root.Fork(stream);
-    double mean_ms = 1000.0 / rate_per_second;
-    for (SimTime t = rng.Exponential(mean_ms); t < horizon_ms;
-         t += rng.Exponential(mean_ms)) {
-      trace.Add(TraceEvent{t, cls, node});
+  for (size_t i = 0; i < kNumQueryClasses; ++i) {
+    if (per_second[i] <= 0.0) continue;
+    const auto cls = static_cast<QueryClass>(i);
+    const double mean_ms = 1000.0 / per_second[i];
+    auto draw = [&](PeId node) {
+      sim::Rng rng = root.Fork(kQueryClasses[i].trace_stream +
+                               static_cast<uint64_t>(node));
+      for (SimTime t = rng.Exponential(mean_ms); t < horizon_ms;
+           t += rng.Exponential(mean_ms)) {
+        trace.Add(TraceEvent{t, cls, node});
+      }
+    };
+    if (cls == QueryClass::kOltp) {
+      for (PeId node : oltp_nodes) draw(node);
+    } else {
+      draw(0);
     }
-  };
-  draw(1, join_qps, TraceClass::kJoin, 0);
-  draw(2, scan_qps, TraceClass::kScan, 0);
-  draw(3, update_qps, TraceClass::kUpdate, 0);
-  draw(4, multiway_qps, TraceClass::kMultiwayJoin, 0);
-  for (PeId node : oltp_nodes) {
-    draw(1000 + static_cast<uint64_t>(node), oltp_tps_per_node,
-         TraceClass::kOltp, node);
   }
   trace.SortByArrival();
   return trace;

@@ -6,11 +6,12 @@
 //
 //   <arrival_ms> <class>
 //
-// where <class> is one of: join, scan, update, multiway, oltp:<node>.
-// Lines starting with '#' are comments.  TraceRecorder captures the arrival
-// stream of a simulation run into this format; TraceReplay feeds a recorded
-// (or real) trace back into a cluster, replacing the Poisson sources — so
-// two systems can be compared under an *identical* arrival sequence.
+// where <class> is a query class's token in kQueryClasses (common/config.h):
+// join, scan, update, multiway, or oltp:<node>.  Lines starting with '#'
+// are comments.  SynthesizeTrace draws a trace from Poisson processes;
+// Cluster::SetTrace replays a synthetic (or real) trace into a cluster,
+// replacing the Poisson sources — so two systems can be compared under an
+// *identical* arrival sequence.
 
 #ifndef PDBLB_WORKLOAD_TRACE_H_
 #define PDBLB_WORKLOAD_TRACE_H_
@@ -19,6 +20,7 @@
 #include <string>
 #include <vector>
 
+#include "common/config.h"
 #include "common/status.h"
 #include "common/units.h"
 #include "simkern/scheduler.h"
@@ -26,19 +28,10 @@
 
 namespace pdblb {
 
-/// Workload classes that can appear in a trace.
-enum class TraceClass {
-  kJoin,
-  kScan,
-  kUpdate,
-  kMultiwayJoin,
-  kOltp,
-};
-
 /// One arrival event.
 struct TraceEvent {
   SimTime arrival_ms = 0.0;
-  TraceClass cls = TraceClass::kJoin;
+  QueryClass cls = QueryClass::kJoin;
   PeId oltp_node = 0;  ///< Only meaningful for kOltp.
 
   bool operator==(const TraceEvent&) const = default;
@@ -69,15 +62,19 @@ class Trace {
   std::vector<TraceEvent> events_;
 };
 
-/// Draws a synthetic trace from independent Poisson processes with the
-/// given per-class rates (events per second; 0 disables a class) over
-/// `horizon_ms`.  `oltp_nodes` receive independent streams of
-/// `oltp_tps_per_node` each.  Deterministic per seed.
+/// One query class's events per second in a synthetic trace.
+struct ClassRate {
+  QueryClass cls;
+  double per_second;
+};
+
+/// Draws a synthetic trace over `horizon_ms` from one independent Poisson
+/// process per class in `rates` (a class left out, or at rate 0, draws no
+/// events); the OLTP rate applies to each node of `oltp_nodes`, each on its
+/// own stream.  Deterministic per seed.
 Trace SynthesizeTrace(uint64_t seed, SimTime horizon_ms,
-                      double join_qps, double scan_qps, double update_qps,
-                      double multiway_qps,
-                      const std::vector<PeId>& oltp_nodes,
-                      double oltp_tps_per_node);
+                      const std::vector<ClassRate>& rates,
+                      const std::vector<PeId>& oltp_nodes);
 
 /// Spawns `fire(event)` at every event's arrival time.  Terminates after
 /// the last event (or at scheduler shutdown).  Template over the callback:

@@ -16,9 +16,6 @@
 #include "common/config.h"
 #include "core/control_node.h"
 #include "engine/cluster.h"
-#include "engine/join_executor.h"
-#include "engine/oltp_executor.h"
-#include "engine/scan_executor.h"
 #include "iosim/disk.h"
 #include "netsim/network.h"
 #include "runner/sweep.h"
@@ -324,7 +321,6 @@ TEST(ChaosClusterTest, OnlyJoinsAreShed) {
   SystemConfig cfg;
   cfg.num_pes = 8;
   cfg.overload.enabled = true;
-  cfg.multiway_join.enabled = true;
   cfg.oltp.enabled = true;
   Cluster cluster(cfg);
   for (int round = 0; round < 10; ++round) {
@@ -334,11 +330,10 @@ TEST(ChaosClusterTest, OnlyJoinsAreShed) {
 
   // One query of each class, without the background loops of Run().
   sim::Scheduler& sched = cluster.sched();
-  sched.Spawn(ExecuteJoinQuery(cluster, 2));
-  sched.Spawn(ExecuteJoinQuery(cluster, cfg.multiway_join.ways));
-  sched.Spawn(ExecuteScanQuery(cluster));
-  sched.Spawn(ExecuteUpdateQuery(cluster));
-  sched.Spawn(ExecuteOltpTransaction(cluster, cluster.db().oltp_nodes()[0]));
+  for (size_t i = 0; i < kNumQueryClasses; ++i) {
+    sched.Spawn(ExecuteQuery(cluster, static_cast<QueryClass>(i),
+                             cluster.db().oltp_nodes()[0], nullptr));
+  }
   sched.Run();
 
   const MetricsCollector& m = cluster.metrics();

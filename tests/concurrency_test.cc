@@ -20,7 +20,6 @@ SystemConfig ContentionConfig(CcScheme scheme) {
   cfg.cc_scheme = scheme;
   cfg.strategy = strategies::PmuCpuLUM();
   cfg.join_query.arrival_rate_per_pe_qps = 0.10;
-  cfg.update_query.enabled = true;
   cfg.update_query.relation = TargetRelation::kA;
   cfg.update_query.selectivity = 0.02;  // ~25 pages locked per statement
   cfg.update_query.arrival_rate_per_pe_qps = 0.3;
@@ -81,7 +80,6 @@ TEST(ConcurrencyTest, MultiversionChargesUpdatersForVersions) {
     cfg.num_pes = 10;
     cfg.cc_scheme = scheme;
     cfg.join_query.arrival_rate_per_pe_qps = 0.0;  // updates only
-    cfg.update_query.enabled = true;
     cfg.update_query.selectivity = 0.01;
     cfg.update_query.arrival_rate_per_pe_qps = 0.1;
     cfg.warmup_ms = 1000.0;
@@ -123,11 +121,9 @@ TEST(ConcurrencyTest, ScanQueriesHonorReadLocks) {
     cfg.num_pes = 10;
     cfg.cc_scheme = scheme;
     cfg.join_query.arrival_rate_per_pe_qps = 0.0;
-    cfg.scan_query.enabled = true;
     cfg.scan_query.relation = TargetRelation::kA;
     cfg.scan_query.selectivity = 0.05;
     cfg.scan_query.arrival_rate_per_pe_qps = 0.2;
-    cfg.update_query.enabled = true;
     cfg.update_query.relation = TargetRelation::kA;
     cfg.update_query.selectivity = 0.02;
     cfg.update_query.arrival_rate_per_pe_qps = 0.3;

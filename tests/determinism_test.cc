@@ -30,7 +30,6 @@ SystemConfig SmallConfig() {
 /// two-way join's executor, so they take every branch the configuration
 /// selects there; the first run must complete one.
 void ExpectReproducibleWithMultiwayJoins(SystemConfig cfg) {
-  cfg.multiway_join.enabled = true;
   cfg.multiway_join.arrival_rate_per_pe_qps = 0.05;
   MetricsReport first = RunOnce(cfg);
   EXPECT_GT(first.multiway_completed, 0);
@@ -54,11 +53,8 @@ TEST(DeterminismTest, DifferentSeedsDiffer) {
 TEST(DeterminismTest, AllClassesMixed) {
   SystemConfig cfg = SmallConfig();
   cfg.join_query.arrival_rate_per_pe_qps = 0.05;
-  cfg.scan_query.enabled = true;
   cfg.scan_query.arrival_rate_per_pe_qps = 0.05;
-  cfg.update_query.enabled = true;
   cfg.update_query.arrival_rate_per_pe_qps = 0.05;
-  cfg.multiway_join.enabled = true;
   cfg.multiway_join.arrival_rate_per_pe_qps = 0.02;
   cfg.oltp.enabled = true;
   cfg.oltp.tps_per_node = 20.0;
@@ -77,7 +73,6 @@ TEST(DeterminismTest, SharedDiskArchitecture) {
 TEST(DeterminismTest, TwoPhaseLockingScheme) {
   SystemConfig cfg = SmallConfig();
   cfg.cc_scheme = CcScheme::kTwoPhaseLocking;
-  cfg.update_query.enabled = true;
   cfg.update_query.arrival_rate_per_pe_qps = 0.2;
   ExpectReproducibleWithMultiwayJoins(cfg);
 }
@@ -115,7 +110,6 @@ TEST(DeterminismTest, RateMatchStrategy) {
 TEST(DeterminismTest, TracingDoesNotChangeResults) {
   SystemConfig cfg = SmallConfig();
   cfg.oltp.enabled = true;
-  cfg.multiway_join.enabled = true;
   cfg.multiway_join.arrival_rate_per_pe_qps = 0.05;
   ASSERT_TRUE(ParseFaultSpec("crash@1500:pe3;recover@3000:pe3;timeout=4000",
                              &cfg.faults)

@@ -316,11 +316,8 @@ TEST(FaultTest, EveryQueryClassUnwindsCleanly) {
   cfg.measurement_ms = 6000.0;
   cfg.cc_scheme = CcScheme::kTwoPhaseLocking;
   cfg.join_query.arrival_rate_per_pe_qps = 0.05;
-  cfg.scan_query.enabled = true;
   cfg.scan_query.arrival_rate_per_pe_qps = 0.1;
-  cfg.update_query.enabled = true;
   cfg.update_query.arrival_rate_per_pe_qps = 0.2;
-  cfg.multiway_join.enabled = true;
   cfg.multiway_join.arrival_rate_per_pe_qps = 0.1;
   cfg.oltp.enabled = true;
   cfg.oltp.tps_per_node = 20.0;

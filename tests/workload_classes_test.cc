@@ -27,7 +27,6 @@ SystemConfig Base(int num_pes = 10) {
 
 TEST(ScanQueryTest, ClusteredIndexScanCompletes) {
   SystemConfig cfg = Base();
-  cfg.scan_query.enabled = true;
   cfg.scan_query.access = ScanAccess::kClusteredIndex;
   cfg.scan_query.arrival_rate_per_pe_qps = 0.2;
   Cluster cluster(cfg);
@@ -43,7 +42,6 @@ TEST(ScanQueryTest, RelationScanSlowerThanIndexScan) {
     // Scaled-down relations: a full scan of the paper-sized B (50k pages)
     // takes several simulated seconds per query.
     cfg.relation_b.num_tuples = 100000;
-    cfg.scan_query.enabled = true;
     cfg.scan_query.access = access;
     cfg.scan_query.selectivity = 0.01;
     cfg.scan_query.arrival_rate_per_pe_qps = 0.02;
@@ -64,7 +62,6 @@ TEST(ScanQueryTest, UnclusteredIndexPaysPerTupleIo) {
   auto run = [](ScanAccess access, double sel) {
     SystemConfig cfg = Base();
     cfg.relation_b.num_tuples = 100000;
-    cfg.scan_query.enabled = true;
     cfg.scan_query.access = access;
     cfg.scan_query.selectivity = sel;
     cfg.scan_query.arrival_rate_per_pe_qps = 0.02;
@@ -82,7 +79,6 @@ TEST(ScanQueryTest, UnclusteredIndexPaysPerTupleIo) {
 
 TEST(ScanQueryTest, ScanOnRelationATouchesOnlyANodes) {
   SystemConfig cfg = Base();
-  cfg.scan_query.enabled = true;
   cfg.scan_query.relation = TargetRelation::kA;
   cfg.scan_query.arrival_rate_per_pe_qps = 0.2;
   Cluster cluster(cfg);
@@ -93,7 +89,6 @@ TEST(ScanQueryTest, ScanOnRelationATouchesOnlyANodes) {
 TEST(ScanQueryTest, HigherSelectivityLongerScans) {
   auto run = [](double sel) {
     SystemConfig cfg = Base();
-    cfg.scan_query.enabled = true;
     cfg.scan_query.selectivity = sel;
     cfg.scan_query.arrival_rate_per_pe_qps = 0.05;
     Cluster cluster(cfg);
@@ -106,11 +101,30 @@ TEST(ScanQueryTest, HigherSelectivityLongerScans) {
   EXPECT_GT(large.scan_rt_ms, small.scan_rt_ms);
 }
 
+// A trace can start a scan or an update with no arrival rate configured,
+// so their parameters are validated regardless.
+TEST(ScanQueryTest, ValidateRejectsSelectivityWithoutArrivals) {
+  for (double sel : {0.0, 1.5}) {
+    SystemConfig cfg;
+    cfg.scan_query.selectivity = sel;
+    EXPECT_EQ(cfg.scan_query.arrival_rate_per_pe_qps, 0.0);
+    EXPECT_FALSE(cfg.Validate().ok()) << sel;
+  }
+}
+
 // --------------------------------------------------------- update queries
+
+TEST(UpdateQueryTest, ValidateRejectsSelectivityWithoutArrivals) {
+  for (double sel : {0.0, 1.5}) {
+    SystemConfig cfg;
+    cfg.update_query.selectivity = sel;
+    EXPECT_EQ(cfg.update_query.arrival_rate_per_pe_qps, 0.0);
+    EXPECT_FALSE(cfg.Validate().ok()) << sel;
+  }
+}
 
 TEST(UpdateQueryTest, IndexedUpdateCompletes) {
   SystemConfig cfg = Base();
-  cfg.update_query.enabled = true;
   cfg.update_query.arrival_rate_per_pe_qps = 0.1;
   Cluster cluster(cfg);
   MetricsReport r = cluster.Run();
@@ -123,7 +137,6 @@ TEST(UpdateQueryTest, NoIndexSupportRequiresFullScan) {
   auto run = [](bool indexed) {
     SystemConfig cfg = Base();
     cfg.relation_a.num_tuples = 50000;
-    cfg.update_query.enabled = true;
     cfg.update_query.index_supported = indexed;
     cfg.update_query.arrival_rate_per_pe_qps = 0.02;
     cfg.measurement_ms = 20000.0;
@@ -141,7 +154,6 @@ TEST(UpdateQueryTest, ConcurrentUpdatesSerializeOnLocks) {
   // Raise the update rate so statements overlap; strict 2PL serializes the
   // conflicting tuple ranges and every statement still completes.
   SystemConfig cfg = Base(4);
-  cfg.update_query.enabled = true;
   cfg.update_query.selectivity = 0.02;
   cfg.update_query.arrival_rate_per_pe_qps = 0.5;
   Cluster cluster(cfg);
@@ -153,7 +165,6 @@ TEST(UpdateQueryTest, ConcurrentUpdatesSerializeOnLocks) {
 
 TEST(MultiwayJoinTest, ThreeWayJoinCompletes) {
   SystemConfig cfg = Base();
-  cfg.multiway_join.enabled = true;
   cfg.multiway_join.ways = 3;
   cfg.multiway_join.arrival_rate_per_pe_qps = 0.05;
   Cluster cluster(cfg);
@@ -165,7 +176,6 @@ TEST(MultiwayJoinTest, ThreeWayJoinCompletes) {
 TEST(MultiwayJoinTest, MoreWaysTakeLonger) {
   auto run = [](int ways) {
     SystemConfig cfg = Base();
-    cfg.multiway_join.enabled = true;
     cfg.multiway_join.ways = ways;
     cfg.multiway_join.arrival_rate_per_pe_qps = 0.02;
     Cluster cluster(cfg);
@@ -185,7 +195,6 @@ TEST(MultiwayJoinTest, ThreeWaySlowerThanTwoWay) {
   MetricsReport r2 = c2.Run();
 
   SystemConfig three = Base();
-  three.multiway_join.enabled = true;
   three.multiway_join.arrival_rate_per_pe_qps = 0.02;
   Cluster c3(three);
   MetricsReport r3 = c3.Run();
@@ -200,7 +209,6 @@ TEST(MultiwayJoinTest, TakesReadLocksUnderTwoPhaseLocking) {
   // its scans read-lock their pages like a two-way join's do.
   SystemConfig cfg = Base();
   cfg.cc_scheme = CcScheme::kTwoPhaseLocking;
-  cfg.multiway_join.enabled = true;
   cfg.multiway_join.arrival_rate_per_pe_qps = 0.02;
   Cluster cluster(cfg);
   MetricsReport r = cluster.Run();
@@ -216,7 +224,6 @@ TEST(MultiwayJoinTest, RedistributionSkewReachesEveryStage) {
   auto run = [](double theta) {
     SystemConfig cfg = Base();
     cfg.join_query.redistribution_skew = theta;
-    cfg.multiway_join.enabled = true;
     cfg.multiway_join.arrival_rate_per_pe_qps = 0.02;
     Cluster cluster(cfg);
     return cluster.Run();
@@ -232,7 +239,6 @@ TEST(MultiwayJoinTest, RedistributionSkewReachesEveryStage) {
 
 TEST(MultiwayJoinTest, ValidateRejectsTwoWays) {
   SystemConfig cfg;
-  cfg.multiway_join.enabled = true;
   cfg.multiway_join.ways = 2;
   EXPECT_FALSE(cfg.Validate().ok());
 }
@@ -242,11 +248,8 @@ TEST(MultiwayJoinTest, ValidateRejectsTwoWays) {
 TEST(MixedClassesTest, AllClassesRunTogether) {
   SystemConfig cfg = Base(10);
   cfg.join_query.arrival_rate_per_pe_qps = 0.05;
-  cfg.scan_query.enabled = true;
   cfg.scan_query.arrival_rate_per_pe_qps = 0.05;
-  cfg.update_query.enabled = true;
   cfg.update_query.arrival_rate_per_pe_qps = 0.05;
-  cfg.multiway_join.enabled = true;
   cfg.multiway_join.arrival_rate_per_pe_qps = 0.02;
   cfg.oltp.enabled = true;
   cfg.oltp.placement = OltpPlacement::kANodes;
