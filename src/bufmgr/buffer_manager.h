@@ -157,7 +157,6 @@ class BufferManager {
   /// The page most recently evicted (valid once evictions() > 0); lets the
   /// model-based policy tests check victim identity, not just counts.
   PageKey last_evicted() const { return last_evicted_; }
-  EvictionPolicyKind eviction_policy() const { return config_.eviction; }
   void ResetStats();
 
  private:

@@ -1,6 +1,6 @@
 // Copyright 2026 the pdblb authors. MIT license.
 //
-// Versioned fragment-ownership map for elastic cluster resize.  The
+// Fragment-ownership map for elastic cluster resize.  The
 // declustering itself (which PE is the *home* of fragment i, hence which
 // global page range it covers) is immutable catalog geometry; what moves
 // during a rebalance is the *owner* — the PE whose disks, buffer and lock
@@ -34,20 +34,15 @@ class OwnershipMap {
   }
 
   /// Commits an ownership flip (the last migration batch of the fragment
-  /// landed).  Bumps the map version; `owner == home` erases the entry so a
-  /// fragment migrated back to its home costs nothing again.
+  /// landed).  `owner == home` erases the entry so a fragment migrated
+  /// back to its home costs nothing again.
   void SetOwner(int32_t relation_id, PeId home, PeId owner) {
-    ++version_;
     if (owner == home) {
       moves_.erase({relation_id, home});
     } else {
       moves_[{relation_id, home}] = owner;
     }
   }
-
-  /// Monotone version counter, bumped on every committed flip.  Planners
-  /// and tests use it to detect concurrent map changes.
-  uint64_t version() const { return version_; }
 
   /// Number of fragments currently owned away from home.
   size_t MovedCount() const { return moves_.size(); }
@@ -60,7 +55,6 @@ class OwnershipMap {
 
  private:
   std::map<std::pair<int32_t, PeId>, PeId> moves_;
-  uint64_t version_ = 0;
 };
 
 }  // namespace pdblb

@@ -154,9 +154,6 @@ Status SystemConfig::Validate() const {
   if (relation_c.num_tuples <= 0 || relation_c.blocking_factor <= 0) {
     return Status::InvalidArgument("relation_c must be non-empty");
   }
-  if (trace.enabled && trace.capacity < 1) {
-    return Status::InvalidArgument("trace.capacity must be >= 1");
-  }
   for (const FaultEvent& ev : faults.events) {
     if (ev.pe < 0 || ev.pe >= num_pes) {
       return Status::OutOfRange("faults.events: pe out of range");
@@ -292,16 +289,9 @@ Status SystemConfig::Validate() const {
     return Status::InvalidArgument("faults.retry.max_attempts must be >= 1");
   }
   if (faults.retry.initial_backoff_ms < 0.0 ||
-      faults.retry.max_backoff_ms < faults.retry.initial_backoff_ms) {
+      faults.retry.initial_backoff_ms > RetryPolicy::kMaxBackoffMs) {
     return Status::InvalidArgument(
-        "faults.retry backoff bounds must satisfy 0 <= initial <= max");
-  }
-  if (faults.retry.backoff_multiplier < 1.0) {
-    return Status::InvalidArgument(
-        "faults.retry.backoff_multiplier must be >= 1");
-  }
-  if (faults.retry.jitter_frac < 0.0 || faults.retry.jitter_frac > 1.0) {
-    return Status::InvalidArgument("faults.retry.jitter_frac must be in [0,1]");
+        "faults.retry.initial_backoff_ms must be in [0, 1000]");
   }
   if (faults.io_error_rate < 0.0 || faults.io_error_rate >= 1.0) {
     return Status::InvalidArgument("faults.io_error_rate must be in [0, 1)");
@@ -313,11 +303,6 @@ Status SystemConfig::Validate() const {
     return Status::InvalidArgument("faults.io_retry_penalty_ms must be >= 0");
   }
   if (overload.enabled) {
-    if (overload.degrade_cpu_threshold <= 0.0 ||
-        overload.exit_cpu_threshold > overload.degrade_cpu_threshold) {
-      return Status::InvalidArgument(
-          "overload cpu thresholds must satisfy 0 < exit <= degrade");
-    }
     if (overload.degrade_queue_threshold < 0.0 ||
         overload.exit_queue_threshold > overload.degrade_queue_threshold ||
         overload.shed_queue_threshold < overload.degrade_queue_threshold) {
@@ -328,11 +313,6 @@ Status SystemConfig::Validate() const {
     if (overload.enter_rounds < 1 || overload.exit_rounds < 1) {
       return Status::InvalidArgument(
           "overload enter/exit rounds must be >= 1");
-    }
-    if (overload.parallelism_factor <= 0.0 ||
-        overload.parallelism_factor > 1.0) {
-      return Status::InvalidArgument(
-          "overload.parallelism_factor must be in (0, 1]");
     }
   }
   return Status::OK();

@@ -97,14 +97,11 @@ struct BufferConfig {
 
 /// Kernel event tracing (src/simkern/tracer.h).  When enabled, every
 /// dispatched event and hand-off resume is recorded into a pre-allocated
-/// per-scheduler ring (most recent `capacity` records retained) and the
-/// run's MetricsReport carries the per-subsystem attribution fold.
+/// per-scheduler ring (the most recent Tracer::kDefaultCapacity records are
+/// retained; the attribution fold is exact for the whole run regardless)
+/// and the run's MetricsReport carries the per-subsystem attribution fold.
 struct TraceConfig {
   bool enabled = false;
-  /// Records retained by the ring (rounded up to a power of two).  The
-  /// attribution breakdown is exact for the whole run regardless of
-  /// wrap-around; only the dumped record tail is bounded by this.
-  int64_t capacity = 1 << 20;
 };
 
 /// Communication network parameters (packetized transmission, EDS-like).
@@ -358,15 +355,15 @@ struct FaultEvent {
 
 /// Retry policy for queries that fail with kUnavailable (a participant PE
 /// crashed mid-query).  Backoff is capped exponential with seeded jitter:
-/// attempt k sleeps min(initial * multiplier^(k-1), max) * (1 ± jitter*U),
-/// where U is drawn from the workload RNG stream — deterministic per seed.
-/// Queries that exceed their deadline (kDeadlineExceeded) never retry.
+/// attempt k sleeps min(initial * 2^(k-1), kMaxBackoffMs) * (1 ± 0.2*U),
+/// where U is drawn from the workload RNG stream — deterministic per seed
+/// (FaultInjector::Supervise).  Queries that exceed their deadline
+/// (kDeadlineExceeded) never retry.
 struct RetryPolicy {
+  /// The backoff cap; Validate rejects an initial backoff above it.
+  static constexpr double kMaxBackoffMs = 1000.0;
   int max_attempts = 3;             ///< Total attempts including the first.
   double initial_backoff_ms = 10.0;
-  double backoff_multiplier = 2.0;
-  double max_backoff_ms = 1000.0;
-  double jitter_frac = 0.2;         ///< Relative jitter, in [0, 1].
 };
 
 /// Fault-injection and query-timeout configuration.  Disabled by default;
@@ -460,25 +457,23 @@ Status ParseFaultSpec(const std::string& spec, FaultConfig* out);
 ///   shedding --(queue < exit threshold for exit_rounds)---------> degraded
 ///   degraded --(pressure < exit thresholds for exit_rounds)-----> normal
 ///
-/// While degraded, join plans are capped at ceil(alive * parallelism_factor)
-/// PEs and counted via queries_degraded; while shedding, new complex queries
-/// are additionally rejected at admission with kResourceExhausted and
-/// counted via queries_shed.  Exit thresholds sit below the enter thresholds
+/// The CPU pressure thresholds are fixed (degrade at >= 0.90, exit below
+/// 0.75: ControlNode::NoteLoadRound).  While degraded, join plans are capped
+/// at ceil(alive * 0.5) PEs (ControlNode::DegreeCap) and counted via
+/// queries_degraded; while shedding, new complex queries are additionally
+/// rejected at admission with kResourceExhausted and counted via
+/// queries_shed.  Exit thresholds sit below the enter thresholds
 /// (hysteresis), so the state cannot flap on a single borderline round.
 struct OverloadConfig {
   bool enabled = false;
-  /// Enter degraded when cpu >= this OR queue >= degrade_queue_threshold.
-  double degrade_cpu_threshold = 0.90;
+  /// Enter degraded when queue >= this (or CPU pressure is high).
   double degrade_queue_threshold = 4.0;
   /// Escalate degraded -> shedding when queue >= this.
   double shed_queue_threshold = 16.0;
-  /// De-escalate when cpu < exit_cpu AND queue < exit_queue.
-  double exit_cpu_threshold = 0.75;
+  /// De-escalate when queue < this AND CPU pressure is low.
   double exit_queue_threshold = 2.0;
   int enter_rounds = 2;  ///< Consecutive hot rounds before escalating.
   int exit_rounds = 3;   ///< Consecutive cool rounds before de-escalating.
-  /// Degree cap while degraded/shedding: ceil(alive * this), at least 1.
-  double parallelism_factor = 0.5;
 };
 
 /// Elastic cluster resize (engine/elastic.h).  Only consulted when the fault

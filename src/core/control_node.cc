@@ -41,12 +41,16 @@ void ControlNode::Report(PeId pe, double cpu_util, int free_memory_pages,
 
 void ControlNode::NoteLoadRound(double avg_admission_queue) {
   if (!overload_.enabled) return;
+  // Average alive-PE CPU utilization that enters degraded mode, and the
+  // lower one (hysteresis) below which it may be left.
+  constexpr double kDegradeCpuThreshold = 0.90;
+  constexpr double kExitCpuThreshold = 0.75;
   const double cpu = AvgCpuUtilization();
   const double queue = avg_admission_queue;
-  const bool hot = cpu >= overload_.degrade_cpu_threshold ||
+  const bool hot = cpu >= kDegradeCpuThreshold ||
                    queue >= overload_.degrade_queue_threshold;
   const bool shed_hot = queue >= overload_.shed_queue_threshold;
-  const bool cool = cpu < overload_.exit_cpu_threshold &&
+  const bool cool = cpu < kExitCpuThreshold &&
                     queue < overload_.exit_queue_threshold;
   // Escalation and de-escalation both require `enter_rounds` /
   // `exit_rounds` *consecutive* qualifying rounds; any non-qualifying round
@@ -91,8 +95,10 @@ void ControlNode::NoteLoadRound(double avg_admission_queue) {
 
 int ControlNode::DegreeCap(int wanted) const {
   if (overload_state_ == OverloadState::kNormal) return wanted;
+  // Share of the alive PEs a degraded plan may use.
+  constexpr double kParallelismFactor = 0.5;
   int cap = static_cast<int>(std::ceil(static_cast<double>(AliveCount()) *
-                                       overload_.parallelism_factor));
+                                       kParallelismFactor));
   return std::clamp(cap, 1, wanted);
 }
 

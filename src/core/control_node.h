@@ -82,7 +82,7 @@ class ControlNode {
     return overload_state_ == OverloadState::kShedding;
   }
   /// Join-degree cap under the current state: `wanted` when normal,
-  /// otherwise ceil(alive * parallelism_factor) clamped to [1, wanted].
+  /// otherwise ceil(alive * 0.5) clamped to [1, wanted].
   int DegreeCap(int wanted) const;
 
   /// Average reported CPU utilization over all PEs (u_cpu in formula 3.2).

@@ -40,8 +40,7 @@ Cluster::Cluster(const SystemConfig& config)
   if (!st.ok()) throw std::invalid_argument(st.ToString());
 
   if (config_.trace.enabled) {
-    tracer_ = std::make_unique<sim::Tracer>(
-        static_cast<size_t>(config_.trace.capacity));
+    tracer_ = std::make_unique<sim::Tracer>();
     sched_.AttachTracer(tracer_.get());
   }
 

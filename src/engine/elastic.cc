@@ -9,6 +9,7 @@
 #include "engine/cluster.h"
 #include "engine/faults.h"
 #include "lockmgr/lock_manager.h"
+#include "simkern/task_group.h"
 
 namespace pdblb {
 
@@ -149,10 +150,9 @@ void ElasticityManager::OnPeCrash(PeId pe) {
   // Abort the in-flight move: cancellation destroys the migrator frame at
   // its suspension point, releasing the migration latch and the destination
   // staging reservation through the RAII guards before ApplyCrash wipes the
-  // crashed PE's buffer.
-  active_->aborted = true;
-  cluster_.sched().Cancel(active_->work_id);
-  if (!active_->done->Done()) active_->done->CountDown();
+  // crashed PE's buffer.  A migrator that already ended (committed or
+  // aborted on its own) keeps its outcome.
+  if (cluster_.sched().Cancel(active_->work_id)) active_->aborted = true;
 }
 
 void ElasticityManager::OnPeRecovered(PeId pe) {
@@ -258,15 +258,17 @@ sim::Task<bool> ElasticityManager::ExecuteMove(FragmentMove move) {
       cluster_.ownership().Owner(move.relation_id, move.home) != move.from) {
     co_return false;
   }
-  sim::Latch done(cluster_.sched(), 1);
   MigrationState st;
   st.home = move.home;
   st.from = move.from;
   st.to = move.to;
-  st.done = &done;
   active_ = &st;
-  st.work_id = cluster_.sched().SpawnWithId(MigrateFragment(move, &st));
-  co_await done.Wait();
+  // A one-member group: the migrator ends for it whether it commits, aborts
+  // or is cancelled by OnPeCrash.
+  sim::TaskGroup migrator(cluster_.sched(),
+                          sim::TraceTag(sim::TraceSubsystem::kLatch));
+  st.work_id = migrator.Spawn(MigrateFragment(move, &st));
+  co_await migrator.Wait();
   active_ = nullptr;
   if (st.aborted) {
     if (st.pages_done > 0) {
@@ -299,7 +301,6 @@ sim::Task<> ElasticityManager::MigrateFragment(FragmentMove move,
     // Deadlock victim: impossible for a single-lock transaction, but fail
     // safe — the manager just re-plans.
     st->aborted = true;
-    st->done->CountDown();
     co_return;
   }
 
@@ -347,7 +348,6 @@ sim::Task<> ElasticityManager::MigrateFragment(FragmentMove move,
     c.metrics().RecordFragmentMigrated(frag_pages);
     latch.ReleaseNow();
   }
-  st->done->CountDown();
 }
 
 }  // namespace pdblb

@@ -29,6 +29,8 @@
 // guards (migration latch released, destination staging reservation
 // returned, partial destination pages discarded and counted), ownership
 // stays with the donor, and the manager re-plans around the dead PE.
+// ExecuteMove waits on the migrator as the one member of a TaskGroup: a
+// cancelled member ends for its group as a finished one does.
 //
 // Determinism: the planner draws no random numbers and iterates
 // deterministically ordered state; migrations are ordinary calendar
@@ -45,7 +47,6 @@
 
 #include "common/config.h"
 #include "common/units.h"
-#include "simkern/latch.h"
 #include "simkern/task.h"
 
 namespace pdblb {
@@ -122,18 +123,12 @@ class ElasticityManager {
   /// A recovered draining PE resumes vacating its remaining fragments.
   void OnPeRecovered(PeId pe);
 
-  /// True while `pe` is draining (non-member still owning fragments).
-  bool Draining(PeId pe) const { return draining_.count(pe) > 0; }
-  /// True while a rebalance (planning or migrating) is in flight.
-  bool RebalanceActive() const { return running_; }
-
  private:
   struct MigrationState {
     PeId home = -1;
     PeId from = -1;
     PeId to = -1;
-    uint64_t work_id = 0;
-    sim::Latch* done = nullptr;
+    uint64_t work_id = 0;  ///< spawn id of the migrator (its group's member)
     bool aborted = false;
     int64_t pages_done = 0;  ///< committed batches (discarded on abort)
   };
@@ -151,7 +146,8 @@ class ElasticityManager {
   sim::Task<> RunRebalance();
   /// Runs one move start-to-commit; false when aborted (re-plan needed).
   sim::Task<bool> ExecuteMove(FragmentMove move);
-  /// The migrator coroutine (spawned with an id so OnPeCrash can cancel).
+  /// The migrator coroutine (ExecuteMove waits on it as the one member of a
+  /// TaskGroup; OnPeCrash cancels it by its spawn id).
   sim::Task<> MigrateFragment(FragmentMove move, MigrationState* st);
 
   Cluster& cluster_;

@@ -4,10 +4,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <utility>
 
 #include "engine/cluster.h"
 #include "engine/elastic.h"
+#include "simkern/task_group.h"
 
 namespace pdblb {
 
@@ -61,10 +61,11 @@ void TxnLocksGuard::AddPe(PeId pe) {
 
 namespace {
 
-// Registers the attempt with the injector for the lifetime of the attempt
-// frame.  Holds the injector and scheduler directly — at scheduler teardown
-// the QueryAttempt (a supervisor-frame local) may already be gone, and the
-// registry with it.
+// Registers the attempt with the injector for the supervisor's wait on it,
+// so that it also holds attempts that have ended but whose supervisor has
+// not resumed yet: a canceller's Scheduler::Cancel finds no frame for them
+// and leaves their outcome alone.  Holds the injector and scheduler
+// directly — at scheduler teardown the injector may already be gone.
 struct AttemptRegistration {
   FaultInjector* injector;
   sim::Scheduler* sched;
@@ -80,28 +81,14 @@ struct AttemptRegistration {
   AttemptRegistration& operator=(const AttemptRegistration&) = delete;
 };
 
-// One supervised attempt: runs the executor coroutine to completion and
-// releases the supervisor.  When the attempt is cancelled (crash, deadline)
-// the registration unregisters as this frame unwinds and the *canceller*
-// counts the latch down.
-sim::Task<> RunAttempt(FaultInjector* injector, sim::Task<> work,
-                       QueryAttempt* qa) {
-  AttemptRegistration registration(injector, qa);
-  co_await std::move(work);
-  qa->done->CountDown();
-}
-
 // Deadline watchdog for one attempt, armed with the query's *remaining*
 // budget.  The timer is an ordinary calendar event, so work finishing and
 // the timer firing at the same timestamp resolve by calendar FIFO,
-// deterministically (Supervise spawns both and waits for the first).
+// deterministically: work that has ended is no longer there to cancel.
 sim::Task<> AttemptTimer(sim::Scheduler& sched, SimTime delay_ms,
                          QueryAttempt* qa) {
   co_await sched.Delay(delay_ms);
-  if (qa->done->Done()) co_return;
-  qa->outcome = StatusCode::kDeadlineExceeded;
-  sched.Cancel(qa->work_id);
-  qa->done->CountDown();
+  if (sched.Cancel(qa->work_id)) qa->outcome = StatusCode::kDeadlineExceeded;
 }
 
 }  // namespace
@@ -212,16 +199,14 @@ void FaultInjector::ApplyCrash(PeId pe) {
   // mid-suspension; its cancellation-aware awaiters and RAII guards release
   // buffer reservations, lock entries and admission slots at *all* PEs the
   // attempt touched (not just the crashed one), so the accounting below
-  // starts from a clean slate.  Iterate over a copy: each cancellation
-  // unregisters from active_ via AttemptRegistration.
-  std::vector<QueryAttempt*> victims;
+  // starts from a clean slate.  The registrations live in the supervisors'
+  // frames, which a cancellation does not touch, so active_ holds still.
+  // An attempt that has ended but whose supervisor has not resumed yet is
+  // not there to cancel, and keeps its outcome.
   for (QueryAttempt* qa : active_) {
-    if (qa->Touches(pe)) victims.push_back(qa);
-  }
-  for (QueryAttempt* qa : victims) {
-    qa->outcome = StatusCode::kUnavailable;
-    cluster_.sched().Cancel(qa->work_id);
-    if (!qa->done->Done()) qa->done->CountDown();
+    if (qa->Touches(pe) && cluster_.sched().Cancel(qa->work_id)) {
+      qa->outcome = StatusCode::kUnavailable;
+    }
   }
 
   // Abort any fragment migration touching this PE first: the cancelled
@@ -244,14 +229,11 @@ void FaultInjector::ApplyPartition(PeId a, PeId b) {
   // retry path), unwinding their resources through the cancellation-aware
   // guards.  Attempts touching at most one endpoint keep running, and new
   // attempts fail fast at AddParticipant while the partition holds.
-  std::vector<QueryAttempt*> victims;
   for (QueryAttempt* qa : active_) {
-    if (qa->Touches(a) && qa->Touches(b)) victims.push_back(qa);
-  }
-  for (QueryAttempt* qa : victims) {
-    qa->outcome = StatusCode::kUnavailable;
-    cluster_.sched().Cancel(qa->work_id);
-    if (!qa->done->Done()) qa->done->CountDown();
+    if (qa->Touches(a) && qa->Touches(b) &&
+        cluster_.sched().Cancel(qa->work_id)) {
+      qa->outcome = StatusCode::kUnavailable;
+    }
   }
 }
 
@@ -305,31 +287,19 @@ sim::Task<> FaultInjector::Supervise(QueryClass cls, PeId home) {
 
     StatusCode outcome = StatusCode::kOk;
     {
-      sim::Latch done(sched, 1);
       QueryAttempt qa;
       qa.injector = this;
-      qa.done = &done;
-
-      // Children are detached frames pointing into this frame; if this
-      // frame is itself cancelled mid-wait they must go first.  Cancel of a
-      // finished id no-ops, so the guards are unconditional.
-      struct ChildGuard {
-        sim::Scheduler* sched;
-        uint64_t id = 0;
-        ~ChildGuard() {
-          if (id != 0) sched->Cancel(id);
-        }
-      };
-      ChildGuard work_guard{&sched};
-      ChildGuard timer_guard{&sched};
-      qa.work_id = sched.SpawnWithId(
-          RunAttempt(this, ExecuteQuery(cluster_, cls, home, &qa), &qa));
-      work_guard.id = qa.work_id;
-      if (has_deadline) {
-        timer_guard.id =
-            sched.SpawnWithId(AttemptTimer(sched, remaining_ms, &qa));
-      }
-      co_await done.Wait();
+      AttemptRegistration registration(this, &qa);
+      // The children are detached frames pointing into this frame, each in
+      // a one-member group: leaving this scope, or this frame being
+      // cancelled mid-wait, cancels whichever is still running (the timer
+      // first, as its group is destroyed first).
+      const sim::TraceTag tag(sim::TraceSubsystem::kLatch);
+      sim::TaskGroup work(sched, tag);
+      sim::TaskGroup timer(sched, tag);
+      qa.work_id = work.Spawn(ExecuteQuery(cluster_, cls, home, &qa));
+      if (has_deadline) timer.Spawn(AttemptTimer(sched, remaining_ms, &qa));
+      co_await work.Wait();
       outcome = qa.outcome;
       // The final attempt's plan decides whether the query counts as
       // degraded (an earlier capped-but-cancelled attempt already counts
@@ -358,13 +328,17 @@ sim::Task<> FaultInjector::Supervise(QueryClass cls, PeId home) {
         }
         cluster_.metrics().RecordQueryRetried(sched.Now());
         retried = true;
+        // Capped exponential backoff, each step twice the last.
+        constexpr double kBackoffMultiplier = 2.0;
+        // Relative jitter: the backoff is scaled by 1 ± kJitterFrac * U.
+        constexpr double kJitterFrac = 0.2;
         double backoff =
             retry.initial_backoff_ms *
-            std::pow(retry.backoff_multiplier, static_cast<double>(attempt - 1));
-        backoff = std::min(backoff, retry.max_backoff_ms);
+            std::pow(kBackoffMultiplier, static_cast<double>(attempt - 1));
+        backoff = std::min(backoff, RetryPolicy::kMaxBackoffMs);
         // Seeded jitter from the workload stream keeps retry storms apart
         // without breaking determinism.
-        backoff *= 1.0 + retry.jitter_frac *
+        backoff *= 1.0 + kJitterFrac *
                              (2.0 * cluster_.workload_rng().Uniform() - 1.0);
         co_await sched.Delay(backoff);
       }

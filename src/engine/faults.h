@@ -40,7 +40,6 @@
 #include "common/config.h"
 #include "common/status.h"
 #include "common/units.h"
-#include "simkern/latch.h"
 #include "simkern/ring.h"
 #include "simkern/rng.h"
 #include "simkern/scheduler.h"
@@ -57,11 +56,11 @@ class FaultInjector;
 /// touches *before* doing work there; registration fails fast (returns
 /// false, sets outcome = kUnavailable) when the PE is already down, and the
 /// recorded set is what ApplyCrash consults to find the attempts a crash
-/// kills.
+/// kills.  A canceller sets the outcome only when Scheduler::Cancel of
+/// `work_id` stopped the attempt: one that already ended keeps its own.
 struct QueryAttempt {
   FaultInjector* injector = nullptr;
-  sim::Latch* done = nullptr;
-  uint64_t work_id = 0;
+  uint64_t work_id = 0;  ///< spawn id of the attempt (its group's member)
   StatusCode outcome = StatusCode::kOk;
   std::vector<PeId> participants;
   /// Set by the lifecycle when the attempt ran on an overload-capped plan
@@ -115,7 +114,9 @@ class FaultInjector {
   /// as a supervised attempt chain: deadline assignment, fail-fast /
   /// cancellation on PE failure, capped exponential backoff between
   /// attempts, and metrics accounting (timed out / retried / failed /
-  /// degraded).  Each attempt is a fresh ExecuteQuery (engine/cluster.h).
+  /// degraded).  Each attempt is a fresh ExecuteQuery (engine/cluster.h),
+  /// spawned into a one-member TaskGroup that the supervisor waits on: the
+  /// attempt ends for the group whether it completes or is cancelled.
   sim::Task<> Supervise(QueryClass cls, PeId home);
 
   /// True when `pe` is currently down (executors fail fast against it).
@@ -125,7 +126,7 @@ class FaultInjector {
   /// (cheap constant-false while no partition was ever applied).
   bool LinkBlocked(PeId pe, const std::vector<PeId>& others) const;
 
-  // Attempt registry (RunAttempt's registration RAII).
+  // Attempt registry (Supervise's registration RAII, held for its wait).
   void Register(QueryAttempt* attempt) { active_.push_back(attempt); }
   void Unregister(QueryAttempt* attempt);
 

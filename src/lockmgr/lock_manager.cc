@@ -55,20 +55,15 @@ void FreeSlot(std::vector<Slot>& slots, SlotIndex<Key, Hash>& index,
 }  // namespace
 
 bool LockManager::CanGrant(const Entry& entry, TxnId txn, LockMode mode) {
-  bool already_holds_shared = false;
   for (const Holder& h : entry.holders) {
     if (h.txn == txn) {
       if (h.mode == LockMode::kExclusive || mode == LockMode::kShared) {
         return true;  // already strong enough (or re-requesting S)
       }
-      already_holds_shared = true;
-      continue;
+      continue;  // S->X upgrade: granted if no other holder conflicts
     }
     if (!Compatible(h.mode, mode)) return false;
   }
-  // Upgrade S->X: only if sole holder (other holders handled above).
-  if (already_holds_shared) return true;
-  (void)already_holds_shared;
   return true;
 }
 

@@ -1,7 +1,7 @@
 // Copyright 2026 the pdblb authors. MIT license.
 //
 // RingBuffer<T, InlineCapacity>: the recycled FIFO backing every blocking
-// primitive's waiter/value queue (Resource, Channel, Latch, TaskGroup) and
+// primitive's waiter/value queue (Resource, Channel, TaskGroup) and
 // the scheduler's same-time ring and hand-off lane.
 //
 // Why not std::deque: libstdc++'s deque allocates and frees 512-byte chunks
@@ -13,8 +13,8 @@
 //
 // `InlineCapacity` (a power of two, may be 0) embeds the first slots in the
 // object itself.  Short-lived primitives constructed per query or per
-// fork/join (Latch, TaskGroup, per-join channels) never touch the heap at
-// all as long as their queue stays within the inline capacity.
+// fork/join (TaskGroup, per-join channels) never touch the heap at all as
+// long as their queue stays within the inline capacity.
 
 #ifndef PDBLB_SIMKERN_RING_H_
 #define PDBLB_SIMKERN_RING_H_

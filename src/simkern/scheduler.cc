@@ -20,7 +20,8 @@ Scheduler::~Scheduler() {
   // dispatched.  tearing_down_ tells cancellation-aware awaiter/guard
   // destructors to no-op: the resources and queues they would clean up may
   // already be gone (Cluster destroys its members before the scheduler),
-  // and nothing here will run again anyway.
+  // and nothing here will run again anyway.  For the same reason a member
+  // destroyed here does not report to its TaskGroup (DestroyAll).
   tearing_down_ = true;
   detached_.DestroyAll();
 }

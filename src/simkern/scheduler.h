@@ -20,7 +20,7 @@
 //    pop (a hold), and that push is written into the root and sifted down
 //    from the top.  Only a pop that still finds the root free pays the
 //    bottom-up removal.
-//  * Events scheduled at exactly the current time (zero delays, latch and
+//  * Events scheduled at exactly the current time (zero delays, group and
 //    channel wake-ups) bypass the heap through a FIFO RingBuffer; the
 //    dispatch loop merges ring and heap by sequence number, so same-time
 //    FIFO semantics are preserved while the common wake-up costs O(1).
@@ -88,12 +88,13 @@ class Scheduler {
   }
 
   /// Spawn variant for TaskGroup members: the member's own frame is
-  /// registered, tagged with `group`, so its final awaiter reports to the
-  /// group and CancelOwned(group) finds it in flight.  A member costs its
-  /// own frame and no per-member storage in the group.
-  void SpawnOwned(Task<> task, TaskGroup* group) {
+  /// registered, tagged with `group`, so its end (completion or Cancel)
+  /// reports to the group and CancelOwned(group) finds it in flight.  A
+  /// member costs its own frame and no per-member storage in the group.
+  /// Returns the member's spawn id, as SpawnWithId does.
+  uint64_t SpawnOwned(Task<> task, TaskGroup* group) {
     assert(group != nullptr);
-    (void)SpawnRoot(std::move(task), group);
+    return SpawnRoot(std::move(task), group);
   }
 
   /// Cancel() for every in-flight member of `group`, oldest first.
@@ -109,10 +110,11 @@ class Scheduler {
   /// Cancels a detached process mid-run: scrubs its pending calendar/ring/
   /// hand-off entry (no ghost dispatch) and destroys the frame, which
   /// cascades through owned children — cancellation-aware awaiters
-  /// (Delay, Resource, Channel, Latch, TaskGroup, lockmgr/bufmgr waits)
-  /// remove their own queue entries and release held resources from their
-  /// destructors.  Must not be called on the currently-running process.
-  /// Returns false (no-op) if `id` already completed or was cancelled.
+  /// (Delay, Resource, Channel, TaskGroup, lockmgr/bufmgr waits) remove
+  /// their own queue entries and release held resources from their
+  /// destructors.  A cancelled TaskGroup member ends for its group.  Must
+  /// not be called on the currently-running process.  Returns false
+  /// (no-op) if `id` already completed or was cancelled.
   /// Allocation-free: the scrub overwrites entries in place.
   bool Cancel(uint64_t id) {
     std::coroutine_handle<> h = detached_.FindById(id);
@@ -152,8 +154,8 @@ class Scheduler {
   /// whole burst in one resumption.  Hand-offs are FIFO among themselves
   /// and the primitive's own waiter queue fixes who is woken, so same-time
   /// FIFO ordering among the waiters is preserved; primitives where
-  /// *calendar* FIFO position is the contract (Delay(0) yields, latch
-  /// fan-out broadcasts) must keep scheduling through the calendar.
+  /// *calendar* FIFO position is the contract (Delay(0) yields, task-group
+  /// join broadcasts) must keep scheduling through the calendar.
   /// Dispatch stays fully deterministic: hand-offs occur at fixed points of
   /// the event sequence.
   /// The lane takes no TraceTag and records statically as kChannel:

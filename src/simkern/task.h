@@ -17,6 +17,8 @@
 //    the frame alive until completion; the Task destructor destroys it.
 //  * `Scheduler::Spawn` detaches a task: the frame self-destroys at
 //    completion.  Detached tasks must not be awaited.
+//  * A detached TaskGroup member reports its end to the group when its
+//    frame is destroyed, whether it completed or was cancelled.
 
 #ifndef PDBLB_SIMKERN_TASK_H_
 #define PDBLB_SIMKERN_TASK_H_
@@ -38,7 +40,7 @@ class TaskGroup;
 
 namespace internal {
 
-/// TaskGroup::Finish for a member's final awaiter; out of line
+/// TaskGroup::Finish for a member's end (~PromiseBase); out of line
 /// (scheduler.cc) because task.h cannot see TaskGroup.
 void FinishGroupMember(TaskGroup* group);
 
@@ -126,14 +128,19 @@ class DetachedRegistry {
   ~DetachedRegistry() { assert(frames_.empty() && "call DestroyAll() first"); }
 
   /// `group` (may be null) makes the frame a member of that TaskGroup: its
-  /// final awaiter reports to the group, and FindOldestInGroup finds it.
+  /// end reports to the group, and FindOldestInGroup finds it.
   inline void Register(std::coroutine_handle<> handle, PromiseBase* promise,
                        uint64_t id, TaskGroup* group);
 
-  void Unregister(uint32_t index) {
+  /// Removes the frame at `index` and returns the group it was spawned
+  /// into, or null.  Null for every frame once DestroyAll has begun: at
+  /// scheduler teardown the group may already be gone.
+  TaskGroup* Unregister(uint32_t index) {
+    TaskGroup* group = destroying_ ? nullptr : frames_[index].group;
     frames_[index] = frames_.back();
     if (index < frames_.size() - 1) Reindex(frames_[index], index);
     frames_.pop_back();
+    return group;
   }
 
   /// Looks up a still-in-flight frame by its spawn id (Scheduler::Cancel).
@@ -160,15 +167,14 @@ class DetachedRegistry {
     return oldest != nullptr ? oldest->handle : nullptr;
   }
 
-  /// The group the frame at `index` was spawned into, or null.
-  TaskGroup* GroupAt(uint32_t index) const { return frames_[index].group; }
-
   /// Destroys every registered frame (most recently spawned first).  Each
   /// destruction runs the frame's local destructors — which may destroy
   /// owned (non-detached) child frames, but never another *registered*
   /// frame: detaching releases ownership, so no local can own one — and
-  /// unregisters itself via ~PromiseBase, keeping the loop O(n).
+  /// unregisters itself via ~PromiseBase, keeping the loop O(n).  No
+  /// member reports to its group from here on (see Unregister).
   void DestroyAll() {
+    destroying_ = true;
     while (!frames_.empty()) frames_.back().handle.destroy();
   }
 
@@ -185,6 +191,7 @@ class DetachedRegistry {
   inline static void Reindex(const Entry& entry, uint32_t index);
 
   std::vector<Entry> frames_;
+  bool destroying_ = false;
 };
 
 /// Promise behaviour shared by Task<T> and Task<void>.
@@ -194,8 +201,16 @@ struct PromiseBase {
     FrameArena::Deallocate(frame, size);
   }
 
+  // A group member ends for its group however it ends: at its final
+  // suspend, or destroyed mid-suspension by Scheduler::Cancel or by its
+  // group's destructor.  The group hears of it as the frame goes away,
+  // after the frame's locals have released what they held.
   ~PromiseBase() {
-    if (registry != nullptr) registry->Unregister(registry_index);
+    if (registry != nullptr) {
+      if (TaskGroup* group = registry->Unregister(registry_index)) {
+        FinishGroupMember(group);
+      }
+    }
   }
 
   std::coroutine_handle<> continuation;
@@ -215,12 +230,8 @@ struct PromiseBase {
       std::coroutine_handle<> next =
           p.continuation ? p.continuation : std::noop_coroutine();
       if (p.detached) {
-        // A group member joins through its own promise: the group hears of
-        // the completion before the frame goes away.
-        if (TaskGroup* group = p.registry->GroupAt(p.registry_index)) {
-          FinishGroupMember(group);
-        }
         // Detached frames own themselves; nobody will destroy them later.
+        // A group member reports its end from ~PromiseBase.
         h.destroy();
       }
       return next;

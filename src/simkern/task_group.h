@@ -1,8 +1,10 @@
 // Copyright 2026 the pdblb authors. MIT license.
 //
-// TaskGroup: the kernel's fork/join primitive.  Tasks can be added while
-// others are already running (e.g. packet-send tasks spawned as a scan
-// streams), and Wait() completes once the group is empty.
+// TaskGroup: the kernel's one fork/join primitive.  Tasks can be added
+// while others are already running (e.g. packet-send tasks spawned as a scan
+// streams), and Wait() completes once the group is empty.  A member ends for
+// its group whether it completes or is cancelled, so a supervisor of
+// cancellable work spawns it into a group and waits on the group.
 
 #ifndef PDBLB_SIMKERN_TASK_GROUP_H_
 #define PDBLB_SIMKERN_TASK_GROUP_H_
@@ -16,8 +18,10 @@
 namespace pdblb::sim {
 
 /// A set of detached tasks with a joinable completion point.  A member is
-/// its own frame: no wrapper coroutine awaits it, and its final awaiter
-/// calls Finish() before the frame destroys itself.
+/// its own frame: no wrapper coroutine awaits it, and the frame's
+/// destruction (~PromiseBase) calls Finish(): after it completes, or when
+/// Scheduler::Cancel or the group's destructor stops it mid-suspension.
+/// Only ~Scheduler's teardown skips the report.
 ///
 /// The group must outlive all tasks spawned into it: members are detached
 /// frames whose registry entries point back to the group.  The usual
@@ -37,28 +41,29 @@ class TaskGroup {
   TaskGroup& operator=(const TaskGroup&) = delete;
 
   ~TaskGroup() {
-    if (active_ == 0) return;
     // Cancellation path: the owning frame dies with members in flight.
     // Cancel every member still alive, in spawn order, so no member
     // outlives the group — or the state of the owning frame its work
-    // referenced.
-    sched_.CancelOwned(this);
-    active_ = 0;
+    // referenced.  Each one ends for the group, which has no waiter left:
+    // the owner's Wait() awaiter went first.
+    if (active_ > 0) sched_.CancelOwned(this);
   }
 
-  /// Starts `task` at the current simulation time as a member of the group.
-  /// Members are found again through the scheduler's registry of in-flight
-  /// processes (tagged with this group), so any fan-out spawns without an
-  /// allocation beyond the members' own recycled frames.
-  void Spawn(Task<> task) {
+  /// Starts `task` at the current simulation time as a member of the group
+  /// and returns its spawn id, by which Scheduler::Cancel stops that member
+  /// alone.  Members are found again through the scheduler's registry of
+  /// in-flight processes (tagged with this group), so any fan-out spawns
+  /// without an allocation beyond the members' own recycled frames.
+  uint64_t Spawn(Task<> task) {
     ++active_;
-    sched_.SpawnOwned(std::move(task), this);
+    return sched_.SpawnOwned(std::move(task), this);
   }
 
   int active() const { return active_; }
 
-  /// Completes when all spawned tasks have finished.  Multiple waiters are
-  /// allowed; an empty group completes immediately.
+  /// Completes when all spawned tasks have ended (completed or been
+  /// cancelled).  Multiple waiters are allowed; an empty group completes
+  /// immediately.
   auto Wait() {
     struct Awaiter {
       TaskGroup* group;
@@ -100,8 +105,8 @@ class TaskGroup {
   Scheduler& sched_;
   TraceTag tag_;
   int active_ = 0;
-  // Like Latch: groups are constructed per query and typically have one
-  // waiter, which the inline capacity absorbs without an allocation.
+  // Groups are constructed per query and typically have one waiter, which
+  // the inline capacity absorbs without an allocation.
   RingBuffer<std::coroutine_handle<>, 4> waiters_;
 };
 

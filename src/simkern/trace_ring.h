@@ -33,7 +33,8 @@ enum class TraceSubsystem : uint8_t {
   kNetwork = 3,    ///< Wire latency of packetized transfers.
   kLock = 4,       ///< Lock-manager grant and abort wake-ups.
   kChannel = 5,    ///< Channel value hand-offs and close broadcasts.
-  kLatch = 6,      ///< Latch fan-out wake-ups.
+  kLatch = 6,      ///< Supervisor wake-ups: the one-member task groups
+                   ///< of query attempts and fragment migrations.
   kTaskGroup = 7,  ///< TaskGroup join wake-ups.
   kAdmission = 8,  ///< Transaction-manager admission (MPL) queue.
   kCount = 9,

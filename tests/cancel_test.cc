@@ -3,7 +3,7 @@
 // Regression tests for Scheduler::Cancel: destroying a suspended frame must
 // remove its pending calendar/ring entries (no ghost dispatch) and unhook it
 // from whatever primitive it is parked in — Delay, Resource (both queued and
-// granted-but-pending), Channel, Latch, TaskGroup, LockManager and the
+// granted-but-pending), Channel, TaskGroup, LockManager and the
 // buffer manager's memory queue.  Each test parks a victim, cancels it
 // mid-wait, and checks that (a) the victim never runs, (b) waiters behind it
 // are served normally, and (c) no server/lock/reservation is leaked.
@@ -25,7 +25,6 @@
 #include "lockmgr/lock_manager.h"
 #include "run_at.h"
 #include "simkern/channel.h"
-#include "simkern/latch.h"
 #include "simkern/resource.h"
 #include "simkern/scheduler.h"
 #include "simkern/task.h"
@@ -36,7 +35,6 @@ namespace pdblb {
 namespace {
 
 using sim::Channel;
-using sim::Latch;
 using sim::Resource;
 using sim::RunAt;
 using sim::Scheduler;
@@ -174,24 +172,6 @@ TEST(CancelTest, CancelConsumerParkedInChannelReceive) {
   EXPECT_FALSE(victim_closed);
   EXPECT_EQ(other_got, 42) << "value lost to a cancelled consumer";
   EXPECT_TRUE(other_closed);
-}
-
-Task<> WaitLatchAndFlag(Latch& latch, bool* ran) {
-  co_await latch.Wait();
-  *ran = true;
-}
-
-TEST(CancelTest, CancelWaiterParkedInLatchWait) {
-  Scheduler sched;
-  Latch latch(sched, 1);
-  bool victim = false, other = false;
-  uint64_t victim_id = sched.SpawnWithId(WaitLatchAndFlag(latch, &victim));
-  sched.Spawn(WaitLatchAndFlag(latch, &other));
-  RunAt(sched, 5.0, [&] { sched.Cancel(victim_id); });
-  RunAt(sched, 8.0, [&] { latch.CountDown(); });
-  sched.Run();
-  EXPECT_FALSE(victim);
-  EXPECT_TRUE(other);
 }
 
 Task<> WaitGroupAndFlag(TaskGroup& group, bool* ran) {
@@ -341,7 +321,7 @@ ScenarioResult RunCancellationScenario() {
 
   Resource res(sched, 1, "cpu");
   Channel<int> ch(sched);
-  Latch latch(sched, 1);
+  TaskGroup group(sched);
   bool sink_bool = false;
   int sink_int = 0;
 
@@ -353,20 +333,25 @@ ScenarioResult RunCancellationScenario() {
   uint64_t ch_victim =
       sched.SpawnWithId(ReceiveAndFlag(ch, &sink_int, &sink_bool));
   sched.Spawn(ReceiveAndFlag(ch, &sink_int, &sink_bool));
-  uint64_t latch_victim =
-      sched.SpawnWithId(WaitLatchAndFlag(latch, &sink_bool));
-  sched.Spawn(WaitLatchAndFlag(latch, &sink_bool));
+  // The group's waiters are released by a member ending at 8.0 after the
+  // other member was cancelled.
+  uint64_t member_victim =
+      group.Spawn(FlagAfterDelay(sched, 50.0, &sink_bool));
+  group.Spawn(FlagAfterDelay(sched, 8.0, &sink_bool));
+  uint64_t group_victim =
+      sched.SpawnWithId(WaitGroupAndFlag(group, &sink_bool));
+  sched.Spawn(WaitGroupAndFlag(group, &sink_bool));
 
   RunAt(sched, 5.0, [&] {
     sched.Cancel(res_victim);
     sched.Cancel(delay_victim);
     sched.Cancel(ch_victim);
-    sched.Cancel(latch_victim);
+    sched.Cancel(group_victim);
+    sched.Cancel(member_victim);
   });
   RunAt(sched, 8.0, [&] {
     ch.Send(7);
     ch.Close();
-    latch.CountDown();
   });
   sched.Run();
   return ScenarioResult{sched.events_processed(), tracer.ToCsv()};

@@ -6,16 +6,20 @@
 // level.  The composed runs check the conservation invariants — no admission
 // slot, buffer reservation or memory-queue entry survives the run — and the
 // determinism contract (identical reports across reruns, identical sweep
-// CSV across worker counts).  The whole binary runs under
-// leak detection, so every chaotic run doubles as a no-leaked-frames check.
+// CSV across worker counts).  A seeded generator also draws about 100 fault
+// specs from the whole clause grammar and replays each.  The whole binary
+// runs under leak detection, so every chaotic run doubles as a
+// no-leaked-frames check.
 
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 
 #include "common/config.h"
 #include "core/control_node.h"
 #include "engine/cluster.h"
+#include "expect_identical_reports.h"
 #include "iosim/disk.h"
 #include "netsim/network.h"
 #include "runner/sweep.h"
@@ -161,7 +165,6 @@ OverloadConfig TightOverload() {
   oc.exit_queue_threshold = 1.0;
   oc.enter_rounds = 2;
   oc.exit_rounds = 2;
-  oc.parallelism_factor = 0.5;
   return oc;
 }
 
@@ -383,6 +386,165 @@ TEST(ChaosClusterTest, SweepCsvIsIdenticalAcrossWorkerCounts) {
                       "slow_disk_ms"),
             std::string::npos)
       << "robustness columns missing from the CSV header";
+}
+
+// ------------------------------------------- randomized composed specs
+
+// Draws one clause set from the ParseFaultSpec grammar for a 10-PE cluster.
+// When an addpe is drawn, pe9 is its spare: held out of the initial
+// declustering and added mid-run.  Clause times fall inside the run
+// (500 ms warm-up + 6000 ms measurement); every recovery and heal follows
+// its crash or partition.  Only the spare is ever added, and only a B node
+// or the added spare drains: the A nodes (pe0, pe1) host OLTP, which does
+// not migrate, so Validate rejects draining them.
+std::string DrawFaultSpec(sim::Rng& rng) {
+  constexpr int kSpare = 9;
+  std::string spec;
+  // A scheduled clause, kind@<ms>:<target>, and a key=value clause.  Each
+  // draw is a statement of its own: the order of evaluation inside one
+  // expression is unspecified.
+  auto clause = [&spec](const char* kind, int64_t ms, const std::string& to) {
+    spec += std::string(kind) + "@" + std::to_string(ms) + ":" + to + ";";
+  };
+  auto set = [&spec](const char* key, const std::string& value) {
+    spec += std::string(key) + "=" + value + ";";
+  };
+  auto pe = [](int64_t id) { return "pe" + std::to_string(id); };
+  auto link = [&rng, &pe] {
+    const int64_t a = rng.UniformInt(0, kSpare);
+    const int64_t b = (a + rng.UniformInt(1, kSpare)) % (kSpare + 1);
+    return pe(a) + "-" + pe(b);
+  };
+  auto factor = [&rng] { return ":x" + std::to_string(rng.UniformInt(2, 8)); };
+  const bool spare = rng.Uniform() < 0.5;
+
+  // crash/recover pairs, on distinct PEs so no clause repeats.
+  const int64_t crashes = rng.UniformInt(0, 2);
+  const int64_t first_victim = rng.UniformInt(0, kSpare);
+  for (int64_t k = 0; k < crashes; ++k) {
+    const std::string victim = pe((first_victim + 3 * k) % (kSpare + 1));
+    const int64_t at = rng.UniformInt(600, 5500);
+    clause("crash", at, victim);
+    if (rng.Uniform() < 0.8) {
+      clause("recover", at + rng.UniformInt(200, 2000), victim);
+    }
+  }
+  if (rng.Uniform() < 0.5) {
+    const std::string cut = link();
+    const int64_t at = rng.UniformInt(600, 5500);
+    clause("partition", at, cut);
+    if (rng.Uniform() < 0.7) {
+      clause("heal", at + rng.UniformInt(100, 1500), cut);
+    }
+  }
+  if (rng.Uniform() < 0.4) {
+    const std::string disk = pe(rng.UniformInt(0, kSpare));
+    const int64_t at = rng.UniformInt(500, 5000);
+    clause("slowdisk", at, disk + factor());
+    if (rng.Uniform() < 0.5) {
+      clause("slowdisk", at + rng.UniformInt(200, 1500), disk + ":x1");
+    }
+  }
+  if (rng.Uniform() < 0.4) {
+    const std::string slow = link() + factor();
+    clause("slowlink", rng.UniformInt(500, 5500), slow);
+  }
+
+  int64_t added_at = -1;
+  if (spare) {
+    added_at = rng.UniformInt(500, 3500);
+    clause("addpe", added_at, pe(kSpare));
+  }
+  if (rng.Uniform() < 0.6) {
+    if (spare && rng.Uniform() < 0.3) {
+      clause("drainpe", added_at + rng.UniformInt(500, 1500), pe(kSpare));
+    } else {
+      const std::string target = pe(rng.UniformInt(2, spare ? kSpare - 1
+                                                            : kSpare));
+      clause("drainpe", rng.UniformInt(500, 4500), target);
+    }
+  }
+
+  if (rng.Uniform() < 0.5) {
+    set("timeout", std::to_string(rng.UniformInt(200, 3000)));
+  }
+  if (rng.Uniform() < 0.3) {
+    set("iorate", std::to_string(rng.Uniform(0.01, 0.2)));
+  }
+  if (rng.Uniform() < 0.3) {
+    set("rate", std::to_string(rng.Uniform(0.5, 4.0)));
+    set("mttr", std::to_string(rng.UniformInt(300, 2000)));
+  }
+  if (rng.Uniform() < 0.5) {
+    set("retries", std::to_string(rng.UniformInt(1, 5)));
+  }
+  return spec;
+}
+
+// All five query classes on a small 10-PE cluster, with relations small
+// enough that a fragment migration finishes within the run.  The CC scheme
+// rotates with `i`, and every other spec runs with overload control on.
+SystemConfig RandomSpecCluster(int i) {
+  SystemConfig cfg;
+  cfg.num_pes = 10;
+  cfg.seed = 7000 + static_cast<uint64_t>(i);
+  cfg.warmup_ms = 500.0;
+  cfg.measurement_ms = 6000.0;
+  cfg.relation_a.num_tuples = 10000;
+  cfg.relation_b.num_tuples = 30000;
+  cfg.relation_c.num_tuples = 20000;
+  cfg.elastic.migration_batch_pages = 64;
+  cfg.join_query.arrival_rate_per_pe_qps = 0.5;
+  cfg.scan_query.arrival_rate_per_pe_qps = 0.2;
+  cfg.update_query.arrival_rate_per_pe_qps = 0.2;
+  cfg.multiway_join.arrival_rate_per_pe_qps = 0.1;
+  cfg.oltp.enabled = true;
+  cfg.oltp.tps_per_node = 20.0;
+  constexpr CcScheme kSchemes[] = {CcScheme::kNoReadLocks,
+                                   CcScheme::kTwoPhaseLocking,
+                                   CcScheme::kMultiversion};
+  cfg.cc_scheme = kSchemes[i % 3];
+  if (i % 2 == 1) {
+    cfg.overload.enabled = true;
+    cfg.overload.degrade_queue_threshold = 1.0;
+    cfg.overload.shed_queue_threshold = 2.0;
+    cfg.overload.exit_queue_threshold = 0.5;
+    cfg.control_report_interval_ms = 500.0;
+  }
+  return cfg;
+}
+
+// Roughly 100 drawn clause sets, each run twice: every spec must parse and
+// validate, and replay to an identical report.  Across the set, each fault
+// path must fire at least once, so a generator that drifts into drawing
+// nothing but no-ops fails here instead of passing vacuously.
+TEST(RandomFaultSpecTest, ComposedSpecsReplayIdentically) {
+  constexpr int kSpecs = 100;
+  sim::Rng rng(20261019);
+  int64_t crashes = 0, partitions = 0, retries = 0, timeouts = 0;
+  int64_t migrated = 0, aborted_migrations = 0;
+  for (int i = 0; i < kSpecs; ++i) {
+    const std::string spec = DrawFaultSpec(rng);
+    SCOPED_TRACE("spec " + std::to_string(i) + ": " + spec);
+    SystemConfig cfg = RandomSpecCluster(i);
+    ASSERT_TRUE(ParseFaultSpec(spec, &cfg.faults).ok());
+    const Status valid = cfg.Validate();
+    ASSERT_TRUE(valid.ok()) << valid.ToString();
+    const MetricsReport r = Cluster(cfg).Run();
+    ExpectIdenticalReports(r, Cluster(cfg).Run());
+    crashes += r.pe_crashes;
+    partitions += r.link_partitions;
+    retries += r.queries_retried;
+    timeouts += r.queries_timed_out;
+    migrated += r.fragments_migrated;
+    aborted_migrations += r.migration_pages_discarded > 0 ? 1 : 0;
+  }
+  EXPECT_GT(crashes, 0);
+  EXPECT_GT(partitions, 0);
+  EXPECT_GT(retries, 0);
+  EXPECT_GT(timeouts, 0);
+  EXPECT_GT(migrated, 0);
+  EXPECT_GT(aborted_migrations, 0) << "no migration was aborted by a crash";
 }
 
 }  // namespace

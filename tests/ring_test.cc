@@ -2,7 +2,7 @@
 //
 // Property/stress tests for simkern/ring.h, the recycled FIFO backing every
 // blocking primitive's waiter/value queue.  The ring was previously only
-// exercised indirectly through Resource/Channel/Latch; these tests drive
+// exercised indirectly through Resource/Channel/TaskGroup; these tests drive
 // wraparound, inline-to-heap growth and element lifetimes directly under
 // randomized push/pop sequences against a std::deque reference model.
 

@@ -17,7 +17,6 @@
 #include "lockmgr/lock_manager.h"
 #include "netsim/network.h"
 #include "simkern/channel.h"
-#include "simkern/latch.h"
 #include "simkern/resource.h"
 #include "simkern/scheduler.h"
 #include "simkern/task.h"
@@ -115,9 +114,9 @@ TEST(SchedulerAllocTest, SteadyStateDispatchAllocatesNothing) {
 // The frameless Resource::Use awaiter and the ring-buffer waiter/value
 // queues extend the zero-allocation guarantee from dispatch to *blocking*:
 // once the rings have grown to the high-water mark of each queue, contended
-// acquisitions, channel traffic and latch fork/joins touch the heap exactly
-// never.  (The old kernel allocated a coroutine frame per Use and paid
-// std::deque chunk churn on every queue at chunk boundaries, forever.)
+// acquisitions, channel traffic and task-group fork/joins touch the heap
+// exactly never.  (The old kernel allocated a coroutine frame per Use and
+// paid std::deque chunk churn on every queue at chunk boundaries, forever.)
 
 Task<> ContendedClient(Scheduler& sched, Resource& res, SimTime hold,
                        int64_t rounds) {
@@ -179,42 +178,6 @@ TEST(SchedulerAllocTest, ChannelSendRecvAtCapacityAllocatesNothing) {
   EXPECT_GT(received - received_before, 100000u);
   EXPECT_EQ(g_allocations - allocations_before, 0u)
       << "channel send/recv at capacity must not allocate in steady state";
-}
-
-Task<> LatchChild(Scheduler& sched, Latch* latch, SimTime delay) {
-  co_await sched.Delay(delay);
-  latch->CountDown();
-}
-
-// Repeated fork/join: a brand-new Latch per round, children spawned from
-// the recycled frame arena, the single waiter held in the latch's inline
-// ring slots.  No round may touch the heap after warm-up.
-Task<> ForkJoinLoop(Scheduler& sched, int fanout, int64_t rounds,
-                    uint64_t* joins) {
-  for (int64_t i = 0; i < rounds; ++i) {
-    Latch latch(sched, fanout);
-    for (int f = 0; f < fanout; ++f) {
-      sched.Spawn(LatchChild(sched, &latch, 0.5 + 0.1 * f));
-    }
-    co_await latch.Wait();
-    ++*joins;
-  }
-}
-
-TEST(SchedulerAllocTest, LatchFanOutAllocatesNothing) {
-  Scheduler sched;
-  sched.Reserve(/*events=*/256);
-  uint64_t joins = 0;
-  sched.Spawn(ForkJoinLoop(sched, /*fanout=*/8, /*rounds=*/100000, &joins));
-  sched.RunUntil(100.0);  // warm-up
-  ASSERT_GT(joins, 10u);
-
-  uint64_t allocations_before = g_allocations;
-  uint64_t joins_before = joins;
-  sched.RunUntil(30000.0);
-  EXPECT_GT(joins - joins_before, 10000u);
-  EXPECT_EQ(g_allocations - allocations_before, 0u)
-      << "latch fork/join fan-out must not allocate in steady state";
 }
 
 // The same with a TaskGroup per round, 64 members wide (a 64-page striped

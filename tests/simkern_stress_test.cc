@@ -21,7 +21,6 @@
 #include <vector>
 
 #include "simkern/channel.h"
-#include "simkern/latch.h"
 #include "simkern/resource.h"
 #include "simkern/rng.h"
 #include "simkern/scheduler.h"
@@ -75,10 +74,7 @@ struct World {
   uint64_t received_total = 0;
 };
 
-Task<> ForkChild(World& w, SimTime delay, Latch* latch) {
-  co_await w.sched.Delay(delay);
-  latch->CountDown();
-}
+Task<> ForkChild(World& w, SimTime delay) { co_await w.sched.Delay(delay); }
 
 // One worker: `rounds` random operations drawn from the worker's own RNG
 // stream.  `priority` (1..4) scales service demand, so high-priority
@@ -122,13 +118,13 @@ Task<> Worker(World& w, int id, Rng rng, int rounds, int priority) {
       co_await w.sched.Delay(0.0);
       w.trace->push_back({w.sched.Now(), id, kYield, r});
     } else {
-      // Fork/join through a latch: children with randomized delays.
+      // Fork/join through a task group: children with randomized delays.
       const int fanout = 1 + static_cast<int>(rng.UniformInt(0, 3));
-      Latch latch(w.sched, fanout);
+      TaskGroup group(w.sched);
       for (int f = 0; f < fanout; ++f) {
-        w.sched.Spawn(ForkChild(w, rng.Uniform() * 2.0, &latch));
+        group.Spawn(ForkChild(w, rng.Uniform() * 2.0));
       }
-      co_await latch.Wait();
+      co_await group.Wait();
       w.trace->push_back({w.sched.Now(), id, kForkJoin, fanout});
     }
   }

@@ -1,8 +1,8 @@
 // Copyright 2026 the pdblb authors. MIT license.
 //
 // Unit tests for the discrete-event kernel: scheduling order, delays,
-// resources, channels, latches, task groups, exceptions, RNG determinism
-// and statistics.
+// resources, channels, task groups, exceptions, RNG determinism and
+// statistics.
 
 #include <gtest/gtest.h>
 
@@ -14,7 +14,6 @@
 
 #include "run_at.h"
 #include "simkern/channel.h"
-#include "simkern/latch.h"
 #include "simkern/resource.h"
 #include "simkern/rng.h"
 #include "simkern/scheduler.h"
@@ -261,6 +260,28 @@ TEST(TaskGroupTest, EmptyGroupWaitEndsAtOnce) {
   sched.Run();
   EXPECT_TRUE(done);
   EXPECT_DOUBLE_EQ(sched.Now(), 0.0);
+}
+
+// A member cancelled by its spawn id ends for its group as one that
+// completes does: with the other member already finished, the waiter
+// resumes at the cancel instant and the group is empty.
+TEST(TaskGroupTest, CancelledMemberEndsForItsGroup) {
+  Scheduler sched;
+  TaskGroup group(sched);
+  std::vector<int> order;
+  SimTime end = -1.0;
+  const uint64_t victim = group.Spawn(AppendAfter(sched, 10.0, 1, &order));
+  group.Spawn(AppendAfter(sched, 2.0, 2, &order));
+  auto waiter = [](Scheduler& s, TaskGroup& g, SimTime* end_time) -> Task<> {
+    co_await g.Wait();
+    *end_time = s.Now();
+  };
+  sched.Spawn(waiter(sched, group, &end));
+  RunAt(sched, 5.0, [&] { EXPECT_TRUE(sched.Cancel(victim)); });
+  sched.Run();
+  EXPECT_EQ(order, (std::vector<int>{2}));
+  EXPECT_DOUBLE_EQ(end, 5.0) << "the waiter did not resume at the cancel";
+  EXPECT_EQ(group.active(), 0);
 }
 
 // An exception escaping a simulation process must not vanish.  A detached
@@ -600,38 +621,6 @@ TEST(ChannelTest, ReceiveAfterCloseDrainsUnpromisedValues) {
   sched.Run();
   EXPECT_TRUE(done);
   EXPECT_EQ(got, (std::vector<int>{1, 2}));
-}
-
-TEST(LatchTest, WaitersReleasedOnFinalCountDown) {
-  Scheduler sched;
-  bool done = false;
-  auto waiter = [](Scheduler& s, Latch& l, bool* flag) -> Task<> {
-    co_await l.Wait();
-    *flag = true;
-    (void)s;
-  };
-  Latch latch(sched, 3);
-  sched.Spawn(waiter(sched, latch, &done));
-  RunAt(sched, 1.0, [&] { latch.CountDown(); });
-  RunAt(sched, 2.0, [&] { latch.CountDown(); });
-  RunAt(sched, 3.0, [&] { latch.CountDown(); });
-  sched.Run();
-  EXPECT_TRUE(done);
-  EXPECT_DOUBLE_EQ(sched.Now(), 3.0);
-}
-
-TEST(LatchTest, ZeroCountIsImmediatelyDone) {
-  Scheduler sched;
-  Latch latch(sched, 0);
-  EXPECT_TRUE(latch.Done());
-  bool done = false;
-  auto waiter = [](Latch& l, bool* flag) -> Task<> {
-    co_await l.Wait();
-    *flag = true;
-  };
-  sched.Spawn(waiter(latch, &done));
-  sched.Run();
-  EXPECT_TRUE(done);
 }
 
 TEST(RngTest, SameSeedSameSequence) {

@@ -194,7 +194,6 @@ SystemConfig SmallClusterConfig() {
   cfg.single_user_mode = true;
   cfg.single_user_queries = 3;
   cfg.trace.enabled = true;
-  cfg.trace.capacity = 1 << 16;
   cfg.seed = 12345;
   return cfg;
 }
