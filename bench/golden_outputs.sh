@@ -6,12 +6,17 @@
 #
 #   bench/golden_outputs.sh BUILD_DIR OUT_DIR
 #   diff -r OUT_A OUT_B
+#   bench/golden_diff.py OUT_A OUT_B
 #
 # A refactor that must not change any simulated number (the determinism
 # contract) proves itself by an empty diff against its parent's directory;
 # running the script at two JOBS values and diffing also checks that the
-# worker count leaks into nothing.  JOBS (default 4) is every bench's
-# --jobs.  About 30 s at JOBS=4 on a 4-vCPU machine.
+# worker count leaks into nothing.  A change that only cuts simulator work
+# (fewer events, the same simulated results) proves itself with
+# golden_diff.py instead: it compares the sets column by column and exits 0
+# when only the kernel_events and kernel_handoffs columns, the traces and
+# the attribution table differ.  JOBS (default 4) is every bench's --jobs.
+# About 20 s at JOBS=4 on a 4-vCPU machine.
 #
 # The set:
 #  * the CSV of each of the 19 CSV-writing figure and ablation benches at

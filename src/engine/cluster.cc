@@ -174,7 +174,7 @@ void Cluster::ReportAllPes(SimTime window_ms) {
 
 sim::Task<> Cluster::ControlReportLoop() {
   const double interval = config_.control_report_interval_ms;
-  while (!sched_.ShuttingDown()) {
+  while (true) {
     co_await sched_.Delay(interval);
     ReportAllPes(interval);
   }
@@ -347,8 +347,9 @@ MetricsReport Cluster::Run() {
   }
 
   MetricsReport report = Collect(measure_start, measure_end);
-  sched_.RequestShutdown();
-  sched_.Run();  // drain in-flight work; generators observe the shutdown
+  // Nothing after the window is reported: unwind the work still in flight
+  // instead of simulating it, so every slot, reservation and lock returns.
+  sched_.CancelAll();
 
   report.kernel_events = sched_.events_processed();
   report.kernel_handoffs = sched_.inline_resumes();

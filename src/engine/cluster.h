@@ -118,11 +118,16 @@ class Cluster {
   /// oltp.placement build them) with InvalidArgument.  Call before Run().
   Status SetTrace(Trace trace);
 
-  /// Runs the full experiment (warm-up, measurement, drain) and returns the
-  /// collected metrics.  A Cluster is single-shot: the scheduler, statistics
-  /// and RNG streams are consumed by the run, so calling Run() a second time
-  /// on the same instance throws std::logic_error — construct a fresh
-  /// Cluster per experiment (the sweep runner does this per grid point).
+  /// Runs the full experiment (warm-up, measurement, unwind) and returns the
+  /// collected metrics.  The report is collected at the end of the
+  /// measurement window (after the last query in single-user mode).  The
+  /// work still in flight there is then cancelled (Scheduler::CancelAll),
+  /// not simulated: simulated time ends with the window, and every slot,
+  /// reservation and lock is returned.  A Cluster is single-shot: the
+  /// scheduler, statistics and RNG streams are consumed by the run, so
+  /// calling Run() a second time on the same instance throws
+  /// std::logic_error — construct a fresh Cluster per experiment (the sweep
+  /// runner does this per grid point).
   MetricsReport Run();
 
  private:

@@ -226,8 +226,7 @@ void ElasticityManager::KickRebalance() {
 }
 
 sim::Task<> ElasticityManager::RunRebalance() {
-  sim::Scheduler& sched = cluster_.sched();
-  while (!sched.ShuttingDown()) {
+  while (true) {
     dirty_ = false;
     std::vector<FragmentMove> moves = PlanCurrent();
     if (moves.empty()) {
@@ -236,7 +235,6 @@ sim::Task<> ElasticityManager::RunRebalance() {
       continue;
     }
     for (const FragmentMove& mv : moves) {
-      if (sched.ShuttingDown()) break;
       const bool committed = co_await ExecuteMove(mv);
       if (!committed) {
         // A crash invalidated the plan mid-flight: re-plan around the

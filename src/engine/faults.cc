@@ -177,12 +177,10 @@ sim::Task<> FaultInjector::RandomFaultLoop(PeId pe) {
       60000.0 / faults.crash_rate_per_pe_per_min;  // rate is per minute
   while (true) {
     co_await cluster_.sched().Delay(rng.Exponential(mean_up_ms));
-    if (cluster_.sched().ShuttingDown()) co_return;
     // Keep the cluster able to make progress: never take down the last PE.
     if (cluster_.control().AliveCount() <= 1) continue;
     ApplyCrash(pe);
     co_await cluster_.sched().Delay(rng.Exponential(faults.mttr_ms));
-    if (cluster_.sched().ShuttingDown()) co_return;
     ApplyRecovery(pe);
   }
 }

@@ -94,6 +94,10 @@ constexpr ReportField HostMeasured() {
 // Row order is the CSV column order (runner::ResultsCsv); the robustness and
 // elasticity blocks order their columns by the number they give.
 //
+// A run ends at the end of the measurement window (Cluster::Run cancels
+// what is still in flight there), so "the whole run" below means time 0 to
+// the end of the window.
+//
 // * Query classes: response-time means over the measurement window;
 //   *_completed count them, throughputs divide by measurement_seconds.
 // * Resources: averages of the periodic per-PE samples.  Concurrency
@@ -103,7 +107,8 @@ constexpr ReportField HostMeasured() {
 // * Faults (engine/faults.h) and elastic resize (engine/elastic.h): all
 //   zero without them.  Query counters cover the measurement window;
 //   crashes, recoveries, partitions and membership/migration counters cover
-//   the whole run (they are scripted or rate-driven, not workload outcomes).
+//   the whole run, warm-up included (they are scripted or rate-driven, not
+//   workload outcomes).
 // * kernel_events counts calendar events and kernel_handoffs the
 //   calendar-bypassing hand-off resumes, over the whole run; both are
 //   deterministic per seed.  wall_seconds and kernel_events_per_sec are
@@ -297,9 +302,9 @@ class MetricsCollector {
   void RecordQueryShed(SimTime now) {
     if (Measuring(now)) ++counters_.queries_shed;
   }
-  /// PE crash / recovery events are counted over the whole run (they are
-  /// scripted or rate-driven, not workload outcomes, so warm-up applies
-  /// no differently).
+  /// PE crash / recovery events are counted over the whole run, warm-up
+  /// to the end of the window (they are scripted or rate-driven, not
+  /// workload outcomes, so warm-up applies no differently).
   void RecordPeCrash() { ++counters_.pe_crashes; }
   void RecordPeRecovery() { ++counters_.pe_recoveries; }
   /// A scripted network partition was applied (whole run, like crashes).

@@ -106,7 +106,7 @@ std::vector<TxnId> DeadlockDetector::DetectAndResolve() {
 }
 
 sim::Task<> DeadlockDetector::Run() {
-  while (!sched_.ShuttingDown()) {
+  while (true) {
     co_await sched_.Delay(check_interval_ms_);
     DetectAndResolve();
   }

@@ -115,7 +115,7 @@ class Channel {
         // Still queued: just leave.  Already woken (hand-off or Close
         // broadcast): scrub the wake and give the promise back — the value
         // reserved for us becomes claimable by other receivers again.
-        if (ch->waiters_.EraseFirstIf(
+        if (ch->waiters_.EraseLastIf(
                 [&](std::coroutine_handle<> w) { return w == pending; })) {
           return;
         }

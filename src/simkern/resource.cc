@@ -47,7 +47,7 @@ void Resource::Release() {
 }
 
 void Resource::CancelWaiter(std::coroutine_handle<> h) {
-  if (waiters_.EraseFirstIf(
+  if (waiters_.EraseLastIf(
           [&](const Waiter& w) { return w.handle == h; })) {
     return;  // never granted: nothing held, nobody to wake
   }

@@ -77,13 +77,16 @@ class RingBuffer {
     return data_[Index(i)];
   }
 
-  /// Removes the first element matching `pred`, preserving FIFO order of
-  /// the rest (elements behind the hole shift forward one slot).  Used by
+  /// Removes the last element matching `pred`, preserving FIFO order of the
+  /// rest (elements behind the hole shift forward one slot).  Used by
   /// cancellation paths to pull a destroyed frame's waiter entry out of the
-  /// queue; O(size) moves, no allocation.  Returns false if nothing matched.
+  /// queue, where a frame sits at most once.  Scans from the back: the
+  /// newest-first unwind (Scheduler::CancelAll) erases a queue from its
+  /// tail, one step each.  O(size) moves at most, no allocation.  Returns
+  /// false if nothing matched.
   template <typename Pred>
-  bool EraseFirstIf(Pred pred) {
-    for (size_t i = 0; i < size_; ++i) {
+  bool EraseLastIf(Pred pred) {
+    for (size_t i = size_; i-- > 0;) {
       if (!pred(data_[Index(i)])) continue;
       for (size_t j = i; j + 1 < size_; ++j) {
         data_[Index(j)] = std::move(data_[Index(j + 1)]);

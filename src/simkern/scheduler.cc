@@ -26,6 +26,31 @@ Scheduler::~Scheduler() {
   detached_.DestroyAll();
 }
 
+void Scheduler::CancelAll() {
+  // Newest first.  A TaskGroup member is younger than the frame that owns
+  // its group, so members are gone before their group's destructor would
+  // scan the registry for them; and a queue's waiters, usually younger
+  // than the holders, go before a holder's release could grant them a
+  // server.  Repeats until the registry is empty, so anything spawned on
+  // the way is cancelled too.
+  detached_.SortBySpawnId();
+  while (std::coroutine_handle<> h = detached_.Back()) {
+    CancelHandle(h);
+    h.destroy();
+  }
+  // Every frame is gone, and each one scrubbed the entry that would have
+  // resumed it, so what is left can be dropped without a pop.
+#ifndef NDEBUG
+  for (const Event& e : heap_) assert(e.frame == nullptr);
+  for (size_t i = 0; i < ring_.size(); ++i) assert(ring_[i].frame == nullptr);
+  for (size_t i = 0; i < handoffs_.size(); ++i) assert(!handoffs_[i]);
+#endif
+  heap_.clear();
+  root_free_ = false;
+  ring_.clear();
+  handoffs_.clear();
+}
+
 bool Scheduler::CancelHandle(std::coroutine_handle<> h) {
   assert(h);
   void* const frame = h.address();

@@ -124,6 +124,16 @@ class Scheduler {
     return true;
   }
 
+  /// Ends a simulation without running it further: Cancel() for every
+  /// in-flight detached process, newest first, until none is left, then
+  /// empties the calendar, the same-time ring and the hand-off lane, which
+  /// by then hold only tombstones.  The cancellation-aware awaiters and
+  /// guards release every server, slot, reservation, lock and queue entry
+  /// on the way, as any cancellation does (their releases count in
+  /// Resource::completed()).  Nothing is resumed and Now() stays put.
+  /// Allocation-free.  Must not be called from a simulation process.
+  void CancelAll();
+
   /// True while the detached process spawned as `id` is still in flight.
   bool Alive(uint64_t id) const { return static_cast<bool>(detached_.FindById(id)); }
 
@@ -232,11 +242,6 @@ class Scheduler {
     ring_.reserve(events);
   }
 
-  /// Signals cooperative shutdown: long-running generator processes are
-  /// expected to poll ShuttingDown() after each wait and terminate.
-  void RequestShutdown() { shutting_down_ = true; }
-  bool ShuttingDown() const { return shutting_down_; }
-
   /// Attaches (or detaches, with nullptr) an event tracer: every dispatch
   /// and hand-off resume is recorded until detached.  Takes effect at the
   /// next Run/RunUntil call (the drain loop binds to the tracer once per
@@ -254,8 +259,10 @@ class Scheduler {
   /// Number of calendar-bypassing hand-off resumes (diagnostics).  Counted
   /// separately from events_processed(): hand-offs are not calendar events.
   uint64_t inline_resumes() const { return inline_resumes_; }
-  /// Events and hand-offs waiting to be dispatched.  A free root (the slot
-  /// of the heap event being dispatched, see PopNext) is not one of them.
+  /// Calendar, ring and hand-off entries, including tombstones not yet
+  /// popped (or cleared by CancelAll): an entry cancelled by CancelHandle
+  /// counts until the drain loop drops it.  A free root (the slot of the
+  /// heap event being dispatched, see PopNext) is not one of them.
   size_t pending_events() const {
     return heap_.size() - static_cast<size_t>(root_free_) + ring_.size() +
            handoffs_.size();
@@ -372,7 +379,6 @@ class Scheduler {
   uint64_t next_spawn_id_ = 1;
   uint64_t events_processed_ = 0;
   uint64_t inline_resumes_ = 0;
-  bool shutting_down_ = false;
   bool tearing_down_ = false;
   Tracer* tracer_ = nullptr;
 };

@@ -23,6 +23,7 @@
 #ifndef PDBLB_SIMKERN_TASK_H_
 #define PDBLB_SIMKERN_TASK_H_
 
+#include <algorithm>
 #include <cassert>
 #include <coroutine>
 #include <cstddef>
@@ -165,6 +166,29 @@ class DetachedRegistry {
       }
     }
     return oldest != nullptr ? oldest->handle : nullptr;
+  }
+
+  /// Restores spawn order, oldest first (Scheduler::CancelAll).  Frames
+  /// register in spawn order, but Unregister's swap moves the back frame
+  /// into each hole.  In place: std::sort allocates nothing.
+  void SortBySpawnId() {
+    std::sort(frames_.begin(), frames_.end(),
+              [](const Entry& a, const Entry& b) { return a.id < b.id; });
+    for (uint32_t i = 0; i < frames_.size(); ++i) Reindex(frames_[i], i);
+  }
+
+  /// The frame at the back of the registry, or null (Scheduler::CancelAll):
+  /// after SortBySpawnId, the newest.  Also starts loading the frame below
+  /// it, which CancelAll destroys next: a parked frame is cold, and
+  /// destroying one is a chain of misses into it.
+  std::coroutine_handle<> Back() const {
+    const size_t n = frames_.size();
+    if (n >= 2) {
+      const auto* next =
+          static_cast<const char*>(frames_[n - 2].handle.address());
+      for (int line = 0; line < 4; ++line) __builtin_prefetch(next + 64 * line);
+    }
+    return n == 0 ? nullptr : frames_.back().handle;
   }
 
   /// Destroys every registered frame (most recently spawned first).  Each

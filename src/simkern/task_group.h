@@ -80,7 +80,7 @@ class TaskGroup {
       void await_resume() noexcept { pending = nullptr; }
       ~Awaiter() {
         if (!pending || sched->tearing_down()) return;
-        if (group->waiters_.EraseFirstIf(
+        if (group->waiters_.EraseLastIf(
                 [&](std::coroutine_handle<> w) { return w == pending; })) {
           return;
         }

@@ -26,16 +26,16 @@
 namespace pdblb {
 
 /// Spawns `fire(seq)` according to a Poisson process with the given rate
-/// (arrivals per second).  Terminates when the scheduler shuts down.
+/// (arrivals per second).  Runs until cancelled (Scheduler::CancelAll ends
+/// a run).
 template <typename FireFn>
 sim::Task<> PoissonArrivals(sim::Scheduler& sched, sim::Rng rng,
                             double rate_per_second, FireFn fire) {
   assert(rate_per_second > 0.0);
   double mean_interarrival_ms = 1000.0 / rate_per_second;
   int64_t seq = 0;
-  while (!sched.ShuttingDown()) {
+  while (true) {
     co_await sched.Delay(rng.Exponential(mean_interarrival_ms));
-    if (sched.ShuttingDown()) break;
     fire(seq++);
   }
 }

@@ -77,13 +77,12 @@ Trace SynthesizeTrace(uint64_t seed, SimTime horizon_ms,
                       const std::vector<PeId>& oltp_nodes);
 
 /// Spawns `fire(event)` at every event's arrival time.  Terminates after
-/// the last event (or at scheduler shutdown).  Template over the callback:
+/// the last event, or when cancelled.  Template over the callback:
 /// `fire` is moved into the coroutine frame, so each dispatched arrival is
 /// a direct call (no std::function indirection on the per-event path).
 template <typename FireFn>
 sim::Task<> ReplayTrace(sim::Scheduler& sched, Trace trace, FireFn fire) {
   for (const TraceEvent& event : trace.events()) {
-    if (sched.ShuttingDown()) co_return;
     SimTime wait = event.arrival_ms - sched.Now();
     if (wait > 0) co_await sched.Delay(wait);
     fire(event);

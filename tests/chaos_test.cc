@@ -20,6 +20,7 @@
 #include "core/control_node.h"
 #include "engine/cluster.h"
 #include "expect_identical_reports.h"
+#include "expect_quiescent.h"
 #include "iosim/disk.h"
 #include "netsim/network.h"
 #include "runner/sweep.h"
@@ -265,15 +266,11 @@ TEST(ChaosClusterTest, ComposedChaosHoldsConservationInvariants) {
   EXPECT_EQ(r.pe_recoveries, 1);
   EXPECT_GT(r.queries_retried, 0) << "partition/crash victims never retried";
 
-  // Conservation: after the drain no admission slot, buffer reservation or
-  // memory-queue entry survives, at any PE — every cancellation path
-  // released what it held.
+  // Conservation: after the unwind no admission slot, buffer reservation,
+  // memory-queue entry, CPU server or lock survives, at any PE — every
+  // cancellation path released what it held.
+  ExpectQuiescent(cluster);
   for (PeId pe = 0; pe < cfg.num_pes; ++pe) {
-    EXPECT_EQ(cluster.pe(pe).admission().busy(), 0) << "pe " << pe;
-    EXPECT_EQ(cluster.pe(pe).admission().queue_length(), 0u) << "pe " << pe;
-    EXPECT_EQ(cluster.pe(pe).buffer().reserved(), 0) << "pe " << pe;
-    EXPECT_EQ(cluster.pe(pe).buffer().memory_queue_length(), 0u)
-        << "pe " << pe;
     EXPECT_FALSE(cluster.pe(pe).failed()) << "pe " << pe;
   }
 }
@@ -515,7 +512,9 @@ SystemConfig RandomSpecCluster(int i) {
 }
 
 // Roughly 100 drawn clause sets, each run twice: every spec must parse and
-// validate, and replay to an identical report.  Across the set, each fault
+// validate, replay to an identical report, and end quiescent: the unwind
+// after the window returns every slot, reservation and lock, whatever the
+// faults left in flight.  Across the set, each fault
 // path must fire at least once, so a generator that drifts into drawing
 // nothing but no-ops fails here instead of passing vacuously.
 TEST(RandomFaultSpecTest, ComposedSpecsReplayIdentically) {
@@ -530,7 +529,9 @@ TEST(RandomFaultSpecTest, ComposedSpecsReplayIdentically) {
     ASSERT_TRUE(ParseFaultSpec(spec, &cfg.faults).ok());
     const Status valid = cfg.Validate();
     ASSERT_TRUE(valid.ok()) << valid.ToString();
-    const MetricsReport r = Cluster(cfg).Run();
+    Cluster cluster(cfg);
+    const MetricsReport r = cluster.Run();
+    ExpectQuiescent(cluster);
     ExpectIdenticalReports(r, Cluster(cfg).Run());
     crashes += r.pe_crashes;
     partitions += r.link_partitions;

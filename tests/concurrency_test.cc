@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include "engine/cluster.h"
+#include "expect_quiescent.h"
+#include "runner/sweep.h"
 
 namespace pdblb {
 namespace {
@@ -140,6 +142,30 @@ TEST(ConcurrencyTest, ScanQueriesHonorReadLocks) {
   // (and make updaters wait).  Raw response times shift both ways because
   // blocked updaters also unload the disks the scans use.
   EXPECT_GT(locked.lock_waits, base.lock_waits);
+}
+
+// ablate_concurrency --fast's `cc/strict 2PL/0.4` point: 20 PEs, strict
+// 2PL under the heaviest update rate, at the seed the driver derives for
+// grid index 10 from the default root seed 42.  Lock cycles keep forming
+// up to the end of the window, after the deadlock detector's last pass;
+// the unwind must still leave no waiter parked and no lock held.
+TEST(ConcurrencyTest, StrictTwoPhaseLockingPointEndsQuiescent) {
+  SystemConfig cfg;
+  cfg.num_pes = 20;
+  cfg.cc_scheme = CcScheme::kTwoPhaseLocking;
+  cfg.strategy = strategies::PmuCpuLUM();
+  cfg.join_query.arrival_rate_per_pe_qps = 0.10;
+  cfg.update_query.relation = TargetRelation::kA;
+  cfg.update_query.selectivity = 0.02;
+  cfg.update_query.arrival_rate_per_pe_qps = 0.4;
+  cfg.warmup_ms = 1500.0;
+  cfg.measurement_ms = 5000.0;
+  cfg.seed = runner::PointSeed(/*root_seed=*/42, /*grid_index=*/10);
+  Cluster cluster(cfg);
+  MetricsReport r = cluster.Run();
+  EXPECT_GT(r.lock_waits, 0);
+  EXPECT_GT(r.deadlock_aborts, 0);
+  ExpectQuiescent(cluster);
 }
 
 }  // namespace

@@ -17,6 +17,7 @@
 #include "common/config.h"
 #include "engine/cluster.h"
 #include "engine/elastic.h"
+#include "expect_quiescent.h"
 
 namespace pdblb {
 namespace {
@@ -261,6 +262,7 @@ TEST(ElasticTest, MidMigrationCrashUnwindsDiscardsAndReplans) {
   // each fragment is counted exactly once, at its catalog size.
   EXPECT_EQ(r.migration_pages_moved,
             c.db().b().PagesAt(7) + c.db().c().PagesAt(7));
+  ExpectQuiescent(c);
 }
 
 // A spare that bounces (crash + recover) before its addpe must stay out of

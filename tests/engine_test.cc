@@ -10,6 +10,7 @@
 #include "engine/cluster.h"
 #include "engine/join_executor.h"
 #include "engine/oltp_executor.h"
+#include "expect_quiescent.h"
 
 namespace pdblb {
 namespace {
@@ -46,6 +47,7 @@ TEST(ClusterTest, SingleUserJoinMatchesCostModelBallpark) {
   cfg.strategy = strategies::PsuOptLUM();
   Cluster cluster(cfg);
   MetricsReport r = cluster.Run();
+  ExpectQuiescent(cluster);  // the background loops are unwound too
   EXPECT_EQ(r.joins_completed, 10);
   EXPECT_EQ(r.avg_degree, 30.0);  // p_su-opt with ample memory
   // The analytic model and the simulator share cost constants; the
@@ -188,7 +190,8 @@ TEST(ClusterTest, SingleUserModeIgnoresArrivalRate) {
   EXPECT_EQ(r.joins_completed, 5);
 }
 
-// Every strategy must run a mixed workload to completion without stalling.
+// Every strategy must run a mixed workload without stalling, and end it
+// with nothing in flight or held.
 class StrategySmokeTest : public ::testing::TestWithParam<StrategyConfig> {};
 
 TEST_P(StrategySmokeTest, CompletesMixedWorkload) {
@@ -201,7 +204,9 @@ TEST_P(StrategySmokeTest, CompletesMixedWorkload) {
   cfg.oltp.placement = OltpPlacement::kANodes;
   cfg.disk.disks_per_pe = 5;
   cfg.strategy = GetParam();
-  MetricsReport r = Cluster(cfg).Run();
+  Cluster cluster(cfg);
+  MetricsReport r = cluster.Run();
+  ExpectQuiescent(cluster);
   EXPECT_GT(r.joins_completed, 0) << cfg.strategy.Name();
   EXPECT_GT(r.oltp_completed, 0) << cfg.strategy.Name();
   EXPECT_GE(r.avg_degree, 1.0);

@@ -374,6 +374,47 @@ TEST(SchedulerAllocTest, CancellationAllocatesNothing) {
       << (g_allocations - allocations_before) << " times";
 }
 
+// Ending a run allocates nothing either: CancelAll destroys every parked
+// frame into the recycled arena, unhooks each one from its queue in place,
+// and clears the calendar, ring and lane without giving back their storage.
+// The shape parks processes in timers, a contended resource's queue and
+// servers, a channel receive and task-group waits with members in flight.
+TEST(SchedulerAllocTest, CancelAllAllocatesNothing) {
+  Scheduler sched;
+  sched.Reserve(/*events=*/1024);
+  Resource res(sched, /*servers=*/3, "cpu");
+  Channel<int64_t> ch(sched);
+  uint64_t received = 0;
+  uint64_t joins = 0;
+  uint64_t cancelled = 0;
+  for (int i = 0; i < 48; ++i) {
+    sched.Spawn(TimerLoop(sched, 1.0 + 0.013 * i, 1000000));
+    sched.Spawn(ContendedClient(sched, res, 0.4 + 0.01 * i, 1000000));
+    sched.Spawn(PingPongConsumer(ch, &received));
+  }
+  for (int i = 0; i < 8; ++i) {
+    sched.Spawn(GroupFanOutLoop(sched, /*fanout=*/16, /*rounds=*/1000000,
+                                &joins, &cancelled));
+  }
+  sched.RunUntil(100.3);  // mid-round: every shape has a frame parked
+  ASSERT_GT(joins, 10u);
+  ASSERT_GT(res.queue_length(), 16u);
+  ASSERT_GT(sched.detached_in_flight(), 200u);
+
+  const uint64_t allocations_before = g_allocations;
+  const uint64_t events_before = sched.events_processed();
+  const size_t unwound = sched.detached_in_flight();
+  sched.CancelAll();
+  EXPECT_EQ(g_allocations - allocations_before, 0u)
+      << "unwinding " << unwound << " processes allocated "
+      << (g_allocations - allocations_before) << " times";
+  EXPECT_EQ(sched.events_processed(), events_before);
+  EXPECT_EQ(sched.detached_in_flight(), 0u);
+  EXPECT_EQ(sched.pending_events(), 0u);
+  EXPECT_EQ(res.busy(), 0);
+  EXPECT_EQ(res.queue_length(), 0u);
+}
+
 // --- buffer pool -----------------------------------------------------------
 // The slot-indexed frame table extends the guarantee to the buffer manager
 // and the disk controller's cache below it (the same FrameTable class):

@@ -2,7 +2,7 @@
 //
 // Seeded randomized kernel stress: N worker processes hammer M resources
 // and C channels with randomized service times, per-worker priorities,
-// early cancellations and a cooperative mid-run shutdown.  Every run
+// early cancellations and a mid-run Scheduler::CancelAll.  Every run
 // records a full trace of (timestamp, worker, action) steps; the same seed
 // must reproduce the trace, the kernel counters and the resource
 // statistics bit-identically, and a different seed must diverge.  This
@@ -52,8 +52,7 @@ enum Action {
   kYield = 4,
   kForkJoin = 5,
   kCancelled = 6,
-  kShutdown = 7,
-  kDone = 8,
+  kDone = 7,
 };
 
 struct StressResult {
@@ -64,6 +63,8 @@ struct StressResult {
   std::vector<double> busy_integral;    // per resource
   std::vector<size_t> max_queue;        // per resource
   uint64_t received_total = 0;
+  size_t in_flight_after = 0;  // detached processes left at the end
+  size_t pending_after = 0;    // calendar entries left at the end
 };
 
 struct World {
@@ -81,10 +82,6 @@ Task<> ForkChild(World& w, SimTime delay) { co_await w.sched.Delay(delay); }
 // workers hold servers longer and reshape every queue they touch.
 Task<> Worker(World& w, int id, Rng rng, int rounds, int priority) {
   for (int r = 0; r < rounds; ++r) {
-    if (w.sched.ShuttingDown()) {
-      w.trace->push_back({w.sched.Now(), id, kShutdown, r});
-      co_return;
-    }
     // Random cancellation: the worker gives up mid-sequence (between
     // operations — the kernel intentionally has no way to abandon a
     // suspended waiter, so cancellation happens at operation granularity).
@@ -163,7 +160,7 @@ Task<> Supervise(World& w, uint64_t seed, int workers, int rounds) {
 }
 
 StressResult RunStress(uint64_t seed, int workers, int resources,
-                       int channels, int rounds, SimTime shutdown_at) {
+                       int channels, int rounds, SimTime cancel_at) {
   StressResult result;
   World w;
   w.trace = &result.trace;
@@ -176,11 +173,12 @@ StressResult RunStress(uint64_t seed, int workers, int resources,
     w.channels.push_back(std::make_unique<Channel<int64_t>>(w.sched));
   }
   w.sched.Spawn(Supervise(w, seed, workers, rounds));
-  if (shutdown_at > 0.0) {
-    w.sched.RunUntil(shutdown_at);
-    w.sched.RequestShutdown();
+  if (cancel_at > 0.0) {
+    w.sched.RunUntil(cancel_at);
+    w.sched.CancelAll();
+  } else {
+    w.sched.Run();
   }
-  w.sched.Run();
 
   result.events = w.sched.events_processed();
   result.handoffs = w.sched.inline_resumes();
@@ -190,6 +188,8 @@ StressResult RunStress(uint64_t seed, int workers, int resources,
     result.max_queue.push_back(r->max_queue_length());
   }
   result.received_total = w.received_total;
+  result.in_flight_after = w.sched.detached_in_flight();
+  result.pending_after = w.sched.pending_events();
   return result;
 }
 
@@ -213,12 +213,16 @@ void ExpectIdentical(const StressResult& a, const StressResult& b) {
     EXPECT_EQ(a.busy_integral[i], b.busy_integral[i]) << "resource " << i;
   }
   EXPECT_EQ(a.received_total, b.received_total);
+  EXPECT_EQ(a.in_flight_after, 0u);
+  EXPECT_EQ(a.pending_after, 0u);
+  EXPECT_EQ(b.in_flight_after, 0u);
+  EXPECT_EQ(b.pending_after, 0u);
 }
 
 TEST(SimkernStressTest, SameSeedIsBitIdentical) {
   StressResult a = RunStress(/*seed=*/1234, /*workers=*/32, /*resources=*/6,
                              /*channels=*/3, /*rounds=*/120,
-                             /*shutdown_at=*/0.0);
+                             /*cancel_at=*/0.0);
   StressResult b = RunStress(1234, 32, 6, 3, 120, 0.0);
   ASSERT_GT(a.trace.size(), 1000u);
   ASSERT_GT(a.handoffs, 0u);
@@ -226,18 +230,20 @@ TEST(SimkernStressTest, SameSeedIsBitIdentical) {
 }
 
 TEST(SimkernStressTest, SameSeedIsBitIdenticalUnderMidRunShutdown) {
-  // RunUntil + cooperative shutdown exercises the boundary paths: workers
-  // observe ShuttingDown() between operations and bail out early.
+  // RunUntil + CancelAll exercises the boundary paths: every worker, child
+  // and drainer still in flight at 60 ms is unwound wherever it waits, and
+  // the resources' counters and busy integrals must still replay exactly.
   StressResult a = RunStress(/*seed=*/99, /*workers=*/24, /*resources=*/4,
                              /*channels=*/2, /*rounds=*/200,
-                             /*shutdown_at=*/60.0);
+                             /*cancel_at=*/60.0);
   StressResult b = RunStress(99, 24, 4, 2, 200, 60.0);
   ASSERT_GT(a.trace.size(), 500u);
-  bool saw_shutdown = false;
+  int ended = 0;  // workers that finished or gave up before 60 ms
   for (const TraceEntry& e : a.trace) {
-    saw_shutdown |= e.action == kShutdown;
+    EXPECT_LE(e.at, 60.0) << "a step ran after CancelAll";
+    ended += e.action == kDone || e.action == kCancelled;
   }
-  EXPECT_TRUE(saw_shutdown);
+  EXPECT_LT(ended, 24) << "CancelAll at 60 ms cut no worker short";
   ExpectIdentical(a, b);
 }
 

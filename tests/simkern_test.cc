@@ -432,6 +432,68 @@ TEST(SchedulerTest, RunAfterAThrowFromAHeapWokenProcessFinishesTheRest) {
   EXPECT_EQ(sched.pending_events(), 0u);
 }
 
+// CancelAll ends a run: one process parked in each cancellation-aware wait
+// at once is unwound without resuming, and every station comes back idle.
+// At t=5 the resource's first user has released its server, granting the
+// second user (resume pending at 15) with the third still queued; a
+// consumer woken by a Send from outside the run sits in the hand-off lane.
+TEST(SchedulerTest, CancelAllUnwindsEveryWait) {
+  Scheduler sched;
+  Resource res(sched, /*servers=*/1);
+  Channel<int> blocked(sched);
+  Channel<int> handed(sched);
+  std::vector<int> resumed;
+  auto after_delay = [](Scheduler& s, int id, std::vector<int>* log)
+      -> Task<> {
+    co_await s.Delay(100.0);
+    log->push_back(id);
+  };
+  auto use = [](Resource& r, SimTime service, int id,
+                std::vector<int>* log) -> Task<> {
+    co_await r.Use(service);
+    log->push_back(id);
+  };
+  auto receive = [](Channel<int>& c, int id, std::vector<int>* log)
+      -> Task<> {
+    co_await c.Receive();
+    log->push_back(id);
+  };
+  auto owner = [](Scheduler& s, int id, std::vector<int>* log) -> Task<> {
+    TaskGroup group(s);
+    group.Spawn(IdleUntil(s, 50.0));
+    group.Spawn(IdleUntil(s, 60.0));
+    co_await group.Wait();
+    log->push_back(id);
+  };
+  sched.Spawn(after_delay(sched, 1, &resumed));
+  sched.Spawn(use(res, 5.0, 0, &resumed));  // ends at 5: not a victim
+  sched.Spawn(use(res, 10.0, 2, &resumed));
+  sched.Spawn(use(res, 1.0, 3, &resumed));
+  sched.Spawn(receive(blocked, 4, &resumed));
+  sched.Spawn(receive(handed, 5, &resumed));
+  sched.Spawn(owner(sched, 6, &resumed));
+  sched.RunUntil(5.0);
+  ASSERT_EQ(resumed, (std::vector<int>{0}));
+  ASSERT_EQ(res.busy(), 1);
+  ASSERT_EQ(res.queue_length(), 1u);
+  handed.Send(7);  // the consumer waits in the hand-off lane
+  ASSERT_EQ(sched.detached_in_flight(), 8u);  // six victims, two members
+
+  const uint64_t events = sched.events_processed();
+  const uint64_t handoffs = sched.inline_resumes();
+  sched.CancelAll();
+  EXPECT_EQ(sched.detached_in_flight(), 0u);
+  EXPECT_EQ(sched.pending_events(), 0u);
+  EXPECT_EQ(res.busy(), 0);
+  EXPECT_EQ(res.queue_length(), 0u);
+  EXPECT_DOUBLE_EQ(sched.Now(), 5.0);
+  sched.Run();  // nothing is left to resume
+  EXPECT_EQ(resumed, (std::vector<int>{0}));
+  EXPECT_EQ(sched.events_processed(), events);
+  EXPECT_EQ(sched.inline_resumes(), handoffs);
+  EXPECT_DOUBLE_EQ(sched.Now(), 5.0);
+}
+
 Task<> UseResource(Scheduler& sched, Resource& res, SimTime service,
                    std::vector<SimTime>* completions) {
   co_await res.Use(service);

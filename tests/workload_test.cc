@@ -1,7 +1,7 @@
 // Copyright 2026 the pdblb authors. MIT license.
 //
-// Unit tests for workload generation: Poisson arrival rates, shutdown
-// behavior and the single-user closed loop.
+// Unit tests for workload generation: Poisson arrival rates, cancellation
+// and the single-user closed loop.
 
 #include <gtest/gtest.h>
 
@@ -16,8 +16,7 @@ TEST(ArrivalsTest, PoissonRateIsApproximatelyCorrect) {
   sched.Spawn(PoissonArrivals(sched, sim::Rng(3), /*rate_per_second=*/50.0,
                               [&](int64_t) { ++count; }));
   sched.RunUntil(100000.0);  // 100 s -> expect ~5000 arrivals
-  sched.RequestShutdown();
-  sched.Run();
+  sched.CancelAll();
   EXPECT_GT(count, 4500);
   EXPECT_LT(count, 5500);
 }
@@ -28,23 +27,25 @@ TEST(ArrivalsTest, SequenceNumbersAreConsecutive) {
   sched.Spawn(PoissonArrivals(sched, sim::Rng(3), 100.0,
                               [&](int64_t s) { seqs.push_back(s); }));
   sched.RunUntil(1000.0);
-  sched.RequestShutdown();
-  sched.Run();
+  sched.CancelAll();
   for (size_t i = 0; i < seqs.size(); ++i) {
     EXPECT_EQ(seqs[i], static_cast<int64_t>(i));
   }
 }
 
-TEST(ArrivalsTest, StopsOnShutdown) {
+TEST(ArrivalsTest, StopsWhenCancelled) {
   sim::Scheduler sched;
   int64_t count = 0;
   sched.Spawn(PoissonArrivals(sched, sim::Rng(3), 100.0,
                               [&](int64_t) { ++count; }));
   sched.RunUntil(1000.0);
-  int64_t at_shutdown = count;
-  sched.RequestShutdown();
-  sched.Run();  // drains: at most one more event fires
-  EXPECT_LE(count, at_shutdown + 1);
+  const int64_t at_cancel = count;
+  EXPECT_GT(at_cancel, 0);
+  sched.CancelAll();
+  EXPECT_EQ(sched.detached_in_flight(), 0u);
+  EXPECT_EQ(sched.pending_events(), 0u);
+  sched.Run();  // nothing is left to dispatch
+  EXPECT_EQ(count, at_cancel) << "an arrival fired after CancelAll";
 }
 
 TEST(ArrivalsTest, DeterministicUnderSameSeed) {
@@ -54,8 +55,7 @@ TEST(ArrivalsTest, DeterministicUnderSameSeed) {
     sched.Spawn(PoissonArrivals(sched, sim::Rng(seed), 20.0,
                                 [&](int64_t) { times.push_back(sched.Now()); }));
     sched.RunUntil(5000.0);
-    sched.RequestShutdown();
-    sched.Run();
+    sched.CancelAll();
     return times;
   };
   EXPECT_EQ(run(11), run(11));
