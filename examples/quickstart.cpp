@@ -45,7 +45,7 @@ int main() {
   std::printf("  p_su-noIO (formula 3.1): %d join processors\n",
               model.PsuNoIO());
   std::printf("  p_mu-cpu at 70%% CPU    : %d join processors\n\n",
-              model.PmuCpu(0.7));
+              PmuCpu(model.PsuOpt(), 0.7, cfg.num_pes));
 
   // 3. Run the simulation.
   std::printf("Simulating %d PEs with strategy %s ...\n\n", cfg.num_pes,

@@ -308,11 +308,10 @@ struct QueryClassInfo {
   /// Its open arrivals per second under `config`, per node for OLTP.  The
   /// class has a Poisson source when this is positive.
   double (*arrivals_per_second)(const SystemConfig& config);
-  /// The stream of the cluster's arrival RNG its Poisson source draws
-  /// from, and the stream of SynthesizeTrace's seed; an OLTP node adds its
-  /// id to both.
+  /// The stream its arrivals draw from (ArrivalRng, workload/arrivals.h),
+  /// in a cluster's Poisson source and in SynthesizeTrace alike; an OLTP
+  /// node adds its id.
   uint64_t stream;
-  uint64_t trace_stream;
   /// Rejected at admission while the control node sheds load: the joins,
   /// whose degree and working memory overload control trades.  Scans and
   /// updates hold no working memory and have a prescribed placement; OLTP
@@ -580,16 +579,16 @@ constexpr double PerPe(const SystemConfig& c) {
 
 /// The query classes, indexed by QueryClass.
 inline constexpr QueryClassInfo kQueryClasses[kNumQueryClasses] = {
-    // token, arrivals_per_second, stream, trace_stream, shed, terminal
-    {"join", PerPe<&SystemConfig::join_query>, 10, 1, true, false},
-    {"scan", PerPe<&SystemConfig::scan_query>, 20, 2, false, false},
-    {"update", PerPe<&SystemConfig::update_query>, 30, 3, false, false},
-    {"multiway", PerPe<&SystemConfig::multiway_join>, 40, 4, true, false},
+    // token, arrivals_per_second, stream, shed, terminal
+    {"join", PerPe<&SystemConfig::join_query>, 10, true, false},
+    {"scan", PerPe<&SystemConfig::scan_query>, 20, false, false},
+    {"update", PerPe<&SystemConfig::update_query>, 30, false, false},
+    {"multiway", PerPe<&SystemConfig::multiway_join>, 40, true, false},
     {"oltp",
      [](const SystemConfig& c) {
        return c.oltp.enabled ? c.oltp.tps_per_node : 0.0;
      },
-     1000, 1000, false, true},
+     1000, false, true},
 };
 
 /// Strategy shorthands used throughout benches/examples/tests.

@@ -8,10 +8,16 @@
 
 namespace pdblb {
 
-ControlNode::ControlNode(int num_pes, bool adaptive_feedback,
-                         double cpu_bump_factor)
-    : adaptive_feedback_(adaptive_feedback),
-      cpu_bump_factor_(cpu_bump_factor) {
+namespace {
+
+/// Adaptive feedback: the fraction of its remaining CPU headroom added to
+/// a selected PE's recorded utilization.
+constexpr double kCpuBumpFactor = 0.25;
+
+}  // namespace
+
+ControlNode::ControlNode(int num_pes, bool adaptive_feedback)
+    : adaptive_feedback_(adaptive_feedback) {
   info_.resize(num_pes);
   for (int i = 0; i < num_pes; ++i) info_[i].pe = i;
   alive_.assign(static_cast<size_t>(num_pes), true);
@@ -163,7 +169,7 @@ void ControlNode::NoteJoinScheduled(const std::vector<PeId>& pes,
   if (!adaptive_feedback_) return;
   for (PeId pe : pes) {
     PeLoadInfo& i = info_[pe];
-    i.cpu_util += (1.0 - i.cpu_util) * cpu_bump_factor_;
+    i.cpu_util += (1.0 - i.cpu_util) * kCpuBumpFactor;
     i.free_memory_pages = std::max(0, i.free_memory_pages - pages_per_pe);
   }
 }
@@ -174,7 +180,7 @@ void ControlNode::NoteSubjoinSize(PeId pe, int delta_pages,
   PeLoadInfo& i = info_[pe];
   i.free_memory_pages = std::max(0, i.free_memory_pages - delta_pages);
   if (work_multiple > 1.0) {
-    double extra = std::min(1.0, cpu_bump_factor_ * (work_multiple - 1.0));
+    double extra = std::min(1.0, kCpuBumpFactor * (work_multiple - 1.0));
     i.cpu_util = std::min(1.0, i.cpu_util + (1.0 - i.cpu_util) * extra);
   }
 }

@@ -39,10 +39,7 @@ struct PeLoadInfo {
 
 class ControlNode {
  public:
-  /// `cpu_bump_factor`: fraction of remaining headroom added to a selected
-  /// PE's recorded CPU utilization (0 disables the adaptive feedback).
-  ControlNode(int num_pes, bool adaptive_feedback,
-              double cpu_bump_factor = 0.25);
+  ControlNode(int num_pes, bool adaptive_feedback);
 
   /// Periodic report from a PE (overwrites any adaptive adjustments).
   void Report(PeId pe, double cpu_util, int free_memory_pages,
@@ -51,9 +48,9 @@ class ControlNode {
   // --- failure / recovery (engine/faults.h) -------------------------------
   //
   // A crashed PE stops reporting and must stop receiving work: the planning
-  // views below (averages, sorted arrays) cover only alive PEs, so every
-  // strategy avoids dead PEs without individual checks.  When no PE is down
-  // the views are exactly the all-PE views — fault-free runs are untouched.
+  // views below (averages, sorted arrays) cover only alive PEs, and RANDOM
+  // draws among the PEs IsAlive accepts.  When no PE is down the views are
+  // exactly the all-PE views — fault-free runs are untouched.
 
   /// Ingests a failure notification: the PE drops out of every planning view.
   void MarkDown(PeId pe);
@@ -61,7 +58,6 @@ class ControlNode {
   /// The caller refreshes its load info with an initial optimistic report.
   void MarkUp(PeId pe);
   bool IsAlive(PeId pe) const { return alive_[static_cast<size_t>(pe)]; }
-  bool AnyDown() const { return down_count_ > 0; }
   int AliveCount() const { return num_pes() - down_count_; }
 
   // --- overload-adaptive degradation (OverloadConfig) ---------------------
@@ -122,7 +118,6 @@ class ControlNode {
   std::vector<bool> alive_;
   int down_count_ = 0;
   bool adaptive_feedback_;
-  double cpu_bump_factor_;
 
   // Overload state machine (disabled unless overload_.enabled).
   OverloadConfig overload_;

@@ -19,6 +19,22 @@ constexpr int64_t kCoordinatorPerPeInstr = 15500;
 
 }  // namespace
 
+int64_t HashTablePages(int64_t pages, double fudge_factor) {
+  return static_cast<int64_t>(
+      std::ceil(fudge_factor * static_cast<double>(pages)));
+}
+
+int PsuNoIO(int64_t hash_table_pages, int64_t buffer_pages, int num_pes) {
+  int64_t p = (hash_table_pages + buffer_pages - 1) / buffer_pages;
+  return static_cast<int>(std::clamp<int64_t>(p, 1, num_pes));
+}
+
+int PmuCpu(int psu_opt, double u, int num_pes) {
+  u = std::clamp(u, 0.0, 1.0);
+  int p = static_cast<int>(std::lround(psu_opt * (1.0 - u * u * u)));
+  return std::clamp(p, 1, num_pes);
+}
+
 CostModel::CostModel(const SystemConfig& config) : config_(config) {
   profile_.inner_tuples = config.InnerInputTuples();
   profile_.outer_tuples = config.OuterInputTuples();
@@ -34,32 +50,12 @@ CostModel::CostModel(const SystemConfig& config) : config_(config) {
 }
 
 int64_t CostModel::HashTablePages() const {
-  return static_cast<int64_t>(std::ceil(
-      profile_.fudge_factor * static_cast<double>(profile_.inner_pages)));
+  return pdblb::HashTablePages(profile_.inner_pages, profile_.fudge_factor);
 }
 
 int CostModel::PsuNoIO() const {
-  // Formula (3.1): p_su-noIO = MIN(n, ceil((b_i * F) / m)).
-  int64_t m = config_.buffer.buffer_pages;
-  int64_t p = (HashTablePages() + m - 1) / m;
-  return static_cast<int>(
-      std::clamp<int64_t>(p, 1, config_.num_pes));
-}
-
-int CostModel::PmuCpu(double u) const {
-  // Formula (3.2): p_mu-cpu = p_su-opt * (1 - u_cpu^3).
-  u = std::clamp(u, 0.0, 1.0);
-  int p = static_cast<int>(std::lround(PsuOpt() * (1.0 - u * u * u)));
-  return std::clamp(p, 1, config_.num_pes);
-}
-
-int CostModel::MinWorkingSpacePages(int p) const {
-  assert(p >= 1);
-  double share_pages =
-      std::ceil(static_cast<double>(profile_.inner_pages) / p);
-  return std::max(
-      1, static_cast<int>(std::ceil(
-             std::sqrt(profile_.fudge_factor * share_pages))));
+  return pdblb::PsuNoIO(HashTablePages(), config_.buffer.buffer_pages,
+                        config_.num_pes);
 }
 
 double CostModel::CoordinatorFixedMs() const {

@@ -2,13 +2,17 @@
 //
 // Analytic single-user response-time model for the parallel hash join
 // (paper Section 2, following Wilschut et al. [34] and Marek [17]): an
-// explicit R(p) whose integer argmin yields p_su-opt, plus the closed-form
-// p_su-noIO (formula 3.1) and the CPU-adaptive p_mu-cpu (formula 3.2).
+// explicit R(p) whose integer argmin yields p_su-opt.  The closed-form
+// planning formulas are free functions, the one body the model, the planner
+// (core/strategies.h) and the join executor call: the hash-table size
+// ceil(b * F), p_su-noIO (formula 3.1) and the CPU-adaptive p_mu-cpu
+// (formula 3.2).
 //
 // The paper's own cost model [17] is not available; this reimplementation
 // is calibrated so that the published anchors hold with the paper's
 // parameter table:  p_su-opt = 10 / 30 / ~70 and p_su-noIO = 1 / 3 / 14 at
-// scan selectivities 0.1% / 1% / 5% (see cost_model_test.cc).
+// scan selectivities 0.1% / 1% / 5% (see CostModelTest in
+// tests/core_test.cc).
 
 #ifndef PDBLB_CORE_COST_MODEL_H_
 #define PDBLB_CORE_COST_MODEL_H_
@@ -16,6 +20,16 @@
 #include "common/config.h"
 
 namespace pdblb {
+
+/// Hash-table pages of an inner input of `pages` pages: ceil(b * F).
+int64_t HashTablePages(int64_t pages, double fudge_factor);
+
+/// p_su-noIO (formula 3.1): MIN(n, ceil(hash_table_pages / m)), at least 1,
+/// with m the buffer pages of one PE.
+int PsuNoIO(int64_t hash_table_pages, int64_t buffer_pages, int num_pes);
+
+/// p_mu-cpu (formula 3.2): p_su-opt * (1 - u_cpu^3), rounded, in [1, n].
+int PmuCpu(int psu_opt, double cpu_utilization, int num_pes);
 
 /// Cost-model view of one join query class.
 struct JoinQueryProfile {
@@ -42,15 +56,8 @@ class CostModel {
   /// p_su-noIO (formula 3.1): MIN(n, ceil(b_i * F / m)).
   int PsuNoIO() const;
 
-  /// p_mu-cpu (formula 3.2): p_su-opt * (1 - u_cpu^3), at least 1.
-  int PmuCpu(double cpu_utilization) const;
-
   /// Hash-table pages needed for the whole inner input: ceil(b_i * F).
   int64_t HashTablePages() const;
-
-  /// The memory floor PPHJ needs at one of p join processors:
-  /// ceil(sqrt(F * b_share)) partitions / pages.
-  int MinWorkingSpacePages(int p) const;
 
   // --- RateMatch inputs (Mehta & DeWitt [20], paper Section 6) -------------
 

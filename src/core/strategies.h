@@ -1,26 +1,33 @@
 // Copyright 2026 the pdblb authors. MIT license.
 //
-// The load-balancing strategy family (paper Section 3):
+// The load-balancing strategy family (paper Section 3).  Every strategy is
+// two decisions, a degree of join parallelism and an order to take
+// processors in:
 //
-//  Isolated strategies determine the degree of join parallelism first
-//  (p_su-opt, p_su-noIO, or the CPU-adaptive p_mu-cpu) and then select that
-//  many join processors with RANDOM, LUC (least utilized CPUs) or LUM
-//  (least utilized memory = most free memory).
+//  Degree.  The isolated strategies take a fixed degree (R(p) tracing,
+//  Fig. 1), p_su-opt (the cost model's single-user optimum), p_su-noIO
+//  (formula 3.1), the CPU-adaptive p_mu-cpu (formula 3.2) or RateMatch's.
+//  The integrated strategies (MIN-IO, MIN-IO-SUOPT, OPT-IO-CPU) take the
+//  degree whose top-k selection of the AVAIL-MEMORY array avoids temporary
+//  file I/O (formula 3.3), nearest a target: the smallest, the one nearest
+//  p_su-opt, or the largest within p_mu-cpu.
 //
-//  Integrated strategies (MIN-IO, MIN-IO-SUOPT, OPT-IO-CPU) determine the
-//  degree *and* the placement in one step from the control node's
-//  AVAIL-MEMORY array, trying to avoid (or minimize) temporary file I/O.
+//  Order.  RANDOM has none (it draws among the alive PEs), LUC takes the
+//  least utilized CPUs, and LUM and the integrated strategies take the most
+//  free memory (the control node's AVAIL-MEMORY array).
+//
+// One planner, LoadBalancingPolicy::Plan, makes both decisions and then the
+// steps every strategy shares.  Formulas 3.1 and 3.2 and the hash-table size
+// ceil(b * F) live in core/cost_model.h; formula 3.3 and RateMatch below.
 
 #ifndef PDBLB_CORE_STRATEGIES_H_
 #define PDBLB_CORE_STRATEGIES_H_
 
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "common/config.h"
 #include "core/control_node.h"
-#include "core/cost_model.h"
 #include "simkern/rng.h"
 
 namespace pdblb {
@@ -42,8 +49,8 @@ struct JoinPlanRequest {
 struct JoinPlan {
   int degree = 1;
   std::vector<PeId> pes;
-  /// Working-space pages each selected PE should reserve (the per-PE share
-  /// of the hash table, capped by what the planner believed was free).
+  /// Working-space pages each selected PE should reserve: its equal share
+  /// of the hash table, ceil(hash_table_pages / degree).
   int pages_per_pe = 0;
   /// True when the overload degree cap (ControlNode::DegreeCap) bound this
   /// plan below what the strategy wanted; such queries are counted as
@@ -51,21 +58,25 @@ struct JoinPlan {
   bool degraded = false;
 };
 
-/// Interface of all nine strategies.
+/// The planner of every strategy a StrategyConfig describes.
 class LoadBalancingPolicy {
  public:
-  virtual ~LoadBalancingPolicy() = default;
+  explicit LoadBalancingPolicy(const StrategyConfig& config)
+      : config_(config) {}
 
-  /// Plans one join against the control node's current view.  Implementations
-  /// apply the LUC/LUM adaptive feedback to `control` themselves.
-  virtual JoinPlan Plan(const JoinPlanRequest& request, ControlNode& control,
-                        sim::Rng& rng) = 0;
-
-  virtual std::string Name() const = 0;
+  /// Plans one join against the control node's current view: the
+  /// strategy's degree, capped by the overload state, on that many PEs in
+  /// the strategy's order, with an equal share of the hash table each.  The
+  /// plan is booked at `control` (the LUC/LUM adaptive feedback).
+  JoinPlan Plan(const JoinPlanRequest& request, ControlNode& control,
+                sim::Rng& rng) const;
 
   /// Factory covering every StrategyConfig combination.
   static std::unique_ptr<LoadBalancingPolicy> Create(
       const StrategyConfig& config);
+
+ private:
+  StrategyConfig config_;
 };
 
 namespace internal {
@@ -75,10 +86,6 @@ namespace internal {
 /// 3.3).  Returns 0 if no k in [1, limit] avoids temporary I/O.
 int MinNoIoDegree(const std::vector<PeLoadInfo>& avail, int64_t need,
                   int limit);
-
-/// All k in [1, limit] whose top-k selection avoids temporary I/O.
-std::vector<int> AllNoIoDegrees(const std::vector<PeLoadInfo>& avail,
-                                int64_t need, int limit);
 
 /// Overflow pages if the top-k selection is used: max(0, need - minfree*k).
 int64_t OverflowPages(const std::vector<PeLoadInfo>& avail, int64_t need,

@@ -34,8 +34,8 @@ sim::Task<> ExecuteQuery(Cluster& c, QueryClass cls, PeId home,
 }
 
 Cluster::Cluster(const SystemConfig& config)
-    : config_(config), root_rng_(config.seed),
-      workload_rng_(root_rng_.Fork(1)), arrival_rng_(root_rng_.Fork(2)) {
+    : config_(config), policy_(config.strategy),
+      workload_rng_(sim::Rng(config.seed).Fork(1)) {
   Status st = config_.Validate();
   if (!st.ok()) throw std::invalid_argument(st.ToString());
 
@@ -74,7 +74,6 @@ Cluster::Cluster(const SystemConfig& config)
                                            config_.adaptive_selection_feedback);
   control_->ConfigureOverload(config_.overload);
   cost_model_ = std::make_unique<CostModel>(config_);
-  policy_ = LoadBalancingPolicy::Create(config_.strategy);
 
   std::vector<LockManager*> lock_managers;
   for (auto& pe : pes_) lock_managers.push_back(&pe->locks());
@@ -225,12 +224,8 @@ void Cluster::SpawnOpenWorkload() {
     const auto cls = static_cast<QueryClass>(i);
     auto source = [&](PeId home) {
       sched_.Spawn(PoissonArrivals(
-          sched_,
-          arrival_rng_.Fork(kQueryClasses[i].stream +
-                            static_cast<uint64_t>(home)),
-          rate, [this, cls, home](int64_t) {
-            sched_.Spawn(Submit(cls, home));
-          }));
+          sched_, ArrivalRng(config_.seed, cls, home), rate,
+          [this, cls, home](int64_t) { sched_.Spawn(Submit(cls, home)); }));
     };
     if (cls == QueryClass::kOltp) {
       for (PeId node : db_->oltp_nodes()) source(node);

@@ -57,7 +57,7 @@ class Cluster {
   ControlNode& control() { return *control_; }
   const Database& db() const { return *db_; }
   const CostModel& cost_model() const { return *cost_model_; }
-  LoadBalancingPolicy& policy() { return *policy_; }
+  const LoadBalancingPolicy& policy() const { return policy_; }
   MetricsCollector& metrics() { return metrics_; }
   ProcessingElement& pe(PeId id) { return *pes_[id]; }
   int num_pes() const { return config_.num_pes; }
@@ -155,7 +155,7 @@ class Cluster {
   std::unique_ptr<Network> net_;
   std::unique_ptr<ControlNode> control_;
   std::unique_ptr<CostModel> cost_model_;
-  std::unique_ptr<LoadBalancingPolicy> policy_;
+  LoadBalancingPolicy policy_;
   std::unique_ptr<DeadlockDetector> deadlock_detector_;
   std::unique_ptr<FaultInjector> faults_;
   /// Constructed only when the fault spec schedules addpe/drainpe.
@@ -164,9 +164,7 @@ class Cluster {
   MetricsCollector metrics_;
   JoinPlanRequest plan_request_;
 
-  sim::Rng root_rng_;
   sim::Rng workload_rng_;
-  sim::Rng arrival_rng_;
 
   int32_t next_temp_rel_id_ = kTempRelationBase;
   TxnId next_txn_id_ = 1;

@@ -8,6 +8,7 @@
 #include <set>
 #include <vector>
 
+#include "core/cost_model.h"
 #include "core/skew.h"
 #include "engine/parop.h"
 #include "engine/query.h"
@@ -108,6 +109,11 @@ sim::Task<> JoinStages(Cluster& c, Query& q, int ways) {
 
   const int tuple_size = cfg.relation_a.tuple_size_bytes;
   const double theta = cfg.join_query.redistribution_skew;
+  // The hash-table pages of an inner input of `tuples` tuples.
+  auto hash_table_pages = [&cfg](int64_t tuples) {
+    const int bf = cfg.relation_a.blocking_factor;
+    return HashTablePages((tuples + bf - 1) / bf, cfg.join_query.fudge_factor);
+  };
   int64_t inner_total = cfg.InnerInputTuples();
   // The previous stage's result: its join processors and the tuples each
   // holds (empty in stage 1, whose inner input is the scan of A).
@@ -126,14 +132,9 @@ sim::Task<> JoinStages(Cluster& c, Query& q, int ways) {
     JoinPlanRequest req = c.plan_request();
     if (!first) {
       // The inner input is the previous result, not the selection of A.
-      const int bf = cfg.relation_a.blocking_factor;
-      int64_t inner_pages = (inner_total + bf - 1) / bf;
-      req.hash_table_pages = static_cast<int64_t>(std::ceil(
-          cfg.join_query.fudge_factor * static_cast<double>(inner_pages)));
-      req.psu_noio = static_cast<int>(std::clamp<int64_t>(
-          (req.hash_table_pages + cfg.buffer.buffer_pages - 1) /
-              cfg.buffer.buffer_pages,
-          1, cfg.num_pes));
+      req.hash_table_pages = hash_table_pages(inner_total);
+      req.psu_noio = PsuNoIO(req.hash_table_pages, cfg.buffer.buffer_pages,
+                             cfg.num_pes);
     }
     JoinPlan plan = c.policy().Plan(req, c.control(), c.workload_rng());
     const int p = plan.degree;
@@ -221,11 +222,7 @@ sim::Task<> JoinStages(Cluster& c, Query& q, int ways) {
         // Skewed subjoins need working space proportional to their share;
         // the control node's uniform estimate is corrected so back-to-back
         // joins do not stack their dominant partitions on the same PE.
-        const int bf = cfg.relation_a.blocking_factor;
-        int64_t share_pages = (inner_share[j] + bf - 1) / bf;
-        params.want_pages = static_cast<int>(std::llround(
-            std::ceil(cfg.join_query.fudge_factor *
-                      static_cast<double>(share_pages))));
+        params.want_pages = static_cast<int>(hash_table_pages(inner_share[j]));
         c.control().NoteSubjoinSize(plan.pes[j],
                                     params.want_pages - plan.pages_per_pe,
                                     dest_frac[j] * static_cast<double>(p));

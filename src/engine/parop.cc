@@ -17,9 +17,7 @@ std::vector<int64_t> SplitEvenly(int64_t total, int parts) {
 
 std::vector<PeId> FragmentOwners(const Cluster& c, const Relation& rel) {
   std::vector<PeId> owners(rel.home_pes());
-  if (c.elastic_enabled()) {
-    for (PeId& pe : owners) pe = c.OwnerOf(rel.id(), pe);
-  }
+  for (PeId& pe : owners) pe = c.OwnerOf(rel.id(), pe);
   return owners;
 }
 
@@ -73,23 +71,22 @@ sim::Task<> ScanRedistribute(
     Cluster& c, PeId node, const Relation& rel, int64_t sel_tuples,
     const std::vector<PeId>& dests, const std::vector<double>& dest_frac,
     const std::vector<std::unique_ptr<BatchChannel>>& channels,
-    sim::TaskGroup& sends, TxnId read_lock_txn, PeId fragment_owner) {
+    sim::TaskGroup& sends, TxnId read_lock_txn, PeId home) {
   if (sel_tuples <= 0) co_return;
   const SystemConfig& cfg = c.config();
   const CpuCosts& costs = cfg.costs;
   ProcessingElement& pe = c.pe(node);
-  const PeId owner = fragment_owner < 0 ? node : fragment_owner;
 
   const int bf = rel.blocking_factor();
   const int tuple_size = rel.config().tuple_size_bytes;
-  const int64_t frag_pages = rel.PagesAt(owner);
+  const int64_t frag_pages = rel.PagesAt(home);
   const int64_t pages =
       std::min<int64_t>(frag_pages, (sel_tuples + bf - 1) / bf);
   const int64_t start =
       c.workload_rng().UniformInt(0, std::max<int64_t>(0, frag_pages - 1));
 
   // Clustered B+-tree descent to the start of the selected range.
-  co_await UseCpu(c, node, costs.read_tuple * rel.IndexLevels(owner));
+  co_await UseCpu(c, node, costs.read_tuple * rel.IndexLevels(home));
 
   const int p = static_cast<int>(dests.size());
   const int64_t packet_tuples =
@@ -111,11 +108,11 @@ sim::Task<> ScanRedistribute(
     int64_t len = std::min({group_pages, pages - processed, frag_pages - pos});
     if (read_lock_txn != 0) {
       for (int64_t i = 0; i < len; ++i) {
-        co_await LockPageShared(c, owner, read_lock_txn,
-                                rel.DataPage(owner, pos + i));
+        co_await LockPageShared(c, home, read_lock_txn,
+                                rel.DataPage(home, pos + i));
       }
     }
-    co_await pe.buffer().FetchRange(rel.DataPage(owner, pos), len);
+    co_await pe.buffer().FetchRange(rel.DataPage(home, pos), len);
     processed += len;
 
     for (int64_t chunk = 0; chunk < len && remaining > 0;

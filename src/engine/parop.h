@@ -92,24 +92,23 @@ sim::Task<> FanOut(Cluster& c, PeId coord, const Dests& dests,
 /// multiversion CC anyway (paper footnote 1).
 sim::Task<> LockPageShared(Cluster& c, PeId node, TxnId txn, PageKey page);
 
-/// Parallel scan of one fragment with dynamic redistribution: reads the
-/// selected page range through the buffer, charges per-tuple CPU, and
-/// streams page-sized packets to the destinations.  `dest_frac` holds the
-/// partitioning function's per-destination tuple fractions.  When
-/// `read_lock_txn` is non-zero (CcScheme::kTwoPhaseLocking), every scanned
-/// page is read-locked for that transaction first (at the fragment owner's
-/// lock manager).
+/// Parallel scan at `node` of the fragment of `rel` homed at `home` with
+/// dynamic redistribution: reads the selected page range through `node`'s
+/// buffer, charges per-tuple CPU there, and streams page-sized packets to
+/// the destinations.  `dest_frac` holds the partitioning function's
+/// per-destination tuple fractions.  When `read_lock_txn` is non-zero
+/// (CcScheme::kTwoPhaseLocking), every scanned page is read-locked for that
+/// transaction first, at the home's lock manager.
 ///
-/// `fragment_owner` names the PE whose fragment is scanned; -1 means `node`
-/// scans its own fragment (Shared Nothing).  Under Shared Disk a scan
-/// processor may scan any fragment — the pages come off the shared spindles
-/// through `node`'s storage adapter, while the page keys (and locks) belong
-/// to the owner.
+/// The fragment's geometry and page keys are the home's.  `node` is the
+/// home itself, or the fragment's current owner after an elastic migration;
+/// under Shared Disk it may be any PE, whose storage adapter reads the
+/// pages off the shared spindles.
 sim::Task<> ScanRedistribute(
     Cluster& c, PeId node, const Relation& rel, int64_t sel_tuples,
     const std::vector<PeId>& dests, const std::vector<double>& dest_frac,
     const std::vector<std::unique_ptr<BatchChannel>>& channels,
-    sim::TaskGroup& sends, TxnId read_lock_txn = 0, PeId fragment_owner = -1);
+    sim::TaskGroup& sends, TxnId read_lock_txn, PeId home);
 
 /// Redistributes `tuples` tuples already materialized at `src` (an
 /// intermediate result) to the destinations: per-tuple output CPU plus

@@ -18,12 +18,22 @@
 #include <cassert>
 #include <cstdint>
 
+#include "common/config.h"
 #include "common/units.h"
 #include "simkern/rng.h"
 #include "simkern/scheduler.h"
 #include "simkern/task.h"
 
 namespace pdblb {
+
+/// The arrival stream of class `cls` (at OLTP home `home`, 0 for the other
+/// classes) under root seed `seed`: a cluster's Poisson source and
+/// SynthesizeTrace draw the same arrival instants from it.
+inline sim::Rng ArrivalRng(uint64_t seed, QueryClass cls, PeId home) {
+  return sim::Rng(seed).Fork(2).Fork(
+      kQueryClasses[static_cast<size_t>(cls)].stream +
+      static_cast<uint64_t>(home));
+}
 
 /// Spawns `fire(seq)` according to a Poisson process with the given rate
 /// (arrivals per second).  Runs until cancelled (Scheduler::CancelAll ends

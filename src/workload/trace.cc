@@ -10,6 +10,7 @@
 #include <string_view>
 
 #include "simkern/rng.h"
+#include "workload/arrivals.h"
 
 namespace pdblb {
 namespace {
@@ -110,14 +111,12 @@ Trace SynthesizeTrace(uint64_t seed, SimTime horizon_ms,
     per_second[static_cast<size_t>(r.cls)] = r.per_second;
   }
   Trace trace;
-  sim::Rng root(seed);
   for (size_t i = 0; i < kNumQueryClasses; ++i) {
     if (per_second[i] <= 0.0) continue;
     const auto cls = static_cast<QueryClass>(i);
     const double mean_ms = 1000.0 / per_second[i];
     auto draw = [&](PeId node) {
-      sim::Rng rng = root.Fork(kQueryClasses[i].trace_stream +
-                               static_cast<uint64_t>(node));
+      sim::Rng rng = ArrivalRng(seed, cls, node);
       for (SimTime t = rng.Exponential(mean_ms); t < horizon_ms;
            t += rng.Exponential(mean_ms)) {
         trace.Add(TraceEvent{t, cls, node});

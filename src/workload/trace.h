@@ -71,7 +71,9 @@ struct ClassRate {
 /// Draws a synthetic trace over `horizon_ms` from one independent Poisson
 /// process per class in `rates` (a class left out, or at rate 0, draws no
 /// events); the OLTP rate applies to each node of `oltp_nodes`, each on its
-/// own stream.  Deterministic per seed.
+/// own stream.  Every process draws from ArrivalRng(seed, ...), so a class
+/// arrives at the same instants as in a Cluster run with root seed `seed`
+/// and the same rate.
 Trace SynthesizeTrace(uint64_t seed, SimTime horizon_ms,
                       const std::vector<ClassRate>& rates,
                       const std::vector<PeId>& oltp_nodes);

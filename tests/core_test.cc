@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <cctype>
 #include <set>
+#include <utility>
 
 #include "core/control_node.h"
 #include "core/cost_model.h"
@@ -54,11 +55,11 @@ TEST(ControlNodeTest, CpuSortedAscending) {
 }
 
 TEST(ControlNodeTest, AdaptiveFeedbackBumpsSelectedPes) {
-  ControlNode cn(2, /*adaptive_feedback=*/true, /*cpu_bump_factor=*/0.5);
+  ControlNode cn(2, /*adaptive_feedback=*/true);
   cn.Report(0, 0.4, 40, 0.0);
   cn.Report(1, 0.4, 40, 0.0);
   cn.NoteJoinScheduled({0}, 10);
-  EXPECT_DOUBLE_EQ(cn.info(0).cpu_util, 0.7);  // 0.4 + 0.6*0.5
+  EXPECT_DOUBLE_EQ(cn.info(0).cpu_util, 0.55);  // 0.4 + 0.6*0.25
   EXPECT_EQ(cn.info(0).free_memory_pages, 30);
   EXPECT_DOUBLE_EQ(cn.info(1).cpu_util, 0.4);  // untouched
   // A fresh report overwrites the bump.
@@ -111,20 +112,21 @@ TEST(CostModelTest, PsuOptCappedBySystemSize) {
 }
 
 TEST(CostModelTest, Formula32Reduction) {
-  CostModel cm(PaperConfig(80, 0.01));  // psu_opt = 30
-  EXPECT_EQ(cm.PmuCpu(0.0), 30);
+  const int psu_opt = CostModel(PaperConfig(80, 0.01)).PsuOpt();
+  ASSERT_EQ(psu_opt, 30);
+  EXPECT_EQ(PmuCpu(psu_opt, 0.0, 80), 30);
   // Reduction is mild below 50% utilization...
-  EXPECT_GE(cm.PmuCpu(0.5), 26);
+  EXPECT_GE(PmuCpu(psu_opt, 0.5, 80), 26);
   // ...and strong at high utilization: 30 * (1 - 0.9^3) = 8.1.
-  EXPECT_EQ(cm.PmuCpu(0.9), 8);
-  EXPECT_EQ(cm.PmuCpu(1.0), 1);
+  EXPECT_EQ(PmuCpu(psu_opt, 0.9, 80), 8);
+  EXPECT_EQ(PmuCpu(psu_opt, 1.0, 80), 1);
 }
 
 TEST(CostModelTest, PmuCpuMonotoneInUtilization) {
-  CostModel cm(PaperConfig(80, 0.01));
-  int prev = cm.PmuCpu(0.0);
+  const int psu_opt = CostModel(PaperConfig(80, 0.01)).PsuOpt();
+  int prev = PmuCpu(psu_opt, 0.0, 80);
   for (double u = 0.05; u <= 1.0; u += 0.05) {
-    int p = cm.PmuCpu(u);
+    int p = PmuCpu(psu_opt, u, 80);
     EXPECT_LE(p, prev);
     prev = p;
   }
@@ -150,13 +152,6 @@ TEST(CostModelTest, HashTablePages) {
   CostModel cm(PaperConfig(80, 0.01));
   // ceil(1.05 * 125) = 132.
   EXPECT_EQ(cm.HashTablePages(), 132);
-}
-
-TEST(CostModelTest, MinWorkingSpaceShrinksWithDegree) {
-  CostModel cm(PaperConfig(80, 0.01));
-  EXPECT_GE(cm.MinWorkingSpacePages(1), cm.MinWorkingSpacePages(10));
-  EXPECT_GE(cm.MinWorkingSpacePages(10), cm.MinWorkingSpacePages(80));
-  EXPECT_GE(cm.MinWorkingSpacePages(80), 1);
 }
 
 // Property sweep: formula 3.1 exactly equals MIN(n, ceil(b_i*F/m)).
@@ -237,7 +232,7 @@ TEST(StrategyTest, DynamicCpuReducesDegreeUnderLoad) {
   int p_idle = policy->Plan(PaperRequest(), idle, rng).degree;
   int p_busy = policy->Plan(PaperRequest(), busy, rng).degree;
   EXPECT_EQ(p_idle, 30);
-  EXPECT_LE(p_busy, 9);  // 30 * (1 - 0.9^3) ~ 8
+  EXPECT_EQ(p_busy, 8);  // 30 * (1 - 0.9^3) = 8.1
 }
 
 TEST(StrategyTest, LucPicksLeastUtilizedCpus) {
@@ -312,6 +307,22 @@ TEST(StrategyTest, MinIoSuOptPrefersDegreeNearPsuOpt) {
   EXPECT_EQ(policy->Plan(PaperRequest(), cn, rng).degree, 30);
 }
 
+TEST(StrategyTest, MinIoSuOptBreaksDistanceTiesTowardTheLargerDegree) {
+  // 100 pages fit on the top 1 (100 free) or the top 3 (3 * 34 >= 100) but
+  // not the top 2 (2 * 40 < 100): p_su-opt = 2 is one away from both.
+  auto policy = LoadBalancingPolicy::Create(strategies::MinIOSuOpt());
+  ControlNode cn(3, false);
+  cn.Report(0, 0, 100, 0);
+  cn.Report(1, 0, 40, 0);
+  cn.Report(2, 0, 34, 0);
+  JoinPlanRequest req;
+  req.hash_table_pages = 100;
+  req.psu_opt = 2;
+  req.num_pes = 3;
+  sim::Rng rng(1);
+  EXPECT_EQ(policy->Plan(req, cn, rng).degree, 3);
+}
+
 TEST(StrategyTest, MinIoSuOptFallsBackToLargerDegrees) {
   auto policy = LoadBalancingPolicy::Create(strategies::MinIOSuOpt());
   auto cn = UniformControl(80, 0.0, 1);  // 1 free page everywhere: no no-IO
@@ -325,7 +336,7 @@ TEST(StrategyTest, OptIoCpuCapsDegreeByCpu) {
   sim::Rng rng(1);
   auto busy = UniformControl(80, 0.9, 50);
   JoinPlan plan = policy->Plan(PaperRequest(), busy, rng);
-  EXPECT_LE(plan.degree, 9);  // pmu-cpu cap at u=0.9
+  EXPECT_EQ(plan.degree, 8);  // pmu-cpu cap at u=0.9: 30 * (1 - 0.9^3) = 8.1
 }
 
 TEST(StrategyTest, OptIoCpuPicksMaxNoIoDegreeUnderLightLoad) {
@@ -351,16 +362,22 @@ TEST(StrategyTest, OptIoCpuAvoidsLowMemoryNodes) {
 }
 
 TEST(StrategyTest, FactoryProducesAllNames) {
-  for (auto cfg :
-       {strategies::PsuOptRandom(), strategies::PsuOptLUC(),
-        strategies::PsuOptLUM(), strategies::PsuNoIORandom(),
-        strategies::PsuNoIOLUC(), strategies::PsuNoIOLUM(),
-        strategies::PmuCpuRandom(), strategies::PmuCpuLUM(),
-        strategies::MinIO(), strategies::MinIOSuOpt(),
-        strategies::OptIOCpu()}) {
-    auto policy = LoadBalancingPolicy::Create(cfg);
-    ASSERT_NE(policy, nullptr);
-    EXPECT_EQ(policy->Name(), cfg.Name());
+  const std::pair<StrategyConfig, const char*> named[] = {
+      {strategies::PsuOptRandom(), "p_su-opt + RANDOM"},
+      {strategies::PsuOptLUC(), "p_su-opt + LUC"},
+      {strategies::PsuOptLUM(), "p_su-opt + LUM"},
+      {strategies::PsuNoIORandom(), "p_su-noIO + RANDOM"},
+      {strategies::PsuNoIOLUC(), "p_su-noIO + LUC"},
+      {strategies::PsuNoIOLUM(), "p_su-noIO + LUM"},
+      {strategies::PmuCpuRandom(), "p_mu-cpu + RANDOM"},
+      {strategies::PmuCpuLUM(), "p_mu-cpu + LUM"},
+      {strategies::MinIO(), "MIN-IO"},
+      {strategies::MinIOSuOpt(), "MIN-IO-SUOPT"},
+      {strategies::OptIOCpu(), "OPT-IO-CPU"},
+  };
+  for (const auto& [cfg, name] : named) {
+    EXPECT_NE(LoadBalancingPolicy::Create(cfg), nullptr) << name;
+    EXPECT_EQ(cfg.Name(), name);
   }
 }
 

@@ -1,14 +1,20 @@
 // Copyright 2026 the pdblb authors. MIT license.
 //
-// Parameterized sweeps over the analytic cost model: formula monotonicity
-// and anchor stability across system sizes, selectivities and memory sizes
-// (TEST_P property style).
+// Parameterized sweeps over the analytic cost model and the planning
+// formulas: monotonicity and anchor stability across system sizes,
+// selectivities and memory sizes, and the join's memory floor (TEST_P
+// property style).
 
 #include <gtest/gtest.h>
 
 #include <tuple>
 
+#include "bufmgr/buffer_manager.h"
 #include "core/cost_model.h"
+#include "iosim/disk.h"
+#include "join/pphj.h"
+#include "simkern/resource.h"
+#include "simkern/scheduler.h"
 
 namespace pdblb {
 namespace {
@@ -40,16 +46,17 @@ TEST_P(CostModelSweepTest, PsuOptIsTheArgmin) {
 }
 
 TEST_P(CostModelSweepTest, PmuCpuMonotoneDecreasingInUtilization) {
-  CostModel model(Config());
-  int last = model.PmuCpu(0.0);
-  EXPECT_EQ(last, model.PsuOpt());  // no reduction when idle
+  SystemConfig cfg = Config();
+  const int psu_opt = CostModel(cfg).PsuOpt();
+  int last = PmuCpu(psu_opt, 0.0, cfg.num_pes);
+  EXPECT_EQ(last, psu_opt);  // no reduction when idle
   for (double u = 0.05; u <= 1.0; u += 0.05) {
-    int p = model.PmuCpu(u);
+    int p = PmuCpu(psu_opt, u, cfg.num_pes);
     EXPECT_LE(p, last) << "u=" << u;
     EXPECT_GE(p, 1);
     last = p;
   }
-  EXPECT_EQ(model.PmuCpu(1.0), 1);
+  EXPECT_EQ(PmuCpu(psu_opt, 1.0, cfg.num_pes), 1);
 }
 
 TEST_P(CostModelSweepTest, PsuNoIOMatchesFormula31) {
@@ -65,11 +72,27 @@ TEST_P(CostModelSweepTest, PsuNoIOMatchesFormula31) {
   }
 }
 
+// The memory floor of one of p join processors is PPHJ's minimum working
+// space for its 1/p share of the inner input (Pphj::min_pages, the floor a
+// join waits for in the memory queue).
 TEST_P(CostModelSweepTest, MinWorkingSpaceShrinksWithDegree) {
-  CostModel model(Config());
-  int last = model.MinWorkingSpacePages(1);
-  for (int p = 2; p <= 64; p *= 2) {
-    int w = model.MinWorkingSpacePages(p);
+  SystemConfig cfg = Config();
+  sim::Scheduler sched;
+  sim::Resource cpu(sched, 1, "cpu");
+  DiskArray disks(sched, cfg.disk, cfg.costs, cfg.mips_per_pe, cpu, "disk");
+  BufferManager buffer(sched, cfg.buffer, disks, "buf");
+  auto min_pages = [&](int p) {
+    LocalJoinParams params;
+    params.expected_inner_tuples = (cfg.InnerInputTuples() + p - 1) / p;
+    params.blocking_factor = cfg.relation_a.blocking_factor;
+    params.fudge_factor = cfg.join_query.fudge_factor;
+    return Pphj(sched, buffer, disks, cpu, cfg.costs, cfg.mips_per_pe,
+                params)
+        .min_pages();
+  };
+  int last = min_pages(1);
+  for (int p = 2; p <= cfg.num_pes; p *= 2) {
+    int w = min_pages(p);
     EXPECT_LE(w, last) << "p=" << p;
     EXPECT_GE(w, 1);
     last = w;

@@ -121,9 +121,7 @@ TEST(RateMatchPolicyTest, NameAndFactory) {
   EXPECT_EQ(strategies::RateMatchLUC().Name(), "RateMatch + LUC");
   EXPECT_EQ(strategies::RateMatchRandom().Name(), "RateMatch + RANDOM");
   EXPECT_EQ(strategies::RateMatchLUM().Name(), "RateMatch + LUM");
-  auto policy = LoadBalancingPolicy::Create(strategies::RateMatchLUC());
-  ASSERT_NE(policy, nullptr);
-  EXPECT_EQ(policy->Name(), "RateMatch + LUC");
+  EXPECT_NE(LoadBalancingPolicy::Create(strategies::RateMatchLUC()), nullptr);
 }
 
 TEST(RateMatchPolicyTest, PlanUsesControlNodeAverages) {

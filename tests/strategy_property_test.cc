@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <set>
 #include <string>
 #include <vector>
@@ -82,9 +83,81 @@ TEST_P(StrategyPropertyTest, PlanInvariantsUnderFuzzedStates) {
 }
 
 TEST_P(StrategyPropertyTest, NameIsStableAndNonEmpty) {
-  auto policy = LoadBalancingPolicy::Create(GetParam());
-  EXPECT_FALSE(policy->Name().empty());
-  EXPECT_EQ(policy->Name(), policy->Name());
+  const StrategyConfig& config = GetParam();
+  EXPECT_NE(LoadBalancingPolicy::Create(config), nullptr);
+  EXPECT_FALSE(config.Name().empty());
+  EXPECT_EQ(StrategyConfig(config).Name(), config.Name());
+  // No other strategy of the family prints the same name.
+  int same = 0;
+  for (const StrategyConfig& other : AllStrategies()) {
+    same += other.Name() == config.Name() ? 1 : 0;
+  }
+  EXPECT_EQ(same, 1) << config.Name();
+}
+
+// Pins the plans themselves, below the figure CSVs: every strategy (and a
+// fixed degree) plans three back-to-back joins against each of 240 fuzzed
+// control-node states, a third of them with PEs down and a quarter in the
+// degraded overload state, and every plan's degree, PE list, pages_per_pe
+// and degraded flag is hashed (FNV-1a) into one digest.
+TEST(StrategyPlanDigestTest, PlanSequenceMatchesRecordedDigest) {
+  std::vector<StrategyConfig> configs = AllStrategies();
+  StrategyConfig fixed = strategies::PsuOptRandom();
+  fixed.fixed_degree = 7;
+  configs.push_back(fixed);
+
+  uint64_t digest = 14695981039346656037ULL;
+  auto mix = [&digest](int64_t v) {
+    digest = (digest ^ static_cast<uint64_t>(v)) * 1099511628211ULL;
+  };
+  int degraded_plans = 0;
+  for (const StrategyConfig& config : configs) {
+    auto policy = LoadBalancingPolicy::Create(config);
+    sim::Rng fuzz(4242);
+    sim::Rng plan_rng(31);
+    for (int trial = 0; trial < 240; ++trial) {
+      const int n = static_cast<int>(fuzz.UniformInt(2, 80));
+      ControlNode control(n, /*adaptive_feedback=*/trial % 2 == 0);
+      for (PeId pe = 0; pe < n; ++pe) {
+        control.Report(pe, fuzz.Uniform(),
+                       static_cast<int>(fuzz.UniformInt(0, 60)),
+                       fuzz.Uniform());
+      }
+      if (trial % 3 == 1) {
+        // Up to half of the PEs go down; at least one stays alive.
+        const int64_t down = fuzz.UniformInt(1, n / 2);
+        for (int64_t i = 0; i < down; ++i) {
+          control.MarkDown(static_cast<PeId>(fuzz.UniformInt(0, n - 1)));
+        }
+      }
+      if (trial % 4 == 2) {
+        OverloadConfig overload;
+        overload.enabled = true;
+        control.ConfigureOverload(overload);
+        for (int round = 0; round < overload.enter_rounds; ++round) {
+          control.NoteLoadRound(overload.degrade_queue_threshold);
+        }
+        ASSERT_EQ(control.overload_state(), OverloadState::kDegraded);
+      }
+      JoinPlanRequest req;
+      req.num_pes = n;
+      req.psu_opt = static_cast<int>(fuzz.UniformInt(1, n));
+      req.psu_noio = static_cast<int>(fuzz.UniformInt(1, n));
+      req.hash_table_pages = fuzz.UniformInt(1, 2000);
+      req.scan_rate_tps = fuzz.Uniform(100.0, 50000.0);
+      req.join_rate_tps = fuzz.Uniform(100.0, 50000.0);
+      for (int join = 0; join < 3; ++join) {
+        JoinPlan plan = policy->Plan(req, control, plan_rng);
+        mix(plan.degree);
+        for (PeId pe : plan.pes) mix(pe);
+        mix(plan.pages_per_pe);
+        mix(plan.degraded ? 1 : 0);
+        degraded_plans += plan.degraded ? 1 : 0;
+      }
+    }
+  }
+  EXPECT_GT(degraded_plans, 0);  // the overload cap actually bound plans
+  EXPECT_EQ(digest, 0xabb6baf29569b324ULL);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -7,12 +7,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <string>
 #include <vector>
 
 #include "engine/cluster.h"
+#include "simkern/scheduler.h"
+#include "workload/arrivals.h"
 #include "workload/trace.h"
 
 namespace pdblb {
@@ -124,6 +127,45 @@ TEST(TraceSynthesisTest, SortedByArrival) {
   for (size_t i = 1; i < ev.size(); ++i) {
     EXPECT_LE(ev[i - 1].arrival_ms, ev[i].arrival_ms);
   }
+}
+
+TEST(TraceSynthesisTest, ArrivesWhenAPoissonSourceWould) {
+  // A class of a synthesized trace arrives at exactly the instants at which
+  // a cluster's Poisson source with the same root seed and rate fires.
+  constexpr SimTime kHorizonMs = 20000.0;
+  const std::vector<ClassRate> rates = {{QueryClass::kJoin, 1.0},
+                                        {QueryClass::kScan, 0.5},
+                                        {QueryClass::kOltp, 10.0}};
+  const std::vector<PeId> oltp_nodes = {0, 3};
+  size_t compared = 0;
+  for (uint64_t seed : {1ULL, 42ULL, 99ULL, 12345ULL}) {
+    const Trace trace = SynthesizeTrace(seed, kHorizonMs, rates, oltp_nodes);
+    for (const ClassRate& r : rates) {
+      const bool oltp = r.cls == QueryClass::kOltp;
+      for (PeId home : oltp ? oltp_nodes : std::vector<PeId>{0}) {
+        std::vector<SimTime> synthesized;
+        for (const TraceEvent& e : trace.events()) {
+          if (e.cls == r.cls && (!oltp || e.oltp_node == home)) {
+            synthesized.push_back(e.arrival_ms);
+          }
+        }
+        sim::Scheduler sched;
+        std::vector<SimTime> fired;
+        sched.Spawn(PoissonArrivals(sched, ArrivalRng(seed, r.cls, home),
+                                    r.per_second, [&](int64_t) {
+                                      fired.push_back(sched.Now());
+                                    }));
+        sched.RunUntil(kHorizonMs);
+        sched.CancelAll();
+        EXPECT_EQ(fired, synthesized)
+            << "seed " << seed << " class "
+            << kQueryClasses[static_cast<size_t>(r.cls)].token << " home "
+            << home;
+        compared += synthesized.size();
+      }
+    }
+  }
+  EXPECT_GT(compared, 1500u);
 }
 
 // ------------------------------------------------------------------ replay
