@@ -24,11 +24,17 @@
 // batch sized to keep the 10-disk donor array busy: on the paper's 20 MIPS
 // PEs a migration batch pays real controller, wire and endpoint-CPU time,
 // and at full scale a fragment copy outlives the horizon.  At this scale
-// the migrations complete inside the measurement window and the bandwidth
-// cap — not donor-side latency — binds at the low end of the sweep.
+// and the normal horizon the migrations complete inside the measurement
+// window (every drain-1 point does at seeds 42 and 7) and the bandwidth
+// cap — not donor-side latency — binds at the low end of the sweep.  The
+// fast horizon is too short for that: a drain can still be moving when the
+// window ends.  At root seeds 42, 5 and 7, drain-1/mpl2/bw64 moves 1, 1
+// and 0 of its 2 fragments under --fast (500, 500 and 0 pages, against 750
+// at bw8).
 //
-// What to look for: migration_pages_moved is invariant across bandwidth
-// (the same fragments move, just slower), pes_added/pes_drained match the
+// What to look for: at the normal horizon, migration_pages_moved is
+// invariant across bandwidth (the same fragments move, just slower; under
+// --fast it need not be, see above), pes_added/pes_drained match the
 // scenario, and join RT degrades only transiently around the resize.  The
 // sweep is a pure function of --seed: the CSV is bit-identical across
 // --jobs and reruns (CI-enforced), like the chaos harness.

@@ -46,6 +46,13 @@ inline auto UseCpu(Cluster& c, PeId pe, int64_t instructions) {
       InstructionsToMs(instructions, c.config().mips_per_pe));
 }
 
+/// The same charge for a coroutine that keeps one reusable awaiter: aims
+/// `leg` at it, and the caller then does `co_await leg`.
+inline void UseCpu(sim::Leg& leg, Cluster& c, PeId pe, int64_t instructions) {
+  leg.Use(c.pe(pe).cpu(),
+          InstructionsToMs(instructions, c.config().mips_per_pe));
+}
+
 /// Ships one tuple batch over the network and hands it to the consumer's
 /// channel in the event that ends the receiver's CPU service.  Not a
 /// coroutine: the returned task is the network transfer itself, so a

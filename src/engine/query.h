@@ -108,9 +108,16 @@ sim::Task<> RunQuery(Cluster& c, QueryClass cls, QueryAttempt* qa, Query q,
   co_await slot.Acquire();
   AdmissionGuard admission(sched, slot);
 
+  // The CPU steps (and a victim's back-off) share one awaiter, `leg`.  A
+  // cancelled step unwinds before the transaction's locks are released, as
+  // a temporary awaiter would: the restartable leg is declared after the
+  // guard, and the read-only one steps again only once the guard is
+  // disarmed.
   int aborts = 0;
   if constexpr (std::is_same_v<decltype(body(c, q)), sim::Task<>>) {
-    co_await UseCpu(c, q.coord, costs.initiate_txn);
+    sim::Leg leg(sched);
+    UseCpu(leg, c, q.coord, costs.initiate_txn);
+    co_await leg;
     // Without strict 2PL a query reads lock-free (paper footnote 1).
     q.txn = c.config().cc_scheme == CcScheme::kTwoPhaseLocking ? c.NextTxnId()
                                                                : 0;
@@ -120,16 +127,20 @@ sim::Task<> RunQuery(Cluster& c, QueryClass cls, QueryAttempt* qa, Query q,
     if (qa != nullptr && qa->outcome != StatusCode::kOk) co_return;
     co_await parop::FanOut(c, q.coord, q.sites, parop::CommitRound);
     locks.ReleaseNow();
-    co_await UseCpu(c, q.coord, costs.terminate_txn);
+    UseCpu(leg, c, q.coord, costs.terminate_txn);
+    co_await leg;
   } else {
     for (;; ++aborts) {
       q.txn = c.NextTxnId();
       TxnLocksGuard locks(&c, q.txn);
       q.locks = &locks;
+      sim::Leg leg(sched);
       if (info.terminal) {
-        co_await UseCpu(c, q.coord, costs.receive_message + costs.copy_message);
+        UseCpu(leg, c, q.coord, costs.receive_message + costs.copy_message);
+        co_await leg;
       }
-      co_await UseCpu(c, q.coord, costs.initiate_txn);
+      UseCpu(leg, c, q.coord, costs.initiate_txn);
+      co_await leg;
       if (co_await body(c, q)) {
         // The coordinator forces its log while the participants prepare
         // (a local transaction's whole commit).
@@ -137,15 +148,18 @@ sim::Task<> RunQuery(Cluster& c, QueryClass cls, QueryAttempt* qa, Query q,
                                parop::TwoPhaseCommitRounds,
                                c.pe(q.coord).disks().LogWrite());
         if (!info.terminal) locks.ReleaseNow();
-        co_await UseCpu(c, q.coord, costs.terminate_txn);
+        UseCpu(leg, c, q.coord, costs.terminate_txn);
+        co_await leg;
         if (info.terminal) {
-          co_await UseCpu(c, q.coord, costs.send_message + costs.copy_message);
+          UseCpu(leg, c, q.coord, costs.send_message + costs.copy_message);
+          co_await leg;
           locks.ReleaseNow();
         }
         break;
       }
       locks.ReleaseNow();
-      co_await sched.Delay(10.0);
+      leg.Delay(10.0);
+      co_await leg;
     }
   }
 

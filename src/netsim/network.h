@@ -105,8 +105,22 @@ class Network {
     return static_cast<size_t>(a) * cpus_.size() + static_cast<size_t>(b);
   }
 
+  // Wire latency of `packets` packets from src to dst (store-and-forward
+  // across packets).  A slow link stretches the wire share only; the
+  // endpoint CPU work is unchanged.
+  SimTime WireMs(PeId src, PeId dst, int64_t packets) const {
+    double wire_ms =
+        config_.wire_time_per_packet_ms * static_cast<double>(packets);
+    if (!link_delay_factor_.empty()) {
+      wire_ms *= link_delay_factor_[LinkIndex(src, dst)];
+    }
+    return wire_ms;
+  }
+
   // The one transfer body behind every public transfer; `counters` is the
-  // set (foreground or bulk) the message is accounted in.
+  // set (foreground or bulk) the message is accounted in.  A message in
+  // flight is this frame alone, and the frame holds one awaiter, re-aimed
+  // at each of the message's three legs.
   template <typename Delivered>
   sim::Task<> Ship(PeId src, PeId dst, int64_t bytes, Counters& counters,
                    Delivered delivered) {
@@ -115,27 +129,27 @@ class Network {
       ++counters.messages;
       counters.packets += packets;
       counters.bytes += bytes;
+      sim::Leg leg(sched_);
 
       // Sender-side CPU: message setup plus one buffer copy per packet.
-      co_await cpus_[src]->Use(InstructionsToMs(
-          costs_.send_message + costs_.copy_message * packets, mips_));
+      leg.Use(*cpus_[src], InstructionsToMs(costs_.send_message +
+                                                costs_.copy_message * packets,
+                                            mips_));
+      co_await leg;
 
-      // Wire latency (store-and-forward across packets).  Traced as network
-      // time with the sending PE as origin; the CPU shares of the transfer
-      // are charged on (and attributed to) the endpoint CPUs.  A slow link
-      // stretches the wire share only (the endpoint CPU work is unchanged).
-      double wire_ms =
-          config_.wire_time_per_packet_ms * static_cast<double>(packets);
-      if (!link_delay_factor_.empty()) {
-        wire_ms *= link_delay_factor_[LinkIndex(src, dst)];
-      }
-      co_await sched_.Delay(
-          wire_ms, sim::TraceTag(sim::TraceSubsystem::kNetwork,
-                                 static_cast<uint16_t>(src)));
+      // The wire, traced as network time with the sending PE as origin; the
+      // CPU shares of the transfer are charged on (and attributed to) the
+      // endpoint CPUs.
+      leg.Delay(WireMs(src, dst, packets),
+                sim::TraceTag(sim::TraceSubsystem::kNetwork,
+                              static_cast<uint16_t>(src)));
+      co_await leg;
 
       // Receiver-side CPU.
-      co_await cpus_[dst]->Use(InstructionsToMs(
-          costs_.receive_message + costs_.copy_message * packets, mips_));
+      leg.Use(*cpus_[dst], InstructionsToMs(costs_.receive_message +
+                                                costs_.copy_message * packets,
+                                            mips_));
+      co_await leg;
     }
     delivered();
   }

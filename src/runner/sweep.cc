@@ -2,13 +2,19 @@
 
 #include "runner/sweep.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <exception>
 #include <mutex>
+#include <numeric>
 #include <stdexcept>
 #include <string>
 #include <thread>
+
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
 
 #include "simkern/tracer.h"
 
@@ -16,6 +22,20 @@
 #include "simkern/task.h"
 
 namespace pdblb::runner {
+namespace {
+
+// Hands back what a finished point freed, so a worker does not keep the
+// high-water mark of every point it ran.  The arena trim only moves the
+// thread's recycled coroutine frames onto malloc's free lists, which stay
+// in the process; malloc_trim returns malloc's free pages to the OS.
+void ReleaseFreedMemory() {
+  sim::TrimFrameArenaThreadCache();
+#if defined(__GLIBC__)
+  malloc_trim(0);
+#endif
+}
+
+}  // namespace
 
 uint64_t PointSeed(uint64_t root_seed, size_t grid_index) {
   // splitmix64 finalizer over the pair; the golden-ratio offset keeps
@@ -44,6 +64,15 @@ std::vector<SweepResult> Sweep::Run(const SweepOptions& options) const {
   std::vector<SweepResult> results(total);
   if (total == 0) return results;
 
+  // Longest first: the largest clusters cost the most host time, so they
+  // start before the small ones instead of forming the tail of the grid.
+  // Stable, so points of one size keep grid order.
+  std::vector<size_t> order(total);
+  std::iota(order.begin(), order.end(), size_t{0});
+  std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+    return points_[a].config.num_pes > points_[b].config.num_pes;
+  });
+
   std::atomic<size_t> next_index{0};
   std::atomic<size_t> finished{0};
   std::mutex callback_mutex;
@@ -52,8 +81,9 @@ std::vector<SweepResult> Sweep::Run(const SweepOptions& options) const {
 
   auto worker = [&]() {
     for (;;) {
-      size_t i = next_index.fetch_add(1, std::memory_order_relaxed);
-      if (i >= total) return;
+      size_t next = next_index.fetch_add(1, std::memory_order_relaxed);
+      if (next >= total) return;
+      const size_t i = order[next];
       const SweepPoint& point = points_[i];
       try {
         SystemConfig cfg = point.config;
@@ -80,13 +110,10 @@ std::vector<SweepResult> Sweep::Run(const SweepOptions& options) const {
           if (!first_error) first_error = std::current_exception();
         }
         next_index.store(total, std::memory_order_relaxed);  // drain queue
-        sim::TrimFrameArenaThreadCache();  // don't strand frames on exit
+        ReleaseFreedMemory();
         return;
       }
-      // Heterogeneous grids allocate very different coroutine-frame sizes
-      // per point; returning the thread's free lists here keeps a worker
-      // from holding the peak of every point it ever ran.
-      sim::TrimFrameArenaThreadCache();
+      ReleaseFreedMemory();
       size_t done = finished.fetch_add(1, std::memory_order_relaxed) + 1;
       if (options.on_point_done) {
         std::lock_guard<std::mutex> lock(callback_mutex);

@@ -17,8 +17,9 @@
 //   runner::WriteResultsCsv("fig5.csv", r);
 //
 // Determinism contract: the result vector and the CSV depend only on the
-// grid declaration and the root seed — never on the number of workers or on
-// thread scheduling.  Three mechanisms guarantee this:
+// grid declaration and the root seed — never on the number of workers, on
+// the dispatch order or on thread scheduling.  Three mechanisms guarantee
+// this:
 //  * each point runs a private Cluster (own Scheduler, RNG streams, stats);
 //    the simulation library keeps no cross-instance mutable state;
 //  * the per-point seed derives from (root seed, grid index), not from
@@ -26,6 +27,15 @@
 //    one thread or last of eight;
 //  * results land in a pre-sized slot per grid index and the CSV contains
 //    only simulation-deterministic fields (no wall-clock rates).
+//
+// Execution order is host-time policy only.  Points are dispatched
+// longest-first: larger clusters (SystemConfig::num_pes) before smaller
+// ones, and points of one size in grid order, so the costliest points do
+// not form the tail of the grid.  After each point its worker returns what
+// the point freed to the OS (the thread's coroutine-frame free lists, then
+// malloc's free pages), so a worker does not keep the peak of every point
+// it ran.  Results stay in grid order; on_point_done runs in completion
+// order, which at jobs = 1 is the dispatch order.
 
 #ifndef PDBLB_RUNNER_SWEEP_H_
 #define PDBLB_RUNNER_SWEEP_H_
@@ -76,8 +86,9 @@ struct SweepOptions {
   uint64_t root_seed = 42;
 
   /// Invoked after each completed point (serialized under an internal
-  /// mutex, so it may print).  `finished` counts completed points, in
-  /// completion — not grid — order.
+  /// mutex, so it may print), in completion order: larger clusters tend
+  /// to come first (see the determinism contract above).  `finished`
+  /// counts completed points.
   std::function<void(const SweepPoint& point, const MetricsReport& report,
                      size_t finished, size_t total)>
       on_point_done;
@@ -111,10 +122,11 @@ class Sweep {
   /// overrides); callers must not add, drop or reorder points.
   std::vector<SweepPoint>& mutable_points() { return points_; }
 
-  /// Executes every point and returns the results in grid order.  Safe to
-  /// call from one thread at a time; the Sweep itself is not mutated.
-  /// Exceptions thrown by a point (e.g. Cluster misuse) abort the remaining
-  /// queue and are rethrown on the calling thread.
+  /// Executes every point, larger clusters first, and returns the results
+  /// in grid order.  Safe to call from one thread at a time; the Sweep
+  /// itself is not mutated.  Exceptions thrown by a point (e.g. Cluster
+  /// misuse) abort the remaining queue and are rethrown on the calling
+  /// thread.
   std::vector<SweepResult> Run(const SweepOptions& options = {}) const;
 
  private:

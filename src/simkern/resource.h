@@ -96,15 +96,7 @@ class Resource {
       bool await_ready() const noexcept { return false; }
       void await_suspend(std::coroutine_handle<> h) {
         pending = h;
-        if (res->free_ > 0) {
-          // Server available: the service interval starts now; resume the
-          // caller when it ends.
-          res->Grant();
-          res->sched_.ScheduleHandle(res->sched_.Now() + service, h,
-                                     res->tag_);
-        } else {
-          res->Enqueue(h, service);
-        }
+        res->StartService(h, service);
       }
       // Resumed at end of service (the releasing side scheduled us at
       // grant time + service).  Free the server and hand off.
@@ -119,6 +111,29 @@ class Resource {
     assert(duration >= 0.0);
     return Awaiter{this, &sched_, duration};
   }
+
+  // --- the steps of Use() ---------------------------------------------------
+  // Use()'s awaiter and the reusable sim::Leg run a service through these
+  // calls: StartService when the caller suspends, Release when it resumes,
+  // CancelWaiter when its frame is destroyed mid-service.
+
+  /// Starts `h`'s service of `service` ms.  With a server free, the
+  /// service interval starts now and `h` resumes when it ends; otherwise
+  /// `h` queues FCFS, and the Release() that grants it a server schedules
+  /// its resume at grant time + `service`.
+  void StartService(std::coroutine_handle<> h, SimTime service) {
+    if (free_ > 0) {
+      Grant();
+      sched_.ScheduleHandle(sched_.Now() + service, h, tag_);
+    } else {
+      Enqueue(h, service);
+    }
+  }
+
+  /// Undoes a suspended waiter whose frame is being destroyed mid-wait:
+  /// still-queued entries are erased; already-granted ones (wake pending in
+  /// the calendar) are scrubbed and their server released back.
+  void CancelWaiter(std::coroutine_handle<> h);
 
   int servers() const { return servers_; }
   int busy() const { return servers_ - free_; }
@@ -156,10 +171,6 @@ class Resource {
 
   void Grant();           // free_--, update integral
   void AccumulateBusy();  // fold busy time up to Now() into the integral
-  // Undoes a suspended waiter whose frame is being destroyed mid-wait:
-  // still-queued entries are erased; already-granted ones (wake pending in
-  // the calendar) are scrubbed and their server released back.
-  void CancelWaiter(std::coroutine_handle<> h);
 
   Scheduler& sched_;
   std::string name_;
@@ -174,6 +185,74 @@ class Resource {
   SimTime stats_start_ = 0.0;
   double stats_start_integral_ = 0.0;
   uint64_t completed_ = 0;
+};
+
+/// One awaiter that a coroutine re-aims at each of its steps in turn:
+///
+///   sim::Leg leg(sched);
+///   leg.Use(send_cpu, send_ms);   // as co_await send_cpu.Use(send_ms)
+///   co_await leg;
+///   leg.Delay(wire_ms, tag);      // as co_await sched.Delay(wire_ms, tag)
+///   co_await leg;
+///
+/// GCC gives every awaiter expression of a coroutine its own slot in the
+/// frame, so a process that chains services and delays holds one slot per
+/// step; with a Leg it holds one.  Aiming and awaiting are two statements
+/// because GCC copies an awaiter that a call returns by reference (Leg is
+/// not copyable, so that form does not compile).  Each step schedules
+/// exactly what the temporary awaiter would, at the same event.
+/// Cancellation-aware like them: destroying the frame mid-step undoes the
+/// pending wait, and a granted service returns its server.
+class Leg {
+ public:
+  explicit Leg(Scheduler& sched) : sched_(&sched) {}
+  Leg(const Leg&) = delete;
+  Leg& operator=(const Leg&) = delete;
+  ~Leg() {
+    if (!pending_ || sched_->tearing_down()) return;
+    if (res_ != nullptr) {
+      res_->CancelWaiter(pending_);
+    } else {
+      sched_->CancelHandle(pending_);
+    }
+  }
+
+  /// Aims at `duration` ms of service at `res`, as `res.Use(duration)`.
+  void Use(Resource& res, SimTime duration) {
+    assert(!pending_ && duration >= 0.0);
+    res_ = &res;
+    time_ = duration;
+  }
+
+  /// Aims at a delay of `delta` ms attributed to `tag`, as
+  /// `sched.Delay(delta, tag)`.
+  void Delay(SimTime delta, TraceTag tag = {}) {
+    assert(!pending_ && delta >= 0.0);
+    res_ = nullptr;
+    time_ = sched_->Now() + delta;
+    tag_ = tag;
+  }
+
+  bool await_ready() const noexcept { return false; }
+  void await_suspend(std::coroutine_handle<> h) {
+    pending_ = h;
+    if (res_ != nullptr) {
+      res_->StartService(h, time_);
+    } else {
+      sched_->ScheduleHandle(time_, h, tag_);
+    }
+  }
+  void await_resume() {
+    pending_ = nullptr;
+    if (res_ != nullptr) res_->Release();
+  }
+
+ private:
+  Scheduler* sched_;
+  Resource* res_ = nullptr;  // the step's station; null for a delay
+  SimTime time_ = 0.0;       // a service's duration, a delay's wake-up time
+  std::coroutine_handle<> pending_ = nullptr;
+  TraceTag tag_;
 };
 
 }  // namespace pdblb::sim

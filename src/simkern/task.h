@@ -53,7 +53,9 @@ void FinishGroupMember(TaskGroup* group);
 /// sweep workers never contend; long-lived worker threads should call
 /// TrimThreadCache() between simulations (the runner does) so a
 /// heterogeneous grid doesn't pin every point's peak frame footprint until
-/// thread exit.
+/// thread exit.  The trim hands the frames to the global allocator, which
+/// keeps them in the process; the runner follows it with malloc_trim to
+/// return them to the OS.
 class FrameArena {
  public:
   static void* Allocate(size_t size) {

@@ -3,10 +3,11 @@
 // Regression tests for Scheduler::Cancel: destroying a suspended frame must
 // remove its pending calendar/ring entries (no ghost dispatch) and unhook it
 // from whatever primitive it is parked in — Delay, Resource (both queued and
-// granted-but-pending), Channel, TaskGroup, LockManager and the
-// buffer manager's memory queue.  Each test parks a victim, cancels it
-// mid-wait, and checks that (a) the victim never runs, (b) waiters behind it
-// are served normally, and (c) no server/lock/reservation is leaked.
+// granted-but-pending), a network message's legs, Channel, TaskGroup,
+// LockManager and the buffer manager's memory queue.  Each test parks a
+// victim, cancels it mid-wait, and checks that (a) the victim never runs,
+// (b) waiters behind it are served normally, and (c) no
+// server/lock/reservation is leaked.
 // A composite scenario with cancellations must replay bit-identical (same
 // event trace bytes, same event count) across reruns.  Finally, structured
 // teardown: ~Scheduler destroys suspended detached frames (locals'
@@ -24,6 +25,7 @@
 #include "expect_quiescent.h"
 #include "iosim/disk.h"
 #include "lockmgr/lock_manager.h"
+#include "netsim/network.h"
 #include "run_at.h"
 #include "simkern/channel.h"
 #include "simkern/resource.h"
@@ -147,6 +149,123 @@ TEST(CancelTest, CancelGrantedButPendingResourceWaiter) {
   EXPECT_TRUE(behind) << "waiter behind the cancelled one was never granted";
   EXPECT_EQ(res.completed(), 2u);
 }
+
+// A network message parks at five places on its way: queued at a busy
+// sender CPU, in send service, on the wire, queued at a busy receiver CPU
+// and in receive service.  Cancelling it at any of them must deliver
+// nothing, free whatever CPU server it held, take it off any queue, and
+// leave the network timing the next transfer as if it had never been sent.
+enum class MessagePlace {
+  kQueuedAtSender,
+  kSending,
+  kOnWire,
+  kQueuedAtReceiver,
+  kReceiving,
+};
+
+struct MessageRig {
+  // Three packets: 1.0 ms send CPU, 0.3 ms on the wire, 1.25 ms receive CPU
+  // at the default costs and 20 MIPS.
+  static constexpr int64_t kBytes = 3 * 8192;
+
+  Scheduler sched;
+  Resource cpu0{sched, /*servers=*/1, "cpu0"};
+  Resource cpu1{sched, /*servers=*/1, "cpu1"};
+  Network net{sched, NetworkConfig{}, CpuCosts{}, /*mips=*/20.0,
+              {&cpu0, &cpu1}};
+
+  // Sends one message from PE 0 to PE 1 at t = 100 and returns the time it
+  // was delivered.
+  SimTime ProbeDelivery() {
+    SimTime delivered = -1.0;
+    RunAt(sched, 100.0, [&] {
+      sched.Spawn(net.Transfer(0, 1, kBytes, [&] { delivered = sched.Now(); }));
+    });
+    sched.Run();
+    return delivered;
+  }
+};
+
+// The victim awaits its message, so cancelling it destroys the message's
+// frame as an owned child: undoing the pending step is left to the
+// message's own awaiter, whichever leg it is on.
+Task<> AwaitMessage(Network& net, bool* delivered) {
+  co_await net.Transfer(0, 1, MessageRig::kBytes,
+                        [delivered] { *delivered = true; });
+}
+
+class CancelMessageTest : public ::testing::TestWithParam<MessagePlace> {};
+
+TEST_P(CancelMessageTest, CancelledMessageLeavesBothCpusAsFound) {
+  const MessagePlace place = GetParam();
+  MessageRig rig;
+  bool sender_holder = false, receiver_holder = false, delivered = false;
+  SimTime cancel_at = 0.0;
+  switch (place) {
+    case MessagePlace::kQueuedAtSender:
+      rig.sched.Spawn(UseAndFlag(rig.cpu0, 2.0, &sender_holder));
+      cancel_at = 1.0;
+      break;
+    case MessagePlace::kSending:
+      cancel_at = 0.5;
+      break;
+    case MessagePlace::kOnWire:
+      cancel_at = 1.15;
+      break;
+    case MessagePlace::kQueuedAtReceiver:
+      rig.sched.Spawn(UseAndFlag(rig.cpu1, 5.0, &receiver_holder));
+      cancel_at = 2.0;
+      break;
+    case MessagePlace::kReceiving:
+      cancel_at = 1.9;
+      break;
+  }
+  const uint64_t victim =
+      rig.sched.SpawnWithId(AwaitMessage(rig.net, &delivered));
+  RunAt(rig.sched, cancel_at, [&] {
+    const bool queued = place == MessagePlace::kQueuedAtSender ||
+                        place == MessagePlace::kQueuedAtReceiver;
+    EXPECT_EQ(rig.cpu0.queue_length() + rig.cpu1.queue_length(),
+              queued ? 1u : 0u);
+    EXPECT_EQ(rig.cpu0.busy() + rig.cpu1.busy(),
+              place == MessagePlace::kOnWire ? 0 : 1);
+    EXPECT_TRUE(rig.sched.Cancel(victim));
+    // Only the holders are left.
+    EXPECT_EQ(rig.cpu0.busy(), place == MessagePlace::kQueuedAtSender ? 1 : 0);
+    EXPECT_EQ(rig.cpu1.busy(),
+              place == MessagePlace::kQueuedAtReceiver ? 1 : 0);
+    EXPECT_EQ(rig.cpu0.queue_length(), 0u);
+    EXPECT_EQ(rig.cpu1.queue_length(), 0u);
+  });
+
+  MessageRig untouched;
+  EXPECT_EQ(rig.ProbeDelivery(), untouched.ProbeDelivery())
+      << "the cancelled message changed the next transfer's timing";
+  EXPECT_FALSE(delivered);
+  EXPECT_EQ(sender_holder, place == MessagePlace::kQueuedAtSender);
+  EXPECT_EQ(receiver_holder, place == MessagePlace::kQueuedAtReceiver);
+  for (const Resource* cpu : {&rig.cpu0, &rig.cpu1}) {
+    EXPECT_EQ(cpu->busy(), 0);
+    EXPECT_EQ(cpu->queue_length(), 0u);
+  }
+  EXPECT_EQ(rig.sched.detached_in_flight(), 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllPlaces, CancelMessageTest,
+    ::testing::Values(MessagePlace::kQueuedAtSender, MessagePlace::kSending,
+                      MessagePlace::kOnWire, MessagePlace::kQueuedAtReceiver,
+                      MessagePlace::kReceiving),
+    [](const ::testing::TestParamInfo<MessagePlace>& info) {
+      switch (info.param) {
+        case MessagePlace::kQueuedAtSender: return "QueuedAtSender";
+        case MessagePlace::kSending: return "Sending";
+        case MessagePlace::kOnWire: return "OnWire";
+        case MessagePlace::kQueuedAtReceiver: return "QueuedAtReceiver";
+        case MessagePlace::kReceiving: return "Receiving";
+      }
+      return "Unknown";
+    });
 
 Task<> ReceiveAndFlag(Channel<int>& ch, int* got, bool* closed) {
   while (auto v = co_await ch.Receive()) {

@@ -4,8 +4,9 @@
 // same results — field-identical reports and byte-identical CSV — no matter
 // how many worker threads execute it, because per-point seeds derive from
 // (root seed, grid index) and each point runs a private Cluster.  Also
-// covers the single-shot Cluster diagnostic and the frame-arena trim hook
-// the runner calls between points.
+// covers the longest-first dispatch order, the single-shot Cluster
+// diagnostic and the frame-arena trim hook the runner calls between
+// points.
 
 #include <gtest/gtest.h>
 
@@ -155,6 +156,49 @@ TEST(RunnerTest, CallbackSeesEveryPointExactlyOnce) {
   sweep.Run(opts);
   EXPECT_EQ(calls.load(), sweep.size());
   EXPECT_EQ(max_finished, sweep.size());
+}
+
+// Points are dispatched longest-first: larger clusters before smaller
+// ones, points of one size in grid order.  The order is host-time policy
+// only: results, seeds and CSV bytes match a parallel run.
+TEST(RunnerTest, DispatchesLargerClustersFirstInGridOrder) {
+  runner::Sweep sweep;
+  const std::vector<int> sizes = {6, 10, 8, 10, 6, 8};
+  for (size_t i = 0; i < sizes.size(); ++i) {
+    SystemConfig cfg;
+    cfg.num_pes = sizes[i];
+    cfg.warmup_ms = 200.0;
+    cfg.measurement_ms = 600.0;
+    sweep.Add({"mixed/" + std::to_string(i), "mixed",
+               static_cast<double>(sizes[i]), std::to_string(sizes[i]), cfg});
+  }
+
+  std::vector<std::string> completed;
+  runner::SweepOptions serial;
+  serial.jobs = 1;
+  serial.on_point_done = [&](const runner::SweepPoint& point,
+                             const MetricsReport&, size_t, size_t) {
+    completed.push_back(point.name);
+  };
+  std::vector<runner::SweepResult> one = sweep.Run(serial);
+  EXPECT_EQ(completed,
+            (std::vector<std::string>{"mixed/1", "mixed/3", "mixed/2",
+                                      "mixed/5", "mixed/0", "mixed/4"}));
+
+  runner::SweepOptions parallel;
+  parallel.jobs = 4;
+  std::vector<runner::SweepResult> four = sweep.Run(parallel);
+  ASSERT_EQ(one.size(), sweep.size());
+  ASSERT_EQ(four.size(), sweep.size());
+  for (size_t i = 0; i < sweep.size(); ++i) {
+    EXPECT_EQ(one[i].grid_index, i);
+    EXPECT_EQ(four[i].grid_index, i);
+    EXPECT_EQ(one[i].point.name, sweep.points()[i].name);
+    EXPECT_EQ(one[i].point.config.seed, runner::PointSeed(42, i));
+    EXPECT_EQ(four[i].point.config.seed, one[i].point.config.seed);
+    ExpectIdenticalReports(one[i].report, four[i].report);
+  }
+  EXPECT_EQ(runner::ResultsCsv(one), runner::ResultsCsv(four));
 }
 
 TEST(RunnerTest, ClusterRunIsSingleShot) {
