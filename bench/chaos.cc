@@ -72,8 +72,6 @@ void Setup(bench::Figure& fig) {
       if (i > 0) {
         // Disk domain: background error rate plus a scripted slow window.
         cfg.faults.io_error_rate = 0.01 * i;
-        cfg.faults.io_retry_limit = 3;
-        cfg.faults.io_retry_penalty_ms = 5.0;
         cfg.faults.events.push_back(
             {2000.0, FaultKind::kSlowDisk, 1, -1, 1.0 + i});
         cfg.faults.events.push_back({4500.0, FaultKind::kSlowDisk, 1, -1, 1.0});

@@ -15,11 +15,12 @@
 //
 // Every membership event lands inside the measurement window of both the
 // fast (6.5 s) and the normal (24 s) horizon, so --fast changes only the
-// statistics, never which scenarios resize.  Migration traffic competes
-// with query traffic for the interconnect (netsim bulk transfers), and the
-// per-move bandwidth cap is the x axis: low bandwidth stretches the
-// migration window (fragments_migrated lands late, queries keep routing to
-// the old owner longer), high bandwidth concentrates the disturbance.
+// statistics, never which scenarios resize.  A migration batch is an
+// ordinary netsim message, so it competes with query traffic for the
+// endpoint CPUs and is counted with it.  The per-move bandwidth cap is the
+// x axis: low bandwidth stretches the migration window (fragments_migrated
+// lands late, queries keep routing to the old owner longer), high
+// bandwidth concentrates the disturbance.
 // Relations are scaled down ~12x from the paper defaults and the migration
 // batch sized to keep the 10-disk donor array busy: on the paper's 20 MIPS
 // PEs a migration batch pays real controller, wire and endpoint-CPU time,

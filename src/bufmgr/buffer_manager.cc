@@ -6,6 +6,13 @@
 #include <cassert>
 
 namespace pdblb {
+namespace {
+
+// The touched window: how far back a reference makes a frame count as in
+// use in the free memory a PE reports to the control node (TouchedPages).
+constexpr SimTime kTouchedWindowMs = 300.0;
+
+}  // namespace
 
 BufferManager::BufferManager(sim::Scheduler& sched, const BufferConfig& config,
                              DiskArray& disks, std::string name)
@@ -207,9 +214,7 @@ sim::Task<int> BufferManager::ReserveWait(int min_pages, int want_pages) {
     void await_resume() noexcept { pending = nullptr; }
     ~Awaiter() {
       if (!pending || sched->tearing_down()) return;
-      auto it = std::find(mgr->mem_queue_.begin(), mgr->mem_queue_.end(), w);
-      if (it != mgr->mem_queue_.end()) {
-        mgr->mem_queue_.erase(it);
+      if (mgr->mem_queue_.EraseLastIf([&](MemWaiter* q) { return q == w; })) {
         // Removing the head may unblock smaller requests behind it.
         mgr->ServeMemoryQueue();
         return;
@@ -309,7 +314,7 @@ void BufferManager::StealFromVictims(int needed) {
 }
 
 int BufferManager::TouchedPages() const {
-  SimTime cutoff = sched_.Now() - config_.touched_window_ms;
+  SimTime cutoff = sched_.Now() - kTouchedWindowMs;
   int count = 0;
   for (const BufferFrame& f : table_.frames()) {
     if (f.resident && f.last_access >= cutoff) ++count;

@@ -25,7 +25,6 @@
 
 #include <coroutine>
 #include <cstdint>
-#include <deque>
 #include <string>
 #include <utility>
 #include <vector>
@@ -35,6 +34,7 @@
 #include "catalog/relation.h"
 #include "common/config.h"
 #include "iosim/disk.h"
+#include "simkern/ring.h"
 #include "simkern/scheduler.h"
 #include "simkern/task.h"
 
@@ -128,8 +128,8 @@ class BufferManager {
   /// Frames not covered by reservations.
   int UnreservedFrames() const { return capacity() - reserved_; }
 
-  /// Pages referenced at least once within the (short) touched window —
-  /// the buffer manager's bookkeeping view of "in use" frames.
+  /// Pages referenced at least once within the last 300 ms (the touched
+  /// window) — the buffer manager's bookkeeping view of "in use" frames.
   int TouchedPages() const;
   /// Pages referenced at least twice within the working-set window — the
   /// protected hot set (OLTP branch/teller pages) that join reservations
@@ -198,7 +198,7 @@ class BufferManager {
     int granted = 0;
     std::coroutine_handle<> handle;
   };
-  std::deque<MemWaiter*> mem_queue_;
+  sim::RingBuffer<MemWaiter*> mem_queue_;
 
   std::vector<MemoryVictim*> victims_;
 

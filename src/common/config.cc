@@ -296,12 +296,6 @@ Status SystemConfig::Validate() const {
   if (faults.io_error_rate < 0.0 || faults.io_error_rate >= 1.0) {
     return Status::InvalidArgument("faults.io_error_rate must be in [0, 1)");
   }
-  if (faults.io_retry_limit < 0) {
-    return Status::InvalidArgument("faults.io_retry_limit must be >= 0");
-  }
-  if (faults.io_retry_penalty_ms < 0.0) {
-    return Status::InvalidArgument("faults.io_retry_penalty_ms must be >= 0");
-  }
   if (overload.enabled) {
     if (overload.degrade_queue_threshold < 0.0 ||
         overload.exit_queue_threshold > overload.degrade_queue_threshold ||

@@ -90,9 +90,6 @@ struct BufferConfig {
   /// Sliding window used to estimate the protected (hot, twice-referenced)
   /// working set that join reservations must not displace.
   double working_set_window_ms = 2000.0;
-  /// Short window for the "touched frames" estimate a PE reports to the
-  /// control node as occupied memory (BufferManager::AvailablePages).
-  double touched_window_ms = 300.0;
 };
 
 /// Kernel event tracing (src/simkern/tracer.h).  When enabled, every
@@ -383,13 +380,12 @@ struct FaultConfig {
   double timeout_fraction = 1.0;
   RetryPolicy retry;
   /// Transient disk errors: each physical disk access fails with this
-  /// probability (drawn from a dedicated per-PE RNG fork) and is retried at
-  /// the driver with a fixed penalty, up to `io_retry_limit` retries per
-  /// access; a chain that exhausts its retries surfaces the last error
-  /// without another reissue, so io_errors >= io_retries always holds.
+  /// probability (drawn from a dedicated per-PE RNG fork) and is retried
+  /// with a fixed 5 ms penalty, up to 3 retries per access
+  /// (DiskArray::ConfigureFaults); a chain that exhausts its retries
+  /// surfaces the last error without another reissue, so io_errors >=
+  /// io_retries always holds.
   double io_error_rate = 0.0;
-  int io_retry_limit = 3;
-  double io_retry_penalty_ms = 5.0;
 
   /// True when PE failures or gray faults are configured (scripted or by
   /// rate): the fault processes are spawned and queries run supervised.

@@ -100,8 +100,7 @@ Cluster::Cluster(const SystemConfig& config)
     sim::Rng disk_fault_root = sim::Rng(config_.seed).Fork(4);
     for (PeId id = 0; id < config_.num_pes; ++id) {
       pes_[id]->disks().ConfigureFaults(
-          config_.faults.io_error_rate, config_.faults.io_retry_limit,
-          config_.faults.io_retry_penalty_ms,
+          config_.faults.io_error_rate,
           disk_fault_root.Fork(static_cast<uint64_t>(id)));
     }
   }

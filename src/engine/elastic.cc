@@ -322,7 +322,7 @@ sim::Task<> ElasticityManager::MigrateFragment(FragmentMove move,
     // migration must not flush the donor's hot buffer either.
     co_await c.pe(move.from).disks().ReadStriped(rel.DataPage(move.home, pos),
                                                  len);
-    co_await c.net().TransferBulk(
+    co_await c.net().Transfer(
         move.from, move.to,
         len * static_cast<int64_t>(cfg.buffer.page_size_bytes));
     // Destination side: staged through a working-space reservation, written

@@ -19,10 +19,11 @@
 //    whole-fragment migration latch at the *home* PE's lock manager (key
 //    {relation_id, -(home+1)}, a tuple-id no page lock can collide with),
 //    then copies the fragment batch-by-batch: donor ReadStriped ->
-//    Network::TransferBulk -> destination BufferManager::IngestBatch, each
-//    batch throttled to ElasticConfig::migration_bw_mbps.  Only after the
-//    last batch lands does the OwnershipMap flip, so queries route to
-//    exactly one owner at every instant.
+//    Network::Transfer (one message per batch, costed and counted like any
+//    other) -> destination BufferManager::IngestBatch, each batch throttled
+//    to ElasticConfig::migration_bw_mbps.  Only after the last batch lands
+//    does the OwnershipMap flip, so queries route to exactly one owner at
+//    every instant.
 //
 // Crash unwind: a crash of the donor, destination or home PE mid-migration
 // cancels the in-flight move; the coroutine frame unwinds through its RAII

@@ -19,24 +19,12 @@ namespace pdblb {
 namespace {
 
 using parop::BatchChannel;
-using parop::DeliverControl;
+using parop::Exchange;
 using parop::FanOut;
 using parop::Redistribute;
 using parop::ScanRedistribute;
 using parop::SplitEvenly;
 using parop::UseCpu;
-
-/// One redistribution channel per join processor.
-using Channels = std::vector<std::unique_ptr<BatchChannel>>;
-
-Channels MakeChannels(sim::Scheduler& sched, int p) {
-  Channels channels;
-  channels.reserve(p);
-  for (int j = 0; j < p; ++j) {
-    channels.push_back(std::make_unique<BatchChannel>(sched));
-  }
-  return channels;
-}
 
 /// Join-processor side of the building phase.  Memory was already acquired
 /// by the coordinator (in global PE order, which avoids hold-and-wait
@@ -81,21 +69,18 @@ std::vector<PeId> ScanSites(const Cluster& c, const Relation& rel,
   return sites;
 }
 
-/// Spawns the parallel scan of `rel` into `scans`: the fragment homed at
-/// homes[i] (its page keys and read-lock site) is scanned at sites[i],
+/// Spawns the parallel scan of `rel` as `ex`'s sources: the fragment homed
+/// at homes[i] (its page keys and read-lock site) is scanned at sites[i],
 /// selects an even share of `tuples` and redistributes it to the join
 /// processors.
-void SpawnScans(Cluster& c, sim::TaskGroup& scans, const Relation& rel,
+void SpawnScans(Cluster& c, Exchange& ex, const Relation& rel,
                 const std::vector<PeId>& homes, const std::vector<PeId>& sites,
-                int64_t tuples, TxnId read_txn, const JoinPlan& plan,
-                const std::vector<double>& dest_frac, const Channels& channels,
-                sim::TaskGroup& sends) {
+                int64_t tuples, TxnId read_txn) {
   std::vector<int64_t> share =
       SplitEvenly(tuples, static_cast<int>(homes.size()));
   for (size_t i = 0; i < homes.size(); ++i) {
-    scans.Spawn(ScanRedistribute(c, sites[i], rel, share[i], plan.pes,
-                                 dest_frac, channels, sends, read_txn,
-                                 homes[i]));
+    ex.sources().Spawn(ScanRedistribute(c, sites[i], rel, share[i], ex,
+                                        read_txn, homes[i]));
   }
 }
 
@@ -187,7 +172,7 @@ sim::Task<> JoinStages(Cluster& c, Query& q, int ways) {
     }
     for (PeId pe : outer_homes) q.locks->AddPe(pe);
 
-    co_await FanOut(c, q.coord, stage_pes, DeliverControl);  // subquery startup
+    co_await FanOut(c, q.coord, stage_pes, parop::StartSubquery);
     participants.merge(stage_pes);
 
     // One local join instance per join processor.  The partitioning
@@ -256,47 +241,35 @@ sim::Task<> JoinStages(Cluster& c, Query& q, int ways) {
     // --- building phase: scan A or redistribute the previous result, build
     // the hash tables ----------------------------------------------------
     {
-      Channels channels = MakeChannels(sched, p);
-      sim::TaskGroup consumers(sched);
+      Exchange build(c, plan.pes, dest_frac);
       for (int j = 0; j < p; ++j) {
-        consumers.Spawn(BuildConsumer(joins[j].get(), channels[j].get()));
+        build.consumers().Spawn(
+            BuildConsumer(joins[j].get(), build.channel(j)));
       }
-      sim::TaskGroup sources(sched);
-      sim::TaskGroup sends(sched);
       if (first) {
-        SpawnScans(c, sources, db.a(), db.a_nodes(), a_sites, inner_total,
-                   q.txn, plan, dest_frac, channels, sends);
+        SpawnScans(c, build, db.a(), db.a_nodes(), a_sites, inner_total,
+                   q.txn);
       } else {
         for (size_t i = 0; i < result_pes.size(); ++i) {
-          sources.Spawn(Redistribute(c, result_pes[i], result_at[i],
-                                     tuple_size, plan.pes, dest_frac,
-                                     channels, sends));
+          build.sources().Spawn(Redistribute(c, result_pes[i], result_at[i],
+                                             tuple_size, build));
         }
       }
-      co_await sources.Wait();
-      co_await sends.Wait();
-      for (auto& ch : channels) ch->Close();
-      co_await consumers.Wait();
+      co_await build.Finish();
     }
 
     // --- probing phase: scan B or C, redistribute, probe, materialize the
     // result ------------------------------------------------------------
     {
-      Channels channels = MakeChannels(sched, p);
-      sim::TaskGroup consumers(sched);
+      Exchange probe(c, plan.pes, dest_frac);
       for (int j = 0; j < p; ++j) {
-        consumers.Spawn(ProbeConsumer(c, joins[j].get(), channels[j].get(),
-                                      plan.pes[j], q.coord, result_share[j],
-                                      tuple_size, last));
+        probe.consumers().Spawn(ProbeConsumer(
+            c, joins[j].get(), probe.channel(j), plan.pes[j], q.coord,
+            result_share[j], tuple_size, last));
       }
-      sim::TaskGroup scans(sched);
-      sim::TaskGroup sends(sched);
-      SpawnScans(c, scans, outer, outer_homes, outer_sites, outer_total,
-                 q.txn, plan, dest_frac, channels, sends);
-      co_await scans.Wait();
-      co_await sends.Wait();
-      for (auto& ch : channels) ch->Close();
-      co_await consumers.Wait();
+      SpawnScans(c, probe, outer, outer_homes, outer_sites, outer_total,
+                 q.txn);
+      co_await probe.Finish();
     }
 
     for (const auto& j : joins) {

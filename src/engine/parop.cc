@@ -21,41 +21,47 @@ std::vector<PeId> FragmentOwners(const Cluster& c, const Relation& rel) {
   return owners;
 }
 
-sim::Task<> SendBatch(Cluster& c, PeId src, PeId dst, int64_t tuples,
-                      int tuple_size, BatchChannel* channel) {
-  return c.net().Transfer(src, dst, tuples * tuple_size,
-                          [channel, tuples] { channel->Send(Batch{tuples}); });
+Exchange::Exchange(Cluster& c, const std::vector<PeId>& dests,
+                   const std::vector<double>& dest_frac)
+    : c_(c), dests_(dests), dest_frac_(dest_frac), consumers_(c.sched()),
+      sources_(c.sched()), messages_(c.sched()) {
+  channels_.reserve(dests.size());
+  for (size_t j = 0; j < dests.size(); ++j) {
+    channels_.push_back(std::make_unique<BatchChannel>(c.sched()));
+  }
 }
 
-sim::Task<> DeliverControl(Cluster& c, PeId /*coord*/, PeId dest) {
-  co_await c.sched().Delay(c.config().network.wire_time_per_packet_ms);
-  const CpuCosts& costs = c.config().costs;
-  co_await UseCpu(c, dest, costs.receive_message + costs.copy_message);
+void Exchange::Send(PeId src, int j, int64_t tuples, int tuple_size) {
+  BatchChannel* channel = channels_[j].get();
+  messages_.Spawn(
+      c_.net().Transfer(src, dests_[j], tuples * tuple_size,
+                        [channel, tuples] { channel->Send(Batch{tuples}); }));
+}
+
+sim::Task<> Exchange::Finish() {
+  co_await sources_.Wait();
+  co_await messages_.Wait();
+  for (auto& channel : channels_) channel->Close();
+  co_await consumers_.Wait();
+}
+
+sim::Task<> StartSubquery(Cluster& c, PeId coord, PeId dest) {
+  return c.net().Deliver(coord, dest);
 }
 
 sim::Task<> CommitRound(Cluster& c, PeId coord, PeId dest) {
-  const CpuCosts& costs = c.config().costs;
-  double wire = c.config().network.wire_time_per_packet_ms;
-  co_await c.sched().Delay(wire);
-  co_await UseCpu(c, dest, costs.receive_message + costs.copy_message);
-  co_await UseCpu(c, dest, costs.send_message + costs.copy_message);
-  co_await c.sched().Delay(wire);
-  co_await UseCpu(c, coord, costs.receive_message + costs.copy_message);
+  co_await c.net().Deliver(coord, dest);
+  co_await c.net().ControlMessage(dest, coord);
 }
 
 sim::Task<> TwoPhaseCommitRounds(Cluster& c, PeId coord, PeId dest) {
-  const CpuCosts& costs = c.config().costs;
-  double wire = c.config().network.wire_time_per_packet_ms;
   // Phase 1: prepare.  The participant forces its log before voting.
-  co_await c.sched().Delay(wire);
-  co_await UseCpu(c, dest, costs.receive_message + costs.copy_message);
+  co_await c.net().Deliver(coord, dest);
   co_await c.pe(dest).disks().LogWrite();
-  co_await UseCpu(c, dest, costs.send_message + costs.copy_message);
-  co_await c.sched().Delay(wire);
-  co_await UseCpu(c, coord, costs.receive_message + costs.copy_message);
+  co_await c.net().ControlMessage(dest, coord);
   // Phase 2: commit.
-  co_await UseCpu(c, coord, costs.send_message + costs.copy_message);
-  co_await CommitRound(c, coord, dest);
+  co_await c.net().ControlMessage(coord, dest);
+  co_await c.net().ControlMessage(dest, coord);
 }
 
 sim::Task<> LockPageShared(Cluster& c, PeId node, TxnId txn, PageKey page) {
@@ -67,11 +73,9 @@ sim::Task<> LockPageShared(Cluster& c, PeId node, TxnId txn, PageKey page) {
   }
 }
 
-sim::Task<> ScanRedistribute(
-    Cluster& c, PeId node, const Relation& rel, int64_t sel_tuples,
-    const std::vector<PeId>& dests, const std::vector<double>& dest_frac,
-    const std::vector<std::unique_ptr<BatchChannel>>& channels,
-    sim::TaskGroup& sends, TxnId read_lock_txn, PeId home) {
+sim::Task<> ScanRedistribute(Cluster& c, PeId node, const Relation& rel,
+                             int64_t sel_tuples, Exchange& ex,
+                             TxnId read_lock_txn, PeId home) {
   if (sel_tuples <= 0) co_return;
   const SystemConfig& cfg = c.config();
   const CpuCosts& costs = cfg.costs;
@@ -88,7 +92,8 @@ sim::Task<> ScanRedistribute(
   // Clustered B+-tree descent to the start of the selected range.
   co_await UseCpu(c, node, costs.read_tuple * rel.IndexLevels(home));
 
-  const int p = static_cast<int>(dests.size());
+  const int p = ex.size();
+  const std::vector<double>& dest_frac = ex.dest_frac();
   const int64_t packet_tuples =
       std::max<int64_t>(1, cfg.network.packet_size_bytes / tuple_size);
 
@@ -132,8 +137,7 @@ sim::Task<> ScanRedistribute(
                sent[j] + packet_tuples <= per_dest[j]) {
           accum[j] -= static_cast<double>(packet_tuples);
           sent[j] += packet_tuples;
-          sends.Spawn(SendBatch(c, node, dests[j], packet_tuples, tuple_size,
-                                channels[j].get()));
+          ex.Send(node, j, packet_tuples, tuple_size);
         }
       }
     }
@@ -142,22 +146,16 @@ sim::Task<> ScanRedistribute(
   // redistribution overhead that grows with the number of nodes.
   for (int j = 0; j < p; ++j) {
     int64_t rest = per_dest[j] - sent[j];
-    if (rest > 0) {
-      sends.Spawn(
-          SendBatch(c, node, dests[j], rest, tuple_size, channels[j].get()));
-    }
+    if (rest > 0) ex.Send(node, j, rest, tuple_size);
   }
 }
 
-sim::Task<> Redistribute(
-    Cluster& c, PeId src, int64_t tuples, int tuple_size,
-    const std::vector<PeId>& dests, const std::vector<double>& dest_frac,
-    const std::vector<std::unique_ptr<BatchChannel>>& channels,
-    sim::TaskGroup& sends) {
+sim::Task<> Redistribute(Cluster& c, PeId src, int64_t tuples, int tuple_size,
+                         Exchange& ex) {
   if (tuples <= 0) co_return;
   const SystemConfig& cfg = c.config();
   const CpuCosts& costs = cfg.costs;
-  const int p = static_cast<int>(dests.size());
+  const int p = ex.size();
   const int64_t packet_tuples =
       std::max<int64_t>(1, cfg.network.packet_size_bytes / tuple_size);
 
@@ -165,14 +163,13 @@ sim::Task<> Redistribute(
   co_await UseCpu(
       c, src, tuples * (costs.hash_tuple + costs.write_output_tuple));
 
-  std::vector<int64_t> per_dest = SplitWeighted(tuples, dest_frac);
+  std::vector<int64_t> per_dest = SplitWeighted(tuples, ex.dest_frac());
   for (int j = 0; j < p; ++j) {
     int64_t left = per_dest[j];
     while (left > 0) {
       int64_t batch = std::min(packet_tuples, left);
       left -= batch;
-      sends.Spawn(
-          SendBatch(c, src, dests[j], batch, tuple_size, channels[j].get()));
+      ex.Send(src, j, batch, tuple_size);
     }
   }
 }

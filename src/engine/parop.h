@@ -2,9 +2,10 @@
 //
 // PAROP: the parallelization meta-operator of the paper's query processing
 // system (Section 4) — the machinery shared by every parallel executor:
-// dynamic data redistribution between operator instances, the coordinator's
-// message fan-out, subquery startup message delivery, and the distributed
-// commit rounds.
+// dynamic data redistribution between operator instances (one Exchange per
+// phase), the coordinator's message fan-out, subquery startup, and the
+// distributed commit rounds.  Every message is a netsim message
+// (netsim/network.h), which alone knows what one costs.
 
 #ifndef PDBLB_ENGINE_PAROP_H_
 #define PDBLB_ENGINE_PAROP_H_
@@ -53,38 +54,73 @@ inline void UseCpu(sim::Leg& leg, Cluster& c, PeId pe, int64_t instructions) {
           InstructionsToMs(instructions, c.config().mips_per_pe));
 }
 
-/// Ships one tuple batch over the network and hands it to the consumer's
-/// channel in the event that ends the receiver's CPU service.  Not a
-/// coroutine: the returned task is the network transfer itself, so a
-/// packet in flight holds one frame.
-sim::Task<> SendBatch(Cluster& c, PeId src, PeId dst, int64_t tuples,
-                      int tuple_size, BatchChannel* channel);
+/// One redistribution phase of a join stage: a channel per join processor
+/// (destination), the consumers that drain them, the sources that feed
+/// them (scans, or the previous stage's result holders) and the messages in
+/// flight between the two.  The members are declared in that order, so a
+/// cancelled phase unwinds the messages, then the sources, then the
+/// consumers, and frees the channels last.  `dests` and `dest_frac` (the
+/// partitioning function's per-destination tuple fractions) must outlive
+/// the exchange.
+class Exchange {
+ public:
+  Exchange(Cluster& c, const std::vector<PeId>& dests,
+           const std::vector<double>& dest_frac);
 
-/// Wire + receiver-side cost of a control message whose send costs the
-/// coordinator already serialized itself.
-sim::Task<> DeliverControl(Cluster& c, PeId coord, PeId dest);
+  int size() const { return static_cast<int>(dests_.size()); }
+  const std::vector<double>& dest_frac() const { return dest_frac_; }
+  BatchChannel* channel(int j) { return channels_[j].get(); }
+  sim::TaskGroup& consumers() { return consumers_; }
+  sim::TaskGroup& sources() { return sources_; }
+
+  /// Ships `tuples` tuples of `tuple_size` bytes from `src` to destination
+  /// `j` as one message, which hands the batch to channel `j` in the event
+  /// that ends the receiver's CPU service.  A message in flight is its
+  /// network transfer's frame alone.
+  void Send(PeId src, int j, int64_t tuples, int tuple_size);
+
+  /// The phase's end: waits for the sources, then for the messages in
+  /// flight, closes every channel and waits for the consumers.
+  sim::Task<> Finish();
+
+ private:
+  Cluster& c_;
+  const std::vector<PeId>& dests_;
+  const std::vector<double>& dest_frac_;
+  std::vector<std::unique_ptr<BatchChannel>> channels_;
+  sim::TaskGroup consumers_;
+  sim::TaskGroup sources_;
+  sim::TaskGroup messages_;
+};
+
+/// Subquery startup at `dest`: the coordinator's control message, whose
+/// send CPU FanOut already charged.
+sim::Task<> StartSubquery(Cluster& c, PeId coord, PeId dest);
 
 /// One participant's part of the read-only-optimized commit (single round):
-/// receive the commit message, release resources, acknowledge.
+/// the commit message reaches it, it releases its resources and
+/// acknowledges.
 sim::Task<> CommitRound(Cluster& c, PeId coord, PeId dest);
 
 /// One participant's part of a full two-phase commit (update transactions):
-/// prepare round with a forced log write, then the commit round.
+/// the prepare message, a forced log write and the vote, then the commit
+/// message and its acknowledgement.
 sim::Task<> TwoPhaseCommitRounds(Cluster& c, PeId coord, PeId dest);
 
 /// One message round from `coord` to every other PE of `dests`: the
-/// coordinator serializes the send+copy costs, the deliveries (`deliver`:
-/// DeliverControl, CommitRound or TwoPhaseCommitRounds) run in parallel,
-/// and `local`, the coordinator's own part, runs while they are in flight.
+/// coordinator serializes the sends' CPU, so the round's startup grows
+/// with the degree; the rest of each message and the participant's part
+/// (`deliver`: StartSubquery, CommitRound or TwoPhaseCommitRounds) run in
+/// parallel, and `local`, the coordinator's own part, runs while they are
+/// in flight.
 template <typename Dests, typename Local = std::suspend_never>
 sim::Task<> FanOut(Cluster& c, PeId coord, const Dests& dests,
                    sim::Task<> (*deliver)(Cluster&, PeId, PeId),
                    Local local = {}) {
-  const CpuCosts& costs = c.config().costs;
   sim::TaskGroup deliveries(c.sched());
   for (PeId dest : dests) {
     if (dest == coord) continue;
-    co_await UseCpu(c, coord, costs.send_message + costs.copy_message);
+    co_await c.pe(coord).cpu().Use(c.net().SendMs(1));
     deliveries.Spawn(deliver(c, coord, dest));
   }
   co_await std::move(local);
@@ -101,9 +137,8 @@ sim::Task<> LockPageShared(Cluster& c, PeId node, TxnId txn, PageKey page);
 
 /// Parallel scan at `node` of the fragment of `rel` homed at `home` with
 /// dynamic redistribution: reads the selected page range through `node`'s
-/// buffer, charges per-tuple CPU there, and streams page-sized packets to
-/// the destinations.  `dest_frac` holds the partitioning function's
-/// per-destination tuple fractions.  When `read_lock_txn` is non-zero
+/// buffer, charges per-tuple CPU there, and streams page-sized packets
+/// through `ex` to its destinations.  When `read_lock_txn` is non-zero
 /// (CcScheme::kTwoPhaseLocking), every scanned page is read-locked for that
 /// transaction first, at the home's lock manager.
 ///
@@ -111,21 +146,15 @@ sim::Task<> LockPageShared(Cluster& c, PeId node, TxnId txn, PageKey page);
 /// home itself, or the fragment's current owner after an elastic migration;
 /// under Shared Disk it may be any PE, whose storage adapter reads the
 /// pages off the shared spindles.
-sim::Task<> ScanRedistribute(
-    Cluster& c, PeId node, const Relation& rel, int64_t sel_tuples,
-    const std::vector<PeId>& dests, const std::vector<double>& dest_frac,
-    const std::vector<std::unique_ptr<BatchChannel>>& channels,
-    sim::TaskGroup& sends, TxnId read_lock_txn, PeId home);
+sim::Task<> ScanRedistribute(Cluster& c, PeId node, const Relation& rel,
+                             int64_t sel_tuples, Exchange& ex,
+                             TxnId read_lock_txn, PeId home);
 
 /// Redistributes `tuples` tuples already materialized at `src` (an
-/// intermediate result) to the destinations: per-tuple output CPU plus
-/// packetized network transfers.  Used between pipeline stages of multi-way
-/// joins.
-sim::Task<> Redistribute(
-    Cluster& c, PeId src, int64_t tuples, int tuple_size,
-    const std::vector<PeId>& dests, const std::vector<double>& dest_frac,
-    const std::vector<std::unique_ptr<BatchChannel>>& channels,
-    sim::TaskGroup& sends);
+/// intermediate result) through `ex`: per-tuple output CPU plus packetized
+/// network transfers.  Used between pipeline stages of multi-way joins.
+sim::Task<> Redistribute(Cluster& c, PeId src, int64_t tuples, int tuple_size,
+                         Exchange& ex);
 
 }  // namespace pdblb::parop
 

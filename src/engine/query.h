@@ -136,7 +136,8 @@ sim::Task<> RunQuery(Cluster& c, QueryClass cls, QueryAttempt* qa, Query q,
       q.locks = &locks;
       sim::Leg leg(sched);
       if (info.terminal) {
-        UseCpu(leg, c, q.coord, costs.receive_message + costs.copy_message);
+        // The request from the client terminal.
+        leg.Use(c.pe(q.coord).cpu(), c.net().ReceiveMs(1));
         co_await leg;
       }
       UseCpu(leg, c, q.coord, costs.initiate_txn);
@@ -151,7 +152,8 @@ sim::Task<> RunQuery(Cluster& c, QueryClass cls, QueryAttempt* qa, Query q,
         UseCpu(leg, c, q.coord, costs.terminate_txn);
         co_await leg;
         if (info.terminal) {
-          UseCpu(leg, c, q.coord, costs.send_message + costs.copy_message);
+          // The reply to the client terminal.
+          leg.Use(c.pe(q.coord).cpu(), c.net().SendMs(1));
           co_await leg;
           locks.ReleaseNow();
         }

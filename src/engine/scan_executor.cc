@@ -12,10 +12,10 @@
 namespace pdblb {
 namespace {
 
-using parop::DeliverControl;
 using parop::FanOut;
 using parop::LockPageShared;
 using parop::SplitEvenly;
+using parop::StartSubquery;
 using parop::UseCpu;
 
 /// Reads `pages` pages of the fragment homed at `node` through `exec`'s
@@ -114,7 +114,7 @@ sim::Task<> ScanFragments(Cluster& c, Query& q) {
   for (PeId node : nodes) q.locks->AddPe(node);
   // The data allocation prescribes the scan placement, so no control-node
   // round trip precedes the subquery startup.
-  co_await FanOut(c, q.coord, q.sites, DeliverControl);
+  co_await FanOut(c, q.coord, q.sites, StartSubquery);
 
   const int64_t selected_total = static_cast<int64_t>(
       scan.selectivity * static_cast<double>(rel.num_tuples()));
@@ -202,7 +202,7 @@ sim::Task<bool> UpdateFragments(Cluster& c, Query& q) {
   const Relation& rel = *q.target;
   const std::vector<PeId>& nodes = rel.home_pes();
   for (PeId node : nodes) q.locks->AddPe(node);
-  co_await FanOut(c, q.coord, q.sites, DeliverControl);
+  co_await FanOut(c, q.coord, q.sites, StartSubquery);
 
   const int64_t update_total = std::max<int64_t>(
       1, static_cast<int64_t>(update.selectivity *

@@ -8,6 +8,11 @@
 namespace pdblb {
 namespace {
 
+// The retry budget for an injected I/O error, and the service charge of
+// each reissue on the same spindle.
+constexpr int kIoRetryLimit = 3;
+constexpr SimTime kIoRetryPenaltyMs = 5.0;
+
 // Use() is a frameless awaiter, not a Task; spawning it as a detached
 // group member needs this thin coroutine wrapper.
 sim::Task<> SpawnedUse(sim::Resource& res, SimTime duration) {
@@ -45,12 +50,9 @@ sim::Resource& DiskArray::DiskFor(PageKey page) {
   return *disks_[h % disks_.size()];
 }
 
-void DiskArray::ConfigureFaults(double error_rate, int retry_limit,
-                                double retry_penalty_ms, sim::Rng rng) {
+void DiskArray::ConfigureFaults(double error_rate, sim::Rng rng) {
   assert(error_rate >= 0.0 && error_rate <= 1.0);
   io_error_rate_ = error_rate;
-  io_retry_limit_ = retry_limit;
-  io_retry_penalty_ms_ = retry_penalty_ms;
   fault_rng_ = rng;
 }
 
@@ -73,10 +75,10 @@ sim::Task<> DiskArray::InjectedRetries(sim::Resource& disk) {
   int chain = 0;
   while (fault_rng_->Uniform() < io_error_rate_) {
     ++io_errors_;
-    if (chain >= io_retry_limit_) break;
+    if (chain >= kIoRetryLimit) break;
     ++chain;
     ++io_retries_;
-    co_await disk.Use(Scaled(io_retry_penalty_ms_));
+    co_await disk.Use(Scaled(kIoRetryPenaltyMs));
   }
 }
 

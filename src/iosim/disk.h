@@ -88,13 +88,12 @@ class DiskArray {
   // --- fault injection (engine/faults.h) ----------------------------------
   /// Arms transient I/O errors: every physical access draws from `rng` (a
   /// dedicated per-PE fork of the root seed) and fails with probability
-  /// `error_rate`; the driver retries a failed access with a fixed
-  /// `retry_penalty_ms` service charge, at most `retry_limit` times per
-  /// access (a chain that exhausts the budget surfaces the final error
-  /// without another reissue, so io_errors() >= io_retries() always).
-  /// Never armed on the fault-free path: zero draws, zero extra awaits.
-  void ConfigureFaults(double error_rate, int retry_limit,
-                       double retry_penalty_ms, sim::Rng rng);
+  /// `error_rate`; a failed access is retried with a fixed 5 ms service
+  /// charge, at most 3 times per access (a chain that exhausts the budget
+  /// surfaces the final error without another reissue, so io_errors() >=
+  /// io_retries() always).  Never armed on the fault-free path: zero
+  /// draws, zero extra awaits.
+  void ConfigureFaults(double error_rate, sim::Rng rng);
 
   /// Slow-disk mode: multiplies every physical disk/log service time by
   /// `m` (>= 1); 1.0 restores normal speed.  In Shared Disk mode the
@@ -162,8 +161,6 @@ class DiskArray {
   // Fault state: unset/1.0 on the fault-free path.
   std::optional<sim::Rng> fault_rng_;
   double io_error_rate_ = 0.0;
-  int io_retry_limit_ = 0;
-  double io_retry_penalty_ms_ = 0.0;
   double service_multiplier_ = 1.0;
   int64_t io_errors_ = 0;
   int64_t io_retries_ = 0;

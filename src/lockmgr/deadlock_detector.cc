@@ -7,12 +7,16 @@
 #include <set>
 
 namespace pdblb {
+namespace {
+
+// How often the central detector collects the global wait-for graph.
+constexpr SimTime kCheckIntervalMs = 1000.0;
+
+}  // namespace
 
 DeadlockDetector::DeadlockDetector(sim::Scheduler& sched,
-                                   std::vector<LockManager*> lock_managers,
-                                   SimTime check_interval_ms)
-    : sched_(sched), lock_managers_(std::move(lock_managers)),
-      check_interval_ms_(check_interval_ms) {}
+                                   std::vector<LockManager*> lock_managers)
+    : sched_(sched), lock_managers_(std::move(lock_managers)) {}
 
 std::vector<TxnId> DeadlockDetector::FindCycleVictims(
     const std::vector<WaitForEdge>& edges) {
@@ -107,7 +111,7 @@ std::vector<TxnId> DeadlockDetector::DetectAndResolve() {
 
 sim::Task<> DeadlockDetector::Run() {
   while (true) {
-    co_await sched_.Delay(check_interval_ms_);
+    co_await sched_.Delay(kCheckIntervalMs);
     DetectAndResolve();
   }
 }

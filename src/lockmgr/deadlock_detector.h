@@ -22,14 +22,13 @@ class DeadlockDetector {
  public:
   /// `lock_managers` must outlive the detector.
   DeadlockDetector(sim::Scheduler& sched,
-                   std::vector<LockManager*> lock_managers,
-                   SimTime check_interval_ms = 1000.0);
+                   std::vector<LockManager*> lock_managers);
 
   /// Runs one detection pass: returns the victims aborted (may be empty).
   std::vector<TxnId> DetectAndResolve();
 
-  /// Background process: runs DetectAndResolve every check interval until
-  /// the scheduler shuts down.  Spawn with Scheduler::Spawn.
+  /// Background process: runs DetectAndResolve once a second until the
+  /// scheduler shuts down.  Spawn with Scheduler::Spawn.
   sim::Task<> Run();
 
   /// Finds all transactions on cycles in `edges`; exposed for testing.
@@ -39,7 +38,6 @@ class DeadlockDetector {
  private:
   sim::Scheduler& sched_;
   std::vector<LockManager*> lock_managers_;
-  SimTime check_interval_ms_;
 };
 
 }  // namespace pdblb

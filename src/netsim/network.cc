@@ -47,8 +47,8 @@ sim::Task<> Network::ControlMessage(PeId src, PeId dst) {
   return Transfer(src, dst, 1);
 }
 
-sim::Task<> Network::TransferBulk(PeId src, PeId dst, int64_t bytes) {
-  return Ship(src, dst, bytes, bulk_sent_, [] {});
+sim::Task<> Network::Deliver(PeId src, PeId dst) {
+  return Ship(src, dst, 1, /*send_cpu=*/false, [] {});
 }
 
 }  // namespace pdblb

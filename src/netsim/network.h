@@ -6,7 +6,10 @@
 // delay.  The interconnect itself is a scalable high-speed network (EDS-like)
 // and is modeled contention-free; the *CPU* cost of communication is the
 // scarce resource, which is exactly the effect the paper's load-balancing
-// trade-off hinges on.
+// trade-off hinges on.  Every message of the simulator goes through this
+// class — data batches, results, control and commit messages and fragment
+// migration — so it alone knows what a message costs, and a slow link and
+// the message counters see every one.
 
 #ifndef PDBLB_NETSIM_NETWORK_H_
 #define PDBLB_NETSIM_NETWORK_H_
@@ -35,9 +38,9 @@ class Network {
           std::vector<sim::Resource*> cpus);
 
   /// Transfers `bytes` from `src` to `dst` as one logical message:
-  ///   sender CPU:   send_message + copy_message * packets
+  ///   sender CPU:   SendMs(packets)
   ///   wire:         wire_time_per_packet * packets (pure delay)
-  ///   receiver CPU: receive_message + copy_message * packets
+  ///   receiver CPU: ReceiveMs(packets)
   /// and runs `delivered()` in the event that ends the receiver's CPU
   /// service.  Local transfers (src == dst) are free — co-located operators
   /// communicate via memory — and run `delivered()` at once.  Sending is
@@ -46,20 +49,33 @@ class Network {
   template <typename Delivered>
   sim::Task<> Transfer(PeId src, PeId dst, int64_t bytes,
                        Delivered delivered) {
-    return Ship(src, dst, bytes, sent_, std::move(delivered));
+    return Ship(src, dst, bytes, /*send_cpu=*/true, std::move(delivered));
   }
 
   /// Transfer with nothing to hand over: completes when the receiver has
-  /// processed the message.
+  /// processed the message.  Fragment migration's batches are transfers
+  /// too, counted with every other message.
   sim::Task<> Transfer(PeId src, PeId dst, int64_t bytes);
 
-  /// A short control message (startup, commit votes): one packet.
+  /// A short control message (a control-node consult, a commit vote or
+  /// acknowledgement): one packet.
   sim::Task<> ControlMessage(PeId src, PeId dst);
 
-  /// Bulk data transfer (fragment migration): the same transfer, accounted
-  /// in the bulk counters so the foreground message counters stay
-  /// comparable across elastic and resize-free runs.
-  sim::Task<> TransferBulk(PeId src, PeId dst, int64_t bytes);
+  /// A one-packet control message whose sender has already paid its
+  /// SendMs(1) (a coordinator serializing a fan-out's sends): the wire and
+  /// the receiver's CPU only, counted as one message.
+  sim::Task<> Deliver(PeId src, PeId dst);
+
+  /// CPU time to send, or to receive, one message of `packets` packets:
+  /// message setup plus one buffer copy per packet.
+  SimTime SendMs(int64_t packets) const {
+    return InstructionsToMs(
+        costs_.send_message + costs_.copy_message * packets, mips_);
+  }
+  SimTime ReceiveMs(int64_t packets) const {
+    return InstructionsToMs(
+        costs_.receive_message + costs_.copy_message * packets, mips_);
+  }
 
   /// Packets needed for `bytes` (at least 1 for a non-empty message).
   int64_t PacketsFor(int64_t bytes) const {
@@ -89,10 +105,7 @@ class Network {
   int64_t messages_sent() const { return sent_.messages; }
   int64_t packets_sent() const { return sent_.packets; }
   int64_t bytes_sent() const { return sent_.bytes; }
-  /// Bulk (migration) traffic, kept out of the foreground counters above.
-  int64_t bulk_messages_sent() const { return bulk_sent_.messages; }
-  int64_t bulk_bytes_sent() const { return bulk_sent_.bytes; }
-  void ResetStats() { sent_ = bulk_sent_ = Counters{}; }
+  void ResetStats() { sent_ = Counters{}; }
 
  private:
   struct Counters {
@@ -117,25 +130,24 @@ class Network {
     return wire_ms;
   }
 
-  // The one transfer body behind every public transfer; `counters` is the
-  // set (foreground or bulk) the message is accounted in.  A message in
-  // flight is this frame alone, and the frame holds one awaiter, re-aimed
-  // at each of the message's three legs.
+  // The one message body behind every public call; `send_cpu` is false
+  // for a message whose sender already paid its CPU share (Deliver).  A
+  // message in flight is this frame alone, and the frame holds one
+  // awaiter, re-aimed at each of the message's legs.
   template <typename Delivered>
-  sim::Task<> Ship(PeId src, PeId dst, int64_t bytes, Counters& counters,
+  sim::Task<> Ship(PeId src, PeId dst, int64_t bytes, bool send_cpu,
                    Delivered delivered) {
     if (src != dst) {
       const int64_t packets = PacketsFor(bytes);
-      ++counters.messages;
-      counters.packets += packets;
-      counters.bytes += bytes;
+      ++sent_.messages;
+      sent_.packets += packets;
+      sent_.bytes += bytes;
       sim::Leg leg(sched_);
 
-      // Sender-side CPU: message setup plus one buffer copy per packet.
-      leg.Use(*cpus_[src], InstructionsToMs(costs_.send_message +
-                                                costs_.copy_message * packets,
-                                            mips_));
-      co_await leg;
+      if (send_cpu) {
+        leg.Use(*cpus_[src], SendMs(packets));
+        co_await leg;
+      }
 
       // The wire, traced as network time with the sending PE as origin; the
       // CPU shares of the transfer are charged on (and attributed to) the
@@ -145,10 +157,7 @@ class Network {
                               static_cast<uint16_t>(src)));
       co_await leg;
 
-      // Receiver-side CPU.
-      leg.Use(*cpus_[dst], InstructionsToMs(costs_.receive_message +
-                                                costs_.copy_message * packets,
-                                            mips_));
+      leg.Use(*cpus_[dst], ReceiveMs(packets));
       co_await leg;
     }
     delivered();
@@ -166,7 +175,6 @@ class Network {
   int partitioned_links_ = 0;
 
   Counters sent_;
-  Counters bulk_sent_;
 };
 
 }  // namespace pdblb

@@ -1,12 +1,13 @@
 // Copyright 2026 the pdblb authors. MIT license.
 //
 // RingBuffer<T, InlineCapacity>: the recycled FIFO backing every blocking
-// primitive's waiter/value queue (Resource, Channel, TaskGroup) and
-// the scheduler's same-time ring and hand-off lane.
+// primitive's waiter/value queue (Resource, Channel, TaskGroup, the buffer
+// manager's memory queue) and the scheduler's same-time ring and hand-off
+// lane.
 //
-// Why not std::deque: libstdc++'s deque allocates and frees 512-byte chunks
-// as the head/tail cross chunk boundaries, so a heavily contended station
-// pays a malloc every ~64 waiters *forever*, not just during warm-up.  The
+// Why not a standard deque: libstdc++'s deque allocates and frees 512-byte
+// chunks as the head/tail cross chunk boundaries, so a heavily contended
+// station pays a malloc every ~64 waiters *forever*, not just warm-up.  The
 // ring recycles one power-of-two slab: after it has grown to the high-water
 // mark of the queue, push/pop are a store, a load and a masked increment —
 // zero steady-state allocations (pinned by tests/simkern_alloc_test.cc).

@@ -274,6 +274,8 @@ Task<> ReceiveAndFlag(Channel<int>& ch, int* got, bool* closed) {
   *closed = true;
 }
 
+// A channel has one consumer at a time: the victim parks and is cancelled
+// at 5, and the consumer that takes over at 6 gets the value and the close.
 TEST(CancelTest, CancelConsumerParkedInChannelReceive) {
   Scheduler sched;
   Channel<int> ch(sched);
@@ -281,8 +283,10 @@ TEST(CancelTest, CancelConsumerParkedInChannelReceive) {
   bool victim_closed = false, other_closed = false;
   uint64_t victim_id =
       sched.SpawnWithId(ReceiveAndFlag(ch, &victim_got, &victim_closed));
-  sched.Spawn(ReceiveAndFlag(ch, &other_got, &other_closed));
   RunAt(sched, 5.0, [&] { sched.Cancel(victim_id); });
+  RunAt(sched, 6.0, [&] {
+    sched.Spawn(ReceiveAndFlag(ch, &other_got, &other_closed));
+  });
   RunAt(sched, 8.0, [&] {
     ch.Send(42);
     ch.Close();
@@ -292,6 +296,31 @@ TEST(CancelTest, CancelConsumerParkedInChannelReceive) {
   EXPECT_FALSE(victim_closed);
   EXPECT_EQ(other_got, 42) << "value lost to a cancelled consumer";
   EXPECT_TRUE(other_closed);
+}
+
+// The victim is woken by a Send (a hand-off) and cancelled in the same
+// event, before it resumes: the wake is scrubbed, the value stays queued,
+// and the next consumer gets it.
+TEST(CancelTest, CancelChannelConsumerWokenButNotResumed) {
+  Scheduler sched;
+  Channel<int> ch(sched);
+  int victim_got = 0, other_got = 0;
+  bool victim_closed = false, other_closed = false;
+  uint64_t victim_id =
+      sched.SpawnWithId(ReceiveAndFlag(ch, &victim_got, &victim_closed));
+  RunAt(sched, 5.0, [&] {
+    ch.Send(42);
+    sched.Cancel(victim_id);
+    EXPECT_EQ(ch.size(), 1u);
+    sched.Spawn(ReceiveAndFlag(ch, &other_got, &other_closed));
+    ch.Close();
+  });
+  sched.Run();
+  EXPECT_EQ(victim_got, 0);
+  EXPECT_FALSE(victim_closed);
+  EXPECT_EQ(other_got, 42) << "value lost to a cancelled consumer";
+  EXPECT_TRUE(other_closed);
+  EXPECT_EQ(sched.pending_events(), 0u);
 }
 
 Task<> WaitGroupAndFlag(TaskGroup& group, bool* ran) {
@@ -440,7 +469,10 @@ ScenarioResult RunCancellationScenario() {
   sched.AttachTracer(&tracer);
 
   Resource res(sched, 1, "cpu");
+  // One consumer per channel: the victim's channel keeps its value, the
+  // survivor's delivers it.
   Channel<int> ch(sched);
+  Channel<int> survivor(sched);
   TaskGroup group(sched);
   bool sink_bool = false;
   int sink_int = 0;
@@ -452,7 +484,7 @@ ScenarioResult RunCancellationScenario() {
       sched.SpawnWithId(FlagAfterDelay(sched, 50.0, &sink_bool));
   uint64_t ch_victim =
       sched.SpawnWithId(ReceiveAndFlag(ch, &sink_int, &sink_bool));
-  sched.Spawn(ReceiveAndFlag(ch, &sink_int, &sink_bool));
+  sched.Spawn(ReceiveAndFlag(survivor, &sink_int, &sink_bool));
   // The group's waiters are released by a member ending at 8.0 after the
   // other member was cancelled.
   uint64_t member_victim =
@@ -470,8 +502,10 @@ ScenarioResult RunCancellationScenario() {
     sched.Cancel(member_victim);
   });
   RunAt(sched, 8.0, [&] {
-    ch.Send(7);
-    ch.Close();
+    for (Channel<int>* c : {&ch, &survivor}) {
+      c->Send(7);
+      c->Close();
+    }
   });
   sched.Run();
   return ScenarioResult{sched.events_processed(), tracer.ToCsv()};
@@ -501,7 +535,6 @@ TEST(CancelTest, ComposedFaultsUnwindGuardsExactlyOnce) {
   cfg.join_query.arrival_rate_per_pe_qps = 0.5;
   cfg.cc_scheme = CcScheme::kTwoPhaseLocking;  // TxnLocksGuard in play too
   cfg.faults.io_error_rate = 0.2;              // long injected retry chains
-  cfg.faults.io_retry_penalty_ms = 20.0;
   cfg.faults.events = {{3000.0, FaultKind::kPartition, 0, 3},
                        {3050.0, FaultKind::kCrash, 3},
                        {3500.0, FaultKind::kRecover, 3},

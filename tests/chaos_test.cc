@@ -56,8 +56,7 @@ struct DiskFixture {
 TEST(DiskChaosTest, InjectedErrorsAreCountedAndDeterministic) {
   auto run = [](uint64_t seed) {
     DiskFixture f;
-    f.disks->ConfigureFaults(/*error_rate=*/0.2, /*retry_limit=*/3,
-                             /*retry_penalty_ms=*/5.0, sim::Rng(seed));
+    f.disks->ConfigureFaults(/*error_rate=*/0.2, sim::Rng(seed));
     f.sched.Spawn(f.ReadPages(200));
     f.sched.Run();
     return std::pair<int64_t, int64_t>(f.disks->io_errors(),
@@ -75,8 +74,8 @@ TEST(DiskChaosTest, RetryChainIsCappedByTheLimit) {
   DiskFixture f;
   // Error rate 1.0: every draw fails, so a single physical access burns the
   // whole retry budget and surfaces the final error without reissue —
-  // exactly retry_limit retries and retry_limit + 1 errors.
-  f.disks->ConfigureFaults(1.0, /*retry_limit=*/3, 5.0, sim::Rng(1));
+  // exactly 3 retries (the retry limit) and 4 errors.
+  f.disks->ConfigureFaults(1.0, sim::Rng(1));
   f.sched.Spawn(f.ReadPages(1));
   f.sched.Run();
   EXPECT_EQ(f.disks->io_retries(), 3);

@@ -3,13 +3,16 @@
 // Integration tests: full cluster simulations at small scale, cross-checked
 // against closed-form expectations, plus determinism and workload-mix
 // behavior.  These tests run complete discrete-event simulations (a few
-// hundred milliseconds of wall time each).
+// hundred milliseconds of wall time each).  Last, PAROP's startup and
+// commit rounds on an idle cluster: they are netsim messages, costed,
+// counted and slowed like every other.
 
 #include <gtest/gtest.h>
 
 #include "engine/cluster.h"
 #include "engine/join_executor.h"
 #include "engine/oltp_executor.h"
+#include "engine/parop.h"
 #include "expect_quiescent.h"
 
 namespace pdblb {
@@ -228,6 +231,85 @@ INSTANTIATE_TEST_SUITE_P(
       }
       return name;
     });
+
+// --- PAROP's startup and commit messages -----------------------------------
+
+struct RoundResult {
+  SimTime ms = -1;
+  int64_t messages = 0;
+};
+
+// Runs `round` between PE 1 (the coordinator) and PE 2 on an idle 4-PE
+// cluster whose 1<->2 link is slowed by `factor`.
+RoundResult RunRound(sim::Task<> (*round)(Cluster&, PeId, PeId),
+                     double factor) {
+  SystemConfig cfg;
+  cfg.num_pes = 4;
+  Cluster c(cfg);
+  if (factor > 1.0) c.net().SetLinkDelayMultiplier(1, 2, factor);
+  RoundResult out;
+  c.sched().Spawn([](Cluster& cl, sim::Task<> (*r)(Cluster&, PeId, PeId),
+                     RoundResult* res) -> sim::Task<> {
+    co_await r(cl, 1, 2);
+    res->ms = cl.sched().Now();
+  }(c, round, &out));
+  c.sched().Run();
+  out.messages = c.net().messages_sent();
+  return out;
+}
+
+TEST(ParopMessageTest, CommitRoundAcrossAHealthyPairKeepsItsTiming) {
+  const SystemConfig cfg;
+  const CpuCosts& k = cfg.costs;
+  const SimTime wire = cfg.network.wire_time_per_packet_ms;
+  const SimTime send =
+      InstructionsToMs(k.send_message + k.copy_message, cfg.mips_per_pe);
+  const SimTime receive =
+      InstructionsToMs(k.receive_message + k.copy_message, cfg.mips_per_pe);
+  // The commit message's wire and receive at the participant, then the
+  // acknowledgement's send, wire and receive at the coordinator.
+  EXPECT_DOUBLE_EQ(RunRound(parop::CommitRound, 1.0).ms,
+                   wire + receive + send + wire + receive);
+}
+
+TEST(ParopMessageTest, SlowLinkStretchesEveryCommitCrossing) {
+  const SimTime wire = SystemConfig().network.wire_time_per_packet_ms;
+  const double factor = 4.0;
+  // A read-only round crosses the link twice, a two-phase commit four times.
+  EXPECT_NEAR(RunRound(parop::CommitRound, factor).ms -
+                  RunRound(parop::CommitRound, 1.0).ms,
+              2 * (factor - 1.0) * wire, 1e-9);
+  EXPECT_NEAR(RunRound(parop::TwoPhaseCommitRounds, factor).ms -
+                  RunRound(parop::TwoPhaseCommitRounds, 1.0).ms,
+              4 * (factor - 1.0) * wire, 1e-9);
+}
+
+TEST(ParopMessageTest, CommitRoundsAreCountedByNetsim) {
+  EXPECT_EQ(RunRound(parop::CommitRound, 1.0).messages, 2);
+  EXPECT_EQ(RunRound(parop::TwoPhaseCommitRounds, 1.0).messages, 4);
+  EXPECT_EQ(RunRound(parop::StartSubquery, 1.0).messages, 1);
+}
+
+TEST(ParopMessageTest, StartupFanOutSerializesTheCoordinatorsSends) {
+  SystemConfig cfg;
+  cfg.num_pes = 4;
+  Cluster c(cfg);
+  SimTime end = -1;
+  c.sched().Spawn([](Cluster& cl, SimTime* out) -> sim::Task<> {
+    const std::vector<PeId> pes = {0, 1, 2, 3};
+    co_await parop::FanOut(cl, 0, pes, parop::StartSubquery);
+    *out = cl.sched().Now();
+  }(c, &end));
+  c.sched().Run();
+  // The coordinator sends three messages back to back; the last one's wire
+  // and receive end the round.
+  const SimTime send = c.net().SendMs(1);
+  EXPECT_DOUBLE_EQ(end, send + send + send +
+                            cfg.network.wire_time_per_packet_ms +
+                            c.net().ReceiveMs(1));
+  EXPECT_EQ(c.net().messages_sent(), 3);
+  EXPECT_EQ(c.pe(0).cpu().completed(), 3u);
+}
 
 }  // namespace
 }  // namespace pdblb

@@ -182,7 +182,7 @@ TEST(DeadlockDetectorTest, MultipleIndependentCycles) {
 TEST(DeadlockDetectorTest, ResolvesCrossPeDeadlock) {
   sim::Scheduler sched;
   LockManager lm0(sched), lm1(sched);
-  DeadlockDetector detector(sched, {&lm0, &lm1}, 10.0);
+  DeadlockDetector detector(sched, {&lm0, &lm1});
 
   std::vector<std::pair<TxnId, bool>> log;
   // txn 1 holds k0@PE0, txn 2 holds k1@PE1; after a delay (so that both

@@ -1,8 +1,8 @@
 // Copyright 2026 the pdblb authors. MIT license.
 //
 // Unit tests for the network model: packet disassembly, CPU cost charging
-// at both endpoints, wire latency, delivery, bulk accounting and
-// local-transfer shortcuts.
+// at both endpoints, wire latency, delivery, control messages whose sender
+// already paid, slow links and local-transfer shortcuts.
 
 #include <gtest/gtest.h>
 
@@ -126,30 +126,42 @@ TEST(NetworkTest, LocalTransferDeliversAtOnce) {
   EXPECT_EQ(f.net->messages_sent(), 0);
 }
 
-TEST(NetworkTest, BulkTransferTakesTransferTimeButOwnCounters) {
-  Fixture foreground;
-  Fixture bulk;
-  SimTime foreground_end = -1;
-  SimTime bulk_end = -1;
-  foreground.sched.Spawn([](Fixture& fx, SimTime* out) -> sim::Task<> {
-    co_await fx.net->Transfer(0, 1, 3 * 8192);
+TEST(NetworkTest, SendAndReceiveTimesCountMessagesAndPackets) {
+  Fixture f;
+  // Per message 5000 (send) or 10000 (receive) instructions, per packet a
+  // 5000-instruction copy, at 20 MIPS.
+  EXPECT_NEAR(f.net->SendMs(1), 0.5, 1e-12);
+  EXPECT_NEAR(f.net->ReceiveMs(1), 0.75, 1e-12);
+  EXPECT_NEAR(f.net->SendMs(3), 1.0, 1e-12);
+  EXPECT_NEAR(f.net->ReceiveMs(3), 1.25, 1e-12);
+}
+
+TEST(NetworkTest, DeliverChargesOnlyTheWireAndTheReceiver) {
+  Fixture f;
+  SimTime end = -1;
+  f.sched.Spawn([](Fixture& fx, SimTime* out) -> sim::Task<> {
+    co_await fx.net->Deliver(0, 1);
     *out = fx.sched.Now();
-  }(foreground, &foreground_end));
-  bulk.sched.Spawn([](Fixture& fx, SimTime* out) -> sim::Task<> {
-    co_await fx.net->TransferBulk(0, 1, 3 * 8192);
+  }(f, &end));
+  f.sched.Run();
+  // Wire 0.1 ms, receiver 0.75 ms; the sender already paid its send.
+  EXPECT_NEAR(end, 0.1 + 0.75, 1e-9);
+  EXPECT_EQ(f.cpus[0]->completed(), 0u);
+  EXPECT_EQ(f.cpus[1]->completed(), 1u);
+  EXPECT_EQ(f.net->messages_sent(), 1);
+  EXPECT_EQ(f.net->packets_sent(), 1);
+}
+
+TEST(NetworkTest, SlowLinkStretchesADeliveredControlMessage) {
+  Fixture f;
+  f.net->SetLinkDelayMultiplier(0, 1, 4.0);
+  SimTime end = -1;
+  f.sched.Spawn([](Fixture& fx, SimTime* out) -> sim::Task<> {
+    co_await fx.net->Deliver(1, 0);
     *out = fx.sched.Now();
-  }(bulk, &bulk_end));
-  foreground.sched.Run();
-  bulk.sched.Run();
-  EXPECT_NEAR(foreground_end, 1.0 + 0.3 + 1.25, 1e-9);
-  EXPECT_DOUBLE_EQ(bulk_end, foreground_end);
-  EXPECT_EQ(bulk.net->bulk_messages_sent(), 1);
-  EXPECT_EQ(bulk.net->bulk_bytes_sent(), 3 * 8192);
-  EXPECT_EQ(bulk.net->messages_sent(), 0);
-  EXPECT_EQ(bulk.net->packets_sent(), 0);
-  EXPECT_EQ(bulk.net->bytes_sent(), 0);
-  EXPECT_EQ(foreground.net->bulk_messages_sent(), 0);
-  EXPECT_EQ(foreground.net->bulk_bytes_sent(), 0);
+  }(f, &end));
+  f.sched.Run();
+  EXPECT_NEAR(end, 4.0 * 0.1 + 0.75, 1e-9);
 }
 
 TEST(NetworkTest, SenderCpuContentionDelaysTransfer) {

@@ -7,9 +7,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
+#include <memory>
 #include <new>
+#include <vector>
 
 #include "bufmgr/buffer_manager.h"
 #include "common/config.h"
@@ -387,19 +390,21 @@ TEST(SchedulerAllocTest, CancellationAllocatesNothing) {
 // frame into the recycled arena, unhooks each one from its queue in place,
 // and clears the calendar, ring and lane without giving back their storage.
 // The shape parks processes in timers, a contended resource's queue and
-// servers, a channel receive and task-group waits with members in flight.
+// servers, channel receives (one consumer per channel) and task-group
+// waits with members in flight.
 TEST(SchedulerAllocTest, CancelAllAllocatesNothing) {
   Scheduler sched;
   sched.Reserve(/*events=*/1024);
   Resource res(sched, /*servers=*/3, "cpu");
-  Channel<int64_t> ch(sched);
+  std::vector<std::unique_ptr<Channel<int64_t>>> channels;
   uint64_t received = 0;
   uint64_t joins = 0;
   uint64_t cancelled = 0;
   for (int i = 0; i < 48; ++i) {
+    channels.push_back(std::make_unique<Channel<int64_t>>(sched));
     sched.Spawn(TimerLoop(sched, 1.0 + 0.013 * i, 1000000));
     sched.Spawn(ContendedClient(sched, res, 0.4 + 0.01 * i, 1000000));
-    sched.Spawn(PingPongConsumer(ch, &received));
+    sched.Spawn(PingPongConsumer(*channels.back(), &received));
   }
   for (int i = 0; i < 8; ++i) {
     sched.Spawn(GroupFanOutLoop(sched, /*fanout=*/16, /*rounds=*/1000000,
@@ -537,6 +542,75 @@ TEST(SchedulerAllocTest, BufferPoolChurnAllocatesNothing) {
         << "fetch hit/miss/evict/writeback churn allocated under "
         << EvictionPolicyName(kind);
   }
+}
+
+// --- memory queue ----------------------------------------------------------
+// Joins waiting for working space queue FCFS in the buffer manager's memory
+// queue, a recycled ring like every kernel waiter queue.  Reservations
+// rotating through a contended queue, and a waiter cancelled mid-wait every
+// round, allocate nothing once the ring has grown.
+
+Task<> ReserveLoop(Scheduler& sched, BufferManager& buf, int pages,
+                   SimTime hold, int64_t rounds, uint64_t* grants) {
+  for (int64_t i = 0; i < rounds; ++i) {
+    const int got = co_await buf.ReserveWait(pages, pages);
+    ++*grants;
+    co_await sched.Delay(hold);
+    buf.ReleaseReservation(got);
+  }
+}
+
+Task<> ReserveOnce(BufferManager& buf, int pages) {
+  const int got = co_await buf.ReserveWait(pages, pages);
+  buf.ReleaseReservation(got);
+}
+
+Task<> CancelReserveLoop(Scheduler& sched, BufferManager& buf, int64_t rounds,
+                         uint64_t* cancelled) {
+  for (int64_t i = 0; i < rounds; ++i) {
+    const uint64_t victim = sched.SpawnWithId(ReserveOnce(buf, 16));
+    co_await sched.Delay(0.5);
+    if (sched.Cancel(victim)) ++*cancelled;
+  }
+}
+
+TEST(SchedulerAllocTest, MemoryQueueChurnAllocatesNothing) {
+  Scheduler sched;
+  sched.Reserve(/*events=*/256);
+  Resource cpu(sched, /*servers=*/1, "cpu");
+  CpuCosts costs;
+  DiskConfig disk_config;
+  BufferConfig buf_config;
+  buf_config.buffer_pages = 64;
+  DiskArray disks(sched, disk_config, costs, 20.0, cpu, "t");
+  BufferManager buf(sched, buf_config, disks, "buf");
+  // Eight joins of 24 pages on a 64-page pool: two hold working space while
+  // the others wait, and every round one more waiter joins the queue and is
+  // cancelled half a millisecond later.
+  uint64_t grants = 0;
+  uint64_t cancelled = 0;
+  size_t max_queue = 0;
+  for (int j = 0; j < 8; ++j) {
+    sched.Spawn(ReserveLoop(sched, buf, 24, 1.0 + 0.1 * j, 1000000, &grants));
+  }
+  sched.Spawn(CancelReserveLoop(sched, buf, 1000000, &cancelled));
+  for (SimTime t = 1.0; t <= 100.0; t += 1.0) {  // warm-up
+    sched.RunUntil(t);
+    max_queue = std::max(max_queue, buf.memory_queue_length());
+  }
+  ASSERT_GE(max_queue, 5u) << "shape does not actually queue";
+  ASSERT_GT(cancelled, 10u);
+
+  const uint64_t allocations_before = g_allocations;
+  const uint64_t grants_before = grants;
+  const uint64_t cancelled_before = cancelled;
+  sched.RunUntil(20000.0);
+  EXPECT_GT(grants - grants_before, 10000u);
+  EXPECT_GT(cancelled - cancelled_before, 10000u);
+  EXPECT_EQ(g_allocations - allocations_before, 0u)
+      << (grants - grants_before) << " reservations through the memory "
+      << "queue allocated " << (g_allocations - allocations_before)
+      << " times";
 }
 
 // --- lock table ------------------------------------------------------------
