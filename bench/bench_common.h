@@ -26,10 +26,10 @@
 //                       also prints the per-subsystem attribution table
 //
 // plus the config overrides declared in kConfigOverrides (--faults,
-// --migration-bw, --eviction).  Each is checked while parsing, patches
-// every point of the filtered grid before the sweep, and then every point's
-// effective config must pass SystemConfig::Validate(); otherwise the driver
-// exits with status 2, naming the point, before anything runs.
+// --eviction).  Each is checked while parsing, patches every point of the
+// filtered grid before the sweep, and then every point's effective config
+// must pass SystemConfig::Validate(); otherwise the driver exits with
+// status 2, naming the point, before anything runs.
 
 #ifndef PDBLB_BENCH_BENCH_COMMON_H_
 #define PDBLB_BENCH_BENCH_COMMON_H_
@@ -82,18 +82,6 @@ inline constexpr ConfigOverride kConfigOverrides[] = {
      "below)",
      [](const std::string& spec, SystemConfig* cfg) {
        return ParseFaultSpec(spec, &cfg->faults);
-     }},
-    {"--migration-bw",
-     "  --migration-bw=MB    cap elastic fragment migration at MB MB/s per "
-     "active move",
-     [](const std::string& mbps, SystemConfig* cfg) {
-       double bw = 0.0;
-       if (!ParseNumber(mbps, &bw) || bw <= 0.0) {
-         return Status::InvalidArgument("want a positive MB/s number: " +
-                                        mbps);
-       }
-       cfg->elastic.migration_bw_mbps = bw;
-       return Status::OK();
      }},
     {"--eviction",
      "  --eviction=POLICY    set every point's buffer replacement policy "
@@ -202,7 +190,7 @@ inline int ParseBenchArgs(int argc, char** argv, BenchOptions& opts) {
                    "usage: %s [--jobs=N] [--csv=PATH] [--filter=SUBSTR] "
                    "[--seed=S] [--fast] [--list] [--quiet] "
                    "[--report-json=PATH] [--trace=PATH] [--faults=SPEC] "
-                   "[--migration-bw=MB] [--eviction=POLICY]\n"
+                   "[--eviction=POLICY]\n"
                    "\n"
                    "  --jobs=N             run sweep points on N worker "
                    "threads (each simulation is single-threaded)\n",

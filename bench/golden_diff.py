@@ -11,8 +11,11 @@ Prints one line per file of either set:
     OLD, as it is when a change only stops simulating work after the
     measurement window.
 
+A CSV whose points differ (by the name in its first column) names the
+points found only in OLD and only in NEW.
+
 Exits 1 when a CSV column other than kernel_events or kernel_handoffs
-differs (or a CSV's header or row count does), when any other output
+differs (or a CSV's header or set of points does), when any other output
 (fig4_parameters and the examples' .out files) differs or is in one set
 only.  The traces, the attribution table and the two kernel columns
 record the simulator's own work, not a simulated result, so they are
@@ -55,9 +58,16 @@ def compare_csv(old, new):
         new_rows = list(csv.reader(f))
     if not old_rows or not new_rows or old_rows[0] != new_rows[0]:
         return "header differs", True
-    if len(old_rows) != len(new_rows):
-        return "row count differs (%d vs %d)" % (
-            len(old_rows) - 1, len(new_rows) - 1), True
+    old_points = [row[0] for row in old_rows[1:] if row]
+    new_points = [row[0] for row in new_rows[1:] if row]
+    old_set, new_set = set(old_points), set(new_points)
+    only_old = [p for p in old_points if p not in new_set]
+    only_new = [p for p in new_points if p not in old_set]
+    if only_old or only_new or len(old_rows) != len(new_rows):
+        return "points differ (%d vs %d rows); only in OLD: %s; " \
+            "only in NEW: %s" % (len(old_rows) - 1, len(new_rows) - 1,
+                                 ", ".join(only_old) or "none",
+                                 ", ".join(only_new) or "none"), True
     header = old_rows[0]
     differing = {}
     for old_row, new_row in zip(old_rows[1:], new_rows[1:]):

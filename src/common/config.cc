@@ -186,13 +186,6 @@ Status SystemConfig::Validate() const {
           "addpe/drainpe events require Shared Nothing (fragment ownership "
           "is meaningless when every PE reaches every spindle)");
     }
-    if (elastic.migration_bw_mbps <= 0.0) {
-      return Status::InvalidArgument("elastic.migration_bw_mbps must be > 0");
-    }
-    if (elastic.migration_batch_pages < 1) {
-      return Status::InvalidArgument(
-          "elastic.migration_batch_pages must be >= 1");
-    }
     // Spares = addpe targets; they are held out of the initial declustering
     // (catalog/database.cc), so the remaining members must still cover both
     // relation home groups and every PE joins at most once.

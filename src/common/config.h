@@ -471,19 +471,6 @@ struct OverloadConfig {
   int exit_rounds = 3;   ///< Consecutive cool rounds before de-escalating.
 };
 
-/// Elastic cluster resize (engine/elastic.h).  Only consulted when the fault
-/// schedule contains addpe/drainpe events; otherwise no migration machinery
-/// runs and event streams are untouched.
-struct ElasticConfig {
-  /// Migration bandwidth cap in MB/s per active fragment move.  Each page
-  /// batch takes at least batch_bytes / cap simulated time, so foreground
-  /// queries keep most of the network/disk capacity (--migration-bw).
-  double migration_bw_mbps = 32.0;
-  /// Pages copied per migration batch.  The batch is the unit of crash
-  /// unwind: a crash mid-batch discards the partial destination pages.
-  int migration_batch_pages = 16;
-};
-
 /// Top-level configuration; defaults reproduce the paper's base setting.
 struct SystemConfig {
   // --- configuration settings -------------------------------------------
@@ -541,9 +528,6 @@ struct SystemConfig {
   /// Disabled by default: ShouldShed() is then constant-false and the
   /// degree cap is a no-op, so plans and event streams are untouched.
   OverloadConfig overload;
-  /// Elastic resize knobs (migration bandwidth/batching); inert unless the
-  /// fault schedule contains addpe/drainpe events.
-  ElasticConfig elastic;
   double warmup_ms = 5000.0;        ///< Statistics reset after warm-up.
   double measurement_ms = 60000.0;  ///< Measured simulation horizon.
   /// Single-user mode: join queries run back to back with nothing else in

@@ -14,6 +14,17 @@ namespace {
 /// a selected PE's recorded utilization.
 constexpr double kCpuBumpFactor = 0.25;
 
+/// `infos` (in PE id order) stably sorted by ascending `key(info)`, so PEs
+/// with equal keys stay in id order.
+template <typename Key>
+std::vector<PeLoadInfo> SortedBy(std::vector<PeLoadInfo> infos, Key key) {
+  std::stable_sort(infos.begin(), infos.end(),
+                   [&key](const PeLoadInfo& a, const PeLoadInfo& b) {
+                     return key(a) < key(b);
+                   });
+  return infos;
+}
+
 }  // namespace
 
 ControlNode::ControlNode(int num_pes, bool adaptive_feedback)
@@ -108,26 +119,23 @@ int ControlNode::DegreeCap(int wanted) const {
   return std::clamp(cap, 1, wanted);
 }
 
-double ControlNode::AvgCpuUtilization() const {
+double ControlNode::AliveMean(double PeLoadInfo::*field) const {
   double sum = 0.0;
   int n = 0;
   for (const auto& i : info_) {
     if (!alive_[static_cast<size_t>(i.pe)]) continue;
-    sum += i.cpu_util;
+    sum += i.*field;
     ++n;
   }
   return n == 0 ? 0.0 : sum / static_cast<double>(n);
 }
 
+double ControlNode::AvgCpuUtilization() const {
+  return AliveMean(&PeLoadInfo::cpu_util);
+}
+
 double ControlNode::AvgDiskUtilization() const {
-  double sum = 0.0;
-  int n = 0;
-  for (const auto& i : info_) {
-    if (!alive_[static_cast<size_t>(i.pe)]) continue;
-    sum += i.disk_util;
-    ++n;
-  }
-  return n == 0 ? 0.0 : sum / static_cast<double>(n);
+  return AliveMean(&PeLoadInfo::disk_util);
 }
 
 std::vector<PeLoadInfo> ControlNode::AliveInfos() const {
@@ -141,27 +149,12 @@ std::vector<PeLoadInfo> ControlNode::AliveInfos() const {
 }
 
 std::vector<PeLoadInfo> ControlNode::AvailMemorySorted() const {
-  std::vector<PeLoadInfo> sorted = AliveInfos();
-  std::stable_sort(sorted.begin(), sorted.end(),
-                   [](const PeLoadInfo& a, const PeLoadInfo& b) {
-                     if (a.free_memory_pages != b.free_memory_pages) {
-                       return a.free_memory_pages > b.free_memory_pages;
-                     }
-                     return a.pe < b.pe;
-                   });
-  return sorted;
+  return SortedBy(AliveInfos(),
+                  [](const PeLoadInfo& i) { return -i.free_memory_pages; });
 }
 
 std::vector<PeLoadInfo> ControlNode::CpuSorted() const {
-  std::vector<PeLoadInfo> sorted = AliveInfos();
-  std::stable_sort(sorted.begin(), sorted.end(),
-                   [](const PeLoadInfo& a, const PeLoadInfo& b) {
-                     if (a.cpu_util != b.cpu_util) {
-                       return a.cpu_util < b.cpu_util;
-                     }
-                     return a.pe < b.pe;
-                   });
-  return sorted;
+  return SortedBy(AliveInfos(), [](const PeLoadInfo& i) { return i.cpu_util; });
 }
 
 void ControlNode::NoteJoinScheduled(const std::vector<PeId>& pes,

@@ -81,21 +81,23 @@ class ControlNode {
   /// otherwise ceil(alive * 0.5) clamped to [1, wanted].
   int DegreeCap(int wanted) const;
 
-  /// Average reported CPU utilization over all PEs (u_cpu in formula 3.2).
+  /// Average reported CPU utilization over alive PEs (u_cpu in formula
+  /// 3.2).
   double AvgCpuUtilization() const;
 
-  /// Average reported disk utilization over all PEs (used by the RateMatch
-  /// baseline, which works with averages only).
+  /// Average reported disk utilization over alive PEs (used by the
+  /// RateMatch baseline, which works with averages only).
   double AvgDiskUtilization() const;
 
   const PeLoadInfo& info(PeId pe) const { return info_[pe]; }
   int num_pes() const { return static_cast<int>(info_.size()); }
 
-  /// The AVAIL-MEMORY array: all PEs sorted by free memory, descending
-  /// (AVAIL-MEMORY[0] = most free memory).
+  /// The AVAIL-MEMORY array: alive PEs sorted by free memory, descending
+  /// (AVAIL-MEMORY[0] = most free memory), ties by PE id.
   std::vector<PeLoadInfo> AvailMemorySorted() const;
 
-  /// All PEs sorted by CPU utilization, ascending (for LUC).
+  /// Alive PEs sorted by CPU utilization, ascending (for LUC), ties by PE
+  /// id.
   std::vector<PeLoadInfo> CpuSorted() const;
 
   /// Adaptive feedback: a join with `pages_per_pe` working space was placed
@@ -113,6 +115,8 @@ class ControlNode {
  private:
   /// The load infos of alive PEs (all of them when nothing is down).
   std::vector<PeLoadInfo> AliveInfos() const;
+  /// The mean of `field` over the alive PEs (0 when none is alive).
+  double AliveMean(double PeLoadInfo::*field) const;
 
   std::vector<PeLoadInfo> info_;
   std::vector<bool> alive_;

@@ -85,10 +85,7 @@ Cluster::Cluster(const SystemConfig& config)
     // Elastic spares (addpe targets) start outside the membership: no
     // fragment homes (catalog/database.cc), not in the planning views, no
     // load reports until their addpe event fires.
-    for (PeId pe : db_->spare_nodes()) {
-      pes_[pe]->set_member(false);
-      control_->MarkDown(pe);
-    }
+    for (PeId pe : db_->spare_nodes()) SetPeState(pe, false, false);
   }
 
   // Transient disk errors: arm every PE's disk array with its own fork of
@@ -122,6 +119,20 @@ Cluster::Cluster(const SystemConfig& config)
 }
 
 Cluster::~Cluster() = default;
+
+void Cluster::SetPeState(PeId pe, bool failed, bool member) {
+  ProcessingElement& elem = *pes_[pe];
+  elem.set_failed(failed);
+  elem.set_member(member);
+  const bool up = member && !failed;
+  if (up == control_->IsAlive(pe)) return;
+  if (!up) {
+    control_->MarkDown(pe);
+    return;
+  }
+  control_->MarkUp(pe);
+  control_->Report(pe, 0.0, elem.buffer().AvailablePages(), 0.0);
+}
 
 void Cluster::ReportAllPes(SimTime window_ms) {
   for (auto& pe : pes_) {

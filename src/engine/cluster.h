@@ -77,11 +77,17 @@ class Cluster {
   /// inert unless SystemConfig::faults enables failures or timeouts.
   FaultInjector& faults() { return *faults_; }
 
+  /// The one writer of a PE's up/down state: sets its failed and member
+  /// flags, and keeps the control node's alive view equal to
+  /// member && !failed.  A PE that comes up (recovered, or a spare joining)
+  /// boots idle with a cold buffer, and its report says so at once, so plans
+  /// can use it without waiting for a report round.
+  void SetPeState(PeId pe, bool failed, bool member);
+
   // --- elastic membership (engine/elastic.h) ------------------------------
 
   /// True when the fault spec schedules addpe/drainpe events.  Constant for
-  /// the run; executors consult it to skip ownership indirection entirely
-  /// on resize-free configurations.
+  /// the run.
   bool elastic_enabled() const { return elastic_ != nullptr; }
   /// The membership/migration manager; only valid when elastic_enabled().
   ElasticityManager& elastic() { return *elastic_; }

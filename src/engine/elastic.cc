@@ -7,8 +7,6 @@
 
 #include "catalog/database.h"
 #include "engine/cluster.h"
-#include "engine/faults.h"
-#include "lockmgr/lock_manager.h"
 #include "simkern/task_group.h"
 
 namespace pdblb {
@@ -103,6 +101,11 @@ std::vector<FragmentMove> Plan(const std::vector<Fragment>& fragments,
 
 namespace {
 
+// Pages copied per migration batch: one donor read, one message and one
+// staged ingest.  The batch is the unit of crash unwind: a crash mid-batch
+// discards the pages already landed at the destination.
+constexpr int64_t kMigrationBatchPages = 64;
+
 const Relation& RelationById(const Database& db, int32_t id) {
   if (id == kRelationA) return db.a();
   if (id == kRelationB) return db.b();
@@ -117,26 +120,19 @@ ElasticityManager::ElasticityManager(Cluster& cluster) : cluster_(cluster) {}
 void ElasticityManager::OnAddPe(PeId pe) {
   ProcessingElement& elem = cluster_.pe(pe);
   if (elem.member()) return;
-  elem.set_member(true);
+  cluster_.SetPeState(pe, elem.failed(), /*member=*/true);
   added_.insert(pe);
   fill_.insert(pe);
   cluster_.metrics().RecordPeAdded();
-  if (!elem.failed()) {
-    cluster_.control().MarkUp(pe);
-    // A joining PE boots idle with a cold buffer; publish that immediately
-    // so strategies can place work on it without waiting a report round.
-    cluster_.control().Report(pe, 0.0, elem.buffer().AvailablePages(), 0.0);
-  }
   KickRebalance();
 }
 
 void ElasticityManager::OnDrainPe(PeId pe) {
   ProcessingElement& elem = cluster_.pe(pe);
   if (!elem.member()) return;
-  elem.set_member(false);
   // Out of the planning views immediately: no new work lands here.  The
   // fragments it owns keep routing to it until each migration commits.
-  cluster_.control().MarkDown(pe);
+  cluster_.SetPeState(pe, elem.failed(), /*member=*/false);
   draining_.insert(pe);
   fill_.erase(pe);
   KickRebalance();
@@ -144,14 +140,12 @@ void ElasticityManager::OnDrainPe(PeId pe) {
 
 void ElasticityManager::OnPeCrash(PeId pe) {
   if (active_ == nullptr) return;
-  if (pe != active_->from && pe != active_->to && pe != active_->home) {
-    return;
-  }
+  if (pe != active_->from && pe != active_->to) return;
   // Abort the in-flight move: cancellation destroys the migrator frame at
-  // its suspension point, releasing the migration latch and the destination
-  // staging reservation through the RAII guards before ApplyCrash wipes the
-  // crashed PE's buffer.  A migrator that already ended (committed or
-  // aborted on its own) keeps its outcome.
+  // its suspension point, returning the destination staging reservation
+  // through its RAII guard before ApplyCrash wipes the crashed PE's buffer.
+  // A migrator that already ended (committed or aborted on its own) keeps
+  // its outcome.
   if (cluster_.sched().Cancel(active_->work_id)) active_->aborted = true;
 }
 
@@ -257,7 +251,6 @@ sim::Task<bool> ElasticityManager::ExecuteMove(FragmentMove move) {
     co_return false;
   }
   MigrationState st;
-  st.home = move.home;
   st.from = move.from;
   st.to = move.to;
   active_ = &st;
@@ -282,70 +275,35 @@ sim::Task<bool> ElasticityManager::ExecuteMove(FragmentMove move) {
 sim::Task<> ElasticityManager::MigrateFragment(FragmentMove move,
                                                MigrationState* st) {
   Cluster& c = cluster_;
-  const SystemConfig& cfg = c.config();
+  const int64_t page_bytes = c.config().buffer.page_size_bytes;
   const Relation& rel = RelationById(c.db(), move.relation_id);
-
-  // Exclusive whole-fragment migration latch at the home PE's lock
-  // manager.  tuple_id -(home+1) is negative, so it can never collide with
-  // a page lock (page_no >= 0); a second migration of the same fragment
-  // would serialize here.  Released by the guard on every exit path.
-  const TxnId txn = c.NextTxnId();
-  TxnLocksGuard latch(&c, txn);
-  latch.AddPe(move.home);
-  const bool granted = co_await c.pe(move.home).locks().Lock(
-      txn, LockKey{move.relation_id, -(static_cast<int64_t>(move.home) + 1)},
-      LockMode::kExclusive);
-  if (!granted) {
-    // Deadlock victim: impossible for a single-lock transaction, but fail
-    // safe — the manager just re-plans.
-    st->aborted = true;
-    co_return;
-  }
-
   const int64_t frag_pages = rel.PagesAt(move.home);
-  const int64_t batch_pages =
-      std::max<int64_t>(1, cfg.elastic.migration_batch_pages);
-  const double page_bytes =
-      static_cast<double>(cfg.buffer.page_size_bytes);
-  // MB/s == bytes/ms * 1000: the cap in bytes of fragment per sim ms.
-  const double bytes_per_ms = cfg.elastic.migration_bw_mbps * 1000.0;
 
   for (int64_t pos = 0; pos < frag_pages;) {
     if (c.pe(move.from).failed() || c.pe(move.to).failed()) {
       // Crash raced the batch boundary (OnPeCrash cancels mid-batch).
       st->aborted = true;
-      break;
+      co_return;
     }
-    const int64_t len = std::min<int64_t>(batch_pages, frag_pages - pos);
-    const SimTime batch_start = c.sched().Now();
+    const int64_t len = std::min(kMigrationBatchPages, frag_pages - pos);
     // Donor side: sequential striped read straight off the disks —
     // migration must not flush the donor's hot buffer either.
     co_await c.pe(move.from).disks().ReadStriped(rel.DataPage(move.home, pos),
                                                  len);
-    co_await c.net().Transfer(
-        move.from, move.to,
-        len * static_cast<int64_t>(cfg.buffer.page_size_bytes));
+    co_await c.net().Transfer(move.from, move.to, len * page_bytes);
     // Destination side: staged through a working-space reservation, written
     // to disk, never admitted to the page buffer (bufmgr/buffer_manager.h).
     co_await c.pe(move.to).buffer().IngestBatch(rel.DataPage(move.home, pos),
                                                 static_cast<int>(len));
-    // Migration bandwidth cap: the batch takes at least bytes / cap, so a
-    // fast idle cluster still trickles the copy instead of bursting it.
-    const double min_ms = static_cast<double>(len) * page_bytes / bytes_per_ms;
-    const double elapsed = c.sched().Now() - batch_start;
-    if (elapsed < min_ms) co_await c.sched().Delay(min_ms - elapsed);
     pos += len;
     st->pages_done = pos;  // committed batches only
   }
 
-  if (!st->aborted) {
-    // Commit: exactly one owner at every instant — queries planned before
-    // this line route to the donor, queries planned after it to the new
-    // owner; the donor copy is simply never read again.
-    c.ownership().SetOwner(move.relation_id, move.home, move.to);
-    c.metrics().RecordFragmentMigrated(frag_pages);
-    latch.ReleaseNow();
-  }
+  // Commit: exactly one owner at every instant — queries planned before
+  // this line route to the donor, queries planned after it to the new
+  // owner; the donor copy is simply never read again.
+  c.ownership().SetOwner(move.relation_id, move.home, move.to);
+  c.metrics().RecordFragmentMigrated(frag_pages);
 }
 
 }  // namespace pdblb

@@ -4,34 +4,36 @@
 // migration.
 //
 // Membership events (addpe@ms:peN / drainpe@ms:peN in the fault grammar)
-// flow from the FaultInjector into the ElasticityManager, which flips the
-// PE's membership flag and the control node's planning view immediately and
-// then rebalances fragment *ownership* in the background:
+// flow from the FaultInjector into the ElasticityManager.  It changes the
+// PE's membership at once, through Cluster::SetPeState (the one writer of a
+// PE's up/down state and of the control node's view of it), and then
+// rebalances fragment *ownership* in the background:
 //
-//  * RebalancePlanner — a pure, deterministic greedy planner (no RNG): a
+//  * planner::Plan — a pure, deterministic greedy planner (no RNG): a
 //    draining PE's fragments are vacated largest-first to the least-loaded
 //    members; a joining PE is filled from the most-loaded donors until one
 //    more fragment would overshoot the per-PE page target.  Existing
 //    members are never shuffled among themselves — a resize moves only the
 //    fragments the resize requires.
 //
-//  * FragmentMigrator — one coroutine per fragment move: takes an exclusive
-//    whole-fragment migration latch at the *home* PE's lock manager (key
-//    {relation_id, -(home+1)}, a tuple-id no page lock can collide with),
-//    then copies the fragment batch-by-batch: donor ReadStriped ->
+//  * MigrateFragment — one coroutine per fragment move, one move at a time.
+//    It copies the fragment in 64-page batches: donor ReadStriped ->
 //    Network::Transfer (one message per batch, costed and counted like any
-//    other) -> destination BufferManager::IngestBatch, each batch throttled
-//    to ElasticConfig::migration_bw_mbps.  Only after the last batch lands
-//    does the OwnershipMap flip, so queries route to exactly one owner at
-//    every instant.
+//    other) -> destination BufferManager::IngestBatch.  A batch takes as
+//    long as those three steps do; nothing else paces the copy.  Only after
+//    the last batch lands does the OwnershipMap flip, so queries route to
+//    exactly one owner at every instant.  The move takes no lock: queries
+//    read the ownership map when they plan, and only one move runs.
 //
-// Crash unwind: a crash of the donor, destination or home PE mid-migration
+// Crash unwind: a crash of the donor or the destination mid-migration
 // cancels the in-flight move; the coroutine frame unwinds through its RAII
-// guards (migration latch released, destination staging reservation
-// returned, partial destination pages discarded and counted), ownership
-// stays with the donor, and the manager re-plans around the dead PE.
-// ExecuteMove waits on the migrator as the one member of a TaskGroup: a
-// cancelled member ends for its group as a finished one does.
+// guard (the destination staging reservation is returned), batches already
+// landed are discarded and counted, ownership stays with the donor, and the
+// manager re-plans around the dead PE.  A crash of any other PE, the
+// fragment's original home included, leaves the move alone: the copy reads
+// only at the donor and writes only at the destination.  ExecuteMove waits
+// on the migrator as the one member of a TaskGroup: a cancelled member ends
+// for its group as a finished one does.
 //
 // Determinism: the planner draws no random numbers and iterates
 // deterministically ordered state; migrations are ordinary calendar
@@ -46,7 +48,6 @@
 #include <set>
 #include <vector>
 
-#include "common/config.h"
 #include "common/units.h"
 #include "simkern/task.h"
 
@@ -115,18 +116,17 @@ class ElasticityManager {
   void OnDrainPe(PeId pe);
 
   // --- crash/recovery hooks (FaultInjector::ApplyCrash/ApplyRecovery) -----
-  /// Aborts the in-flight migration if the crashed PE is its donor,
-  /// destination or home; the cancelled frame unwinds its latch and staging
-  /// reservation and the manager re-plans.  Call before
-  /// BufferManager::OnCrash so the staging reservation is gone by the time
-  /// the buffer asserts a clean slate.
+  /// Aborts the in-flight migration if the crashed PE is its donor or
+  /// destination; the cancelled frame returns its staging reservation and
+  /// the manager re-plans.  Call before BufferManager::OnCrash so the
+  /// staging reservation is gone by the time the buffer asserts a clean
+  /// slate.
   void OnPeCrash(PeId pe);
   /// A recovered draining PE resumes vacating its remaining fragments.
   void OnPeRecovered(PeId pe);
 
  private:
   struct MigrationState {
-    PeId home = -1;
     PeId from = -1;
     PeId to = -1;
     uint64_t work_id = 0;  ///< spawn id of the migrator (its group's member)

@@ -189,8 +189,7 @@ void FaultInjector::ApplyCrash(PeId pe) {
   ProcessingElement& elem = cluster_.pe(pe);
   if (elem.failed()) return;
   if (cluster_.control().AliveCount() <= 1) return;
-  elem.set_failed(true);
-  cluster_.control().MarkDown(pe);  // idempotent: non-members already down
+  cluster_.SetPeState(pe, /*failed=*/true, elem.member());
   cluster_.metrics().RecordPeCrash();
 
   // Cancel every resident attempt.  Cancellation destroys the attempt frame
@@ -242,16 +241,10 @@ void FaultInjector::ApplyHeal(PeId a, PeId b) {
 void FaultInjector::ApplyRecovery(PeId pe) {
   ProcessingElement& elem = cluster_.pe(pe);
   if (!elem.failed()) return;
-  elem.set_failed(false);
+  // A recovered member rejoins the planning views with an idle report;
+  // non-members (spares, draining PEs) stay out of them.
+  cluster_.SetPeState(pe, /*failed=*/false, elem.member());
   cluster_.metrics().RecordPeRecovery();
-  if (elem.member()) {
-    cluster_.control().MarkUp(pe);
-    // A recovered PE reboots idle with a cold buffer: refresh the control
-    // node's view immediately so strategies rebalance onto it without
-    // waiting for the next report interval.  Non-members (spares, draining
-    // PEs) stay out of the planning views.
-    cluster_.control().Report(pe, 0.0, elem.buffer().AvailablePages(), 0.0);
-  }
   // A recovered draining PE resumes vacating; a crashed-then-recovered
   // joiner gets refilled.
   if (cluster_.elastic_enabled()) cluster_.elastic().OnPeRecovered(pe);

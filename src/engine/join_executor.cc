@@ -150,12 +150,12 @@ sim::Task<> JoinStages(Cluster& c, Query& q, int ways) {
     std::set<PeId> stage_pes(a_sites.begin(), a_sites.end());
     stage_pes.insert(outer_sites.begin(), outer_sites.end());
     stage_pes.insert(result_pes.begin(), result_pes.end());
-    if (!c.elastic_enabled()) {
-      // The homes are the scan sites (Shared Nothing) or the lock sites
-      // whose liveness the query needs (Shared Disk).  Under elastic resize
-      // a home may be a drained (even dead) PE whose fragment now lives
-      // elsewhere — only the owners above actually serve the query, so only
-      // those gate its fate.
+    if (cfg.architecture == Architecture::kSharedDisk) {
+      // Under Shared Disk the homes are the lock sites whose liveness the
+      // query needs.  Under Shared Nothing the scan sites above are the
+      // fragments' owners: the homes themselves until a migration moves a
+      // fragment, and then a drained (even dead) home serves nothing, so
+      // only the owners gate the query's fate.
       if (first) stage_pes.insert(db.a_nodes().begin(), db.a_nodes().end());
       stage_pes.insert(outer_homes.begin(), outer_homes.end());
     }

@@ -52,18 +52,20 @@ class ProcessingElement {
 
   PeId id() const { return id_; }
 
-  // --- failure state (engine/faults.h) -----------------------------------
-  // A failed PE rejects new work (executors fail fast with kUnavailable)
-  // while its resident queries are cancelled by the fault injector.  The
-  // flag is flipped by FaultInjector only; fault-free runs never see it.
+  // --- up/down state -------------------------------------------------------
+  // Both flags are set by Cluster::SetPeState only, which keeps the control
+  // node's view of the PE in step with them.
+  //
+  // Failure (engine/faults.h): a failed PE rejects new work (executors fail
+  // fast with kUnavailable) while its resident queries are cancelled by the
+  // fault injector.  Fault-free runs never see it.
   bool failed() const { return failed_; }
   void set_failed(bool failed) { failed_ = failed; }
 
-  // --- membership state (engine/elastic.h) -------------------------------
-  // Elastic spares start as non-members; a draining PE stops being a member
-  // before its fragments finish migrating out (it keeps serving fragments
-  // it still owns, but takes no new placements or coordinator roles).
-  // Flipped by ElasticityManager only; runs without addpe/drainpe events
+  // Membership (engine/elastic.h): elastic spares start as non-members; a
+  // draining PE stops being a member before its fragments finish migrating
+  // out (it keeps serving fragments it still owns, but takes no new
+  // placements or coordinator roles).  Runs without addpe/drainpe events
   // always see true.
   bool member() const { return member_; }
   void set_member(bool member) { member_ = member; }

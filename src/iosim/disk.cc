@@ -183,12 +183,6 @@ sim::Task<> DiskArray::LogWrite() {
   if (fault_rng_) co_await InjectedRetries(*log_disk_);
 }
 
-double DiskArray::DataDiskUtilization() const {
-  double sum = 0.0;
-  for (const auto& d : disks_) sum += d->Utilization();
-  return sum / static_cast<double>(disks_.size());
-}
-
 double DiskArray::DataDiskBusyIntegral() const {
   double sum = 0.0;
   for (const auto& d : disks_) sum += d->BusyIntegral();

@@ -108,8 +108,6 @@ class DiskArray {
 
   // --- introspection ------------------------------------------------------
   int num_disks() const { return static_cast<int>(disks_.size()); }
-  /// Mean utilization of the data disks since the last ResetStats.
-  double DataDiskUtilization() const;
   /// Busy-time integral summed over data disks (for windowed utilization).
   double DataDiskBusyIntegral() const;
 

@@ -111,7 +111,6 @@ class Pphj : public LocalJoin, public MemoryVictim {
   int64_t inner_received_ = 0;       // total inner tuples seen
   int64_t mem_inner_tuples_ = 0;     // tuples in resident partitions
   int64_t disk_inner_tuples_ = 0;    // tuples in spilled partitions
-  int64_t disk_outer_tuples_ = 0;    // deferred outer tuples
 
   int64_t pending_append_pages_ = 0;  // buffered temp writes not yet issued
   int64_t next_temp_page_ = 0;

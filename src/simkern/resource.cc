@@ -10,7 +10,6 @@ Resource::Resource(Scheduler& sched, int servers, std::string name,
       free_(servers) {
   assert(servers >= 1);
   last_change_ = sched_.Now();
-  stats_start_ = sched_.Now();
 }
 
 void Resource::AccumulateBusy() {
@@ -64,16 +63,7 @@ double Resource::BusyIntegral() const {
          static_cast<double>(busy()) * (sched_.Now() - last_change_);
 }
 
-double Resource::Utilization() const {
-  double window = sched_.Now() - stats_start_;
-  if (window <= 0.0) return 0.0;
-  return (BusyIntegral() - stats_start_integral_) /
-         (static_cast<double>(servers_) * window);
-}
-
 void Resource::ResetStats() {
-  stats_start_ = sched_.Now();
-  stats_start_integral_ = BusyIntegral();
   completed_ = 0;
   max_queue_ = waiters_.size();
 }

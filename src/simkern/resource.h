@@ -145,13 +145,11 @@ class Resource {
   /// over a window is (delta busy integral) / (servers * window).
   double BusyIntegral() const;
 
-  /// Utilization since the last ResetStats (or construction).
-  double Utilization() const;
-
-  /// Total completed acquisitions since construction.
+  /// Completed acquisitions since the last ResetStats (or construction).
   uint64_t completed() const { return completed_; }
 
-  /// Restarts the utilization measurement window (e.g. after warm-up).
+  /// Restarts the completion count and the queue-length maximum (e.g.
+  /// after warm-up).  The busy integral keeps running.
   void ResetStats();
 
  private:
@@ -182,8 +180,6 @@ class Resource {
 
   double busy_integral_ = 0.0;
   SimTime last_change_ = 0.0;
-  SimTime stats_start_ = 0.0;
-  double stats_start_integral_ = 0.0;
   uint64_t completed_ = 0;
 };
 

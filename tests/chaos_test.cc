@@ -489,7 +489,6 @@ SystemConfig RandomSpecCluster(int i) {
   cfg.relation_a.num_tuples = 10000;
   cfg.relation_b.num_tuples = 30000;
   cfg.relation_c.num_tuples = 20000;
-  cfg.elastic.migration_batch_pages = 64;
   cfg.join_query.arrival_rate_per_pe_qps = 0.5;
   cfg.scan_query.arrival_rate_per_pe_qps = 0.2;
   cfg.update_query.arrival_rate_per_pe_qps = 0.2;

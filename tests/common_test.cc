@@ -112,8 +112,8 @@ TEST(SystemConfigTest, RejectsBadParameters) {
   EXPECT_FALSE(cfg.Validate().ok());
 }
 
-// The number parser behind the fault spec and the drivers' --jobs, --seed
-// and --migration-bw: whole tokens and finite values only.
+// The number parser behind the fault spec and the drivers' --jobs and
+// --seed: whole tokens and finite values only.
 TEST(ParseNumberTest, AcceptsWholeFiniteTokensOnly) {
   double d = 0.0;
   EXPECT_TRUE(ParseNumber("1e3", &d));

@@ -161,7 +161,7 @@ TEST(DiskTest, LogWriteUsesDedicatedDisk) {
   f.sched.Run();
   EXPECT_NEAR(end, 0.15 + 5.0, 1e-9);  // CPU overhead + log append
   EXPECT_EQ(disks->physical_reads(), 0);
-  EXPECT_DOUBLE_EQ(disks->DataDiskUtilization(), 0.0);  // log disk separate
+  EXPECT_DOUBLE_EQ(disks->DataDiskBusyIntegral(), 0.0);  // log disk separate
 }
 
 TEST(DiskTest, UtilizationAccounting) {
@@ -174,11 +174,18 @@ TEST(DiskTest, UtilizationAccounting) {
     co_await d.Read(PageKey{1, 0}, AccessPattern::kRandom);
   }(*disks));
   f.sched.Run();
-  // One disk busy 16 ms out of ~17.55 total on a 2-disk array.
-  EXPECT_GT(disks->DataDiskUtilization(), 0.3);
-  EXPECT_LT(disks->DataDiskUtilization(), 0.5);
+  // One disk busy 16 ms (15 + 1 per page) out of ~17.55 total on a 2-disk
+  // array.  The control node's report differences this integral over its
+  // window (Cluster::ReportAllPes).
+  EXPECT_NEAR(disks->DataDiskBusyIntegral(), 16.0, 1e-9);
+  const double util = disks->DataDiskBusyIntegral() /
+                      (f.sched.Now() * static_cast<double>(disks->num_disks()));
+  EXPECT_GT(util, 0.3);
+  EXPECT_LT(util, 0.5);
   disks->ResetStats();
   EXPECT_EQ(disks->physical_reads(), 0);
+  // The integral runs on across a reset; only its deltas are read.
+  EXPECT_NEAR(disks->DataDiskBusyIntegral(), 16.0, 1e-9);
 }
 
 // Parameterized: striped read completes all pages for various counts.

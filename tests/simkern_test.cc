@@ -531,8 +531,11 @@ TEST(ResourceTest, UtilizationOfSaturatedServerIsOne) {
   }
   sched.Run();
   EXPECT_DOUBLE_EQ(sched.Now(), 20.0);
-  EXPECT_NEAR(res.Utilization(), 1.0, 1e-9);
+  // Utilization over a window is the busy integral's delta over servers x
+  // window, as the control node's reports compute it.
+  EXPECT_NEAR(res.BusyIntegral() / sched.Now(), 1.0, 1e-9);
   EXPECT_EQ(res.completed(), 5u);
+  EXPECT_EQ(res.max_queue_length(), 4u);
 }
 
 TEST(ResourceTest, UtilizationReflectsIdleTime) {
@@ -543,19 +546,33 @@ TEST(ResourceTest, UtilizationReflectsIdleTime) {
   sched.Spawn(IdleUntil(sched, 40.0));  // stretch the horizon to 40 ms
   // One server busy 10 ms out of a 40 ms horizon on 2 servers: 12.5%.
   sched.Run();
-  EXPECT_NEAR(res.Utilization(), 10.0 / (2 * 40.0), 1e-9);
+  EXPECT_DOUBLE_EQ(sched.Now(), 40.0);
+  EXPECT_NEAR(res.BusyIntegral(), 10.0, 1e-9);
+  EXPECT_NEAR(res.BusyIntegral() / (2 * sched.Now()), 10.0 / (2 * 40.0),
+              1e-9);
 }
 
 TEST(ResourceTest, ResetStatsStartsFreshWindow) {
   Scheduler sched;
   Resource res(sched, 1);
   std::vector<SimTime> completions;
+  // The second use queues behind the first.
+  sched.Spawn(UseResource(sched, res, 10.0, &completions));
   sched.Spawn(UseResource(sched, res, 10.0, &completions));
   sched.Run();
+  EXPECT_EQ(res.completed(), 2u);
+  EXPECT_EQ(res.max_queue_length(), 1u);
+  const double busy_at_reset = res.BusyIntegral();
+  EXPECT_NEAR(busy_at_reset, 20.0, 1e-9);
   res.ResetStats();
+  EXPECT_EQ(res.completed(), 0u);
+  EXPECT_EQ(res.max_queue_length(), 0u);
+  // An idle window after the reset: the busy integral runs on across it,
+  // and its delta over the window is zero.
   sched.Spawn(IdleUntil(sched, 10.0));
   sched.Run();
-  EXPECT_NEAR(res.Utilization(), 0.0, 1e-9);
+  EXPECT_NEAR(res.BusyIntegral() - busy_at_reset, 0.0, 1e-9);
+  EXPECT_EQ(res.completed(), 0u);
 }
 
 Task<> Producer(Scheduler& sched, Channel<int>& ch, int n) {
@@ -728,7 +745,7 @@ TEST_P(ResourceLawTest, MakespanAndUtilizationLaws) {
   sched.Run();
   double batches = std::ceil(static_cast<double>(p.jobs) / p.servers);
   EXPECT_DOUBLE_EQ(sched.Now(), batches * p.service);
-  EXPECT_NEAR(res.Utilization(),
+  EXPECT_NEAR(res.BusyIntegral() / (p.servers * sched.Now()),
               p.jobs * p.service / (p.servers * sched.Now()), 1e-9);
 }
 
