@@ -5,14 +5,15 @@
 // this is the repo-wide hot path.  Scenarios:
 //
 //   TimerChurn          N coroutines looping on staggered Delay()s
+//   RepeatedDelays      N coroutines cycling through four shared delays
 //   ZeroDelayPingPong   Delay(0) chains (same-timestamp FIFO fast path)
 //   ResourceContention  M clients hammering a k-server FCFS resource
 //   ChannelPingPong     two processes bouncing a token over two channels
 //   ChannelStream       producer streaming value bursts to a consumer
 //   TaskGroupFanout     repeated fork/join over F child tasks
 //
-// The pure dispatch shapes (TimerChurn, ZeroDelayPingPong) report items/sec
-// where one item is one dispatched scheduler event.  The
+// The pure dispatch shapes (TimerChurn, RepeatedDelays, ZeroDelayPingPong)
+// report items/sec where one item is one dispatched scheduler event.  The
 // blocking-primitive shapes (ResourceContention, ChannelPingPong,
 // ChannelStream, TaskGroupFanout) report items/sec where one item is one
 // completed *operation* (acquisition / message / join) — the unit that is
@@ -76,6 +77,35 @@ void BM_TimerChurn(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(events));
 }
 BENCHMARK(BM_TimerChurn)->Arg(16)->Arg(1024)->Unit(benchmark::kMillisecond);
+
+// --- RepeatedDelays -------------------------------------------------------
+// N processes cycling through 0.05, 0.1, 0.5 and 0.75 ms, the commonest
+// delays of the fig5 points (a CPU step, a wire time): events pushed with
+// one delay wait in that delay's lane, so the heap holds only four lane
+// heads.  TimerChurn, where every process has its own delay and each lane
+// holds one event at most, is the shape that misses the lanes.
+
+Task<> DelayCycle(Scheduler& sched, int phase, int64_t rounds) {
+  static constexpr SimTime kDelays[] = {0.05, 0.1, 0.5, 0.75};
+  for (int64_t i = 0; i < rounds; ++i) {
+    co_await sched.Delay(kDelays[(i + phase) % 4]);
+  }
+}
+
+void BM_RepeatedDelays(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  const int64_t rounds = EventTarget() / n;
+  uint64_t events = 0;
+  for (auto _ : state) {
+    Scheduler sched;
+    for (int i = 0; i < n; ++i) sched.Spawn(DelayCycle(sched, i, rounds));
+    uint64_t before = sched.events_processed();
+    sched.Run();
+    events += sched.events_processed() - before;
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(events));
+}
+BENCHMARK(BM_RepeatedDelays)->Arg(128)->Unit(benchmark::kMillisecond);
 
 // --- ZeroDelayPingPong ----------------------------------------------------
 // Delay(0) re-queues through the calendar at the current timestamp (FIFO

@@ -237,7 +237,7 @@ void BufferManager::ServeMemoryQueue() {
     // the handle is always set before any other event runs because the
     // queue is only served from ReleaseReservation (a separate event).
     assert(head->handle);
-    sched_.ScheduleHandle(sched_.Now(), head->handle);
+    sched_.ScheduleAfter(0.0, head->handle);
   }
 }
 

@@ -280,11 +280,11 @@ sim::Task<> ElasticityManager::MigrateFragment(FragmentMove move,
   const int64_t frag_pages = rel.PagesAt(move.home);
 
   for (int64_t pos = 0; pos < frag_pages;) {
-    if (c.pe(move.from).failed() || c.pe(move.to).failed()) {
-      // Crash raced the batch boundary (OnPeCrash cancels mid-batch).
-      st->aborted = true;
-      co_return;
-    }
+    // ExecuteMove checked both endpoints before it spawned this migrator,
+    // and a crash of either one cancels it in the same synchronous step
+    // that sets the failed flag (ApplyCrash calls OnPeCrash), so the
+    // migrator never resumes to find an endpoint down.
+    assert(!c.pe(move.from).failed() && !c.pe(move.to).failed());
     const int64_t len = std::min(kMigrationBatchPages, frag_pages - pos);
     // Donor side: sequential striped read straight off the disks —
     // migration must not flush the donor's hot buffer either.

@@ -178,7 +178,7 @@ void LockManager::GrantWaiters(int32_t e) {
     ++locks_granted_;
     w->granted = true;
     assert(w->handle);
-    sched_.ScheduleHandle(sched_.Now(), w->handle, tag_);
+    sched_.ScheduleAfter(0.0, w->handle, tag_);
   }
 }
 
@@ -241,7 +241,7 @@ bool LockManager::AbortWaiter(TxnId victim) {
         Dequeue(w);
         w->aborted = true;
         assert(w->handle);
-        sched_.ScheduleHandle(sched_.Now(), w->handle, tag_);
+        sched_.ScheduleAfter(0.0, w->handle, tag_);
       }
       w = next;
     }

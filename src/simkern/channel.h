@@ -61,7 +61,7 @@ class Channel {
     if (closed_) return;
     closed_ = true;
     if (consumer_ && values_.empty()) {
-      sched_.ScheduleHandle(sched_.Now(), consumer_, tag_);
+      sched_.ScheduleAfter(0.0, consumer_, tag_);
     }
   }
 

@@ -39,9 +39,7 @@ void Resource::Release() {
     Waiter w = waiters_.front();
     waiters_.pop_front();
     Grant();
-    sched_.ScheduleHandle(
-        w.service < 0.0 ? sched_.Now() : sched_.Now() + w.service, w.handle,
-        tag_);
+    sched_.ScheduleAfter(w.service < 0.0 ? 0.0 : w.service, w.handle, tag_);
   }
 }
 

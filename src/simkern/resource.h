@@ -124,7 +124,7 @@ class Resource {
   void StartService(std::coroutine_handle<> h, SimTime service) {
     if (free_ > 0) {
       Grant();
-      sched_.ScheduleHandle(sched_.Now() + service, h, tag_);
+      sched_.ScheduleAfter(service, h, tag_);
     } else {
       Enqueue(h, service);
     }
@@ -225,7 +225,7 @@ class Leg {
   void Delay(SimTime delta, TraceTag tag = {}) {
     assert(!pending_ && delta >= 0.0);
     res_ = nullptr;
-    time_ = sched_->Now() + delta;
+    time_ = delta;
     tag_ = tag;
   }
 
@@ -235,7 +235,7 @@ class Leg {
     if (res_ != nullptr) {
       res_->StartService(h, time_);
     } else {
-      sched_->ScheduleHandle(time_, h, tag_);
+      sched_->ScheduleAfter(time_, h, tag_);
     }
   }
   void await_resume() {
@@ -246,7 +246,7 @@ class Leg {
  private:
   Scheduler* sched_;
   Resource* res_ = nullptr;  // the step's station; null for a delay
-  SimTime time_ = 0.0;       // a service's duration, a delay's wake-up time
+  SimTime time_ = 0.0;       // the step's duration: a service or a delay
   std::coroutine_handle<> pending_ = nullptr;
   TraceTag tag_;
 };

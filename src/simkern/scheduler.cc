@@ -42,11 +42,18 @@ void Scheduler::CancelAll() {
   // resumed it, so what is left can be dropped without a pop.
 #ifndef NDEBUG
   for (const Event& e : heap_) assert(e.frame == nullptr);
+  for (const Chunk& c : chunks_) {
+    for (const Event& e : c.events) assert(e.frame == nullptr);
+  }
   for (size_t i = 0; i < ring_.size(); ++i) assert(ring_[i].frame == nullptr);
   for (size_t i = 0; i < handoffs_.size(); ++i) assert(!handoffs_[i]);
 #endif
   heap_.clear();
   root_free_ = false;
+  lanes_.assign(kLanes + 1, Lane{});
+  chunks_.clear();
+  free_chunk_ = kNoChunk;
+  lane_entries_ = 0;
   ring_.clear();
   handoffs_.clear();
 }
@@ -54,14 +61,23 @@ void Scheduler::CancelAll() {
 bool Scheduler::CancelHandle(std::coroutine_handle<> h) {
   assert(h);
   void* const frame = h.address();
-  // A suspended frame has at most one pending entry across the three
-  // structures, so stop at the first hit.  Calendar first: timer-style
-  // waits (Delay) dominate the cancellation paths.  A free root's frame is
-  // null, so it never matches.
+  // A suspended frame has at most one pending entry across the four
+  // structures, so stop at the first hit.  Calendar first (the heap, then
+  // the lane tails): timer-style waits (Delay) dominate the cancellation
+  // paths.  A free root's frame is null, so it never matches.  A cancelled
+  // lane entry stays in its lane, which advances past it when it is popped.
   for (Event& e : heap_) {
     if (e.frame == frame) {
       e.frame = nullptr;
       return true;
+    }
+  }
+  for (Chunk& c : chunks_) {
+    for (Event& e : c.events) {
+      if (e.frame == frame) {
+        e.frame = nullptr;
+        return true;
+      }
     }
   }
   for (size_t i = 0; i < ring_.size(); ++i) {
@@ -77,6 +93,44 @@ bool Scheduler::CancelHandle(std::coroutine_handle<> h) {
     }
   }
   return false;
+}
+
+void Scheduler::AddChunk(Lane& lane) {
+  uint32_t c = free_chunk_;
+  if (c != kNoChunk) {
+    free_chunk_ = chunks_[c].next;
+  } else {
+    c = static_cast<uint32_t>(chunks_.size());
+    assert(c != kNoChunk);
+    chunks_.emplace_back();  // value-initialized: every frame null
+  }
+  chunks_[c].next = kNoChunk;
+  if (lane.head == kNoChunk) {
+    lane.head = c;
+    lane.begin = 0;
+  } else {
+    chunks_[lane.tail].next = c;
+  }
+  lane.tail = c;
+  lane.end = 0;
+}
+
+void Scheduler::ClaimOrRemember(SimTime at, uint64_t& seq, uint64_t key) {
+  // The way that remembers the delay, else the first free way; when both
+  // are held by other delays, the second, which the event then misses.
+  const size_t first = LaneOf(key);
+  const bool second = lanes_[first].key != key &&
+                      (lanes_[first + 1].key == key ||
+                       (lanes_[first].key & kLaneHeld) != 0);
+  const size_t index = first + second;
+  Lane& lane = lanes_[index];
+  if (lane.key == key && now_ < lane.last_at) {
+    lane.key = key | kLaneHeld;  // this event heads the lane
+    seq |= index << kLaneShift;
+  } else if ((lane.key & kLaneHeld) == 0) {
+    lane.key = key;
+    lane.last_at = at;
+  }
 }
 
 void Scheduler::SiftUp(size_t i) {
@@ -163,6 +217,35 @@ bool Scheduler::PopNext(Event* out, SimTime until) {
   }
   if (heap_.empty() || heap_[0].at > until) return false;
   *out = heap_[0];
+  // A lane head, dispatched or a tombstone, hands the root to its lane's
+  // next entry: one top-down sift, no bottom-up removal.
+  if (const size_t index = (out->seq >> kLaneShift) & kLaneMask) {
+    Lane& lane = lanes_[index];
+    if (lane.size != 0) {
+      Chunk& chunk = chunks_[lane.head];
+      Event& next = chunk.events[lane.begin++];
+      SiftDown(next);
+      next.frame = nullptr;
+      --lane.size;
+      --lane_entries_;
+      if (lane.size == 0) {
+        lane.begin = lane.end = 0;  // keep the chunk for the next append
+      } else if (lane.begin == kChunkEvents) {
+        const uint32_t used = lane.head;
+        lane.head = chunk.next;
+        lane.begin = 0;
+        chunk.next = free_chunk_;
+        free_chunk_ = used;
+      }
+      return true;
+    }
+    lane.key &= ~kLaneHeld;
+    if (lane.head != kNoChunk) {  // the lane is free: return its chunk
+      chunks_[lane.head].next = free_chunk_;
+      free_chunk_ = lane.head;
+      lane.head = kNoChunk;
+    }
+  }
   heap_[0].frame = nullptr;
   root_free_ = true;
   return true;
@@ -197,12 +280,12 @@ void Scheduler::Drain(SimTime until) {
     if constexpr (kTraced) {
       // The record's seq is the event's schedule-time sequence number (the
       // high bits of the packed word); the tag and the ring/calendar source
-      // bit ride in the low bits (see PushEvent).
+      // bit ride in the low bits (see Event).
       tracer_->Record(event.at,
                       (event.seq & kTraceRingBit) ? TraceEventKind::kZeroDelay
                                                   : TraceEventKind::kCalendar,
                       static_cast<uint16_t>(event.seq),
-                      event.seq >> kTraceTagShift);
+                      event.seq >> kSeqShift);
     }
     std::coroutine_handle<>::from_address(event.frame).resume();
   }

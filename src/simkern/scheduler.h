@@ -8,6 +8,8 @@
 // Hot-path design (see src/simkern/README.md for the full story):
 //  * An event is a 24-byte POD {at, seq, frame}: the payload is the
 //    suspended frame's address, and null marks a cancelled entry.
+//  * Scheduling is relative: every push is ScheduleAfter(delay, ...), at
+//    Now() + delay.
 //  * The calendar is a compact index-based binary min-heap over those PODs:
 //    no per-node allocation, trivially-copyable sifts, `Reserve()` for
 //    pre-sizing.  Keys compare as one unsigned 128-bit integer (the bit
@@ -15,11 +17,18 @@
 //    because every calendar time is a non-negative finite double.
 //    (A bucketed calendar queue and a 4-ary heap were prototyped and
 //    benchmarked; neither beat the binary heap — see the simkern README.)
-//  * Dispatching a heap event leaves its slot in place as a free root: a
-//    dispatched process usually schedules its next event before the next
-//    pop (a hold), and that push is written into the root and sifted down
-//    from the top.  Only a pop that still finds the root free pays the
-//    bottom-up removal.
+//  * Repeated delays ride FIFO lanes: a future event joins the tail of the
+//    lane that its delay holds (a small fixed table keyed by the delay's
+//    bit pattern), and only each lane's head sits in the heap.  Events
+//    pushed with one delay are already in (at, seq) order, since Now()
+//    never decreases and rounding is monotone, so a lane's tail needs no
+//    comparisons.  When its head is popped the lane's next entry is
+//    written into the root and sifted down: one sift per lane event.
+//  * Dispatching any other heap event leaves its slot in place as a free
+//    root: a dispatched process usually schedules its next event before
+//    the next pop (a hold), and that push is written into the root and
+//    sifted down from the top.  Only a pop that still finds the root free
+//    pays the bottom-up removal.
 //  * Events scheduled at exactly the current time (zero delays, group and
 //    channel wake-ups) bypass the heap through a FIFO RingBuffer; the
 //    dispatch loop merges ring and heap by sequence number, so same-time
@@ -28,9 +37,10 @@
 //    so steady-state dispatch performs no heap allocations per event.
 //  * Optional event tracing (trace_ring.h / tracer.h): every schedule call
 //    carries a 16-bit TraceTag packed into the low bits of the event's
-//    sequence word (ordering is decided by the high 47 bits, so FIFO
-//    semantics are untouched).  There is one drain loop, Drain<kTraced>:
-//    Run/RunUntil check for an attached Tracer once per call and pick the
+//    sequence word, below the ring bit and the lane field (ordering is
+//    decided by the sequence number above them, so FIFO semantics are
+//    untouched).  There is one drain loop, Drain<kTraced>: Run/RunUntil
+//    check for an attached Tracer once per call and pick the
 //    instantiation, so Drain<false> holds no tracing code and Drain<true>
 //    writes one 16-byte record per event into a pre-allocated ring.
 
@@ -66,13 +76,14 @@ class Scheduler {
   /// Current simulated time in milliseconds.
   SimTime Now() const { return now_; }
 
-  /// Schedules `handle` to be resumed at absolute time `at` (>= Now()).
-  /// `tag` attributes the eventual dispatch to a subsystem for tracing
-  /// (default: kKernel); it never affects scheduling semantics.
-  void ScheduleHandle(SimTime at, std::coroutine_handle<> handle,
-                      TraceTag tag = {}) {
+  /// Schedules `handle` to be resumed `delay` (>= 0) milliseconds from
+  /// now, at Now() + delay.  `tag` attributes the eventual dispatch to a
+  /// subsystem for tracing (default: kKernel); it never affects scheduling
+  /// semantics.
+  void ScheduleAfter(SimTime delay, std::coroutine_handle<> handle,
+                     TraceTag tag = {}) {
     assert(handle);
-    PushEvent(at, handle.address(), tag);
+    PushEvent(delay, handle.address(), tag);
   }
 
   /// Starts a detached simulation process at the current time.  The frame
@@ -138,8 +149,9 @@ class Scheduler {
   bool Alive(uint64_t id) const { return static_cast<bool>(detached_.FindById(id)); }
 
   /// Removes the pending event that would resume `h`, if any: the matching
-  /// calendar/ring entry is tombstoned in place (heap order is untouched —
-  /// only the payload word changes) and hand-off lane entries are nulled;
+  /// calendar (heap or delay-lane) or ring entry is tombstoned in place
+  /// (order is untouched — only the payload word changes) and hand-off
+  /// lane entries are nulled;
   /// the drain loop skips tombstones without dispatching, counting or
   /// tracing them.  A suspended frame has at most one pending entry, so the
   /// scan stops at the first hit.  Called by cancellation-aware awaiter
@@ -187,14 +199,14 @@ class Scheduler {
   auto Delay(SimTime delta) {
     struct Awaiter {
       Scheduler* sched;
-      SimTime at;
+      SimTime delta;
       // Set while suspended; lets the destructor scrub the pending calendar
       // entry when the frame is destroyed mid-wait (Scheduler::Cancel).
       std::coroutine_handle<> pending = nullptr;
       bool await_ready() const noexcept { return false; }
       void await_suspend(std::coroutine_handle<> h) {
         pending = h;
-        sched->ScheduleHandle(at, h);
+        sched->ScheduleAfter(delta, h);
       }
       void await_resume() noexcept { pending = nullptr; }
       ~Awaiter() {
@@ -202,7 +214,7 @@ class Scheduler {
       }
     };
     assert(delta >= 0.0);
-    return Awaiter{this, now_ + delta};
+    return Awaiter{this, delta};
   }
 
   /// Delay attributed to `tag` in event traces (disk transmission, network
@@ -210,13 +222,13 @@ class Scheduler {
   auto Delay(SimTime delta, TraceTag tag) {
     struct Awaiter {
       Scheduler* sched;
-      SimTime at;
+      SimTime delta;
       TraceTag tag;
       std::coroutine_handle<> pending = nullptr;
       bool await_ready() const noexcept { return false; }
       void await_suspend(std::coroutine_handle<> h) {
         pending = h;
-        sched->ScheduleHandle(at, h, tag);
+        sched->ScheduleAfter(delta, h, tag);
       }
       void await_resume() noexcept { pending = nullptr; }
       ~Awaiter() {
@@ -224,7 +236,7 @@ class Scheduler {
       }
     };
     assert(delta >= 0.0);
-    return Awaiter{this, now_ + delta, tag};
+    return Awaiter{this, delta, tag};
   }
 
   /// Runs until the event calendar is empty.  An exception thrown out of a
@@ -235,11 +247,14 @@ class Scheduler {
   /// `until`.  Later events remain queued.
   void RunUntil(SimTime until);
 
-  /// Pre-sizes the heap and the same-time ring so a run with at most
-  /// `events` concurrently pending events allocates nothing.
+  /// Pre-sizes the heap, the same-time ring and the delay lanes' chunk
+  /// pool so a run with at most `events` concurrently pending events
+  /// allocates nothing.  A lane's waiting events fill whole chunks but
+  /// for its first and last one.
   void Reserve(size_t events) {
     heap_.reserve(events);
     ring_.reserve(events);
+    chunks_.reserve(events / kChunkEvents + 2 * kLanes);
   }
 
   /// Attaches (or detaches, with nullptr) an event tracer: every dispatch
@@ -259,13 +274,14 @@ class Scheduler {
   /// Number of calendar-bypassing hand-off resumes (diagnostics).  Counted
   /// separately from events_processed(): hand-offs are not calendar events.
   uint64_t inline_resumes() const { return inline_resumes_; }
-  /// Calendar, ring and hand-off entries, including tombstones not yet
-  /// popped (or cleared by CancelAll): an entry cancelled by CancelHandle
-  /// counts until the drain loop drops it.  A free root (the slot of the
-  /// heap event being dispatched, see PopNext) is not one of them.
+  /// Calendar (heap and lane tails), ring and hand-off entries, including
+  /// tombstones not yet popped (or cleared by CancelAll): an entry
+  /// cancelled by CancelHandle counts until the drain loop drops it.  A
+  /// free root (the slot of the heap event being dispatched, see PopNext)
+  /// is not one of them.
   size_t pending_events() const {
-    return heap_.size() - static_cast<size_t>(root_free_) + ring_.size() +
-           handoffs_.size();
+    return heap_.size() - static_cast<size_t>(root_free_) + lane_entries_ +
+           ring_.size() + handoffs_.size();
   }
 
  private:
@@ -273,38 +289,95 @@ class Scheduler {
     Task<>::Handle h = task.Detach();
     const uint64_t id = next_spawn_id_++;
     detached_.Register(h, &h.promise(), id, group);
-    ScheduleHandle(now_, h);
+    ScheduleAfter(0.0, h);
     return id;
   }
 
   // One calendar entry.  `frame` is the address of the suspended coroutine
-  // frame to resume.  The low kTraceTagShift bits of `seq` hold the packed
-  // TraceTag and the ring bit; the real sequence number occupies the high
-  // bits, so Precedes() needs no mask (distinct events always differ in the
-  // high bits).  Sequence numbers occupy bits 17–62 (kTraceTagShift = 17);
-  // bit 63 is never set and free for another use.
+  // frame to resume.  `seq` packs, from the low bits up: the TraceTag
+  // (bits 0–15) and the ring bit (16), which tracing reads; the lane field
+  // (bits 17–23, kLaneShift), the index of the delay lane that a heap entry
+  // heads, 0 for none; and the sequence number (bits 24–63, kSeqShift),
+  // ~10^12 pushes per scheduler, asserted in PushEvent.  Precedes() needs
+  // no mask: distinct events always differ in the sequence number.
   struct Event {
     SimTime at;
     uint64_t seq;
     void* frame;
   };
 
+  // The lanes form kLanes / 2 sets of two ways: a delay may take either
+  // lane of its set, so two frequent delays that hash to one set do not
+  // evict each other.
+  static constexpr unsigned kLaneSetBits = 5;
+  static constexpr size_t kLanes = size_t{2} << kLaneSetBits;
+  static constexpr unsigned kLaneShift = kTraceTagShift;
+  static constexpr uint64_t kLaneMask = 2 * kLanes - 1;  // index 1..kLanes
+  static constexpr unsigned kSeqShift = kLaneShift + kLaneSetBits + 2;
+  static constexpr uint64_t kSeqStep = uint64_t{1} << kSeqShift;
+  static constexpr uint32_t kNoChunk = std::numeric_limits<uint32_t>::max();
+
+  // A FIFO of future events pushed with one delay, at lanes_[index] for
+  // index 1..kLanes (slot 0 stands for "no lane" and stays unused).  While
+  // the lane is held, its oldest event sits in the heap carrying the
+  // lane's index, and the `size` others wait in push order, which is
+  // calendar order, in a chain of chunks_: from slot `begin` of chunk
+  // `head` to slot `end` - 1 of chunk `tail` (no chunk: `head` is kNoChunk).
+  // `key` is the bit pattern of the lane's delay, with kLaneHeld set while
+  // the lane is held; a delay is positive, so its sign bit is free, and
+  // +0.0 never gets here (a zero delay goes to the ring).  A free lane
+  // remembers the last delay that went past it, and `last_at` the time of
+  // that delay's last event pushed to the heap on its own.
+  struct Lane {
+    uint64_t key = 0;
+    SimTime last_at = 0.0;
+    uint32_t head = kNoChunk;
+    uint32_t tail = kNoChunk;
+    uint32_t begin = 0;
+    uint32_t end = 0;
+    uint32_t size = 0;
+  };
+  static constexpr uint64_t kLaneHeld = uint64_t{1} << 63;
+
+  // The lanes' waiting events share one pool of fixed-size chunks, so the
+  // pool grows to the most events waiting in lanes at once, plus at most
+  // two part-filled chunks per lane, and costs no more per event than the
+  // heap.  Free chunks are linked through `next`, last freed first.  Every
+  // slot that holds no waiting event has a null frame, so CancelHandle
+  // never matches it.
+  static constexpr uint32_t kChunkEvents = 16;
+  struct Chunk {
+    Event events[kChunkEvents];
+    uint32_t next;
+  };
+
+  // The first lane of the delay's set; the second is the next one.
+  // Fibonacci hashing: the multiply spreads the mantissa, whose low bits
+  // are zero for round delays such as 0.5 or 0.75.
+  static size_t LaneOf(uint64_t key) {
+    return 1 + 2 * static_cast<size_t>((key * 0x9E3779B97F4A7C15ull) >>
+                                       (64 - kLaneSetBits));
+  }
+
   // Cancelled entries keep their (at, seq) key — overwriting only the
-  // payload with null preserves heap order — and are dropped by the drain
-  // loop without dispatch, count or trace record.  ScheduleHandle asserts
-  // a non-null handle, so null marks nothing but a cancellation.
+  // payload with null preserves heap and lane order — and are dropped by
+  // the drain loop without dispatch, count or trace record.  ScheduleAfter
+  // asserts a non-null handle, so null marks nothing but a cancellation.
   static_assert(sizeof(Event) == 24, "Event must stay a compact POD");
   static_assert(std::is_trivially_copyable_v<Event>);
   static_assert(std::numeric_limits<SimTime>::is_iec559,
                 "Precedes() orders times by their IEEE-754 bit patterns");
+  static_assert((kLaneMask << kLaneShift) < kSeqStep &&
+                    (kLaneMask & kLanes) != 0,
+                "the lane field holds every lane index below the sequence");
 
   // Min on time, FIFO (seq) for equal times, compared as one unsigned
   // 128-bit key (bit pattern of `at`, then `seq`): GCC emits a cmp/sbb
   // pair, no float compare and no branch.  For non-negative finite doubles
   // the bit patterns order exactly like the values, and every calendar
-  // time is one: heap entries have at > Now() >= +0.0, and ring entries
-  // store now_ rather than the caller's `at`, so a -0.0 (whose sign bit
-  // would sort it last) never enters.
+  // time is one: heap and lane entries have at > Now() >= +0.0, and ring
+  // entries store now_ rather than Now() + delay, so a -0.0 (whose sign
+  // bit would sort it last) never enters.
   static bool Precedes(const Event& a, const Event& b) {
     using Key = unsigned __int128;
     auto key = [](const Event& e) {
@@ -313,22 +386,39 @@ class Scheduler {
     return key(a) < key(b);
   }
 
-  // next_seq_ is kept pre-scaled (stepped by 1 << kTraceTagShift) so a push
-  // pays one OR for the tag and no shift; with the default tag the OR
-  // constant-folds away entirely.  The sequence bump stays inside each
-  // branch so the branch does not wait on the seq data flow.
-  void PushEvent(SimTime at, void* frame, TraceTag tag) {
-    assert(at >= now_);
-    constexpr uint64_t kSeqStep = uint64_t{1} << kTraceTagShift;
+  // next_seq_ is kept pre-scaled (stepped by kSeqStep) so a push pays one
+  // OR for the tag and no shift; with the default tag the OR constant-folds
+  // away entirely.  The sequence bump stays inside each branch so the
+  // branch does not wait on the seq data flow.
+  //
+  // A future event joins the tail of a lane held by its delay: the lane's
+  // last entry was pushed with the same delay at an earlier or equal
+  // Now(), so it precedes the new one.  Anything else goes into the heap.
+  // One such push in eight, chosen by its sequence number, first runs
+  // ClaimOrRemember: the lane bookkeeping costs a push whose delay never
+  // holds a lane (a timer, a lone server's service, a drawn disk time)
+  // about as much as its sift, and a delay frequent enough for a lane is
+  // sampled soon anyway.
+  void PushEvent(SimTime delay, void* frame, TraceTag tag) {
+    assert(delay >= 0.0);
+    const SimTime at = now_ + delay;
     if (at == now_) {
       // The ring bit lets the traced drain loop label the record's source
       // structure without any side-channel from the pop path.
       uint64_t seq = next_seq_ | tag.bits | kTraceRingBit;
       next_seq_ += kSeqStep;
+      assert(next_seq_ != 0 && "sequence numbers exhausted");
       ring_.push_back(Event{now_, seq, frame});  // now_: never a -0.0
-    } else {
-      uint64_t seq = next_seq_ | tag.bits;
-      next_seq_ += kSeqStep;
+      return;
+    }
+    uint64_t seq = next_seq_ | tag.bits;
+    next_seq_ += kSeqStep;
+    assert(next_seq_ != 0 && "sequence numbers exhausted");
+    const uint64_t key = std::bit_cast<uint64_t>(delay);
+    size_t index = LaneOf(key);
+    if (lanes_[index].key != (key | kLaneHeld) &&
+        lanes_[++index].key != (key | kLaneHeld)) {
+      if ((seq & kLaneSample) == 0) ClaimOrRemember(at, seq, key);
       if (root_free_) {
         root_free_ = false;
         SiftDown(Event{at, seq, frame});
@@ -336,9 +426,26 @@ class Scheduler {
         heap_.push_back(Event{at, seq, frame});
         SiftUp(heap_.size() - 1);
       }
+      return;
     }
+    Lane& lane = lanes_[index];
+    if (lane.end == kChunkEvents || lane.head == kNoChunk) AddChunk(lane);
+    chunks_[lane.tail].events[lane.end++] =
+        Event{at, seq | index << kLaneShift, frame};
+    ++lane.size;
+    ++lane_entries_;
   }
 
+  // Gives `lane` a new tail chunk (its first one if it has none).
+  void AddChunk(Lane& lane);
+
+  // Claims a free lane of the delay's set that remembers the delay if the
+  // delay's last remembered event is still pending (the event then heads
+  // the lane: its lane field is set in `seq`), so a delay with one event
+  // at a time never gets a lane; otherwise a free lane of the set
+  // remembers the delay and the event's time.
+  void ClaimOrRemember(SimTime at, uint64_t& seq, uint64_t key);
+  static constexpr uint64_t kLaneSample = 7 * kSeqStep;
   void SiftUp(size_t i);
   // Writes `e` into the free root and sifts it down from the top, stopping
   // at the first level where it precedes both children.  The early exit
@@ -349,10 +456,12 @@ class Scheduler {
   void HeapPop();
 
   // Pops the globally next event if its timestamp is <= `until`.  A heap
-  // event is copied out and its slot left in place as the free root, with
-  // a null frame so CancelHandle never matches it; the next heap push
-  // fills the root, or the next PopNext removes it first.  An exception
-  // escaping Run can leave the root free, which the next Run removes.
+  // event is copied out.  If it heads a lane with a tail, the tail's first
+  // entry takes its slot; a lane head whose tail is empty frees its lane.
+  // Otherwise the slot is left in place as the free root, with a null
+  // frame so CancelHandle never matches it; the next heap push fills the
+  // root, or the next PopNext removes it first.  An exception escaping Run
+  // can leave the root free, which the next Run removes.
   bool PopNext(Event* out, SimTime until);
 
   // The one dispatch loop behind Run and RunUntil: resumes hand-off lane
@@ -381,6 +490,13 @@ class Scheduler {
   uint64_t inline_resumes_ = 0;
   bool tearing_down_ = false;
   Tracer* tracer_ = nullptr;
+  // lanes_[0] is unused (see Lane).  The table lives outside the object:
+  // embedded, its 2.6 KB moved every member of a Cluster after the
+  // scheduler, and mixed_oltp80 read 4 % slower for it.
+  std::vector<Lane> lanes_ = std::vector<Lane>(kLanes + 1);
+  std::vector<Chunk> chunks_;
+  uint32_t free_chunk_ = kNoChunk;
+  size_t lane_entries_ = 0;  // events waiting in lanes, behind their heads
 };
 
 }  // namespace pdblb::sim

@@ -96,7 +96,7 @@ class TaskGroup {
   void Finish() {
     if (--active_ == 0) {
       while (!waiters_.empty()) {
-        sched_.ScheduleHandle(sched_.Now(), waiters_.front(), tag_);
+        sched_.ScheduleAfter(0.0, waiters_.front(), tag_);
         waiters_.pop_front();
       }
     }

@@ -67,9 +67,10 @@ inline const char* TraceEventKindName(uint8_t kind) {
 /// (subsystem << 12) | origin.  `origin` is a small call-site-defined id
 /// (PE number for CPUs/disks/locks, source PE for network wires); 0 when
 /// the site has no natural origin.  Packed into the low bits of the
-/// event's sequence word (below a ring/calendar source bit) — the real
-/// sequence number lives in the high 47 bits, so FIFO comparisons are
-/// unaffected (distinct events always differ in the high bits).
+/// event's sequence word (below a ring/calendar source bit and the
+/// scheduler's lane field) — the real sequence number lives in the high
+/// 40 bits, so FIFO comparisons are unaffected (distinct events always
+/// differ in the high bits).
 struct TraceTag {
   uint16_t bits = 0;
 
@@ -90,9 +91,11 @@ struct TraceTag {
 
 /// Number of low sequence-word bits occupied by tracing metadata: the
 /// 16-bit packed TraceTag plus one bit (bit 16) recording whether the
-/// event was pushed to the same-time FIFO ring or the calendar heap — so
+/// event was pushed to the same-time FIFO ring or the calendar — so
 /// dispatch can label the record without any side-channel from the pop
-/// path.  The remaining 47 high bits count events: ~10^14 per run.
+/// path.  The scheduler puts its lane field (bits 17–23) right above, and
+/// the sequence number in the remaining 40 high bits, ~10^12 events per
+/// run (Scheduler::Event).
 inline constexpr unsigned kTraceTagShift = 17;
 inline constexpr uint64_t kTraceRingBit = 1ull << 16;
 

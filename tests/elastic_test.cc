@@ -265,6 +265,25 @@ TEST(ElasticTest, MidMigrationCrashUnwindsDiscardsAndReplans) {
   ExpectQuiescent(c);
 }
 
+// A crash of the donor at the instant its drain starts ends the migration
+// before its first batch: ExecuteMove finds the donor down, or the crash
+// cancels the migrator before it runs.  Nothing moves, nothing is
+// discarded, and nothing is left in flight or held.
+TEST(ElasticTest, DonorCrashAtMoveStartEndsMigratorBeforeFirstBatch) {
+  SystemConfig cfg = ElasticBase(8);
+  cfg.faults.events = {{2000.0, FaultKind::kDrainPe, 7},
+                       {2000.0, FaultKind::kCrash, 7}};
+  ASSERT_TRUE(cfg.Validate().ok()) << cfg.Validate().ToString();
+  Cluster c(cfg);
+  MetricsReport r = c.Run();
+  EXPECT_EQ(r.pe_crashes, 1);
+  EXPECT_EQ(r.migration_pages_moved, 0);
+  EXPECT_EQ(r.migration_pages_discarded, 0);
+  EXPECT_EQ(r.fragments_migrated, 0);
+  EXPECT_EQ(c.ownership().MovedCount(), 0u);
+  ExpectQuiescent(c);
+}
+
 // A spare that bounces (crash + recover) before its addpe must stay out of
 // the planning views until the addpe fires: a recovered non-member is not
 // up, and the later join still fills it.

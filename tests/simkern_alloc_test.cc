@@ -115,6 +115,37 @@ TEST(SchedulerAllocTest, SteadyStateDispatchAllocatesNothing) {
       << (allocations_after - allocations_before) << " times";
 }
 
+// Delay lanes: processes cycling through a few repeated delays keep long
+// lane tails, which the shared chunk pool serves; distinct periods claim,
+// free and re-key lanes.  Once the pool has reached the high-water mark
+// that Reserve sets, lane traffic allocates nothing.
+Task<> CycleDelays(Scheduler& sched, int phase, int64_t rounds) {
+  static constexpr SimTime kDelays[] = {0.05, 0.1, 0.5, 0.75};
+  for (int64_t i = 0; i < rounds; ++i) {
+    co_await sched.Delay(kDelays[(i + phase) % 4]);
+  }
+}
+
+TEST(SchedulerAllocTest, DelayLanesAllocateNothing) {
+  Scheduler sched;
+  sched.Reserve(/*events=*/1024);
+  constexpr int64_t kRounds = 10000000;
+  for (int i = 0; i < 256; ++i) sched.Spawn(CycleDelays(sched, i, kRounds));
+  for (int i = 0; i < 32; ++i) {
+    sched.Spawn(TimerLoop(sched, 0.3 + 0.011 * i, kRounds));
+  }
+  sched.RunUntil(50.0);
+  const uint64_t events_before = sched.events_processed();
+  const uint64_t allocations_before = g_allocations;
+  sched.RunUntil(500.0);
+  const uint64_t dispatched = sched.events_processed() - events_before;
+  EXPECT_GT(dispatched, 100000u);
+  EXPECT_EQ(g_allocations - allocations_before, 0u)
+      << "dispatching " << dispatched << " lane events allocated "
+      << (g_allocations - allocations_before) << " times";
+  EXPECT_EQ(sched.pending_events(), 288u);
+}
+
 // --- blocking primitives ---------------------------------------------------
 // The frameless Resource::Use awaiter and the ring-buffer waiter/value
 // queues extend the zero-allocation guarantee from dispatch to *blocking*:

@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <memory>
 #include <set>
+#include <string>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -304,28 +305,59 @@ constexpr int kModelProcs = 64;
 constexpr int kModelWakes = 40;
 
 // A run's pre-drawn script: each process's delay before each of its wakes,
-// and the process it cancels after that wake (-1: none).  Zero and equal
-// delays put ring and heap entries at one timestamp.
+// the process it cancels after that wake (-1: none), and the spacing of
+// the RunUntil boundaries.  Zero and equal delays put ring and heap
+// entries at one timestamp.
 struct WakeScript {
   std::vector<std::vector<SimTime>> delay;
   std::vector<std::vector<int>> cancel;
+  SimTime until_step = 3.7;
 };
 
-WakeScript DrawWakeScript(uint64_t seed) {
-  static constexpr SimTime kDelays[] = {0.0, 0.5, 1.0, 1.0, 2.5};
+// Draws each wake's delay with `draw_delay` and cancels another process
+// after one wake in `cancel_one_in`.
+template <typename DrawDelay>
+WakeScript DrawScript(uint64_t seed, int cancel_one_in, DrawDelay draw_delay) {
   Rng rng(seed);
   WakeScript script;
   script.delay.assign(kModelProcs, std::vector<SimTime>(kModelWakes));
   script.cancel.assign(kModelProcs, std::vector<int>(kModelWakes, -1));
   for (int id = 0; id < kModelProcs; ++id) {
     for (int wake = 0; wake < kModelWakes; ++wake) {
-      script.delay[id][wake] = kDelays[rng.UniformInt(0, 4)];
-      if (rng.UniformInt(0, 63) == 0) {
+      script.delay[id][wake] = draw_delay(rng);
+      if (rng.UniformInt(0, cancel_one_in - 1) == 0) {
         int target = static_cast<int>(rng.UniformInt(0, kModelProcs - 2));
         script.cancel[id][wake] = target >= id ? target + 1 : target;
       }
     }
   }
+  return script;
+}
+
+WakeScript DrawWakeScript(uint64_t seed) {
+  static constexpr SimTime kDelays[] = {0.0, 0.5, 1.0, 1.0, 2.5};
+  return DrawScript(seed, 64, [](Rng& rng) {
+    return kDelays[rng.UniformInt(0, 4)];
+  });
+}
+
+// A script for the delay lanes.  Half the wakes draw one of four hot
+// delays, so those lanes hold long tails, and the rest draw from 120 cold
+// delays, more than the calendar has lanes, so lanes are re-keyed and
+// delays collide in their lane sets; a few are zero (the ring).  Every
+// delay is a multiple of 1/8, so wake times are exact and the RunUntil
+// boundaries, at multiples of 3.75, fall on lane entries.  One wake in
+// eight cancels a random process, which waits at a lane head, in a lane
+// tail, in the heap on its own or in the ring.
+WakeScript DrawLaneScript(uint64_t seed) {
+  static constexpr SimTime kHot[] = {0.25, 0.5, 0.75, 1.25};
+  WakeScript script = DrawScript(seed, 8, [](Rng& rng) {
+    const int64_t pick = rng.UniformInt(0, 127);
+    if (pick < 64) return kHot[pick % 4];
+    if (pick < 68) return 0.0;
+    return 0.125 * static_cast<SimTime>(rng.UniformInt(1, 120));
+  });
+  script.until_step = 3.75;
   return script;
 }
 
@@ -363,7 +395,9 @@ WakeRun RunCalendar(const WakeScript& script) {
   for (int id = 0; id < kModelProcs; ++id) {
     w.spawn_ids.push_back(w.sched.SpawnWithId(Waker(w, id)));
   }
-  for (int step = 1; step <= 8; ++step) w.sched.RunUntil(3.7 * step);
+  for (int step = 1; step <= 8; ++step) {
+    w.sched.RunUntil(script.until_step * step);
+  }
   w.sched.Run();
   return {std::move(w.log), w.sched.events_processed()};
 }
@@ -404,23 +438,30 @@ WakeRun RunModel(const WakeScript& script) {
   return run;
 }
 
+void ExpectCalendarMatchesModel(const WakeScript& script) {
+  const WakeRun model = RunModel(script);
+  const WakeRun calendar = RunCalendar(script);
+  // Cancels cut some processes short.
+  ASSERT_LT(model.log.size(), size_t{kModelProcs} * kModelWakes);
+  ASSERT_EQ(calendar.log.size(), model.log.size());
+  for (size_t i = 0; i < model.log.size(); ++i) {
+    ASSERT_TRUE(calendar.log[i] == model.log[i])
+        << "order diverges at step " << i << ": (" << calendar.log[i].at
+        << ", p" << calendar.log[i].id << ", w" << calendar.log[i].wake
+        << ") vs model (" << model.log[i].at << ", p" << model.log[i].id
+        << ", w" << model.log[i].wake << ")";
+  }
+  EXPECT_EQ(calendar.dispatches, model.dispatches);
+}
+
 TEST(SchedulerModelTest, DispatchOrderMatchesReferenceModel) {
   for (uint64_t seed = 1; seed <= 20; ++seed) {
     SCOPED_TRACE(seed);
-    const WakeScript script = DrawWakeScript(seed);
-    const WakeRun model = RunModel(script);
-    const WakeRun calendar = RunCalendar(script);
-    // Cancels cut some processes short.
-    ASSERT_LT(model.log.size(), size_t{kModelProcs} * kModelWakes);
-    ASSERT_EQ(calendar.log.size(), model.log.size());
-    for (size_t i = 0; i < model.log.size(); ++i) {
-      ASSERT_TRUE(calendar.log[i] == model.log[i])
-          << "order diverges at step " << i << ": (" << calendar.log[i].at
-          << ", p" << calendar.log[i].id << ", w" << calendar.log[i].wake
-          << ") vs model (" << model.log[i].at << ", p" << model.log[i].id
-          << ", w" << model.log[i].wake << ")";
-    }
-    EXPECT_EQ(calendar.dispatches, model.dispatches);
+    ExpectCalendarMatchesModel(DrawWakeScript(seed));
+  }
+  for (uint64_t seed = 1; seed <= 20; ++seed) {
+    SCOPED_TRACE("lane script, seed " + std::to_string(seed));
+    ExpectCalendarMatchesModel(DrawLaneScript(seed));
   }
 }
 

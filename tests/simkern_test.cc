@@ -118,6 +118,95 @@ TEST(SchedulerTest, PendingEventsCountsRingAndHeap) {
   EXPECT_EQ(sched.events_processed() - before, 3u);
 }
 
+// --- delay lanes ----------------------------------------------------------
+// Future events pushed with one delay wait in that delay's FIFO lane, with
+// only the lane's head in the heap.  The first push of a delay goes into
+// the heap on its own and the second, while the first is still pending,
+// claims the lane and heads it; later pushes join its tail.  So of k
+// processes that start at one instant and wait one delay, the second heads
+// the lane and the third to k-th wait in its tail.
+
+TEST(SchedulerTest, CancelledLaneHeadStillAdvancesItsLane) {
+  Scheduler sched;
+  std::vector<int> order;
+  std::vector<uint64_t> ids;
+  for (int id = 0; id < 6; ++id) {
+    ids.push_back(sched.SpawnWithId(AppendAfter(sched, 1.0, id, &order)));
+  }
+  sched.RunUntil(0.5);  // every process waits for t = 1.0
+  ASSERT_EQ(sched.pending_events(), 6u);
+  EXPECT_TRUE(sched.Cancel(ids[1]));  // the lane's head
+  EXPECT_TRUE(sched.Cancel(ids[3]));  // an entry in its tail
+  // A tombstone counts until the drain loop drops it.
+  EXPECT_EQ(sched.pending_events(), 6u);
+  const uint64_t before = sched.events_processed();
+  sched.Run();
+  // Dropping the head's tombstone hands the root to the lane's next entry,
+  // so the rest of the tail still wakes, in schedule order.
+  EXPECT_EQ(order, (std::vector<int>{0, 2, 4, 5}));
+  EXPECT_EQ(sched.events_processed() - before, 4u);
+  EXPECT_EQ(sched.pending_events(), 0u);
+}
+
+TEST(SchedulerTest, PendingEventsCountsLaneTails) {
+  Scheduler sched;
+  std::vector<int> order;
+  for (int id = 0; id < 5; ++id) {
+    sched.Spawn(AppendAfter(sched, 2.0, id, &order));
+  }
+  for (int id = 5; id < 8; ++id) {
+    sched.Spawn(AppendAfter(sched, 0.5, id, &order));
+  }
+  sched.RunUntil(0.25);
+  // Two lanes, each with a head in the heap and a tail behind it, and one
+  // event of each delay in the heap on its own.
+  EXPECT_EQ(sched.pending_events(), 8u);
+  sched.RunUntil(1.0);
+  EXPECT_EQ(order, (std::vector<int>{5, 6, 7}));
+  EXPECT_EQ(sched.pending_events(), 5u);
+  sched.Run();
+  EXPECT_EQ(order, (std::vector<int>{5, 6, 7, 0, 1, 2, 3, 4}));
+  EXPECT_EQ(sched.pending_events(), 0u);
+}
+
+// Waits `period` `rounds` times, counting its wakes.
+Task<> CountWakes(Scheduler& sched, SimTime period, int rounds, int* wakes) {
+  for (int i = 0; i < rounds; ++i) {
+    co_await sched.Delay(period);
+    ++*wakes;
+  }
+}
+
+TEST(SchedulerTest, CancelAllLeavesNoLaneEntry) {
+  Scheduler sched;
+  int wakes = 0;
+  // Forty processes on two delays keep two lanes long; ten more on
+  // distinct delays take lanes of their own or miss them.
+  for (int i = 0; i < 40; ++i) {
+    sched.Spawn(CountWakes(sched, i % 2 == 0 ? 0.5 : 0.75, 1000, &wakes));
+  }
+  for (int i = 0; i < 10; ++i) {
+    sched.Spawn(CountWakes(sched, 0.3 + 0.07 * i, 1000, &wakes));
+  }
+  sched.RunUntil(20.1);
+  ASSERT_GT(wakes, 1000);
+  ASSERT_EQ(sched.pending_events(), 50u);
+  sched.CancelAll();
+  EXPECT_EQ(sched.pending_events(), 0u);
+  EXPECT_EQ(sched.detached_in_flight(), 0u);
+  // Nothing left behind dispatches: new processes on the same delays run
+  // exactly their own events, in order.
+  std::vector<int> order;
+  for (int id = 0; id < 4; ++id) {
+    sched.Spawn(AppendAfter(sched, id % 2 == 0 ? 0.5 : 0.75, id, &order));
+  }
+  const uint64_t before = sched.events_processed();
+  sched.Run();
+  EXPECT_EQ(order, (std::vector<int>{0, 2, 1, 3}));
+  EXPECT_EQ(sched.events_processed() - before, 8u);  // 4 starts, 4 wakes
+  EXPECT_DOUBLE_EQ(sched.Now(), 20.1 + 0.75);
+}
+
 // Records `id`, and the scheduler's pending-event count if asked.
 Task<> AppendNow(Scheduler& sched, int id, std::vector<int>* order,
                  size_t* pending = nullptr) {
