@@ -132,10 +132,16 @@ class FaultInjector {
 
   sim::Scheduler& sched();
 
+  /// Crashes `pe` now, as a scripted crash event does: no-op if it is
+  /// already down or the last PE up.  Public so a test can crash a PE at
+  /// an exact point among the events of one instant, which a scripted
+  /// event (dispatched ahead of everything scheduled later for its time)
+  /// cannot reach.
+  void ApplyCrash(PeId pe);
+
  private:
   sim::Task<> ApplyAt(FaultEvent event);
   sim::Task<> RandomFaultLoop(PeId pe);
-  void ApplyCrash(PeId pe);
   void ApplyRecovery(PeId pe);
   void ApplyPartition(PeId a, PeId b);
   void ApplyHeal(PeId a, PeId b);

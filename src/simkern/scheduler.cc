@@ -42,16 +42,15 @@ void Scheduler::CancelAll() {
   // resumed it, so what is left can be dropped without a pop.
 #ifndef NDEBUG
   for (const Event& e : heap_) assert(e.frame == nullptr);
-  for (const Chunk& c : chunks_) {
-    for (const Event& e : c.events) assert(e.frame == nullptr);
-  }
+  for (const Event& e : slots_) assert(e.frame == nullptr);
   for (size_t i = 0; i < ring_.size(); ++i) assert(ring_[i].frame == nullptr);
   for (size_t i = 0; i < handoffs_.size(); ++i) assert(!handoffs_[i]);
 #endif
   heap_.clear();
   root_free_ = false;
   lanes_.assign(kLanes + 1, Lane{});
-  chunks_.clear();
+  slots_.clear();
+  chunk_next_.clear();
   free_chunk_ = kNoChunk;
   lane_entries_ = 0;
   ring_.clear();
@@ -72,12 +71,10 @@ bool Scheduler::CancelHandle(std::coroutine_handle<> h) {
       return true;
     }
   }
-  for (Chunk& c : chunks_) {
-    for (Event& e : c.events) {
-      if (e.frame == frame) {
-        e.frame = nullptr;
-        return true;
-      }
+  for (Event& e : slots_) {
+    if (e.frame == frame) {
+      e.frame = nullptr;
+      return true;
     }
   }
   for (size_t i = 0; i < ring_.size(); ++i) {
@@ -95,41 +92,73 @@ bool Scheduler::CancelHandle(std::coroutine_handle<> h) {
   return false;
 }
 
-void Scheduler::AddChunk(Lane& lane) {
+uint32_t Scheduler::AddChunk(Lane& lane) {
   uint32_t c = free_chunk_;
   if (c != kNoChunk) {
-    free_chunk_ = chunks_[c].next;
+    free_chunk_ = chunk_next_[c];
   } else {
-    c = static_cast<uint32_t>(chunks_.size());
-    assert(c != kNoChunk);
-    chunks_.emplace_back();  // value-initialized: every frame null
+    c = static_cast<uint32_t>(chunk_next_.size());
+    assert(c < kNoChunk / kChunkEvents);
+    chunk_next_.push_back(kNoChunk);
+    slots_.resize(slots_.size() + kChunkEvents);  // every frame null
   }
-  chunks_[c].next = kNoChunk;
-  if (lane.head == kNoChunk) {
-    lane.head = c;
-    lane.begin = 0;
+  chunk_next_[c] = kNoChunk;
+  // `size` counts the head and the event being appended.  first == last
+  // does not tell an empty tail: `first` on a boundary is the start of a
+  // chunk, `last` the end of one.
+  const uint32_t slot = c * kChunkEvents;
+  if (lane.size == 2) {
+    lane.first = slot;
   } else {
-    chunks_[lane.tail].next = c;
+    chunk_next_[(lane.last - 1) / kChunkEvents] = c;
   }
-  lane.tail = c;
-  lane.end = 0;
+  return slot;
 }
 
-void Scheduler::ClaimOrRemember(SimTime at, uint64_t& seq, uint64_t key) {
-  // The way that remembers the delay, else the first free way; when both
-  // are held by other delays, the second, which the event then misses.
-  const size_t first = LaneOf(key);
-  const bool second = lanes_[first].key != key &&
-                      (lanes_[first + 1].key == key ||
-                       (lanes_[first].key & kLaneHeld) != 0);
-  const size_t index = first + second;
-  Lane& lane = lanes_[index];
-  if (lane.key == key && now_ < lane.last_at) {
-    lane.key = key | kLaneHeld;  // this event heads the lane
-    seq |= index << kLaneShift;
-  } else if ((lane.key & kLaneHeld) == 0) {
-    lane.key = key;
-    lane.last_at = at;
+void Scheduler::FreeChunk(uint32_t slot) {
+  const uint32_t c = slot / kChunkEvents;
+  chunk_next_[c] = free_chunk_;
+  free_chunk_ = c;
+}
+
+void Scheduler::PushMiss(SimTime at, uint64_t seq, void* frame, uint64_t key,
+                         size_t first) {
+  // The way that remembers the delay, else the first free way, else the
+  // first idle way; when both are busy with other delays, none.
+  size_t index = first;
+  if (lanes_[first].key != key) {
+    const auto free = [](const Lane& l) { return (l.key & kLaneHeld) == 0; };
+    if (lanes_[first + 1].key == key ||
+        (!free(lanes_[first]) && free(lanes_[first + 1]))) {
+      index = first + 1;
+    } else if (!free(lanes_[first]) && lanes_[first].size != 0) {
+      index = lanes_[first + 1].size == 0 ? first + 1 : 0;
+    }
+  }
+  if (index != 0) {
+    Lane& lane = lanes_[index];
+    if (lane.key == key && now_ < lane.last_at) {
+      lane.key = key | kLaneHeld;  // this event heads the lane
+      lane.size = 1;
+      seq |= index << kLaneShift;
+    } else {
+      // An idle lane keeps the chunk it last appended to, if it has room.
+      if (lane.last % kChunkEvents != 0) FreeChunk(lane.last);
+      lane.first = lane.last = 0;
+      lane.key = key;
+      lane.last_at = at;
+    }
+  }
+  PushHeap(at, seq, frame);
+}
+
+void Scheduler::PushHeap(SimTime at, uint64_t seq, void* frame) {
+  if (root_free_) {
+    root_free_ = false;
+    SiftDown(Event{at, seq, frame});
+  } else {
+    heap_.push_back(Event{at, seq, frame});
+    SiftUp(heap_.size() - 1);
   }
 }
 
@@ -218,32 +247,24 @@ bool Scheduler::PopNext(Event* out, SimTime until) {
   if (heap_.empty() || heap_[0].at > until) return false;
   *out = heap_[0];
   // A lane head, dispatched or a tombstone, hands the root to its lane's
-  // next entry: one top-down sift, no bottom-up removal.
+  // next entry: one top-down sift, no bottom-up removal.  A head whose lane
+  // has no tail leaves the lane idle.
   if (const size_t index = (out->seq >> kLaneShift) & kLaneMask) {
     Lane& lane = lanes_[index];
-    if (lane.size != 0) {
-      Chunk& chunk = chunks_[lane.head];
-      Event& next = chunk.events[lane.begin++];
+    if (--lane.size != 0) {
+      Event& next = slots_[lane.first];
       SiftDown(next);
       next.frame = nullptr;
-      --lane.size;
       --lane_entries_;
-      if (lane.size == 0) {
-        lane.begin = lane.end = 0;  // keep the chunk for the next append
-      } else if (lane.begin == kChunkEvents) {
-        const uint32_t used = lane.head;
-        lane.head = chunk.next;
-        lane.begin = 0;
-        chunk.next = free_chunk_;
-        free_chunk_ = used;
+      uint32_t slot = lane.first + 1;
+      if (slot % kChunkEvents == 0) {
+        // The chunk is used up: the tail goes on in the next one, if any.
+        const uint32_t c = chunk_next_[slot / kChunkEvents - 1];
+        FreeChunk(slot - 1);
+        if (slot != lane.last) slot = c * kChunkEvents;
       }
+      lane.first = slot;
       return true;
-    }
-    lane.key &= ~kLaneHeld;
-    if (lane.head != kNoChunk) {  // the lane is free: return its chunk
-      chunks_[lane.head].next = free_chunk_;
-      free_chunk_ = lane.head;
-      lane.head = kNoChunk;
     }
   }
   heap_[0].frame = nullptr;

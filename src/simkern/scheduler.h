@@ -254,7 +254,9 @@ class Scheduler {
   void Reserve(size_t events) {
     heap_.reserve(events);
     ring_.reserve(events);
-    chunks_.reserve(events / kChunkEvents + 2 * kLanes);
+    const size_t chunks = events / kChunkEvents + 2 * kLanes;
+    slots_.reserve(chunks * kChunkEvents);
+    chunk_next_.reserve(chunks);
   }
 
   /// Attaches (or detaches, with nullptr) an event tracer: every dispatch
@@ -283,6 +285,9 @@ class Scheduler {
     return heap_.size() - static_cast<size_t>(root_free_) + lane_entries_ +
            ring_.size() + handoffs_.size();
   }
+  /// The part of pending_events() that waits in delay lanes behind their
+  /// heads, off the heap (diagnostics).
+  size_t lane_events() const { return lane_entries_; }
 
  private:
   uint64_t SpawnRoot(Task<> task, TaskGroup* group) {
@@ -318,38 +323,38 @@ class Scheduler {
   static constexpr uint32_t kNoChunk = std::numeric_limits<uint32_t>::max();
 
   // A FIFO of future events pushed with one delay, at lanes_[index] for
-  // index 1..kLanes (slot 0 stands for "no lane" and stays unused).  While
-  // the lane is held, its oldest event sits in the heap carrying the
-  // lane's index, and the `size` others wait in push order, which is
-  // calendar order, in a chain of chunks_: from slot `begin` of chunk
-  // `head` to slot `end` - 1 of chunk `tail` (no chunk: `head` is kNoChunk).
-  // `key` is the bit pattern of the lane's delay, with kLaneHeld set while
-  // the lane is held; a delay is positive, so its sign bit is free, and
-  // +0.0 never gets here (a zero delay goes to the ring).  A free lane
-  // remembers the last delay that went past it, and `last_at` the time of
-  // that delay's last event pushed to the heap on its own.
-  struct Lane {
+  // index 1..kLanes (slot 0 stands for "no lane" and stays unused).  `key`
+  // is the bit pattern of the lane's delay, with kLaneHeld set while the
+  // delay holds the lane; a delay is positive, so its sign bit is free,
+  // and +0.0 never gets here (a zero delay goes to the ring).  A held lane
+  // has `size` pending events: its oldest sits in the heap carrying the
+  // lane's index, and the others, its tail, wait in push order, which is
+  // calendar order, in slots_[first] to slots_[last - 1], following the
+  // chunk chain at each chunk's end; a `last` on a chunk boundary means
+  // the next append needs a new chunk.  A held lane with no pending event
+  // is idle: it keeps its delay, and its delay's next event heads it,
+  // until a delay that holds no lane takes it over (PushMiss).  A free
+  // lane remembers the last delay that went past it, and `last_at` the
+  // time of that delay's last event pushed to the heap on its own.
+  // Aligned so that no lane straddles two cache lines.
+  struct alignas(32) Lane {
     uint64_t key = 0;
     SimTime last_at = 0.0;
-    uint32_t head = kNoChunk;
-    uint32_t tail = kNoChunk;
-    uint32_t begin = 0;
-    uint32_t end = 0;
     uint32_t size = 0;
+    uint32_t first = 0;
+    uint32_t last = 0;
   };
+  static_assert(sizeof(Lane) == 32);
   static constexpr uint64_t kLaneHeld = uint64_t{1} << 63;
 
-  // The lanes' waiting events share one pool of fixed-size chunks, so the
-  // pool grows to the most events waiting in lanes at once, plus at most
-  // two part-filled chunks per lane, and costs no more per event than the
-  // heap.  Free chunks are linked through `next`, last freed first.  Every
-  // slot that holds no waiting event has a null frame, so CancelHandle
-  // never matches it.
+  // The lanes' tails share one pool of fixed-size chunks, kept as one flat
+  // array of slots (chunk c is slots c * kChunkEvents onwards), so the pool
+  // grows to the most events waiting in lanes at once, plus at most two
+  // part-filled chunks per lane, and a slot is addressed with a shift.
+  // chunk_next_[c] links chunk c to its lane's next chunk, or a free chunk
+  // to the next free one, last freed first.  Every slot that holds no
+  // waiting event has a null frame, so CancelHandle never matches it.
   static constexpr uint32_t kChunkEvents = 16;
-  struct Chunk {
-    Event events[kChunkEvents];
-    uint32_t next;
-  };
 
   // The first lane of the delay's set; the second is the next one.
   // Fibonacci hashing: the multiply spreads the mantissa, whose low bits
@@ -393,12 +398,9 @@ class Scheduler {
   //
   // A future event joins the tail of a lane held by its delay: the lane's
   // last entry was pushed with the same delay at an earlier or equal
-  // Now(), so it precedes the new one.  Anything else goes into the heap.
-  // One such push in eight, chosen by its sequence number, first runs
-  // ClaimOrRemember: the lane bookkeeping costs a push whose delay never
-  // holds a lane (a timer, a lone server's service, a drawn disk time)
-  // about as much as its sift, and a delay frequent enough for a lane is
-  // sampled soon anyway.
+  // Now(), so it precedes the new one; an idle lane's event heads it, in
+  // the heap.  Only the lane lookup and the append are inlined at the call
+  // sites; a delay that holds no lane goes out of line to PushMiss.
   void PushEvent(SimTime delay, void* frame, TraceTag tag) {
     assert(delay >= 0.0);
     const SimTime at = now_ + delay;
@@ -418,34 +420,40 @@ class Scheduler {
     size_t index = LaneOf(key);
     if (lanes_[index].key != (key | kLaneHeld) &&
         lanes_[++index].key != (key | kLaneHeld)) {
-      if ((seq & kLaneSample) == 0) ClaimOrRemember(at, seq, key);
-      if (root_free_) {
-        root_free_ = false;
-        SiftDown(Event{at, seq, frame});
-      } else {
-        heap_.push_back(Event{at, seq, frame});
-        SiftUp(heap_.size() - 1);
-      }
+      PushMiss(at, seq, frame, key, index - 1);
       return;
     }
     Lane& lane = lanes_[index];
-    if (lane.end == kChunkEvents || lane.head == kNoChunk) AddChunk(lane);
-    chunks_[lane.tail].events[lane.end++] =
-        Event{at, seq | index << kLaneShift, frame};
-    ++lane.size;
+    seq |= index << kLaneShift;
+    if (lane.size++ == 0) {
+      PushHeap(at, seq, frame);
+      return;
+    }
+    uint32_t slot = lane.last;
+    if (slot % kChunkEvents == 0) slot = AddChunk(lane);
+    slots_[slot] = Event{at, seq, frame};
+    lane.last = slot + 1;
     ++lane_entries_;
   }
 
-  // Gives `lane` a new tail chunk (its first one if it has none).
-  void AddChunk(Lane& lane);
+  // A future push whose delay holds no lane: claims a free lane of the
+  // delay's set that remembers the delay if the delay's last remembered
+  // event is still pending (the event then heads the lane: its lane field
+  // is set in `seq`), so a delay with one event at a time never gets a
+  // lane; otherwise a lane of the set that is free, or else idle, forgets
+  // its delay and remembers this one and the event's time.  Then pushes
+  // the event into the heap.
+  // `first` is the set's first lane, LaneOf(key).
+  void PushMiss(SimTime at, uint64_t seq, void* frame, uint64_t key,
+                size_t first);
+  // Pushes an event into the heap, into the free root if there is one.
+  void PushHeap(SimTime at, uint64_t seq, void* frame);
 
-  // Claims a free lane of the delay's set that remembers the delay if the
-  // delay's last remembered event is still pending (the event then heads
-  // the lane: its lane field is set in `seq`), so a delay with one event
-  // at a time never gets a lane; otherwise a free lane of the set
-  // remembers the delay and the event's time.
-  void ClaimOrRemember(SimTime at, uint64_t& seq, uint64_t key);
-  static constexpr uint64_t kLaneSample = 7 * kSeqStep;
+  // Gives `lane` a new chunk at the end of its tail, and returns the
+  // chunk's first slot.
+  uint32_t AddChunk(Lane& lane);
+  // Returns the chunk holding `slot` to the pool.
+  void FreeChunk(uint32_t slot);
   void SiftUp(size_t i);
   // Writes `e` into the free root and sifts it down from the top, stopping
   // at the first level where it precedes both children.  The early exit
@@ -457,7 +465,8 @@ class Scheduler {
 
   // Pops the globally next event if its timestamp is <= `until`.  A heap
   // event is copied out.  If it heads a lane with a tail, the tail's first
-  // entry takes its slot; a lane head whose tail is empty frees its lane.
+  // entry takes its slot; a lane head whose tail is empty leaves its lane
+  // idle.
   // Otherwise the slot is left in place as the free root, with a null
   // frame so CancelHandle never matches it; the next heap push fills the
   // root, or the next PopNext removes it first.  An exception escaping Run
@@ -491,10 +500,11 @@ class Scheduler {
   bool tearing_down_ = false;
   Tracer* tracer_ = nullptr;
   // lanes_[0] is unused (see Lane).  The table lives outside the object:
-  // embedded, its 2.6 KB moved every member of a Cluster after the
+  // embedded, its 2 KB moved every member of a Cluster after the
   // scheduler, and mixed_oltp80 read 4 % slower for it.
   std::vector<Lane> lanes_ = std::vector<Lane>(kLanes + 1);
-  std::vector<Chunk> chunks_;
+  std::vector<Event> slots_;
+  std::vector<uint32_t> chunk_next_;
   uint32_t free_chunk_ = kNoChunk;
   size_t lane_entries_ = 0;  // events waiting in lanes, behind their heads
 };

@@ -18,6 +18,7 @@
 #include "common/config.h"
 #include "engine/cluster.h"
 #include "engine/elastic.h"
+#include "engine/faults.h"
 #include "expect_quiescent.h"
 #include "run_at.h"
 
@@ -265,18 +266,38 @@ TEST(ElasticTest, MidMigrationCrashUnwindsDiscardsAndReplans) {
   ExpectQuiescent(c);
 }
 
-// A crash of the donor at the instant its drain starts ends the migration
-// before its first batch: ExecuteMove finds the donor down, or the crash
-// cancels the migrator before it runs.  Nothing moves, nothing is
-// discarded, and nothing is left in flight or held.
-TEST(ElasticTest, DonorCrashAtMoveStartEndsMigratorBeforeFirstBatch) {
+// The donor crashes between ExecuteMove's endpoint check and the
+// migrator's first resume, and the crash ends the migrator there, before
+// its first batch.  At 2000 the drain spawns the rebalance into the
+// same-time ring; the rebalance plans the move, and ExecuteMove checks
+// both endpoints and spawns the migrator, which first runs one ring entry
+// later.  The outer hook wakes at 2000 ahead of the drain (it was
+// scheduled first); the inner one yields once through the ring, which puts
+// it after the rebalance and before the migrator.  OnPeCrash cancels the
+// migrator before it reads a page, ExecuteMove reports the move aborted,
+// and with the donor down nothing is re-planned.
+TEST(ElasticTest, DonorCrashBeforeFirstBatchEndsTheMigrator) {
   SystemConfig cfg = ElasticBase(8);
-  cfg.faults.events = {{2000.0, FaultKind::kDrainPe, 7},
-                       {2000.0, FaultKind::kCrash, 7}};
-  ASSERT_TRUE(cfg.Validate().ok()) << cfg.Validate().ToString();
+  cfg.faults.events = {{2000.0, FaultKind::kDrainPe, 7}};
   Cluster c(cfg);
+  int64_t reads_at_2000 = -1;
+  int64_t reads_at_crash = -1;
+  sim::RunAt(c.sched(), 2000.0, [&c, &reads_at_2000, &reads_at_crash] {
+    reads_at_2000 = c.pe(7).disks().logical_reads();
+    sim::RunAt(c.sched(), 2000.0, [&c, &reads_at_crash] {
+      reads_at_crash = c.pe(7).disks().logical_reads();
+      c.faults().ApplyCrash(7);
+    });
+  });
   MetricsReport r = c.Run();
   EXPECT_EQ(r.pe_crashes, 1);
+  // The move was planned and then aborted: a crash ahead of the rebalance
+  // would have left nothing to plan, and the check runs in the rebalance's
+  // own step, so the abort came from the cancelled migrator ...
+  EXPECT_EQ(r.migrations_replanned, 1);
+  // ... and the migrator never ran: its first step would have read the
+  // donor's disks at 2000.
+  EXPECT_EQ(reads_at_crash, reads_at_2000);
   EXPECT_EQ(r.migration_pages_moved, 0);
   EXPECT_EQ(r.migration_pages_discarded, 0);
   EXPECT_EQ(r.fragments_migrated, 0);

@@ -144,6 +144,7 @@ TEST(SchedulerAllocTest, DelayLanesAllocateNothing) {
       << "dispatching " << dispatched << " lane events allocated "
       << (g_allocations - allocations_before) << " times";
   EXPECT_EQ(sched.pending_events(), 288u);
+  EXPECT_GT(sched.lane_events(), 200u);  // the four delays' lanes are long
 }
 
 // --- blocking primitives ---------------------------------------------------

@@ -124,7 +124,8 @@ TEST(SchedulerTest, PendingEventsCountsRingAndHeap) {
 // the heap on its own and the second, while the first is still pending,
 // claims the lane and heads it; later pushes join its tail.  So of k
 // processes that start at one instant and wait one delay, the second heads
-// the lane and the third to k-th wait in its tail.
+// the lane and the third to k-th wait in its tail, which lane_events()
+// counts.
 
 TEST(SchedulerTest, CancelledLaneHeadStillAdvancesItsLane) {
   Scheduler sched;
@@ -135,10 +136,12 @@ TEST(SchedulerTest, CancelledLaneHeadStillAdvancesItsLane) {
   }
   sched.RunUntil(0.5);  // every process waits for t = 1.0
   ASSERT_EQ(sched.pending_events(), 6u);
+  ASSERT_EQ(sched.lane_events(), 4u);  // 2..5 behind the lane's head, 1
   EXPECT_TRUE(sched.Cancel(ids[1]));  // the lane's head
   EXPECT_TRUE(sched.Cancel(ids[3]));  // an entry in its tail
   // A tombstone counts until the drain loop drops it.
   EXPECT_EQ(sched.pending_events(), 6u);
+  EXPECT_EQ(sched.lane_events(), 4u);
   const uint64_t before = sched.events_processed();
   sched.Run();
   // Dropping the head's tombstone hands the root to the lane's next entry,
@@ -146,6 +149,7 @@ TEST(SchedulerTest, CancelledLaneHeadStillAdvancesItsLane) {
   EXPECT_EQ(order, (std::vector<int>{0, 2, 4, 5}));
   EXPECT_EQ(sched.events_processed() - before, 4u);
   EXPECT_EQ(sched.pending_events(), 0u);
+  EXPECT_EQ(sched.lane_events(), 0u);
 }
 
 TEST(SchedulerTest, PendingEventsCountsLaneTails) {
@@ -158,15 +162,18 @@ TEST(SchedulerTest, PendingEventsCountsLaneTails) {
     sched.Spawn(AppendAfter(sched, 0.5, id, &order));
   }
   sched.RunUntil(0.25);
-  // Two lanes, each with a head in the heap and a tail behind it, and one
-  // event of each delay in the heap on its own.
+  // Two lanes, each with a head in the heap and a tail behind it (2..4 and
+  // 7), and one event of each delay in the heap on its own (0 and 5).
   EXPECT_EQ(sched.pending_events(), 8u);
+  EXPECT_EQ(sched.lane_events(), 4u);
   sched.RunUntil(1.0);
   EXPECT_EQ(order, (std::vector<int>{5, 6, 7}));
   EXPECT_EQ(sched.pending_events(), 5u);
+  EXPECT_EQ(sched.lane_events(), 3u);
   sched.Run();
   EXPECT_EQ(order, (std::vector<int>{5, 6, 7, 0, 1, 2, 3, 4}));
   EXPECT_EQ(sched.pending_events(), 0u);
+  EXPECT_EQ(sched.lane_events(), 0u);
 }
 
 // Waits `period` `rounds` times, counting its wakes.
@@ -191,8 +198,10 @@ TEST(SchedulerTest, CancelAllLeavesNoLaneEntry) {
   sched.RunUntil(20.1);
   ASSERT_GT(wakes, 1000);
   ASSERT_EQ(sched.pending_events(), 50u);
+  ASSERT_GE(sched.lane_events(), 30u);  // the two long lanes' tails
   sched.CancelAll();
   EXPECT_EQ(sched.pending_events(), 0u);
+  EXPECT_EQ(sched.lane_events(), 0u);
   EXPECT_EQ(sched.detached_in_flight(), 0u);
   // Nothing left behind dispatches: new processes on the same delays run
   // exactly their own events, in order.
